@@ -16,12 +16,83 @@
 use crate::instrument::TrainMetrics;
 use cumf_linalg::batch::batch_solve;
 use cumf_linalg::blas::{add_diagonal, syr_axpy};
-use cumf_linalg::cholesky::cholesky_solve;
+use cumf_linalg::cholesky::cholesky_solve_in;
 use cumf_linalg::FactorMatrix;
 use cumf_obs::ns_between;
 use cumf_sparse::Csr;
 use rayon::prelude::*;
 use std::time::Instant;
+
+/// Rows a worker solves with one set of scratch buffers; also the grain of
+/// the parallel split.
+const ROWS_PER_CHUNK: usize = 32;
+
+/// The crate's only Hermitian assembly loop: `a += Σ θ_v·θ_vᵀ` (lower
+/// triangle only — [`syr_axpy`]'s contract) and `b += Σ r_uv·θ_v` over one
+/// row's ratings in CSR order; `theta_of` maps a column id to its `θ_v`.
+fn assemble<'t>(
+    a: &mut [f32],
+    b: &mut [f32],
+    (cols, vals): (&[u32], &[f32]),
+    theta_of: impl Fn(u32) -> &'t [f32],
+) {
+    for (&v, &val) in cols.iter().zip(vals) {
+        syr_axpy(a, b, theta_of(v), val);
+    }
+}
+
+/// The exact per-row ALS update — assemble, ridge `λ · n_{x_u}`, Cholesky
+/// solve — over every row of `r`, against factor vectors looked up through
+/// `theta_of` (column id → `θ_v`, each `f` long): the one row loop behind
+/// training half-iterations and both fold-in paths.  Rows with no ratings
+/// get a zero vector (their system is singular under weighted
+/// regularization, matching the original cuMF), and so do numerically
+/// singular systems rather than propagating NaNs.
+///
+/// With `metrics`, each non-empty row records its Hermitian-assembly and
+/// solve phase and the whole call lands in the `solve_side` histogram; with
+/// `None` the timing branches compile to nothing on the hot path.
+pub fn solve_rows<'t>(
+    r: &Csr,
+    f: usize,
+    theta_of: impl Fn(u32) -> &'t [f32] + Sync,
+    lambda: f32,
+    metrics: Option<&TrainMetrics>,
+) -> FactorMatrix {
+    let call_start = metrics.map(|_| Instant::now());
+    let mut out = FactorMatrix::zeros(r.n_rows() as usize, f);
+    out.data_mut()
+        .par_chunks_mut(f * ROWS_PER_CHUNK)
+        .enumerate()
+        .for_each(|(chunk, rows)| {
+            // The Hermitian, the right-hand side and the solver's f64
+            // workspace, allocated once per chunk instead of once per row.
+            let (mut a, mut b, mut work) = (vec![0.0f32; f * f], vec![0.0f32; f], Vec::new());
+            for (i, x_u) in rows.chunks_exact_mut(f).enumerate() {
+                let row = r.row((chunk * ROWS_PER_CHUNK + i) as u32);
+                let degree = row.0.len();
+                if degree == 0 {
+                    continue;
+                }
+                let row_start = metrics.map(|_| Instant::now());
+                a.fill(0.0);
+                b.fill(0.0);
+                assemble(&mut a, &mut b, row, &theta_of);
+                let assembled = metrics.map(|_| Instant::now());
+                add_diagonal(&mut a, f, lambda * degree as f32);
+                if cholesky_solve_in(&mut a, f, &mut b, &mut work).is_ok() {
+                    x_u.copy_from_slice(&b);
+                }
+                if let (Some(m), Some(t0), Some(t1)) = (metrics, row_start, assembled) {
+                    m.record_row(ns_between(t0, t1), ns_between(t1, Instant::now()));
+                }
+            }
+        });
+    if let (Some(m), Some(t0)) = (metrics, call_start) {
+        m.record_solve_side(t0.elapsed());
+    }
+    out
+}
 
 /// Solves one side of the ALS update with the fused per-row kernel: for each
 /// row `u` of `r`, builds the regularized Hermitian and right-hand side and
@@ -32,61 +103,24 @@ use std::time::Instant;
 /// * `fixed` — the factor matrix of the other side, indexed by `r`'s columns.
 /// * `lambda` — weighted-λ regularization; each row's ridge is
 ///   `λ · n_{x_u}`.
-///
-/// Rows with no ratings get a zero vector (their system is singular under
-/// weighted regularization, matching the behaviour of the original cuMF).
 pub fn solve_side(r: &Csr, fixed: &FactorMatrix, lambda: f32) -> FactorMatrix {
     solve_side_instrumented(r, fixed, lambda, None)
 }
 
-/// [`solve_side`] with optional per-row phase timing.
-///
-/// When `metrics` is present, each non-empty row records its
-/// Hermitian-assembly and solve phase separately (plus the whole call into
-/// the `solve_side` histogram); with `None` the timing branches compile to
-/// nothing on the hot path.  Results are identical either way.
+/// [`solve_side`] with optional per-row phase timing (see [`solve_rows`]).
 pub fn solve_side_instrumented(
     r: &Csr,
     fixed: &FactorMatrix,
     lambda: f32,
     metrics: Option<&TrainMetrics>,
 ) -> FactorMatrix {
-    let call_start = metrics.map(|_| Instant::now());
-    let f = fixed.rank();
-    let m = r.n_rows() as usize;
-    let mut out = FactorMatrix::zeros(m, f);
-
-    out.data_mut()
-        .par_chunks_mut(f)
-        .enumerate()
-        .for_each(|(u, x_u)| {
-            let (cols, vals) = r.row(u as u32);
-            if cols.is_empty() {
-                return;
-            }
-            let row_start = metrics.map(|_| Instant::now());
-            let mut a = vec![0.0f32; f * f];
-            let mut b = vec![0.0f32; f];
-            for (&v, &val) in cols.iter().zip(vals.iter()) {
-                // Fused four-lane assembly step; bit-identical to the
-                // scalar syr_full + axpy pair (see `syr_axpy`'s contract).
-                syr_axpy(&mut a, &mut b, fixed.vector(v as usize), val);
-            }
-            let assembled = metrics.map(|_| Instant::now());
-            add_diagonal(&mut a, f, lambda * cols.len() as f32);
-            if cholesky_solve(&mut a, f, &mut b).is_ok() {
-                x_u.copy_from_slice(&b);
-            }
-            // On (numerically) singular systems the row keeps its zero
-            // initialization rather than propagating NaNs.
-            if let (Some(m), Some(t0), Some(t1)) = (metrics, row_start, assembled) {
-                m.record_row(ns_between(t0, t1), ns_between(t1, Instant::now()));
-            }
-        });
-    if let (Some(m), Some(t0)) = (metrics, call_start) {
-        m.record_solve_side(t0.elapsed());
-    }
-    out
+    solve_rows(
+        r,
+        fixed.rank(),
+        |v| fixed.vector(v as usize),
+        lambda,
+        metrics,
+    )
 }
 
 /// Per-row partial Hermitians and right-hand sides over a *block* of `R`
@@ -99,7 +133,8 @@ pub fn solve_side_instrumented(
 /// row, not of one block.
 ///
 /// Returns `(hermitians, rhs)` with `hermitians.len() == rows · f²` and
-/// `rhs.len() == rows · f`.
+/// `rhs.len() == rows · f`.  Only the lower triangle of each Hermitian is
+/// accumulated ([`syr_axpy`]'s contract); nothing downstream reads the rest.
 pub fn partial_hermitians(
     block: &Csr,
     fixed_part: &FactorMatrix,
@@ -115,10 +150,7 @@ pub fn partial_hermitians(
         .zip(rhs.par_chunks_mut(f))
         .enumerate()
         .for_each(|(u, (a, b))| {
-            let (cols, vals) = block.row(u as u32);
-            for (&v, &val) in cols.iter().zip(vals.iter()) {
-                syr_axpy(a, b, fixed_part.vector(v as usize), val);
-            }
+            assemble(a, b, block.row(u as u32), |v| fixed_part.vector(v as usize));
         });
     (hermitians, rhs)
 }
@@ -165,26 +197,18 @@ pub fn finalize_and_solve(
 
     hermitians
         .par_chunks_mut(f * f)
-        .enumerate()
-        .for_each(|(u, a)| {
-            let ridge = lambda * row_degrees[u] as f32;
-            if row_degrees[u] > 0 {
-                add_diagonal(a, f, ridge);
-            }
-        });
+        .zip(row_degrees.par_iter())
+        .for_each(|(a, &degree)| add_diagonal(a, f, lambda * degree as f32));
 
-    batch_solve(hermitians, rhs, f);
+    let report = batch_solve(hermitians, rhs, f);
 
-    // Rows with no ratings stay at zero: their "solution" from the failed
-    // factorization is whatever was in rhs (all zeros, since no partial
-    // contributed), which is already the desired value.
+    // A system that failed to factor still holds its raw right-hand side
+    // `Σ r·θ_v` in `rhs`; such a row gets zeros, exactly as in `solve_rows`.
+    // A row with no ratings is one of them: its Hermitian is all zero.
     let mut out = FactorMatrix::zeros(rows, f);
     out.data_mut().copy_from_slice(rhs);
-    // Explicitly zero empty rows in case numerical noise crept in.
-    for (u, &d) in row_degrees.iter().enumerate() {
-        if d == 0 {
-            out.vector_mut(u).fill(0.0);
-        }
+    for u in report.failed {
+        out.vector_mut(u).fill(0.0);
     }
     out
 }
@@ -264,32 +288,64 @@ mod tests {
 
     #[test]
     fn vectorized_assembly_matches_the_scalar_reference_exactly() {
-        // Rebuild every row's system with the scalar syr_full + axpy pair —
-        // the pre-vectorization assembly — and solve it: solve_side's fused
-        // 4-lane kernel must reproduce each factor vector bit-for-bit (zero
-        // tolerance), because per-element the assembly performs the same
-        // multiply-adds and reorders no reduction.
+        // Rebuild every row's system with the scalar, full-matrix
+        // syr_full + axpy pair and solve it: solve_side's triangular kernel
+        // must reproduce each factor vector bit-for-bit (zero tolerance),
+        // because per element the assembly performs the same multiply-adds
+        // in the same rating order and the solver reads the lower triangle
+        // only.  Row degrees sit on, beside and far from the vector widths.
         use cumf_linalg::blas::{axpy, syr_full};
-        let (r, theta) = small_problem();
-        let f = theta.rank();
-        let lambda = 0.05f32;
-        let got = solve_side(&r, &theta, lambda);
-        for u in 0..r.n_rows() {
-            let (cols, vals) = r.row(u);
-            if cols.is_empty() {
-                continue;
+        use cumf_linalg::cholesky::cholesky_solve;
+        let (r, _) = small_problem();
+        let mut coo = Coo::new(5, r.n_cols());
+        for (u, degree) in [1u32, 3, 4, 5, 33].into_iter().enumerate() {
+            for v in 0..degree {
+                let item = (7 * v + u as u32) % r.n_cols();
+                coo.push(u as u32, item, 1.0 + (v % 5) as f32).unwrap();
             }
-            let mut a = vec![0.0f32; f * f];
-            let mut b = vec![0.0f32; f];
-            for (&v, &val) in cols.iter().zip(vals.iter()) {
-                let theta_v = theta.vector(v as usize);
-                syr_full(&mut a, theta_v);
-                axpy(val, theta_v, &mut b);
-            }
-            add_diagonal(&mut a, f, lambda * cols.len() as f32);
-            cholesky_solve(&mut a, f, &mut b).unwrap();
-            assert_eq!(got.vector(u as usize), &b[..], "row {u} diverged");
         }
+        let by_degree = coo.to_csr();
+        let lambda = 0.05f32;
+        for f in [8usize, 32, 64] {
+            let theta = FactorMatrix::random(r.n_cols() as usize, f, 0.5, 11);
+            for r in [&r, &by_degree] {
+                let got = solve_side(r, &theta, lambda);
+                for u in 0..r.n_rows() {
+                    let (cols, vals) = r.row(u);
+                    if cols.is_empty() {
+                        continue;
+                    }
+                    let mut a = vec![0.0f32; f * f];
+                    let mut b = vec![0.0f32; f];
+                    for (&v, &val) in cols.iter().zip(vals.iter()) {
+                        let theta_v = theta.vector(v as usize);
+                        syr_full(&mut a, theta_v);
+                        axpy(val, theta_v, &mut b);
+                    }
+                    add_diagonal(&mut a, f, lambda * cols.len() as f32);
+                    cholesky_solve(&mut a, f, &mut b).unwrap();
+                    assert_eq!(got.vector(u as usize), &b[..], "f {f} row {u} diverged");
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn a_row_that_fails_to_factor_is_zero_on_both_paths() {
+        // λ = 0 and one rating at f = 4: the Hermitian θθᵀ has rank 1 and
+        // does not factor.  The fused path leaves such a row at zero; the
+        // partial-Hermitian path must too, not hand back its raw Σ r·θ_v.
+        let theta = FactorMatrix::random(3, 4, 1.0, 5);
+        let mut coo = Coo::new(2, 3);
+        coo.push(0, 1, 4.0).unwrap();
+        for v in 0..3 {
+            coo.push(1, v, 1.0 + v as f32).unwrap();
+        }
+        let r = coo.to_csr();
+        let fused = solve_side(&r, &theta, 0.0);
+        let partial = solve_side_via_partials(&r, &theta, 0.0);
+        assert!(fused.vector(0).iter().all(|&v| v == 0.0));
+        assert_eq!(fused.vector(0), partial.vector(0));
     }
 
     #[test]

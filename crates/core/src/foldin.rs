@@ -12,20 +12,17 @@
 //! point: at production sizes, moving whole factor matrices dominates cost,
 //! so an update that touches `u` users should move `O(u·f)` bytes.
 //!
-//! The solve itself is [`crate::als::kernels::solve_side`] — the same fused
+//! The solve itself is [`crate::als::kernels::solve_rows`] — the same
 //! per-row kernel every training engine uses, parallel over users via
 //! rayon — so a folded-in user gets *exactly* the factors one more
-//! update-`X` half-iteration would have given them.
+//! update-`X` half-iteration would have given them.  The contiguous and the
+//! segmented path differ only in how a rating's item id finds its `θ_v`.
 
-use crate::als::kernels::solve_side_instrumented;
+use crate::als::kernels::{solve_rows, solve_side_instrumented};
 use crate::instrument::TrainMetrics;
 use cumf_linalg::batch::SegmentView;
-use cumf_linalg::blas::{add_diagonal, axpy, syr_full};
-use cumf_linalg::cholesky::cholesky_solve;
 use cumf_linalg::FactorMatrix;
-use cumf_obs::ns_between;
 use cumf_sparse::{Coo, Csr};
-use rayon::prelude::*;
 use std::time::Instant;
 
 /// Solves the ALS normal equations for a batch of users against frozen item
@@ -125,43 +122,17 @@ pub fn fold_in_users_segmented_instrumented(
     );
 
     let started = metrics.map(|_| Instant::now());
-    let m = ratings.n_rows() as usize;
-    let mut out = FactorMatrix::zeros(m, f);
-    out.data_mut()
-        .par_chunks_mut(f)
-        .enumerate()
-        .for_each(|(u, x_u)| {
-            let (cols, vals) = ratings.row(u as u32);
-            if cols.is_empty() {
-                return;
-            }
-            let row_start = metrics.map(|_| Instant::now());
-            let mut a = vec![0.0f32; f * f];
-            let mut b = vec![0.0f32; f];
-            for (&v, &val) in cols.iter().zip(vals.iter()) {
-                // Rating item ids arrive in catalog order per row; each
-                // resolves to (segment, stored row) with two u32 lookups —
-                // no catalog-order slab exists anywhere.
-                let i = segments
-                    .partition_point(|s| s.first_id <= v)
-                    .saturating_sub(1);
-                let theta_v = segments[i].vector_of(v, f);
-                syr_full(&mut a, theta_v);
-                axpy(val, theta_v, &mut b);
-            }
-            let assembled = metrics.map(|_| Instant::now());
-            add_diagonal(&mut a, f, lambda * cols.len() as f32);
-            if cholesky_solve(&mut a, f, &mut b).is_ok() {
-                x_u.copy_from_slice(&b);
-            }
-            // Singular systems keep the zero initialization, exactly like
-            // the contiguous kernel.
-            if let (Some(m), Some(t0), Some(t1)) = (metrics, row_start, assembled) {
-                m.record_row(ns_between(t0, t1), ns_between(t1, Instant::now()));
-            }
-        });
+    // Rating item ids arrive in catalog order per row; each resolves to
+    // (segment, stored row) with two u32 lookups — no catalog-order slab
+    // exists anywhere.
+    let theta_of = |v: u32| {
+        let i = segments
+            .partition_point(|s| s.first_id <= v)
+            .saturating_sub(1);
+        segments[i].vector_of(v, f)
+    };
+    let out = solve_rows(ratings, f, theta_of, lambda, metrics);
     if let (Some(m), Some(t0)) = (metrics, started) {
-        m.record_solve_side(t0.elapsed());
         m.record_fold_in(t0.elapsed());
     }
     out

@@ -5,8 +5,8 @@
 //! (equation (2)): assembling the Hermitian `A = Σ θ_v θ_vᵀ` (the
 //! `get_hermitian` kernel) and solving the regularized system (the
 //! `batch_solve` kernel).  [`TrainMetrics`] times both **per row** inside
-//! [`crate::als::kernels::solve_side_instrumented`], plus whole
-//! `solve_side` calls and incremental fold-in batches
+//! [`crate::als::kernels::solve_rows`], plus whole `solve_side` calls and
+//! incremental fold-in batches
 //! ([`crate::foldin::fold_in_users_instrumented`]) — giving the host-side
 //! analogue of the kernel split the simulator prices.
 //!
@@ -26,8 +26,8 @@ use std::time::Duration;
 /// can be shared across the rayon workers of a `solve_side` call.
 #[derive(Debug, Default)]
 pub struct TrainMetrics {
-    /// Per-row Hermitian assembly (the `syr_full`/`axpy` loop over the
-    /// row's ratings — `get_hermitian` in the paper).
+    /// Per-row Hermitian assembly (the `syr_axpy` loop over the row's
+    /// ratings — `get_hermitian` in the paper).
     assembly: Histogram,
     /// Per-row ridge + Cholesky solve (`batch_solve` in the paper).
     solve: Histogram,

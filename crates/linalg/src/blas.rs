@@ -2,7 +2,8 @@
 //!
 //! These are the CPU stand-ins for the device code in the paper's Listing 1:
 //! the rank-1 symmetric update that accumulates `A_u += θ_v·θ_vᵀ` and the
-//! small matrix-vector products used to form `B_u = Θᵀ·R_{u*}ᵀ`.
+//! small matrix-vector products used to form `B_u = Θᵀ·R_{u*}ᵀ`.  Training
+//! assembles through [`syr_axpy`], which writes the lower triangle only.
 
 /// Dot product of two equal-length vectors, accumulated in `f64` for
 /// stability (the Hermitian systems are ill-conditioned for large `n_{x_u}`).
@@ -34,12 +35,11 @@ pub fn scal(alpha: f32, x: &mut [f32]) {
 }
 
 /// Symmetric rank-1 update of a full `f × f` row-major matrix:
-/// `a += x·xᵀ`.
+/// `a += x·xᵀ`, both triangles — the `f²` variant the paper keeps for a
+/// downstream solver that "does not appreciate symmetricity".
 ///
-/// The full (not triangular) matrix is updated because the downstream
-/// Cholesky solver reads both triangles — this matches the paper's remark
-/// that `f²` elements are written "if the downstream solver does not
-/// appreciate symmetricity".
+/// Training runs [`syr_axpy`]; this and [`axpy`] stay as the full-matrix
+/// reference the baselines use and the tests compare the kernel against.
 #[inline]
 pub fn syr_full(a: &mut [f32], x: &[f32]) {
     let f = x.len();
@@ -56,81 +56,31 @@ pub fn syr_full(a: &mut [f32], x: &[f32]) {
     }
 }
 
-/// Fused Hermitian-assembly step with explicit four-lane inner loops:
-/// `a += x·xᵀ` and `b += val·x` in one call — the per-rating body of the
-/// ALS `get_hermitian` phase ([`syr_full`] + [`axpy`]) with the same manual
-/// vectorization as the serving scan's [`crate::batch::score_dot`], so the
-/// compiler keeps the FMA pipeline full instead of bounds-checking one
-/// element at a time.
+/// One rating's Hermitian-assembly step, the per-rating body of the ALS
+/// `get_hermitian` phase: `a[i][j] += x[i]·x[j]` for `j ≤ i` and
+/// `b += val·x` — the `f(f+1)/2` multiply variant of Table 3.
 ///
-/// **Bit-identical** to `syr_full(a, x); axpy(val, x, b);`: every output
-/// element receives exactly one multiply-add per call, so unrolling the
-/// loop four wide reorders no floating-point reduction (unlike a dot
-/// product, there is nothing to reassociate).  The zero-`x[i]` row skip is
-/// preserved for the same reason.
+/// **Contract:** only the lower triangle of `a` (diagonal included) is
+/// updated; the strict upper triangle is unspecified and no caller may read
+/// it.  [`crate::cholesky`] reads `j ≤ i` only.
+///
+/// On the lower triangle and `b` the result is **bit-identical** to
+/// `syr_full(a, x); axpy(val, x, b);`: every element receives one
+/// multiply-add per call, so there is no reduction to reorder, and the loops
+/// are plain slice zips the compiler vectorises by itself.  There is no
+/// zero-`x[i]` skip: adding `0·x[j]` leaves a finite accumulator that started
+/// at `+0.0` unchanged (it can never hold `-0.0`).
 #[inline]
 pub fn syr_axpy(a: &mut [f32], b: &mut [f32], x: &[f32], val: f32) {
     let f = x.len();
     debug_assert_eq!(a.len(), f * f);
     debug_assert_eq!(b.len(), f);
-    let (x4, x_tail) = x.split_at(f & !3);
     for (i, &xi) in x.iter().enumerate() {
-        if xi == 0.0 {
-            continue;
-        }
-        let row = &mut a[i * f..(i + 1) * f];
-        let (r4, r_tail) = row.split_at_mut(x4.len());
-        for (rc, xc) in r4.chunks_exact_mut(4).zip(x4.chunks_exact(4)) {
-            rc[0] += xi * xc[0];
-            rc[1] += xi * xc[1];
-            rc[2] += xi * xc[2];
-            rc[3] += xi * xc[3];
-        }
-        for (r, xj) in r_tail.iter_mut().zip(x_tail.iter()) {
-            *r += xi * xj;
+        for (aij, &xj) in a[i * f..=i * f + i].iter_mut().zip(x) {
+            *aij += xi * xj;
         }
     }
-    let (b4, b_tail) = b.split_at_mut(x4.len());
-    for (bc, xc) in b4.chunks_exact_mut(4).zip(x4.chunks_exact(4)) {
-        bc[0] += val * xc[0];
-        bc[1] += val * xc[1];
-        bc[2] += val * xc[2];
-        bc[3] += val * xc[3];
-    }
-    for (bi, xj) in b_tail.iter_mut().zip(x_tail.iter()) {
-        *bi += val * xj;
-    }
-}
-
-/// Symmetric rank-1 update touching only the upper triangle (including the
-/// diagonal): `a[i][j] += x[i]*x[j]` for `j ≥ i`.
-///
-/// This is the `f(f+1)/2` multiply variant from Table 3.
-#[inline]
-pub fn syr_upper(a: &mut [f32], x: &[f32]) {
-    let f = x.len();
-    debug_assert_eq!(a.len(), f * f);
-    for i in 0..f {
-        let xi = x[i];
-        if xi == 0.0 {
-            continue;
-        }
-        for j in i..f {
-            a[i * f + j] += xi * x[j];
-        }
-    }
-}
-
-/// Mirrors the upper triangle of a row-major `f × f` matrix into the lower
-/// triangle, completing a matrix accumulated with [`syr_upper`].
-#[inline]
-pub fn symmetrize_upper(a: &mut [f32], f: usize) {
-    debug_assert_eq!(a.len(), f * f);
-    for i in 0..f {
-        for j in (i + 1)..f {
-            a[j * f + i] = a[i * f + j];
-        }
-    }
+    axpy(val, x, b);
 }
 
 /// Adds `lambda` to the diagonal of a row-major `f × f` matrix
@@ -216,9 +166,9 @@ mod tests {
     #[test]
     fn syr_axpy_is_bit_identical_to_syr_full_plus_axpy() {
         use crate::FactorMatrix;
-        // Ranks off the 4-lane grid exercise the unroll tail; zeros
-        // exercise the row skip.  Bit-identity (==, not tolerance): the
-        // fused kernel performs the same multiply-adds in the same places.
+        // Bit-identity (==, not tolerance) on the lower triangle and the
+        // right-hand side, zeros in `x` included; the strict upper triangle
+        // is outside the contract.
         for f in [1usize, 3, 4, 7, 8, 13, 32] {
             let gen = FactorMatrix::random(6, f, 1.0, 90 + f as u64);
             let mut a_ref = vec![0.0f32; f * f];
@@ -235,20 +185,12 @@ mod tests {
                 axpy(val, &x, &mut b_ref);
                 syr_axpy(&mut a_new, &mut b_new, &x, val);
             }
-            assert_eq!(a_ref, a_new, "rank {f} Hermitian diverged");
+            for i in 0..f {
+                let lower = i * f..=i * f + i;
+                assert_eq!(a_ref[lower.clone()], a_new[lower], "rank {f} row {i}");
+            }
             assert_eq!(b_ref, b_new, "rank {f} rhs diverged");
         }
-    }
-
-    #[test]
-    fn syr_upper_plus_symmetrize_equals_syr_full() {
-        let x = [0.5, -1.0, 2.0, 3.0];
-        let mut full = vec![0.0; 16];
-        syr_full(&mut full, &x);
-        let mut upper = vec![0.0; 16];
-        syr_upper(&mut upper, &x);
-        symmetrize_upper(&mut upper, 4);
-        assert_eq!(full, upper);
     }
 
     #[test]

@@ -27,68 +27,123 @@ impl fmt::Display for CholeskyError {
 
 impl std::error::Error for CholeskyError {}
 
-/// In-place Cholesky factorization of a row-major `f × f` SPD matrix.
-///
-/// On success the lower triangle (including diagonal) of `a` holds `L` such
-/// that `A = L·Lᵀ`; the strict upper triangle is left untouched.
-pub fn cholesky_factor(a: &mut [f32], f: usize) -> Result<(), CholeskyError> {
+/// `s[r] − Σ_k rows[r][k]·v[k]` for four rows at once.  Each chain subtracts
+/// in ascending `k`, as a lone chain would; four side by side overlap the
+/// 4-cycle latency of one dependent f64 subtract with the other three.
+#[inline]
+fn sub_dot4(mut s: [f64; 4], rows: [&[f64]; 4], v: &[f64]) -> [f64; 4] {
+    let n = v.len();
+    let [r0, r1, r2, r3] = rows.map(|r| &r[..n]);
+    for k in 0..n {
+        s[0] -= r0[k] * v[k];
+        s[1] -= r1[k] * v[k];
+        s[2] -= r2[k] * v[k];
+        s[3] -= r3[k] * v[k];
+    }
+    s
+}
+
+/// Factors `work` — an f64 copy of `a`, of which only the lower triangle
+/// (`j ≤ i`) is read — in place, column by column, and stores the lower
+/// triangle of `L` back to `a`.  Every entry is rounded through f32 as it is
+/// stored, so the copy holds exactly the f32 factor's values: the chains
+/// accumulate in f64 and would otherwise convert every operand on every use.
+fn factor(a: &mut [f32], f: usize, work: &mut Vec<f64>) -> Result<(), CholeskyError> {
     debug_assert_eq!(a.len(), f * f);
+    work.clear();
+    work.extend(a.iter().map(|&v| v as f64));
     for j in 0..f {
-        // Diagonal element.
-        let mut d = a[j * f + j] as f64;
-        for k in 0..j {
-            let l = a[j * f + k] as f64;
-            d -= l * l;
-        }
+        let (head, below) = work.split_at_mut((j + 1) * f);
+        let row_j = &mut head[j * f..];
+        let d = row_j[..j].iter().fold(row_j[j], |d, &l| d - l * l);
         if d <= 0.0 || !d.is_finite() {
             return Err(CholeskyError { pivot: j });
         }
         let d = d.sqrt();
-        a[j * f + j] = d as f32;
+        row_j[j] = d as f32 as f64;
         let inv_d = 1.0 / d;
-        // Column below the diagonal.
-        for i in (j + 1)..f {
-            let mut s = a[i * f + j] as f64;
-            for k in 0..j {
-                s -= (a[i * f + k] as f64) * (a[j * f + k] as f64);
+        // Column below the diagonal, four rows per pass.  A short last group
+        // repeats its last row; the duplicate chains compute the same value.
+        for quad in below.chunks_mut(4 * f) {
+            let last = quad.len() / f - 1;
+            let at = [0, 1, 2, 3].map(|r| r.min(last) * f);
+            let s = sub_dot4(
+                at.map(|o| quad[o + j]),
+                at.map(|o| &quad[o..o + j]),
+                &row_j[..j],
+            );
+            for (o, s) in at.into_iter().zip(s) {
+                quad[o + j] = (s * inv_d) as f32 as f64;
             }
-            a[i * f + j] = (s * inv_d) as f32;
+        }
+    }
+    for i in 0..f {
+        let lower = i * f..=i * f + i;
+        for (dst, &src) in a[lower.clone()].iter_mut().zip(&work[lower]) {
+            *dst = src as f32;
         }
     }
     Ok(())
+}
+
+/// Solves `L·Lᵀ·x = b` in place for an f64 factor copy `l`.
+fn substitute(l: &[f64], f: usize, b: &mut [f32]) {
+    debug_assert_eq!(b.len(), f);
+    // Forward substitution: L·y = b.
+    for i in 0..f {
+        let mut s = b[i] as f64;
+        for k in 0..i {
+            s -= l[i * f + k] * b[k] as f64;
+        }
+        b[i] = (s / l[i * f + i]) as f32;
+    }
+    // Backward substitution: Lᵀ·x = y.
+    for i in (0..f).rev() {
+        let mut s = b[i] as f64;
+        for k in (i + 1)..f {
+            s -= l[k * f + i] * b[k] as f64;
+        }
+        b[i] = (s / l[i * f + i]) as f32;
+    }
+}
+
+/// In-place Cholesky factorization of a row-major `f × f` SPD matrix, of
+/// which only the lower triangle is read.
+///
+/// On success the lower triangle (including diagonal) of `a` holds `L` such
+/// that `A = L·Lᵀ`; the strict upper triangle is left untouched.
+pub fn cholesky_factor(a: &mut [f32], f: usize) -> Result<(), CholeskyError> {
+    factor(a, f, &mut Vec::new())
 }
 
 /// Solves `L·Lᵀ·x = b` in place given a factor produced by
 /// [`cholesky_factor`]; `b` is overwritten with the solution.
 pub fn cholesky_solve_factored(l: &[f32], f: usize, b: &mut [f32]) {
     debug_assert_eq!(l.len(), f * f);
-    debug_assert_eq!(b.len(), f);
-    // Forward substitution: L·y = b.
-    for i in 0..f {
-        let mut s = b[i] as f64;
-        for k in 0..i {
-            s -= (l[i * f + k] as f64) * (b[k] as f64);
-        }
-        b[i] = (s / l[i * f + i] as f64) as f32;
-    }
-    // Backward substitution: Lᵀ·x = y.
-    for i in (0..f).rev() {
-        let mut s = b[i] as f64;
-        for k in (i + 1)..f {
-            s -= (l[k * f + i] as f64) * (b[k] as f64);
-        }
-        b[i] = (s / l[i * f + i] as f64) as f32;
-    }
+    let l: Vec<f64> = l.iter().map(|&v| v as f64).collect();
+    substitute(&l, f, b);
 }
 
-/// Solves the SPD system `A·x = b`, destroying `a` (which receives the
-/// Cholesky factor) and overwriting `b` with the solution `x`.
+/// Solves the SPD system `A·x = b`, destroying `a` (whose lower triangle
+/// receives the Cholesky factor) and overwriting `b` with the solution `x`.
+/// Only the lower triangle of `a` is read; on `Err`, `b` is untouched.
 ///
 /// This is the per-row work item of the paper's `batch_solve` phase and
 /// costs `O(f³)` as accounted in Table 3.
 pub fn cholesky_solve(a: &mut [f32], f: usize, b: &mut [f32]) -> Result<(), CholeskyError> {
-    cholesky_factor(a, f)?;
-    cholesky_solve_factored(a, f, b);
+    cholesky_solve_in(a, f, b, &mut Vec::new())
+}
+
+/// [`cholesky_solve`] with a caller-owned workspace (any `Vec`; it is grown
+/// as needed), so a loop over many systems allocates once.
+pub fn cholesky_solve_in(
+    a: &mut [f32],
+    f: usize,
+    b: &mut [f32],
+    work: &mut Vec<f64>,
+) -> Result<(), CholeskyError> {
+    factor(a, f, work)?;
+    substitute(work, f, b);
     Ok(())
 }
 

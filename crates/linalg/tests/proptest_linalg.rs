@@ -1,7 +1,7 @@
 //! Property-based tests for the dense linear-algebra substrate.
 
-use cumf_linalg::blas::{add_diagonal, dot, gemv, symmetrize_upper, syr_full, syr_upper};
-use cumf_linalg::cholesky::{cholesky_solve, residual_norm};
+use cumf_linalg::blas::{add_diagonal, axpy, dot, gemv, syr_axpy, syr_full};
+use cumf_linalg::cholesky::{cholesky_solve, residual_norm, CholeskyError};
 use cumf_linalg::{
     batch_solve, block_max_norms, f16_bits_to_f32, f32_to_f16_bits, item_norms,
     retrieve_top_k_segments, retrieve_top_k_segments_approx, ApproxPolicy, DenseMatrix,
@@ -117,7 +117,7 @@ fn arb_codec_slab() -> impl Strategy<Value = (usize, Vec<f32>)> {
 /// A strategy for an SPD system built the way ALS builds them: a sum of
 /// rank-1 outer products plus a positive ridge.
 fn arb_spd_system(max_f: usize) -> impl Strategy<Value = (usize, Vec<f32>, Vec<f32>)> {
-    (2..=max_f).prop_flat_map(|f| {
+    (1..=max_f).prop_flat_map(|f| {
         let terms = 2 * f;
         (
             Just(f),
@@ -136,6 +136,51 @@ fn arb_spd_system(max_f: usize) -> impl Strategy<Value = (usize, Vec<f32>, Vec<f
     })
 }
 
+/// The solver as it was before its chains were interleaved: one f64 chain at
+/// a time, straight from the f32 matrix.  Kept here as the reference the
+/// production solver must reproduce bit for bit.
+fn cholesky_solve_reference(a: &mut [f32], f: usize, b: &mut [f32]) -> Result<(), CholeskyError> {
+    for j in 0..f {
+        let mut d = a[j * f + j] as f64;
+        for k in 0..j {
+            let l = a[j * f + k] as f64;
+            d -= l * l;
+        }
+        if d <= 0.0 || !d.is_finite() {
+            return Err(CholeskyError { pivot: j });
+        }
+        let d = d.sqrt();
+        a[j * f + j] = d as f32;
+        let inv_d = 1.0 / d;
+        for i in (j + 1)..f {
+            let mut s = a[i * f + j] as f64;
+            for k in 0..j {
+                s -= (a[i * f + k] as f64) * (a[j * f + k] as f64);
+            }
+            a[i * f + j] = (s * inv_d) as f32;
+        }
+    }
+    for i in 0..f {
+        let mut s = b[i] as f64;
+        for k in 0..i {
+            s -= (a[i * f + k] as f64) * (b[k] as f64);
+        }
+        b[i] = (s / a[i * f + i] as f64) as f32;
+    }
+    for i in (0..f).rev() {
+        let mut s = b[i] as f64;
+        for k in (i + 1)..f {
+            s -= (a[k * f + i] as f64) * (b[k] as f64);
+        }
+        b[i] = (s / a[i * f + i] as f64) as f32;
+    }
+    Ok(())
+}
+
+fn bits(v: &[f32]) -> Vec<u32> {
+    v.iter().map(|x| x.to_bits()).collect()
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
 
@@ -149,17 +194,82 @@ proptest! {
         prop_assert!(res / scale < 5e-3, "f={} residual={}", f, res);
     }
 
+    /// The triangular assembly kernel against the full-matrix reference:
+    /// bit for bit on the lower triangle and the right-hand side, at ranks
+    /// on and off every vector width, exact zeros in `x` included.
     #[test]
-    fn syr_upper_symmetrized_equals_syr_full(x in proptest::collection::vec(-2.0f32..2.0, 1..20)) {
-        let f = x.len();
-        let mut full = vec![0.0f32; f * f];
-        syr_full(&mut full, &x);
-        let mut up = vec![0.0f32; f * f];
-        syr_upper(&mut up, &x);
-        symmetrize_upper(&mut up, f);
-        for (a, b) in full.iter().zip(up.iter()) {
-            prop_assert!((a - b).abs() < 1e-6);
+    fn syr_axpy_lower_triangle_is_bit_identical_to_syr_full_plus_axpy(
+        (f, xs, zeros, vals) in (1usize..=70).prop_flat_map(|f| (
+            Just(f),
+            proptest::collection::vec(-2.0f32..2.0, 5 * f),
+            proptest::collection::vec(0u8..4, 5 * f),
+            proptest::collection::vec(-5.0f32..5.0, 5),
+        )),
+    ) {
+        let mut a_ref = vec![0.0f32; f * f];
+        let mut b_ref = vec![0.0f32; f];
+        let mut a_new = a_ref.clone();
+        let mut b_new = b_ref.clone();
+        for ((x, zero), &val) in xs.chunks(f).zip(zeros.chunks(f)).zip(&vals) {
+            let x: Vec<f32> = x
+                .iter()
+                .zip(zero)
+                .map(|(&v, &z)| if z == 0 { 0.0 } else { v })
+                .collect();
+            syr_full(&mut a_ref, &x);
+            axpy(val, &x, &mut b_ref);
+            syr_axpy(&mut a_new, &mut b_new, &x, val);
         }
+        for i in 0..f {
+            for j in 0..=i {
+                prop_assert_eq!(a_ref[i * f + j].to_bits(), a_new[i * f + j].to_bits());
+            }
+        }
+        prop_assert_eq!(bits(&b_ref), bits(&b_new));
+    }
+
+    /// The interleaved-chain solver against the straight-line scalar loop:
+    /// same solution and same factor, bit for bit.
+    #[test]
+    fn cholesky_solve_is_bit_identical_to_the_scalar_reference(
+        (f, a, b) in arb_spd_system(70),
+    ) {
+        let (mut a_ref, mut x_ref) = (a.clone(), b.clone());
+        let (mut a_new, mut x_new) = (a, b);
+        prop_assert_eq!(cholesky_solve_reference(&mut a_ref, f, &mut x_ref), Ok(()));
+        prop_assert_eq!(cholesky_solve(&mut a_new, f, &mut x_new), Ok(()));
+        prop_assert_eq!(bits(&x_ref), bits(&x_new));
+        for i in 0..f {
+            for j in 0..=i {
+                prop_assert_eq!(a_ref[i * f + j].to_bits(), a_new[i * f + j].to_bits());
+            }
+        }
+    }
+
+    /// A rank-deficient system (fewer rank-1 terms than `f`, no ridge) fails
+    /// at the same pivot in both, and leaves the right-hand side alone.
+    #[test]
+    fn cholesky_solve_reports_the_reference_pivot_on_non_spd_input(
+        (f, terms, vecs, b) in (1usize..=70).prop_flat_map(|f| (
+            Just(f),
+            0..f,
+            proptest::collection::vec(-1.0f32..1.0, f * f),
+            proptest::collection::vec(-1.0f32..1.0, f),
+        )),
+    ) {
+        let mut a = vec![0.0f32; f * f];
+        for x in vecs.chunks(f).take(terms) {
+            syr_full(&mut a, x);
+        }
+        // Rounding can leave a tiny positive pivot where the exact one is
+        // zero; a negative diagonal entry makes the failure certain.
+        a[f * f - 1] = -1.0;
+        let (mut a_ref, mut x_ref) = (a.clone(), b.clone());
+        let (mut a_new, mut x_new) = (a, b.clone());
+        let expect = cholesky_solve_reference(&mut a_ref, f, &mut x_ref);
+        prop_assert!(expect.is_err());
+        prop_assert_eq!(cholesky_solve(&mut a_new, f, &mut x_new), expect);
+        prop_assert_eq!(bits(&x_new), bits(&b));
     }
 
     #[test]
