@@ -16,7 +16,7 @@
 use crate::instrument::TrainMetrics;
 use cumf_linalg::batch::batch_solve;
 use cumf_linalg::blas::{add_diagonal, syr_axpy};
-use cumf_linalg::cholesky::cholesky_solve_in;
+use cumf_linalg::cholesky::cholesky_solve;
 use cumf_linalg::FactorMatrix;
 use cumf_obs::ns_between;
 use cumf_sparse::Csr;
@@ -65,9 +65,9 @@ pub fn solve_rows<'t>(
         .par_chunks_mut(f * ROWS_PER_CHUNK)
         .enumerate()
         .for_each(|(chunk, rows)| {
-            // The Hermitian, the right-hand side and the solver's f64
-            // workspace, allocated once per chunk instead of once per row.
-            let (mut a, mut b, mut work) = (vec![0.0f32; f * f], vec![0.0f32; f], Vec::new());
+            // The Hermitian and the right-hand side, allocated once per
+            // chunk instead of once per row; the solver works in place.
+            let (mut a, mut b) = (vec![0.0f32; f * f], vec![0.0f32; f]);
             for (i, x_u) in rows.chunks_exact_mut(f).enumerate() {
                 let row = r.row((chunk * ROWS_PER_CHUNK + i) as u32);
                 let degree = row.0.len();
@@ -80,7 +80,7 @@ pub fn solve_rows<'t>(
                 assemble(&mut a, &mut b, row, &theta_of);
                 let assembled = metrics.map(|_| Instant::now());
                 add_diagonal(&mut a, f, lambda * degree as f32);
-                if cholesky_solve_in(&mut a, f, &mut b, &mut work).is_ok() {
+                if cholesky_solve(&mut a, f, &mut b).is_ok() {
                     x_u.copy_from_slice(&b);
                 }
                 if let (Some(m), Some(t0), Some(t1)) = (metrics, row_start, assembled) {

@@ -29,7 +29,7 @@ impl BatchSolveReport {
 /// Solves `batch` independent `f × f` SPD systems in parallel.
 ///
 /// * `hermitians` — concatenated row-major `A_u` matrices, `batch · f²` long;
-///   overwritten with their Cholesky factors.
+///   overwritten with their Cholesky factors (`L` below, `Lᵀ` above).
 /// * `rhs` — concatenated right-hand sides `B_u`, `batch · f` long;
 ///   overwritten with the solutions `x_u`.
 ///
@@ -78,8 +78,8 @@ pub fn batch_solve(hermitians: &mut [f32], rhs: &mut [f32], f: usize) -> BatchSo
 /// once per user while the user vector stays register/L1-resident.  Scores
 /// accumulate in `f32` with four independent lanes — retrieval ranks item
 /// scores against each other, so the f64 accumulation [`crate::blas::dot`]
-/// uses for the ill-conditioned Hermitian assembly is unnecessary here, and
-/// the independent lanes let the compiler keep the FMA pipeline full.
+/// uses for long sums is unnecessary here, and the independent lanes let the
+/// compiler keep the FMA pipeline full.
 pub fn batch_score_block(
     users: &[f32],
     n_users: usize,

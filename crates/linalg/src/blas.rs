@@ -5,8 +5,9 @@
 //! small matrix-vector products used to form `B_u = Θᵀ·R_{u*}ᵀ`.  Training
 //! assembles through [`syr_axpy`], which writes the lower triangle only.
 
-/// Dot product of two equal-length vectors, accumulated in `f64` for
-/// stability (the Hermitian systems are ill-conditioned for large `n_{x_u}`).
+/// Dot product of two equal-length vectors, accumulated in `f64` so that a
+/// long sum keeps its small terms (predictions and norms; the row solver does
+/// not use it).
 #[inline]
 pub fn dot(a: &[f32], b: &[f32]) -> f32 {
     debug_assert_eq!(a.len(), b.len());

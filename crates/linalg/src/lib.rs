@@ -14,8 +14,8 @@
 //!   storage for `X`, `Θ` and the per-row Hermitians.
 //! * [`blas`] — the rank-1 update (`syrk`), `gemv`, `dot`, `axpy` kernels the
 //!   `get_hermitian` phase is made of.
-//! * [`cholesky`] — an in-place Cholesky / forward-backward solver for the
-//!   SPD `f × f` systems.
+//! * [`cholesky`] — a single-precision blocked Cholesky / forward-backward
+//!   solver, in place on the lower triangle of the SPD `f × f` systems.
 //! * [`batch`] — a rayon-parallel batched solver standing in for the
 //!   cuBLAS batched routines, plus the blocked retrieval-time scoring
 //!   kernel ([`batch::batch_score_block`]).

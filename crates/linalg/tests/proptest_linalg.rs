@@ -1,6 +1,6 @@
 //! Property-based tests for the dense linear-algebra substrate.
 
-use cumf_linalg::blas::{add_diagonal, axpy, dot, gemv, syr_axpy, syr_full};
+use cumf_linalg::blas::{add_diagonal, axpy, dot, gemv, norm_sq, syr_axpy, syr_full};
 use cumf_linalg::cholesky::{cholesky_solve, residual_norm, CholeskyError};
 use cumf_linalg::{
     batch_solve, block_max_norms, f16_bits_to_f32, f32_to_f16_bits, item_norms,
@@ -114,9 +114,26 @@ fn arb_codec_slab() -> impl Strategy<Value = (usize, Vec<f32>)> {
     })
 }
 
-/// A strategy for an SPD system built the way ALS builds them: a sum of
-/// rank-1 outer products plus a positive ridge.
-fn arb_spd_system(max_f: usize) -> impl Strategy<Value = (usize, Vec<f32>, Vec<f32>)> {
+/// `Σ x·xᵀ + ridge·I` over the `f`-long vectors in `vecs`, and the bound
+/// `1 + n·‖x‖²_max / ridge` on its condition number.
+fn ridge_system(f: usize, vecs: &[f32], ridge: f32) -> (Vec<f32>, f64) {
+    let mut a = vec![0.0f32; f * f];
+    let mut max_norm_sq = 0.0f32;
+    for x in vecs.chunks(f) {
+        syr_full(&mut a, x);
+        max_norm_sq = max_norm_sq.max(norm_sq(x));
+    }
+    add_diagonal(&mut a, f, ridge);
+    let kappa = 1.0 + (vecs.len() / f) as f64 * (max_norm_sq / ridge) as f64;
+    (a, kappa)
+}
+
+/// A strategy for an SPD system built the way ALS builds them — a sum of
+/// `2f` rank-1 outer products plus a positive ridge — with the bound on its
+/// condition number.
+fn arb_spd_system_conditioned(
+    max_f: usize,
+) -> impl Strategy<Value = (usize, Vec<f32>, Vec<f32>, f64)> {
     (1..=max_f).prop_flat_map(|f| {
         let terms = 2 * f;
         (
@@ -126,55 +143,108 @@ fn arb_spd_system(max_f: usize) -> impl Strategy<Value = (usize, Vec<f32>, Vec<f
             0.05f32..2.0,
         )
             .prop_map(move |(f, vecs, b, lambda)| {
-                let mut a = vec![0.0f32; f * f];
-                for chunk in vecs.chunks(f) {
-                    syr_full(&mut a, chunk);
-                }
-                add_diagonal(&mut a, f, lambda);
-                (f, a, b)
+                let (a, kappa) = ridge_system(f, &vecs, lambda);
+                (f, a, b, kappa)
             })
     })
 }
 
-/// The solver as it was before its chains were interleaved: one f64 chain at
-/// a time, straight from the f32 matrix.  Kept here as the reference the
-/// production solver must reproduce bit for bit.
+/// [`arb_spd_system_conditioned`] without the bound.
+fn arb_spd_system(max_f: usize) -> impl Strategy<Value = (usize, Vec<f32>, Vec<f32>)> {
+    arb_spd_system_conditioned(max_f).prop_map(|(f, a, b, _)| (f, a, b))
+}
+
+/// A strategy for one ALS row's system: `n` ratings (`1..=4f`, so both
+/// under- and over-determined rows), the right-hand side `Σ r·θ_v` and the
+/// weighted ridge `λ·n` with `λ ∈ [0.01, 2]`.
+fn arb_als_system(max_f: usize) -> impl Strategy<Value = (usize, Vec<f32>, Vec<f32>, f64)> {
+    (1..=max_f)
+        .prop_flat_map(|f| (Just(f), 1..=4 * f))
+        .prop_flat_map(|(f, n)| {
+            (
+                Just(f),
+                proptest::collection::vec(-1.0f32..1.0, n * f),
+                proptest::collection::vec(1.0f32..5.0, n),
+                0.01f32..2.0,
+            )
+        })
+        .prop_map(|(f, thetas, ratings, lambda)| {
+            let (a, kappa) = ridge_system(f, &thetas, lambda * ratings.len() as f32);
+            let mut b = vec![0.0f32; f];
+            for (theta, &r) in thetas.chunks(f).zip(&ratings) {
+                axpy(r, theta, &mut b);
+            }
+            (f, a, b, kappa)
+        })
+}
+
+/// The arithmetic of the production solver as a straight-line scalar f32
+/// loop, which the blocked kernel must reproduce bit for bit: every entry
+/// subtracts its products one at a time in ascending `k` (one multiply, one
+/// subtract, no fused or reassociated step) and is scaled by the reciprocal
+/// pivot `1/√d`; forward substitution takes `y_k` out of `b_i` in ascending
+/// `k`, backward takes `x_k` out in descending `k`, both scaling by `1/l_ii`.
 fn cholesky_solve_reference(a: &mut [f32], f: usize, b: &mut [f32]) -> Result<(), CholeskyError> {
     for j in 0..f {
-        let mut d = a[j * f + j] as f64;
+        let mut d = a[j * f + j];
         for k in 0..j {
-            let l = a[j * f + k] as f64;
-            d -= l * l;
+            d -= a[j * f + k] * a[j * f + k];
         }
         if d <= 0.0 || !d.is_finite() {
             return Err(CholeskyError { pivot: j });
         }
-        let d = d.sqrt();
-        a[j * f + j] = d as f32;
-        let inv_d = 1.0 / d;
+        a[j * f + j] = d.sqrt();
+        let inv_d = 1.0 / a[j * f + j];
         for i in (j + 1)..f {
-            let mut s = a[i * f + j] as f64;
+            let mut s = a[i * f + j];
             for k in 0..j {
-                s -= (a[i * f + k] as f64) * (a[j * f + k] as f64);
+                s -= a[i * f + k] * a[j * f + k];
             }
-            a[i * f + j] = (s * inv_d) as f32;
+            a[i * f + j] = s * inv_d;
         }
     }
     for i in 0..f {
-        let mut s = b[i] as f64;
+        let mut s = b[i];
         for k in 0..i {
-            s -= (a[i * f + k] as f64) * (b[k] as f64);
+            s -= a[i * f + k] * b[k];
         }
-        b[i] = (s / a[i * f + i] as f64) as f32;
+        b[i] = s * (1.0 / a[i * f + i]);
     }
     for i in (0..f).rev() {
-        let mut s = b[i] as f64;
-        for k in (i + 1)..f {
-            s -= (a[k * f + i] as f64) * (b[k] as f64);
+        let mut s = b[i];
+        for k in ((i + 1)..f).rev() {
+            s -= a[k * f + i] * b[k];
         }
-        b[i] = (s / a[i * f + i] as f64) as f32;
+        b[i] = s * (1.0 / a[i * f + i]);
     }
     Ok(())
+}
+
+/// The accuracy oracle: the same factorisation and substitutions with every
+/// value held in f64.
+fn cholesky_solve_f64(a: &[f32], f: usize, b: &[f32]) -> Vec<f64> {
+    let mut l: Vec<f64> = a.iter().map(|&v| v as f64).collect();
+    let mut x: Vec<f64> = b.iter().map(|&v| v as f64).collect();
+    for j in 0..f {
+        let d = (0..j).fold(l[j * f + j], |d, k| d - l[j * f + k] * l[j * f + k]);
+        assert!(d > 0.0, "the oracle's system is positive definite");
+        l[j * f + j] = d.sqrt();
+        for i in (j + 1)..f {
+            let s = (0..j).fold(l[i * f + j], |s, k| s - l[i * f + k] * l[j * f + k]);
+            l[i * f + j] = s / l[j * f + j];
+        }
+    }
+    for i in 0..f {
+        x[i] = (0..i).fold(x[i], |s, k| s - l[i * f + k] * x[k]) / l[i * f + i];
+    }
+    for i in (0..f).rev() {
+        x[i] = ((i + 1)..f).fold(x[i], |s, k| s - l[k * f + i] * x[k]) / l[i * f + i];
+    }
+    x
+}
+
+fn norm2(v: impl Iterator<Item = f64>) -> f64 {
+    v.map(|d| d * d).sum::<f64>().sqrt()
 }
 
 fn bits(v: &[f32]) -> Vec<u32> {
@@ -228,8 +298,9 @@ proptest! {
         prop_assert_eq!(bits(&b_ref), bits(&b_new));
     }
 
-    /// The interleaved-chain solver against the straight-line scalar loop:
-    /// same solution and same factor, bit for bit.
+    /// The blocked right-looking solver against the straight-line scalar
+    /// loop: same solution and same factor, bit for bit, at every panel
+    /// remainder `f mod 4` and below one panel.
     #[test]
     fn cholesky_solve_is_bit_identical_to_the_scalar_reference(
         (f, a, b) in arb_spd_system(70),
@@ -243,6 +314,30 @@ proptest! {
             for j in 0..=i {
                 prop_assert_eq!(a_ref[i * f + j].to_bits(), a_new[i * f + j].to_bits());
             }
+        }
+    }
+
+    /// The f32 solver against an all-f64 solve of the same f32 system:
+    /// relative solution error within `4·f·ε₃₂·κ`, with `κ` bounded by
+    /// `1 + n·‖θ‖²_max / ridge` — `1 + ‖θ‖²_max/λ` under the weighted ridge
+    /// `λ·n`, whatever the row degree `n`.
+    #[test]
+    fn cholesky_solve_is_within_the_stated_bound_of_an_f64_solve(
+        spd in arb_spd_system_conditioned(70),
+        als in arb_als_system(70),
+    ) {
+        for (f, a, b, kappa) in [spd, als] {
+            let want = cholesky_solve_f64(&a, f, &b);
+            let (mut a, mut got) = (a, b);
+            prop_assert_eq!(cholesky_solve(&mut a, f, &mut got), Ok(()));
+            let err = norm2(got.iter().zip(&want).map(|(&g, &w)| g as f64 - w));
+            let norm = norm2(want.iter().copied());
+            let bound = 4.0 * f as f64 * (f32::EPSILON as f64 / 2.0) * kappa;
+            prop_assert!(
+                err <= bound * norm,
+                "f={} relative error {:e} over the bound {:e} (kappa {:e})",
+                f, err / norm, bound, kappa
+            );
         }
     }
 
