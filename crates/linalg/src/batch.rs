@@ -75,11 +75,14 @@ pub fn batch_solve(hermitians: &mut [f32], rhs: &mut [f32], f: usize) -> BatchSo
 ///   `out[i · n_items + j] = users[i] · items[j]`.
 ///
 /// The loop order (item-major inner loop per user) streams each item block
-/// once per user while the user vector stays register/L1-resident.  Scores
-/// accumulate in `f32` with four independent lanes — retrieval ranks item
-/// scores against each other, so the f64 accumulation [`crate::blas::dot`]
-/// uses for long sums is unnecessary here, and the independent lanes let the
-/// compiler keep the FMA pipeline full.
+/// once per user while the user vector stays register/L1-resident.
+///
+/// **A score is [`score_dot`]**, bit for bit.  `ROWS` item rows are scored
+/// per pass: each fills its own four lanes with `score_dot`'s plain loop,
+/// then the `ROWS` horizontal sums and scalar tails run together — a
+/// transpose and vertical adds instead of one dependent scalar reduction per
+/// row, which is what kept the scan compute-bound (no FMA on the default
+/// target; a row's chain is latency-bound).  Same operations, same order.
 pub fn batch_score_block(
     users: &[f32],
     n_users: usize,
@@ -92,13 +95,40 @@ pub fn batch_score_block(
     assert_eq!(users.len(), n_users * f, "user buffer size mismatch");
     assert_eq!(items.len(), n_items * f, "item buffer size mismatch");
     assert_eq!(out.len(), n_users * n_items, "score buffer size mismatch");
+    let f4 = f & !3;
     for (i, x_u) in users.chunks_exact(f).enumerate() {
-        let row = &mut out[i * n_items..(i + 1) * n_items];
-        for (s, theta_v) in row.iter_mut().zip(items.chunks_exact(f)) {
+        let (x4, x_tail) = x_u.split_at(f4);
+        let mut scores = out[i * n_items..(i + 1) * n_items].chunks_exact_mut(ROWS);
+        let mut tiles = items.chunks_exact(ROWS * f);
+        for (s, tile) in (&mut scores).zip(&mut tiles) {
+            let mut acc = [[0.0f32; 4]; ROWS];
+            for (a, theta_v) in acc.iter_mut().zip(tile.chunks_exact(f)) {
+                for (xc, yc) in x4.chunks_exact(4).zip(theta_v[..f4].chunks_exact(4)) {
+                    a[0] += xc[0] * yc[0];
+                    a[1] += xc[1] * yc[1];
+                    a[2] += xc[2] * yc[2];
+                    a[3] += xc[3] * yc[3];
+                }
+            }
+            for (s, a) in s.iter_mut().zip(&acc) {
+                *s = (a[0] + a[1]) + (a[2] + a[3]);
+            }
+            for (s, theta_v) in s.iter_mut().zip(tile.chunks_exact(f)) {
+                for (a, b) in x_tail.iter().zip(&theta_v[f4..]) {
+                    *s += a * b;
+                }
+            }
+        }
+        let rest = scores.into_remainder().iter_mut();
+        for (s, theta_v) in rest.zip(tiles.remainder().chunks_exact(f)) {
             *s = score_dot(x_u, theta_v);
         }
     }
 }
+
+/// Item rows [`batch_score_block`] reduces together: with 4, `perf`'s
+/// `serve_scan` streams at the host rate; 2 and 8 measured within noise of it.
+const ROWS: usize = 4;
 
 /// A borrowed, scoring-ready view of one **item-factor segment**: a
 /// contiguous run of catalog items stored in their own row-major slab, in an

@@ -3,18 +3,19 @@
 //! Retrieval ranks every candidate item for a user but only ever returns the
 //! `k` best.  Sorting all `n` scores costs `O(n log n)` and materializes the
 //! whole score vector; the bounded min-heap here costs `O(n log k)` with
-//! `O(k)` state, which is what makes blocked scoring over 100k+ item
-//! catalogs cheap.  [`retrieve_top_k`] drives the heap over item blocks via
-//! [`crate::batch::batch_score_block`] — this is the single-request serving
-//! path that both `MatrixFactorizer::recommend` and the `cumf-serve` batch
-//! scorer share.
+//! `O(k)` state.  Every blocked scan — [`retrieve_top_k`]`{,_pruned}`
+//! (`MatrixFactorizer::recommend`), [`retrieve_top_k_segments`]`{,_approx}`
+//! (`FactorSnapshot::recommend_one`) and `cumf-serve`'s tile scorer — is one
+//! kernel, [`crate::batch::batch_score_block`], and one heap feed,
+//! [`TopK::offer_block`], per item block; they differ in the blocks visited.
 
 use crate::batch::{batch_score_block, batch_score_segment, SegmentView};
 use std::cmp::Ordering;
 use std::collections::BinaryHeap;
 
-/// Number of items scored per block in [`retrieve_top_k`].  512 vectors of
-/// `f ≤ 128` floats keep the block within L2 while amortizing heap checks.
+/// Default items per scored block — the granularity of the block-max pruning
+/// tables and the scans' scratch rows.  512 vectors of `f ≤ 128` floats stay
+/// within L2, where a multi-user tile re-reads them.
 pub const DEFAULT_ITEM_BLOCK: usize = 512;
 
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -81,6 +82,34 @@ impl TopK {
         if *worst > candidate {
             self.heap.pop();
             self.heap.push(candidate);
+        }
+    }
+
+    /// Offers one scored block — the one feed every blocked scan ends in:
+    /// `scores[j]` belongs to item `id_of(j)`; items `skip` accepts are
+    /// excluded.  Same heap as `push`ing each non-skipped item in order, but
+    /// **threshold-first**: with a full heap, `s < t` drops a score with one
+    /// compare, before the id remap, the exclusion lookup or the heap are
+    /// touched.  Exact: `s < t` implies `total_cmp == Less`, which
+    /// [`TopK::push`] refuses; ties, `±0.0` and NaN are not `<` and reach
+    /// `push`; `t` is re-read after every push (ARCHITECTURE.md, scan kernel).
+    pub fn offer_block(
+        &mut self,
+        scores: &[f32],
+        id_of: impl Fn(usize) -> u32,
+        mut skip: impl FnMut(u32) -> bool,
+    ) {
+        // No score is `< -inf`, so a heap that is still filling admits all.
+        let mut t = self.threshold().unwrap_or(f32::NEG_INFINITY);
+        for (j, &s) in scores.iter().enumerate() {
+            if s < t {
+                continue;
+            }
+            let item = id_of(j);
+            if !skip(item) {
+                self.push(item, s);
+                t = self.threshold().unwrap_or(f32::NEG_INFINITY);
+            }
         }
     }
 
@@ -391,12 +420,7 @@ pub fn retrieve_top_k_segments<F: FnMut(u32) -> bool>(
             let end = (start + seg.item_block).min(n);
             let out = &mut scores[..end - start];
             batch_score_segment(user, 1, seg, start, end, f, out);
-            for (j, &s) in out.iter().enumerate() {
-                let item = seg.global_id(start + j);
-                if !skip(item) {
-                    topk.push(item, s);
-                }
-            }
+            topk.offer_block(out, |j| seg.global_id(start + j), &mut skip);
         }
     }
     topk.into_sorted_vec()
@@ -474,12 +498,7 @@ pub fn retrieve_top_k_segments_approx<F: FnMut(u32) -> bool>(
             let end = (start + seg.item_block).min(n);
             let out = &mut scores[..end - start];
             batch_score_segment(user, 1, seg, start, end, f, out);
-            for (j, &s) in out.iter().enumerate() {
-                let item = seg.global_id(start + j);
-                if !skip(item) {
-                    topk.push(item, s);
-                }
-            }
+            topk.offer_block(out, |j| seg.global_id(start + j), &mut skip);
         }
     }
     topk.into_sorted_vec()
@@ -583,12 +602,7 @@ fn retrieve_impl<F: FnMut(u32) -> bool>(
         let block = &items[start * f..end * f];
         let out = &mut scores[..end - start];
         batch_score_block(user, 1, block, end - start, f, out);
-        for (j, &s) in out.iter().enumerate() {
-            let item = (start + j) as u32;
-            if !skip(item) {
-                topk.push(item, s);
-            }
-        }
+        topk.offer_block(out, |j| (start + j) as u32, &mut skip);
     }
     topk.into_sorted_vec()
 }
@@ -642,6 +656,116 @@ mod tests {
         t.push(0, f32::NAN);
         t.push(1, 1.0);
         assert_eq!(t.into_sorted_vec(), vec![(1, 1.0)]);
+    }
+
+    /// Feeds `blocks` (ids count up across blocks, remapped by `id_of`) to
+    /// one heap through [`TopK::offer_block`] and to another through the
+    /// per-item `push` loop it replaced, and requires bit-equal heaps after
+    /// every block and the same `skip` answer wherever both asked.
+    fn assert_feed_matches_push_loop(
+        k: usize,
+        blocks: &[&[f32]],
+        id_of: impl Fn(usize) -> u32,
+        skip: impl Fn(u32) -> bool,
+    ) {
+        let bits = |t: &TopK| -> Vec<(u32, u32)> {
+            let sorted = t.clone().into_sorted_vec();
+            sorted.into_iter().map(|(v, s)| (v, s.to_bits())).collect()
+        };
+        let (mut fed, mut pushed) = (TopK::new(k), TopK::new(k));
+        let mut start = 0;
+        for (b, block) in blocks.iter().enumerate() {
+            let mut asked = Vec::new();
+            fed.offer_block(
+                block,
+                |j| id_of(start + j),
+                |v| {
+                    let excluded = skip(v);
+                    asked.push((v, excluded));
+                    excluded
+                },
+            );
+            let mut reference = Vec::new();
+            for (j, &s) in block.iter().enumerate() {
+                let item = id_of(start + j);
+                let excluded = skip(item);
+                reference.push((item, excluded));
+                if !excluded {
+                    pushed.push(item, s);
+                }
+            }
+            assert_eq!(bits(&fed), bits(&pushed), "k {k} after block {b}");
+            assert_eq!(
+                fed.threshold().map(f32::to_bits),
+                pushed.threshold().map(f32::to_bits)
+            );
+            assert!(
+                asked.iter().all(|a| reference.contains(a)),
+                "k {k} block {b}"
+            );
+            start += block.len();
+        }
+    }
+
+    #[test]
+    fn offer_block_matches_the_push_loop_on_adversarial_blocks() {
+        let (inf, nan) = (f32::INFINITY, f32::NAN);
+        let ascending: Vec<f32> = (0..40).map(|i| i as f32 * 0.25 - 3.0).collect();
+        let descending: Vec<f32> = ascending.iter().rev().copied().collect();
+        let cases: [&[&[f32]]; 7] = [
+            // Every score beats the last threshold: a stale cache would
+            // still be exact, a wrongly *raised* one would drop winners.
+            &[&ascending, &ascending],
+            &[&descending, &ascending],
+            // Ties at the threshold, arriving before and after it fills.
+            &[&[1.0, 1.0, 1.0, 2.0], &[1.0, 2.0, 1.0, 1.0, 0.5, 2.0]],
+            // Signed zeros straddle the threshold: `-0.0 < 0.0` is false but
+            // `total_cmp` orders them, so both must reach `push`.
+            &[&[0.0, -0.0, 0.0], &[-0.0, 0.0, -0.0, 0.0, -1.0, -0.0]],
+            &[&[-0.0, -0.0], &[0.0, -0.0, 0.0]],
+            // NaN is never kept, infinities are ordinary scores.
+            &[
+                &[nan, 1.0, -inf, nan],
+                &[inf, nan, -inf, 3.0, inf, -inf, nan],
+            ],
+            &[&[-inf, -inf, -inf], &[-inf, nan, -inf, -1e30]],
+        ];
+        // Reversed ids make later ties the *smaller* id (they must evict);
+        // the skip set excludes items on both sides of any threshold.
+        let forward = |j: usize| j as u32;
+        let reversed = |j: usize| 1000 - j as u32;
+        for blocks in cases {
+            // k = 100 exceeds every case's length: the heap never fills.
+            for k in [1usize, 2, 3, 5, 100] {
+                assert_feed_matches_push_loop(k, blocks, forward, |_| false);
+                assert_feed_matches_push_loop(k, blocks, reversed, |_| false);
+                assert_feed_matches_push_loop(k, blocks, forward, |v| v % 3 == 0);
+                assert_feed_matches_push_loop(k, blocks, reversed, |v| v % 2 == 0);
+            }
+        }
+    }
+
+    #[test]
+    fn offer_block_skips_winners_and_never_asks_about_losers() {
+        // Items 4..8 outscore everything but are excluded; after the heap
+        // fills with (1, 2.0) and (0, 1.0) nothing below 1.0 may reach
+        // `skip`, and the threshold must move up with each accepted push.
+        let scores = [
+            1.0f32, 2.0, 0.5, 0.25, 9.0, 9.0, 9.0, 9.0, 3.0, 1.5, 2.5, 0.75,
+        ];
+        let mut topk = TopK::new(2);
+        let mut asked = Vec::new();
+        topk.offer_block(
+            &scores,
+            |j| j as u32,
+            |v| {
+                asked.push(v);
+                (4..8).contains(&v)
+            },
+        );
+        assert_eq!(topk.into_sorted_vec(), vec![(8, 3.0), (10, 2.5)]);
+        // 9 (1.5) and 11 (0.75) fall below the refreshed threshold of 2.0.
+        assert_eq!(asked, vec![0, 1, 4, 5, 6, 7, 8, 10]);
     }
 
     #[test]

@@ -3,9 +3,10 @@
 use cumf_linalg::blas::{add_diagonal, axpy, dot, gemv, norm_sq, syr_axpy, syr_full};
 use cumf_linalg::cholesky::{cholesky_solve, residual_norm, CholeskyError};
 use cumf_linalg::{
-    batch_solve, block_max_norms, f16_bits_to_f32, f32_to_f16_bits, item_norms,
-    retrieve_top_k_segments, retrieve_top_k_segments_approx, ApproxPolicy, DenseMatrix,
-    EncodedSlab, FactorMatrix, Precision, PruneStats, SegmentView, F16_REL_ERR, F16_SUBNORMAL_ABS,
+    batch_score_block, batch_score_rows_quant, batch_solve, block_max_norms, f16_bits_to_f32,
+    f32_to_f16_bits, item_norms, retrieve_top_k_segments, retrieve_top_k_segments_approx,
+    score_dot, ApproxPolicy, DenseMatrix, EncodedSlab, FactorMatrix, Precision, PruneStats,
+    SegmentView, F16_REL_ERR, F16_SUBNORMAL_ABS,
 };
 use proptest::prelude::*;
 
@@ -110,6 +111,22 @@ fn arb_codec_slab() -> impl Strategy<Value = (usize, Vec<f32>)> {
                 v.truncate(v.len() / f * f);
                 v
             }),
+        )
+    })
+}
+
+/// `(f, n_items, n_users, users, items)` reaching every path of the row-tiled
+/// score kernel: every `f mod 4` and `f < 4` (no full lane chunk), and every
+/// row remainder of its 4-row tile up to two full tiles plus three, the
+/// empty block included.
+fn arb_score_block() -> impl Strategy<Value = (usize, usize, usize, Vec<f32>, Vec<f32>)> {
+    (1usize..=70, 0usize..=11, 1usize..=9).prop_flat_map(|(f, n_items, n_users)| {
+        (
+            Just(f),
+            Just(n_items),
+            Just(n_users),
+            proptest::collection::vec(-8.0f32..8.0, n_users * f),
+            proptest::collection::vec(arb_codec_value(), n_items * f),
         )
     })
 }
@@ -365,6 +382,58 @@ proptest! {
         prop_assert!(expect.is_err());
         prop_assert_eq!(cholesky_solve(&mut a_new, f, &mut x_new), expect);
         prop_assert_eq!(bits(&x_new), bits(&b));
+    }
+
+    /// A score *is* `score_dot`: the row-tiled kernel batches the horizontal
+    /// sums of several rows, which may change the instructions but not one
+    /// operation or its order.  Only bites under the optimiser (CI's
+    /// "Test (release, kernels)" step).
+    #[test]
+    fn batch_score_block_is_bit_identical_to_score_dot_per_pair(
+        (f, n_items, n_users, users, items) in arb_score_block(),
+    ) {
+        let mut out = vec![f32::NAN; n_users * n_items];
+        batch_score_block(&users, n_users, &items, n_items, f, &mut out);
+        for (u, x_u) in users.chunks_exact(f).enumerate() {
+            for (v, theta_v) in items.chunks_exact(f).enumerate() {
+                prop_assert_eq!(
+                    out[u * n_items + v].to_bits(),
+                    score_dot(x_u, theta_v).to_bits(),
+                    "f={} n_items={} pair ({}, {})", f, n_items, u, v
+                );
+            }
+        }
+    }
+
+    /// The quantized scan ends in the same kernel: scoring an encoded row
+    /// window equals decoding it and taking `score_dot` per pair.
+    #[test]
+    fn batch_score_rows_quant_is_bit_identical_to_decode_then_score_dot(
+        (f, n_items, n_users, users, items) in arb_score_block(),
+        quant_block in 1usize..6,
+        skip_rows in 0usize..4,
+    ) {
+        let start = skip_rows.min(n_items);
+        let rows = n_items - start;
+        for precision in [Precision::F16, Precision::I8] {
+            let slab = EncodedSlab::encode(&items, f, quant_block, precision).unwrap();
+            let mut decoded = vec![0.0f32; rows * f];
+            slab.decode_rows(start, n_items, &mut decoded);
+            let mut out = vec![f32::NAN; n_users * rows];
+            let mut scratch = Vec::new();
+            batch_score_rows_quant(
+                &users, n_users, &slab, start, n_items, f, &mut scratch, &mut out,
+            );
+            for (u, x_u) in users.chunks_exact(f).enumerate() {
+                for (v, theta_v) in decoded.chunks_exact(f).enumerate() {
+                    prop_assert_eq!(
+                        out[u * rows + v].to_bits(),
+                        score_dot(x_u, theta_v).to_bits(),
+                        "{} f={} rows={} pair ({}, {})", precision, f, rows, u, v
+                    );
+                }
+            }
+        }
     }
 
     #[test]

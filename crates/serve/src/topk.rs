@@ -3,10 +3,11 @@
 //! The training-time insight of the paper — batch many independent small
 //! problems into one regular, blocked kernel — applied at serving time: a
 //! micro-batch of user requests is scored as blocked matrix-vector products
-//! ([`cumf_linalg::batch_score_block`]), so each item block is streamed from
-//! memory once per *tile of users* instead of once per request.  Each user
-//! folds block scores into a bounded heap ([`cumf_linalg::TopK`]), never
-//! materializing the full score vector.
+//! ([`cumf_linalg::batch_score_block`]), so each item block comes from
+//! memory once per *tile of users* instead of once per request, and each
+//! user's block scores go through one threshold-first heap feed
+//! ([`cumf_linalg::TopK::offer_block`]), never materializing the full score
+//! vector.  Both are shared with `cumf-linalg`'s single-request scans.
 //!
 //! Two levers scale the scorer past one core per batch:
 //!
@@ -67,6 +68,15 @@ pub enum ScoreKind {
     /// never comes back shorter than `k` just because the catalog has cold
     /// entries.
     Cosine,
+}
+
+/// [`ScoreKind::Cosine`]'s score from the inner product and the item norm.
+fn cosine(dot: f32, norm: f32) -> f32 {
+    if norm > 0.0 {
+        dot / norm
+    } else {
+        0.0
+    }
 }
 
 /// One top-k retrieval request.
@@ -486,14 +496,7 @@ impl TopKIndex {
                         let s = cumf_linalg::score_dot(x_u, row);
                         let s = match self.score {
                             ScoreKind::Dot => s,
-                            ScoreKind::Cosine => {
-                                let n = cumf_linalg::blas::norm_sq(row).sqrt();
-                                if n > 0.0 {
-                                    s / n
-                                } else {
-                                    0.0
-                                }
-                            }
+                            ScoreKind::Cosine => cosine(s, cumf_linalg::blas::norm_sq(row).sqrt()),
                         };
                         (v, s)
                     })
@@ -621,25 +624,18 @@ impl TopKIndex {
                 }
                 for (i, heap) in heaps.iter_mut().enumerate() {
                     let Some(heap) = heap else { continue };
-                    let row = &out[i * nb..(i + 1) * nb];
-                    for (j, &s) in row.iter().enumerate() {
-                        let item = view.global_id(start + j);
-                        if excluded[i].contains(&item) {
-                            continue;
+                    let row = &mut out[i * nb..(i + 1) * nb];
+                    // Cosine ranks final scores: divide before the feed.
+                    if self.score == ScoreKind::Cosine {
+                        for (s, &n) in row.iter_mut().zip(&view.norms[start..end]) {
+                            *s = cosine(*s, n);
                         }
-                        let s = match self.score {
-                            ScoreKind::Dot => s,
-                            ScoreKind::Cosine => {
-                                let n = view.norms[start + j];
-                                if n > 0.0 {
-                                    s / n
-                                } else {
-                                    0.0
-                                }
-                            }
-                        };
-                        heap.push(item, s);
                     }
+                    heap.offer_block(
+                        row,
+                        |j| view.global_id(start + j),
+                        |item| excluded[i].contains(&item),
+                    );
                 }
             }
         }
@@ -655,6 +651,7 @@ impl TopKIndex {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::ItemLayout;
     use cumf_linalg::{FactorMatrix, Precision};
 
     fn index(seed: u64, n_users: usize, n_items: usize, score: ScoreKind) -> TopKIndex {
@@ -745,6 +742,57 @@ mod tests {
         assert_eq!(cos[0][1], (3, 1.0));
         // The cold items trail at exactly 0.0, smallest ids first.
         assert_eq!(&cos[0][2..], &[(0, 0.0), (2, 0.0), (4, 0.0)]);
+    }
+
+    #[test]
+    fn cosine_cold_rows_tie_at_a_full_heaps_threshold() {
+        // Three items point the user's way, every third item is cold (zero
+        // row, Cosine score exactly 0.0) and the rest point away.  With
+        // k = 8 the heap fills and its threshold sits *at* the cold rows'
+        // 0.0: the feed must divide before it compares, and must let the
+        // ties through so the smallest cold ids win — for any blocking,
+        // layout and shard count.
+        let n = 60;
+        let mut theta = FactorMatrix::zeros(n, 2);
+        for v in (0..n).filter(|v| v % 3 != 1) {
+            theta
+                .vector_mut(v)
+                .copy_from_slice(&[-1.0 - 0.01 * v as f32, 0.5]);
+        }
+        theta.vector_mut(5).copy_from_slice(&[3.0, 4.0]);
+        theta.vector_mut(17).copy_from_slice(&[1.0, 0.0]);
+        theta.vector_mut(44).copy_from_slice(&[4.0, 3.0]);
+        let x = FactorMatrix::from_vec(1, 2, vec![1.0, 0.0]);
+        let expect = vec![
+            (17, 1.0),
+            (44, 0.8),
+            (5, 0.6),
+            (1, 0.0),
+            (4, 0.0),
+            (7, 0.0),
+            (10, 0.0),
+            (13, 0.0),
+        ];
+        for layout in [ItemLayout::CatalogOrder, ItemLayout::NormDescending] {
+            let snap = Arc::new(FactorSnapshot::from_factors_with_layout(
+                x.clone(),
+                theta.clone(),
+                layout,
+            ));
+            for (item_block, shards) in [(1usize, 1usize), (4, 1), (4, 3), (64, 1)] {
+                let idx = TopKIndex::with_shards(
+                    Arc::clone(&snap),
+                    item_block,
+                    ScoreKind::Cosine,
+                    shards,
+                );
+                let got = idx.query_batch(&[Query::new(0, 8)]);
+                assert_eq!(
+                    got[0], expect,
+                    "{layout:?} block {item_block} shards {shards}"
+                );
+            }
+        }
     }
 
     #[test]

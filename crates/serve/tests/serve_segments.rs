@@ -287,6 +287,73 @@ fn norm_ordered_layout_prunes_strictly_more_blocks() {
     );
 }
 
+/// The blocked scan's heap feed consults the exclusion set only for scores
+/// that clear the heap's threshold, so the hard case is a query that
+/// excludes exactly its own unfiltered top-k: every early winner is refused
+/// and the reply must be ranks `k+1..=2k` of a brute-force ranking, bit for
+/// bit, on every path.
+#[test]
+fn excluding_the_entire_unfiltered_top_k_returns_the_next_k() {
+    let (f, n, k) = (8, 3000, 10);
+    let (x, theta) = factors(91, 12, n, f);
+    let norms = cumf_linalg::item_norms(theta.data(), f);
+    for score in [ScoreKind::Dot, ScoreKind::Cosine] {
+        let ranked: Vec<Vec<(u32, f32)>> = (0..x.len())
+            .map(|u| {
+                let mut all: Vec<(u32, f32)> = (0..n)
+                    .map(|v| {
+                        let s = cumf_linalg::score_dot(x.vector(u), theta.vector(v));
+                        match score {
+                            ScoreKind::Dot => (v as u32, s),
+                            ScoreKind::Cosine => (v as u32, s / norms[v]),
+                        }
+                    })
+                    .collect();
+                all.sort_by(|a, b| b.1.total_cmp(&a.1).then(a.0.cmp(&b.0)));
+                all.truncate(2 * k);
+                all
+            })
+            .collect();
+        let queries: Vec<Query> = ranked
+            .iter()
+            .enumerate()
+            .map(|(u, r)| Query {
+                user: u as u32,
+                k,
+                exclude: r[..k].iter().map(|&(v, _)| v).collect(),
+            })
+            .collect();
+        for layout in [ItemLayout::CatalogOrder, ItemLayout::NormDescending] {
+            let snap = Arc::new(FactorSnapshot::from_factors_with_layout(
+                x.clone(),
+                theta.clone(),
+                layout,
+            ));
+            for shards in [1usize, 3] {
+                let got = TopKIndex::with_shards(Arc::clone(&snap), 64, score, shards)
+                    .query_batch(&queries);
+                for (u, reply) in got.iter().enumerate() {
+                    assert_eq!(
+                        reply[..],
+                        ranked[u][k..],
+                        "{score:?} {layout:?} shards {shards} user {u}"
+                    );
+                }
+            }
+            if score == ScoreKind::Dot {
+                for q in &queries {
+                    let one = snap.recommend_one(q.user, k, &q.exclude);
+                    assert_eq!(
+                        one[..],
+                        ranked[q.user as usize][k..],
+                        "{layout:?} recommend_one"
+                    );
+                }
+            }
+        }
+    }
+}
+
 /// Service-level: sustained item-appending deltas auto-compact once past
 /// `max_item_segments`, replies keep matching a contiguous rebuild, and
 /// unchanged users' cache entries survive the compaction (it changes
