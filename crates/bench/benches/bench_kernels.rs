@@ -5,8 +5,9 @@
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
 use cumf_core::als::kernels::{accumulate_partials, partial_hermitians, solve_side};
 use cumf_data::synth::SyntheticConfig;
-use cumf_linalg::blas::{add_diagonal, axpy, syr_axpy, syr_full};
-use cumf_linalg::{batch_solve, FactorMatrix};
+use cumf_linalg::blas::{add_diagonal, axpy, syr_axpy, syr_axpy_x4, syr_full};
+use cumf_linalg::cholesky::{GroupSolver, GROUP};
+use cumf_linalg::{batch_solve, cholesky_solve, FactorMatrix};
 use cumf_sparse::Csr;
 use std::hint::black_box;
 
@@ -44,7 +45,8 @@ fn bench_get_hermitian(c: &mut Criterion) {
 /// `f(f+1)/2`) on the identical assembly stream — the per-rating body of
 /// `get_hermitian`, isolated from the Cholesky solve.  The two agree bit for
 /// bit on the lower triangle (pinned in cumf-linalg and cumf-core); this
-/// rung prices the triangle on its own.
+/// rung prices the triangle on its own, and then the four-ratings-per-pass
+/// form `als::kernels::assemble` feeds it in (same bits again).
 fn bench_hermitian_assembly(c: &mut Criterion) {
     let mut group = c.benchmark_group("hermitian_assembly");
     let f = 32usize;
@@ -70,6 +72,17 @@ fn bench_hermitian_assembly(c: &mut Criterion) {
             let mut rhs = vec![0.0f32; f];
             for (i, &val) in vals.iter().enumerate() {
                 syr_axpy(&mut a, &mut rhs, vectors.vector(i), val);
+            }
+            black_box((a, rhs))
+        });
+    });
+    group.bench_function("four_per_pass_syr_axpy_x4_f32", |b| {
+        b.iter(|| {
+            let mut a = vec![0.0f32; f * f];
+            let mut rhs = vec![0.0f32; f];
+            for (i, v) in vals.chunks_exact(4).enumerate() {
+                let x: [&[f32]; 4] = std::array::from_fn(|k| vectors.vector(4 * i + k));
+                syr_axpy_x4(&mut a, &mut rhs, x, [v[0], v[1], v[2], v[3]]);
             }
             black_box((a, rhs))
         });
@@ -129,11 +142,41 @@ fn bench_batch_solve(c: &mut Criterion) {
         group.throughput(Throughput::Elements(batch as u64));
         group.bench_with_input(BenchmarkId::new("1000_systems_f", f), &f, |b, &f| {
             b.iter(|| {
-                let mut a = hermitians.clone();
                 let mut x = rhs.clone();
-                black_box(batch_solve(&mut a, &mut x, f));
+                black_box(batch_solve(&hermitians, &mut x, f));
             });
         });
+        // The same systems on one thread: four per pass of the
+        // lane-interleaved group solver `batch_solve` and the ALS row loop
+        // run, then one at a time through the single-system front door.
+        group.bench_with_input(BenchmarkId::new("grouped_one_thread_f", f), &f, |b, &f| {
+            let mut solver = GroupSolver::new(f);
+            b.iter(|| {
+                let mut x = rhs.clone();
+                let groups = hermitians
+                    .chunks(GROUP * f * f)
+                    .zip(x.chunks_mut(GROUP * f));
+                for (a, x) in groups {
+                    let status = solver.solve(a, x);
+                    assert!(status.iter().all(Result::is_ok), "ridged systems factor");
+                }
+                black_box(x)
+            });
+        });
+        group.bench_with_input(
+            BenchmarkId::new("per_system_one_thread_f", f),
+            &f,
+            |b, &f| {
+                b.iter(|| {
+                    let mut a = hermitians.clone();
+                    let mut x = rhs.clone();
+                    for (a, x) in a.chunks_exact_mut(f * f).zip(x.chunks_exact_mut(f)) {
+                        cholesky_solve(a, f, x).expect("ridged systems factor");
+                    }
+                    black_box(x)
+                });
+            },
+        );
     }
     group.finish();
 }

@@ -15,8 +15,8 @@
 
 use crate::instrument::TrainMetrics;
 use cumf_linalg::batch::batch_solve;
-use cumf_linalg::blas::{add_diagonal, syr_axpy};
-use cumf_linalg::cholesky::cholesky_solve;
+use cumf_linalg::blas::{add_diagonal, syr_axpy, syr_axpy_x4};
+use cumf_linalg::cholesky::{GroupSolver, GROUP};
 use cumf_linalg::FactorMatrix;
 use cumf_obs::ns_between;
 use cumf_sparse::Csr;
@@ -30,13 +30,26 @@ const ROWS_PER_CHUNK: usize = 32;
 /// The crate's only Hermitian assembly loop: `a += Σ θ_v·θ_vᵀ` (lower
 /// triangle only — [`syr_axpy`]'s contract) and `b += Σ r_uv·θ_v` over one
 /// row's ratings in CSR order; `theta_of` maps a column id to its `θ_v`.
+/// Four ratings share each pass over the triangle ([`syr_axpy_x4`]) and the
+/// last 0–3 go one at a time; either way an element receives one
+/// multiply-add per rating, in CSR order.
 fn assemble<'t>(
     a: &mut [f32],
     b: &mut [f32],
     (cols, vals): (&[u32], &[f32]),
     theta_of: impl Fn(u32) -> &'t [f32],
 ) {
-    for (&v, &val) in cols.iter().zip(vals) {
+    let (mut cols4, mut vals4) = (cols.chunks_exact(4), vals.chunks_exact(4));
+    for (c, v) in (&mut cols4).zip(&mut vals4) {
+        let thetas = [
+            theta_of(c[0]),
+            theta_of(c[1]),
+            theta_of(c[2]),
+            theta_of(c[3]),
+        ];
+        syr_axpy_x4(a, b, thetas, [v[0], v[1], v[2], v[3]]);
+    }
+    for (&v, &val) in cols4.remainder().iter().zip(vals4.remainder()) {
         syr_axpy(a, b, theta_of(v), val);
     }
 }
@@ -49,9 +62,15 @@ fn assemble<'t>(
 /// regularization, matching the original cuMF), and so do numerically
 /// singular systems rather than propagating NaNs.
 ///
-/// With `metrics`, each non-empty row records its Hermitian-assembly and
-/// solve phase and the whole call lands in the `solve_side` histogram; with
-/// `None` the timing branches compile to nothing on the hot path.
+/// The non-empty rows of a chunk are solved [`GROUP`] at a time, one per
+/// lane of the [`GroupSolver`]; an empty row takes no lane, and the last
+/// group of a chunk may be short (its idle lanes hold the identity).  Each
+/// row's factors are bit-identical to solving that row alone.
+///
+/// With `metrics`, each non-empty row records its Hermitian-assembly phase
+/// and an equal share of its group's solve phase, and the whole call lands
+/// in the `solve_side` histogram; with `None` the timing branches compile to
+/// nothing on the hot path.
 pub fn solve_rows<'t>(
     r: &Csr,
     f: usize,
@@ -65,26 +84,38 @@ pub fn solve_rows<'t>(
         .par_chunks_mut(f * ROWS_PER_CHUNK)
         .enumerate()
         .for_each(|(chunk, rows)| {
-            // The Hermitian and the right-hand side, allocated once per
-            // chunk instead of once per row; the solver works in place.
-            let (mut a, mut b) = (vec![0.0f32; f * f], vec![0.0f32; f]);
-            for (i, x_u) in rows.chunks_exact_mut(f).enumerate() {
-                let row = r.row((chunk * ROWS_PER_CHUNK + i) as u32);
-                let degree = row.0.len();
-                if degree == 0 {
-                    continue;
+            // One group's Hermitians and right-hand sides and the solver's
+            // packed triangle, allocated once per chunk.
+            let (mut a, mut b) = (vec![0.0f32; GROUP * f * f], vec![0.0f32; GROUP * f]);
+            let mut solver = GroupSolver::new(f);
+            let first_row = chunk * ROWS_PER_CHUNK;
+            let occupied: Vec<usize> = (0..rows.len() / f)
+                .filter(|&i| r.nnz_row((first_row + i) as u32) > 0)
+                .collect();
+            for group in occupied.chunks(GROUP) {
+                let n = group.len();
+                let group_start = metrics.map(|_| Instant::now());
+                let mut assembly_ns = [0u64; GROUP];
+                for (lane, &i) in group.iter().enumerate() {
+                    let row = r.row((first_row + i) as u32);
+                    let (a, b) = (&mut a[lane * f * f..][..f * f], &mut b[lane * f..][..f]);
+                    let row_start = metrics.map(|_| Instant::now());
+                    a.fill(0.0);
+                    b.fill(0.0);
+                    assemble(a, b, row, &theta_of);
+                    if let Some(t0) = row_start {
+                        assembly_ns[lane] = ns_between(t0, Instant::now());
+                    }
+                    add_diagonal(a, f, lambda * row.0.len() as f32);
                 }
-                let row_start = metrics.map(|_| Instant::now());
-                a.fill(0.0);
-                b.fill(0.0);
-                assemble(&mut a, &mut b, row, &theta_of);
-                let assembled = metrics.map(|_| Instant::now());
-                add_diagonal(&mut a, f, lambda * degree as f32);
-                if cholesky_solve(&mut a, f, &mut b).is_ok() {
-                    x_u.copy_from_slice(&b);
+                let status = solver.solve(&a[..n * f * f], &mut b[..n * f]);
+                for ((&i, x_u), status) in group.iter().zip(b.chunks_exact(f)).zip(status) {
+                    if status.is_ok() {
+                        rows[i * f..][..f].copy_from_slice(x_u);
+                    }
                 }
-                if let (Some(m), Some(t0), Some(t1)) = (metrics, row_start, assembled) {
-                    m.record_row(ns_between(t0, t1), ns_between(t1, Instant::now()));
+                if let (Some(m), Some(t0)) = (metrics, group_start) {
+                    m.record_group(&assembly_ns[..n], ns_between(t0, Instant::now()));
                 }
             }
         });
@@ -330,22 +361,175 @@ mod tests {
         }
     }
 
+    /// One row's factors by the scalar, full-matrix route: `syr_full` +
+    /// `axpy` per rating, ridge, single-system `cholesky_solve`; `None`
+    /// when the row's system does not factor.
+    fn solve_row_reference(
+        (cols, vals): (&[u32], &[f32]),
+        theta: &FactorMatrix,
+        lambda: f32,
+    ) -> Option<Vec<f32>> {
+        use cumf_linalg::blas::{axpy, syr_full};
+        use cumf_linalg::cholesky::cholesky_solve;
+        let f = theta.rank();
+        let (mut a, mut b) = (vec![0.0f32; f * f], vec![0.0f32; f]);
+        for (&v, &val) in cols.iter().zip(vals) {
+            syr_full(&mut a, theta.vector(v as usize));
+            axpy(val, theta.vector(v as usize), &mut b);
+        }
+        add_diagonal(&mut a, f, lambda * cols.len() as f32);
+        cholesky_solve(&mut a, f, &mut b).ok().map(|()| b)
+    }
+
     #[test]
     fn a_row_that_fails_to_factor_is_zero_on_both_paths() {
         // λ = 0 and one rating at f = 4: the Hermitian θθᵀ has rank 1 and
         // does not factor.  The fused path leaves such a row at zero; the
         // partial-Hermitian path must too, not hand back its raw Σ r·θ_v.
-        let theta = FactorMatrix::random(3, 4, 1.0, 5);
-        let mut coo = Coo::new(2, 3);
-        coo.push(0, 1, 4.0).unwrap();
-        for v in 0..3 {
-            coo.push(1, v, 1.0 + v as f32).unwrap();
+        // The failing row takes every lane position of a group whose other
+        // three rows (eight ratings each, so full rank without a ridge) are
+        // well-posed: they must come out exactly as when solved alone.  Row 2
+        // is empty — it takes no lane on the fused path, is one more failing
+        // system on the partial path, and must not shift a result to the
+        // wrong row on either.
+        let theta = FactorMatrix::random(8, 4, 1.0, 5);
+        let occupied = [0u32, 1, 3, 4];
+        for failing_lane in 0..occupied.len() {
+            let mut coo = Coo::new(5, 8);
+            for (lane, &u) in occupied.iter().enumerate() {
+                if lane == failing_lane {
+                    coo.push(u, 1, 4.0).unwrap();
+                } else {
+                    for v in 0..8 {
+                        coo.push(u, v, 1.0 + ((u + v) % 5) as f32).unwrap();
+                    }
+                }
+            }
+            let r = coo.to_csr();
+            let fused = solve_side(&r, &theta, 0.0);
+            let partial = solve_side_via_partials(&r, &theta, 0.0);
+            for u in 0..5u32 {
+                let expect = solve_row_reference(r.row(u), &theta, 0.0);
+                let well_posed = u != 2 && u != occupied[failing_lane];
+                assert_eq!(expect.is_some(), well_posed, "row {u}");
+                let expect = expect.unwrap_or(vec![0.0; 4]);
+                for (path, got) in [("fused", &fused), ("partial", &partial)] {
+                    assert_eq!(
+                        got.vector(u as usize),
+                        &expect[..],
+                        "{path} path, failing lane {failing_lane}, row {u}"
+                    );
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn grouped_rows_match_the_per_row_reference_across_chunk_boundaries() {
+        // 67 rows — two full chunks of 32 and three rows — with empty rows
+        // scattered so that groups of four non-empty rows start and end at
+        // different offsets in every chunk, never on a chunk boundary, and
+        // the last group of each chunk is short.
+        let f = 13;
+        let theta = FactorMatrix::random(40, f, 0.5, 21);
+        let mut coo = Coo::new(67, 40);
+        for u in 0..67u32 {
+            if u % 5 == 3 || u % 11 == 0 {
+                continue;
+            }
+            for k in 0..1 + (u * 7) % 23 {
+                coo.push(u, (u + 3 * k) % 40, 1.0 + ((u + k) % 5) as f32)
+                    .unwrap();
+            }
         }
         let r = coo.to_csr();
-        let fused = solve_side(&r, &theta, 0.0);
-        let partial = solve_side_via_partials(&r, &theta, 0.0);
-        assert!(fused.vector(0).iter().all(|&v| v == 0.0));
-        assert_eq!(fused.vector(0), partial.vector(0));
+        let got = solve_side(&r, &theta, 0.05);
+        for u in 0..67u32 {
+            let expect = if r.nnz_row(u) == 0 {
+                vec![0.0; f]
+            } else {
+                solve_row_reference(r.row(u), &theta, 0.05).expect("ridged rows factor")
+            };
+            assert_eq!(got.vector(u as usize), &expect[..], "row {u}");
+        }
+    }
+
+    #[test]
+    fn instrumented_rows_split_their_groups_solve_time() {
+        // Five non-empty rows and two empty ones in one chunk: a group of
+        // four and a group of one.  Every non-empty row is one assembly
+        // sample and one solve sample; a group's solve time is split equally
+        // over its rows, so the samples add up to the two groups' measured
+        // time less at most `rows − 1` ns of integer-division remainder —
+        // and, the call being one sequential chunk, to no more than the
+        // whole call took.
+        let theta = FactorMatrix::random(6, 8, 0.5, 2);
+        let mut coo = Coo::new(7, 6);
+        for u in [0u32, 1, 3, 4, 6] {
+            for v in 0..1 + u % 4 {
+                coo.push(u, (u + v) % 6, 2.0).unwrap();
+            }
+        }
+        let metrics = TrainMetrics::new();
+        let x = solve_side_instrumented(&coo.to_csr(), &theta, 0.05, Some(&metrics));
+        assert!(x.vector(2).iter().all(|&v| v == 0.0));
+        let report = metrics.report();
+        assert_eq!(report.rows_solved, 5);
+        assert_eq!(report.assembly.count(), 5);
+        assert_eq!(report.solve.count(), 5);
+        assert_eq!(report.solve_side.count(), 1);
+        assert!(report.solve.sum_ns() > 0);
+        assert!(
+            report.assembly.sum_ns() + report.solve.sum_ns() <= report.solve_side.sum_ns(),
+            "{report}"
+        );
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(64))]
+
+        /// `assemble` against the scalar full-matrix pair, one rating at a
+        /// time in CSR order: bit for bit on the lower triangle and `b`, at
+        /// ranks on and off every vector width, with every remainder 0–3 of
+        /// the four-rating pass (and no rating at all) and exact zeros in
+        /// `θ`.  Only bites under the optimiser.
+        #[test]
+        fn four_per_pass_assembly_is_bit_identical_to_syr_full_plus_axpy(
+            (f, thetas, zeros, vals) in {
+                use proptest::prelude::*;
+                (1usize..=70, 0usize..=13).prop_flat_map(|(f, degree)| (
+                    Just(f),
+                    proptest::collection::vec(-2.0f32..2.0, degree * f),
+                    proptest::collection::vec(0u8..4, degree * f),
+                    proptest::collection::vec(-5.0f32..5.0, degree),
+                ))
+            },
+        ) {
+            use cumf_linalg::blas::{axpy, syr_full};
+            let thetas: Vec<f32> = thetas
+                .iter()
+                .zip(&zeros)
+                .map(|(&v, &z)| if z == 0 { 0.0 } else { v })
+                .collect();
+            let cols: Vec<u32> = (0..vals.len() as u32).collect();
+            let (mut a_ref, mut b_ref) = (vec![0.0f32; f * f], vec![0.0f32; f]);
+            let (mut a_new, mut b_new) = (a_ref.clone(), b_ref.clone());
+            for (theta_v, &val) in thetas.chunks(f).zip(&vals) {
+                syr_full(&mut a_ref, theta_v);
+                axpy(val, theta_v, &mut b_ref);
+            }
+            assemble(&mut a_new, &mut b_new, (&cols, &vals), |v| {
+                &thetas[v as usize * f..][..f]
+            });
+            let bits = |v: &[f32]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+            for i in 0..f {
+                let lower = i * f..=i * f + i;
+                proptest::prop_assert_eq!(
+                    bits(&a_ref[lower.clone()]), bits(&a_new[lower]), "f={} row {}", f, i
+                );
+            }
+            proptest::prop_assert_eq!(bits(&b_ref), bits(&b_new), "f={}", f);
+        }
     }
 
     #[test]

@@ -4,11 +4,20 @@
 //! The paper's performance story lives in two phases of the per-row update
 //! (equation (2)): assembling the Hermitian `A = Σ θ_v θ_vᵀ` (the
 //! `get_hermitian` kernel) and solving the regularized system (the
-//! `batch_solve` kernel).  [`TrainMetrics`] times both **per row** inside
-//! [`crate::als::kernels::solve_rows`], plus whole `solve_side` calls and
-//! incremental fold-in batches
+//! `batch_solve` kernel).  [`TrainMetrics`] reports both **per row** from
+//! inside [`crate::als::kernels::solve_rows`], plus whole `solve_side` calls
+//! and incremental fold-in batches
 //! ([`crate::foldin::fold_in_users_instrumented`]) — giving the host-side
 //! analogue of the kernel split the simulator prices.
+//!
+//! Assembly is timed row by row.  The solve is not: up to four rows are
+//! factored together, one per SIMD lane, so a row has no solve time of its
+//! own.  A group's time outside its rows' assemblies — ridge, pack, factor,
+//! substitute, write-back — is split **equally** over the rows in it
+//! ([`TrainMetrics::record_group`]).  Counts and sums keep their meaning
+//! (`train_rows_solved` rows, `train_solve_sum_ns` the time spent solving, to
+//! under a nanosecond per row of integer division); a solve *sample* is a
+//! row's share of a group, so the histogram's spread is that of groups.
 //!
 //! Recording is wait-free ([`cumf_obs::Histogram`] relaxed atomics), so the
 //! rayon row loop stays embarrassingly parallel; the uninstrumented entry
@@ -45,11 +54,26 @@ impl TrainMetrics {
         Self::default()
     }
 
-    /// Records one solved row: its Hermitian-assembly and solve phases.
+    /// Records one solved row: its Hermitian-assembly phase and its solve
+    /// phase — for a row solved in a group, its equal share of the group's
+    /// ([`Self::record_group`]).
     pub fn record_row(&self, assembly_ns: u64, solve_ns: u64) {
         self.assembly.record_ns(assembly_ns);
         self.solve.record_ns(solve_ns);
         self.rows_solved.fetch_add(1, Ordering::Relaxed); // relaxed-ok: monotonic progress counter
+    }
+
+    /// Records the rows of one group solved together: `assembly_ns[i]` is
+    /// row `i`'s own assembly time and `group_ns` the group's whole time,
+    /// first assembly to last write-back.  What the assemblies leave of it
+    /// is the group's solve phase, split equally: each row records
+    /// `(group_ns − Σ assembly_ns) / rows`, so the solve samples sum to the
+    /// group's solve time less at most `rows − 1` ns.
+    pub fn record_group(&self, assembly_ns: &[u64], group_ns: u64) {
+        let solve_ns = group_ns.saturating_sub(assembly_ns.iter().sum());
+        for &ns in assembly_ns {
+            self.record_row(ns, solve_ns / assembly_ns.len() as u64);
+        }
     }
 
     /// Records one whole `solve_side` call.
@@ -185,6 +209,26 @@ mod tests {
         // Assembly was recorded at exactly twice the solve duration per
         // row, so the exact sums keep that ratio.
         assert_eq!(r.assembly.sum_ns(), 2 * r.solve.sum_ns());
+    }
+
+    #[test]
+    fn a_groups_solve_time_is_split_equally_over_its_rows() {
+        let m = TrainMetrics::new();
+        // 1 003 ns of which 650 assembling: 353 ns of solve over four rows
+        // is 88 each, one nanosecond lost to the division.
+        m.record_group(&[100, 200, 300, 50], 1_003);
+        // A short group of one keeps its whole solve time.
+        m.record_group(&[40], 90);
+        let r = m.report();
+        assert_eq!(r.rows_solved, 5);
+        assert_eq!(r.assembly.count(), 5);
+        assert_eq!(r.solve.count(), 5);
+        assert_eq!(r.assembly.sum_ns(), 650 + 40);
+        assert_eq!(r.solve.sum_ns(), 4 * 88 + 50);
+        assert_eq!(r.solve.max_ns(), 88);
+        // A clock that steps backwards cannot make a share negative.
+        m.record_group(&[10, 10], 5);
+        assert_eq!(m.report().solve.sum_ns(), 4 * 88 + 50);
     }
 
     #[test]

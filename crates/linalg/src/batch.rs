@@ -2,10 +2,12 @@
 //! POTRF/POTRS used by the paper's `batch_solve` phase.
 //!
 //! Each of the `m_b` systems in a batch is independent, which is exactly the
-//! property the paper exploits to fill the GPU with thread blocks; here the
-//! same independence is exploited with rayon's work-stealing threads.
+//! property the paper exploits to fill the GPU with thread blocks.  Here the
+//! same independence is exploited twice: across the lanes of a vector —
+//! [`GroupSolver`] factors [`GROUP`] systems per pass, one per lane — and
+//! across rayon's work-stealing threads, which take the groups.
 
-use crate::cholesky::{cholesky_solve, CholeskyError};
+use crate::cholesky::{GroupSolver, GROUP};
 use crate::quant::EncodedSlab;
 use rayon::prelude::*;
 
@@ -26,17 +28,24 @@ impl BatchSolveReport {
     }
 }
 
-/// Solves `batch` independent `f × f` SPD systems in parallel.
+/// Systems per rayon task of [`batch_solve`]: eight groups share one
+/// solver's scratch.
+const SYSTEMS_PER_TASK: usize = 8 * GROUP;
+
+/// Solves `batch` independent `f × f` SPD systems, [`GROUP`] per pass of the
+/// lane-interleaved [`GroupSolver`] and the groups in parallel.
 ///
 /// * `hermitians` — concatenated row-major `A_u` matrices, `batch · f²` long;
-///   overwritten with their Cholesky factors (`L` below, `Lᵀ` above).
+///   only their lower triangles are read.
 /// * `rhs` — concatenated right-hand sides `B_u`, `batch · f` long;
 ///   overwritten with the solutions `x_u`.
 ///
-/// Systems that fail to factor (non-SPD, which for ALS can only happen with
-/// `λ = 0` and an empty row) leave their right-hand side untouched and are
+/// Each solution is bit-identical to [`crate::cholesky::cholesky_solve`] on
+/// that system alone.  Systems that fail to factor (non-SPD, which for ALS
+/// can only happen with `λ = 0` and an empty row) leave their right-hand
+/// side untouched, do not disturb the systems sharing their group, and are
 /// reported in the returned [`BatchSolveReport`].
-pub fn batch_solve(hermitians: &mut [f32], rhs: &mut [f32], f: usize) -> BatchSolveReport {
+pub fn batch_solve(hermitians: &[f32], rhs: &mut [f32], f: usize) -> BatchSolveReport {
     assert!(f > 0, "latent dimension must be positive");
     assert_eq!(
         hermitians.len() % (f * f),
@@ -47,16 +56,22 @@ pub fn batch_solve(hermitians: &mut [f32], rhs: &mut [f32], f: usize) -> BatchSo
     let batch = hermitians.len() / (f * f);
     assert_eq!(rhs.len() / f, batch, "hermitian and rhs batch sizes differ");
 
-    let results: Vec<Result<(), CholeskyError>> = hermitians
-        .par_chunks_mut(f * f)
-        .zip(rhs.par_chunks_mut(f))
-        .map(|(a, b)| cholesky_solve(a, f, b))
-        .collect();
-
-    let failed: Vec<usize> = results
-        .iter()
+    let failed: Vec<usize> = hermitians
+        .par_chunks(SYSTEMS_PER_TASK * f * f)
+        .zip(rhs.par_chunks_mut(SYSTEMS_PER_TASK * f))
         .enumerate()
-        .filter_map(|(i, r)| r.is_err().then_some(i))
+        .flat_map(|(task, (a, b))| {
+            let mut solver = GroupSolver::new(f);
+            let mut failed = Vec::new();
+            let groups = a.chunks(GROUP * f * f).zip(b.chunks_mut(GROUP * f));
+            for (group, (a, b)) in groups.enumerate() {
+                let first = task * SYSTEMS_PER_TASK + group * GROUP;
+                let status = solver.solve(a, b);
+                let lanes = status.iter().enumerate();
+                failed.extend(lanes.filter_map(|(lane, s)| s.is_err().then_some(first + lane)));
+            }
+            failed
+        })
         .collect();
     BatchSolveReport {
         solved: batch - failed.len(),
@@ -291,20 +306,23 @@ pub fn score_dot(x: &[f32], y: &[f32]) -> f32 {
     s
 }
 
-/// Sequential reference implementation of [`batch_solve`], used by tests to
-/// check that parallel execution does not change results.
-pub fn batch_solve_seq(hermitians: &mut [f32], rhs: &mut [f32], f: usize) -> BatchSolveReport {
-    let batch = hermitians.len() / (f * f);
-    let mut failed = Vec::new();
-    for i in 0..batch {
-        let a = &mut hermitians[i * f * f..(i + 1) * f * f];
-        let b = &mut rhs[i * f..(i + 1) * f];
-        if cholesky_solve(a, f, b).is_err() {
-            failed.push(i);
-        }
-    }
+/// The per-system reference [`batch_solve`] is diffed against bit for bit:
+/// one [`crate::cholesky::cholesky_solve`] per system, in order.
+#[cfg(test)]
+fn batch_solve_seq(hermitians: &mut [f32], rhs: &mut [f32], f: usize) -> BatchSolveReport {
+    let systems = hermitians
+        .chunks_exact_mut(f * f)
+        .zip(rhs.chunks_exact_mut(f));
+    let failed: Vec<usize> = systems
+        .enumerate()
+        .filter_map(|(i, (a, b))| {
+            crate::cholesky::cholesky_solve(a, f, b)
+                .is_err()
+                .then_some(i)
+        })
+        .collect();
     BatchSolveReport {
-        solved: batch - failed.len(),
+        solved: rhs.len() / f - failed.len(),
         failed,
     }
 }
@@ -338,15 +356,14 @@ mod tests {
 
     #[test]
     fn solves_a_batch_with_small_residuals() {
-        let (orig_a, orig_b) = random_batch(32, 12, 3);
-        let mut a = orig_a.clone();
+        let (a, orig_b) = random_batch(32, 12, 3);
         let mut b = orig_b.clone();
-        let report = batch_solve(&mut a, &mut b, 12);
+        let report = batch_solve(&a, &mut b, 12);
         assert!(report.all_ok());
         assert_eq!(report.solved, 32);
         for i in 0..32 {
             let res = residual_norm(
-                &orig_a[i * 144..(i + 1) * 144],
+                &a[i * 144..(i + 1) * 144],
                 12,
                 &b[i * 12..(i + 1) * 12],
                 &orig_b[i * 12..(i + 1) * 12],
@@ -357,13 +374,23 @@ mod tests {
 
     #[test]
     fn parallel_matches_sequential() {
-        let (a0, b0) = random_batch(64, 8, 11);
-        let (mut a1, mut b1) = (a0.clone(), b0.clone());
-        let (mut a2, mut b2) = (a0, b0);
-        let r1 = batch_solve(&mut a1, &mut b1, 8);
-        let r2 = batch_solve_seq(&mut a2, &mut b2, 8);
-        assert_eq!(r1, r2);
-        assert_eq!(b1, b2);
+        // Batch sizes on, beside and far from the group and task sizes, with
+        // a non-SPD system in every lane position (and two in one group).
+        for (batch, f) in [(1usize, 8usize), (3, 5), (4, 8), (33, 8), (70, 13)] {
+            let (mut a0, b0) = random_batch(batch, f, 11 + batch as u64);
+            for bad in [0usize, 5, 10, 15, 13, 69] {
+                if bad < batch {
+                    a0[bad * f * f + (f / 2) * (f + 1)] = -1.0;
+                }
+            }
+            let (mut a_ref, mut b_ref) = (a0.clone(), b0.clone());
+            let mut b_new = b0.clone();
+            let grouped = batch_solve(&a0, &mut b_new, f);
+            let reference = batch_solve_seq(&mut a_ref, &mut b_ref, f);
+            assert_eq!(grouped, reference, "batch {batch} f {f}");
+            let bits = |v: &[f32]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+            assert_eq!(bits(&b_new), bits(&b_ref), "batch {batch} f {f}");
+        }
     }
 
     #[test]
@@ -373,7 +400,7 @@ mod tests {
         let mut a = vec![0.0f32; 2 * f * f];
         add_diagonal(&mut a[..f * f], f, 1.0);
         let mut b = vec![1.0f32; 2 * f];
-        let report = batch_solve(&mut a, &mut b, f);
+        let report = batch_solve(&a, &mut b, f);
         assert_eq!(report.failed, vec![1]);
         assert_eq!(report.solved, 1);
         assert!(!report.all_ok());
@@ -383,9 +410,8 @@ mod tests {
 
     #[test]
     fn empty_batch_is_ok() {
-        let mut a: Vec<f32> = vec![];
         let mut b: Vec<f32> = vec![];
-        let report = batch_solve(&mut a, &mut b, 5);
+        let report = batch_solve(&[], &mut b, 5);
         assert!(report.all_ok());
         assert_eq!(report.solved, 0);
     }
@@ -544,8 +570,7 @@ mod tests {
     #[test]
     #[should_panic(expected = "not a multiple")]
     fn mismatched_buffers_panic() {
-        let mut a = vec![0.0f32; 10];
         let mut b = vec![0.0f32; 3];
-        batch_solve(&mut a, &mut b, 3);
+        batch_solve(&[0.0f32; 10], &mut b, 3);
     }
 }

@@ -3,7 +3,9 @@
 //! These are the CPU stand-ins for the device code in the paper's Listing 1:
 //! the rank-1 symmetric update that accumulates `A_u += θ_v·θ_vᵀ` and the
 //! small matrix-vector products used to form `B_u = Θᵀ·R_{u*}ᵀ`.  Training
-//! assembles through [`syr_axpy`], which writes the lower triangle only.
+//! assembles through [`syr_axpy_x4`] — four ratings per pass over the lower
+//! triangle — and [`syr_axpy`] for a row's last 0–3 ratings; both write the
+//! lower triangle only.
 
 /// Dot product of two equal-length vectors, accumulated in `f64` so that a
 /// long sum keeps its small terms (predictions and norms; the row solver does
@@ -82,6 +84,40 @@ pub fn syr_axpy(a: &mut [f32], b: &mut [f32], x: &[f32], val: f32) {
         }
     }
     axpy(val, x, b);
+}
+
+/// Four ratings' [`syr_axpy`] in one pass over the lower triangle — the
+/// paper's `get_hermitian` reuse of each loaded piece of `A_u` across a bin
+/// of `θ_v`, with a bin of four:
+///
+/// ```text
+///   a[i][j] = a[i][j] + x0ᵢ·x0ⱼ + x1ᵢ·x1ⱼ + x2ᵢ·x2ⱼ + x3ᵢ·x3ⱼ     (j ≤ i)
+///   b[i]    = b[i]    + v0·x0ᵢ  + v1·x1ᵢ  + v2·x2ᵢ  + v3·x3ᵢ
+/// ```
+///
+/// evaluated left to right, so every element still receives one multiply-add
+/// per rating in the order given: on the lower triangle and `b` the result is
+/// **bit-identical** to four `syr_axpy` calls, while the triangle is loaded
+/// and stored once instead of four times.  Same lower-triangle contract.
+#[inline]
+pub fn syr_axpy_x4(a: &mut [f32], b: &mut [f32], x: [&[f32]; 4], val: [f32; 4]) {
+    let [x0, x1, x2, x3] = x;
+    let f = x0.len();
+    debug_assert_eq!(a.len(), f * f);
+    debug_assert_eq!(b.len(), f);
+    let (x1, x2, x3) = (&x1[..f], &x2[..f], &x3[..f]);
+    for i in 0..f {
+        let (p0, p1, p2, p3) = (x0[i], x1[i], x2[i], x3[i]);
+        let cols = x0.iter().zip(x1).zip(x2).zip(x3);
+        for (aij, (((&q0, &q1), &q2), &q3)) in a[i * f..=i * f + i].iter_mut().zip(cols) {
+            *aij = *aij + p0 * q0 + p1 * q1 + p2 * q2 + p3 * q3;
+        }
+    }
+    let [v0, v1, v2, v3] = val;
+    let cols = x0.iter().zip(x1).zip(x2).zip(x3);
+    for (bi, (((&q0, &q1), &q2), &q3)) in b.iter_mut().zip(cols) {
+        *bi = *bi + v0 * q0 + v1 * q1 + v2 * q2 + v3 * q3;
+    }
 }
 
 /// Adds `lambda` to the diagonal of a row-major `f × f` matrix

@@ -6,7 +6,12 @@
 //! is the natural solver — it is what cuBLAS's batched FP32 POTRF/POTRS pair
 //! runs in the paper's `batch_solve` phase.
 //!
-//! **The kernel.** [`cholesky_factor`] is a right-looking blocked
+//! Two kernels share one arithmetic: the single-system front door
+//! ([`cholesky_solve`], below) and the [`GroupSolver`] the ALS row loop and
+//! `batch_solve` run, which factors four systems at once, one per SIMD lane,
+//! and is bit-identical to the front door lane for lane.
+//!
+//! **The single-system kernel.** [`cholesky_factor`] is a right-looking blocked
 //! factorisation on the row-major lower triangle, four columns per panel:
 //! a scalar factor of the 4 × 4 diagonal block; then, for each row below it,
 //! a 4-step triangular solve for the row's panel entries, which are also
@@ -191,12 +196,246 @@ pub fn cholesky_solve_factored(l: &[f32], f: usize, b: &mut [f32]) {
 /// Cholesky factor) and overwriting `b` with the solution `x`.  Only the
 /// lower triangle of `a` is read; on `Err`, `b` is untouched.
 ///
-/// This is the per-row work item of the paper's `batch_solve` phase and
-/// costs `O(f³)` as accounted in Table 3.  It allocates nothing.
+/// This is one work item of the paper's `batch_solve` phase, `O(f³)` as
+/// accounted in Table 3, for a caller with one system at a time (the
+/// baselines, the probes, the tests); the ALS row loop and `batch_solve`
+/// take four at a time through [`GroupSolver`], to the same bits.  It
+/// allocates nothing.
 pub fn cholesky_solve(a: &mut [f32], f: usize, b: &mut [f32]) -> Result<(), CholeskyError> {
     cholesky_factor(a, f)?;
     cholesky_solve_factored(a, f, b);
     Ok(())
+}
+
+/// Systems a [`GroupSolver`] factors per pass: one per lane of the default
+/// target's 128-bit vectors.
+pub const GROUP: usize = 4;
+
+/// One entry of every system in a group.
+type Lanes = [f32; GROUP];
+
+/// Offset of row `i` in a packed lower triangle.
+#[inline(always)]
+fn tri(i: usize) -> usize {
+    i * (i + 1) / 2
+}
+
+/// `s −= a·b` per lane: one multiply, one subtract.
+#[inline(always)]
+fn mul_sub(s: &mut Lanes, a: &Lanes, b: &Lanes) {
+    for ((s, a), b) in s.iter_mut().zip(a).zip(b) {
+        *s -= a * b;
+    }
+}
+
+#[inline(always)]
+fn mul(a: &Lanes, b: &Lanes) -> Lanes {
+    [a[0] * b[0], a[1] * b[1], a[2] * b[2], a[3] * b[3]]
+}
+
+/// Finishes columns `j0..j0 + W` of the row `row` (row `i` of the packed
+/// triangle, `done` holding rows `..i` complete and `row[..j0]` final):
+/// `W` accumulators share the one `l_ik` load per `k < j0`, then the block's
+/// `W × W` triangle is finished in registers.  With `DIAG` the block ends at
+/// the diagonal (`j0 + W == i`) and the pivot's `d −= l_ik²` chain rides
+/// along in the same pass, leaving `d` in `row[i]`.
+#[inline(always)]
+fn row_block<const W: usize, const DIAG: bool>(
+    done: &[Lanes],
+    row: &mut [Lanes],
+    inv: &[Lanes],
+    j0: usize,
+) {
+    let (head, blk) = row.split_at_mut(j0);
+    let head = &head[..j0];
+    let cols: [&[Lanes]; W] = std::array::from_fn(|c| &done[tri(j0 + c)..][..j0]);
+    let mut s: [Lanes; W] = std::array::from_fn(|c| blk[c]);
+    let mut d = if DIAG { blk[W] } else { [0.0; GROUP] };
+    for k in 0..j0 {
+        let x = &head[k];
+        for c in 0..W {
+            mul_sub(&mut s[c], x, &cols[c][k]);
+        }
+        if DIAG {
+            mul_sub(&mut d, x, x);
+        }
+    }
+    for c in 0..W {
+        let above = &done[tri(j0 + c) + j0..][..c];
+        for (c2, t) in above.iter().enumerate() {
+            let l = s[c2];
+            mul_sub(&mut s[c], &l, t);
+        }
+        s[c] = mul(&s[c], &inv[j0 + c]);
+        if DIAG {
+            let l = s[c];
+            mul_sub(&mut d, &l, &l);
+        }
+        blk[c] = s[c];
+    }
+    if DIAG {
+        blk[W] = d;
+    }
+}
+
+/// Factors and solves up to [`GROUP`] independent `f × f` SPD systems at
+/// once, one per SIMD lane — the CPU shape of the paper's batched FP32
+/// POTRF/POTRS.
+///
+/// **Layout.**  The systems are packed into one lane-interleaved lower
+/// triangle: entry `(i, j)` of all four systems sits in one `[f32; 4]` at
+/// `i(i+1)/2 + j`, and the right-hand sides ride along as row `f`:
+///
+/// ```text
+///   row 0   [a00]
+///   row 1   [a10][a11]                 each [..] = [sys0, sys1, sys2, sys3]
+///   row 2   [a20][a21][a22]
+///    ⋮
+///   row f   [b0 ][b1 ][b2 ] … [b_f-1][pad]
+/// ```
+///
+/// so every vector operation is full-width whatever `f` is, no row is too
+/// short to vectorise, and forward substitution *is* the factorisation's
+/// last row (`y_j = (b_j − Σ_{k<j} y_k·l_jk)·(1/l_jj)` is the entry rule of
+/// row `f`).
+///
+/// **Arithmetic.**  Row-oriented: row `i` takes its columns in blocks of
+/// four (`row_block`), then one tail pass carries the remaining 0–3
+/// columns together with the pivot's chain.  Per entry and per lane the
+/// operations and their order are exactly those of [`cholesky_solve`] (and
+/// of the scalar `cholesky_solve_reference` the proptests hold both to):
+/// ascending-`k` multiply-then-subtract, times the reciprocal pivot;
+/// backward substitution in descending `k`.  A lane's result is therefore
+/// **bit-identical** to solving that system alone.
+///
+/// **Failure is per lane.**  A lane whose pivot comes out `≤ 0` or
+/// non-finite records that pivot (its first) and carries on with a
+/// substitute pivot of 1, so the instruction stream of the other lanes does
+/// not change; its right-hand side is left untouched.
+#[derive(Debug, Clone)]
+pub struct GroupSolver {
+    f: usize,
+    /// The packed triangle, rows `0..=f`.
+    l: Vec<Lanes>,
+    /// Reciprocal pivots `1/l_jj`.
+    inv: Vec<Lanes>,
+}
+
+impl GroupSolver {
+    /// Scratch for systems of order `f > 0`; reusable across
+    /// [`Self::solve`] calls, which allocate nothing.
+    pub fn new(f: usize) -> Self {
+        assert!(f > 0, "latent dimension must be positive");
+        Self {
+            f,
+            l: vec![[0.0; GROUP]; tri(f + 1)],
+            inv: vec![[0.0; GROUP]; f],
+        }
+    }
+
+    /// Solves the `n = b.len() / f ≤ GROUP` systems `A_s·x_s = b_s`, with
+    /// `a` their concatenated row-major matrices (only lower triangles are
+    /// read) and `b` their concatenated right-hand sides.  A solved system's
+    /// `b_s` is overwritten with `x_s`; a failed one's is untouched and its
+    /// slot of the result names the failing pivot.  Idle lanes (`n..GROUP`)
+    /// hold the identity system, so a short group runs the same code.
+    pub fn solve(&mut self, a: &[f32], b: &mut [f32]) -> [Result<(), CholeskyError>; GROUP] {
+        let f = self.f;
+        let n = b.len() / f;
+        assert!(n <= GROUP, "more systems than lanes");
+        assert_eq!(b.len(), n * f, "right-hand sides are not f long");
+        assert_eq!(a.len(), n * f * f, "matrices are not f × f");
+        let mut status = [Ok(()); GROUP];
+        if n == 0 {
+            return status;
+        }
+        self.pack(a, b, n);
+
+        for i in 0..=f {
+            let (done, rest) = self.l.split_at_mut(tri(i));
+            let row = &mut rest[..=i];
+            let mut j0 = 0;
+            while j0 + 4 <= i {
+                row_block::<4, false>(done, row, &self.inv, j0);
+                j0 += 4;
+            }
+            match i - j0 {
+                0 => row_block::<0, true>(done, row, &self.inv, j0),
+                1 => row_block::<1, true>(done, row, &self.inv, j0),
+                2 => row_block::<2, true>(done, row, &self.inv, j0),
+                _ => row_block::<3, true>(done, row, &self.inv, j0),
+            }
+            if i == f {
+                break; // the right-hand side's row has no pivot
+            }
+            let mut d = row[i];
+            for (lane, d) in d.iter_mut().enumerate() {
+                if *d <= 0.0 || !d.is_finite() {
+                    if status[lane].is_ok() {
+                        status[lane] = Err(CholeskyError { pivot: i });
+                    }
+                    *d = 1.0;
+                }
+            }
+            let root = d.map(f32::sqrt);
+            row[i] = root;
+            self.inv[i] = root.map(|r| 1.0 / r);
+        }
+
+        // Backward, Lᵀ·x = y, along row i of L, last row first.
+        let (rows, y) = self.l.split_at_mut(tri(f));
+        for i in (0..f).rev() {
+            let x = mul(&y[i], &self.inv[i]);
+            y[i] = x;
+            for (yk, lik) in y[..i].iter_mut().zip(&rows[tri(i)..]) {
+                mul_sub(yk, lik, &x);
+            }
+        }
+
+        for (lane, x) in b.chunks_exact_mut(f).enumerate() {
+            if status[lane].is_ok() {
+                for (x, y) in x.iter_mut().zip(y.iter()) {
+                    *x = y[lane];
+                }
+            }
+        }
+        status
+    }
+
+    /// Interleaves the lower triangles and right-hand sides of `n` systems
+    /// into the lanes, and the identity system into the rest.
+    fn pack(&mut self, a: &[f32], b: &[f32], n: usize) {
+        let f = self.f;
+        // An idle lane first copies system 0, so the loops below are the
+        // same for every group size.
+        let sys = |lane: usize| if lane < n { lane } else { 0 };
+        let [a0, a1, a2, a3]: [&[f32]; GROUP] =
+            std::array::from_fn(|lane| &a[sys(lane) * f * f..][..f * f]);
+        for i in 0..f {
+            let rows = a0[i * f..=i * f + i]
+                .iter()
+                .zip(&a1[i * f..=i * f + i])
+                .zip(&a2[i * f..=i * f + i])
+                .zip(&a3[i * f..=i * f + i]);
+            for (l, (((&v0, &v1), &v2), &v3)) in self.l[tri(i)..].iter_mut().zip(rows) {
+                *l = [v0, v1, v2, v3];
+            }
+        }
+        let [b0, b1, b2, b3]: [&[f32]; GROUP] =
+            std::array::from_fn(|lane| &b[sys(lane) * f..][..f]);
+        let rhs = b0.iter().zip(b1).zip(b2).zip(b3);
+        for (l, (((&v0, &v1), &v2), &v3)) in self.l[tri(f)..].iter_mut().zip(rhs) {
+            *l = [v0, v1, v2, v3];
+        }
+        self.l[tri(f) + f] = [0.0; GROUP];
+        for lane in n..GROUP {
+            for i in 0..=f {
+                for (j, l) in self.l[tri(i)..=tri(i) + i].iter_mut().enumerate() {
+                    l[lane] = if i == j && i < f { 1.0 } else { 0.0 };
+                }
+            }
+        }
+    }
 }
 
 /// Computes the residual `‖A·x − b‖₂` for testing/validation purposes, given

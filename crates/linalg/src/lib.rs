@@ -15,10 +15,13 @@
 //! * [`blas`] — the rank-1 update (`syrk`), `gemv`, `dot`, `axpy` kernels the
 //!   `get_hermitian` phase is made of.
 //! * [`cholesky`] — a single-precision blocked Cholesky / forward-backward
-//!   solver, in place on the lower triangle of the SPD `f × f` systems.
-//! * [`batch`] — a rayon-parallel batched solver standing in for the
-//!   cuBLAS batched routines, plus the blocked retrieval-time scoring
-//!   kernel ([`batch::batch_score_block`]).
+//!   solver, in place on the lower triangle of the SPD `f × f` systems, and
+//!   the lane-interleaved [`cholesky::GroupSolver`] that factors four such
+//!   systems per pass, one per SIMD lane, bit-identically.
+//! * [`batch`] — the batched solver standing in for the cuBLAS batched
+//!   routines (groups of four through the group solver, the groups across
+//!   rayon threads), plus the blocked retrieval-time scoring kernel
+//!   ([`batch::batch_score_block`]).
 //! * [`topk`] — bounded-heap top-k selection and the blocked single-request
 //!   retrieval path shared by `recommend()` and the serving subsystem.
 

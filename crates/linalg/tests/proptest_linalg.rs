@@ -1,7 +1,7 @@
 //! Property-based tests for the dense linear-algebra substrate.
 
 use cumf_linalg::blas::{add_diagonal, axpy, dot, gemv, norm_sq, syr_axpy, syr_full};
-use cumf_linalg::cholesky::{cholesky_solve, residual_norm, CholeskyError};
+use cumf_linalg::cholesky::{cholesky_solve, residual_norm, CholeskyError, GroupSolver, GROUP};
 use cumf_linalg::{
     batch_score_block, batch_score_rows_quant, batch_solve, block_max_norms, f16_bits_to_f32,
     f32_to_f16_bits, item_norms, retrieve_top_k_segments, retrieve_top_k_segments_approx,
@@ -145,25 +145,26 @@ fn ridge_system(f: usize, vecs: &[f32], ridge: f32) -> (Vec<f32>, f64) {
     (a, kappa)
 }
 
-/// A strategy for an SPD system built the way ALS builds them — a sum of
-/// `2f` rank-1 outer products plus a positive ridge — with the bound on its
-/// condition number.
+/// A strategy for an SPD system of order `f` built the way ALS builds them —
+/// a sum of `2f` rank-1 outer products plus a positive ridge — with the
+/// bound on its condition number.
+fn spd_system_of_order(f: usize) -> impl Strategy<Value = (usize, Vec<f32>, Vec<f32>, f64)> {
+    (
+        proptest::collection::vec(-1.0f32..1.0, 2 * f * f),
+        proptest::collection::vec(-1.0f32..1.0, f),
+        0.05f32..2.0,
+    )
+        .prop_map(move |(vecs, b, lambda)| {
+            let (a, kappa) = ridge_system(f, &vecs, lambda);
+            (f, a, b, kappa)
+        })
+}
+
+/// [`spd_system_of_order`] at any order up to `max_f`.
 fn arb_spd_system_conditioned(
     max_f: usize,
 ) -> impl Strategy<Value = (usize, Vec<f32>, Vec<f32>, f64)> {
-    (1..=max_f).prop_flat_map(|f| {
-        let terms = 2 * f;
-        (
-            Just(f),
-            proptest::collection::vec(-1.0f32..1.0, terms * f),
-            proptest::collection::vec(-1.0f32..1.0, f),
-            0.05f32..2.0,
-        )
-            .prop_map(move |(f, vecs, b, lambda)| {
-                let (a, kappa) = ridge_system(f, &vecs, lambda);
-                (f, a, b, kappa)
-            })
-    })
+    (1..=max_f).prop_flat_map(spd_system_of_order)
 }
 
 /// [`arb_spd_system_conditioned`] without the bound.
@@ -171,27 +172,54 @@ fn arb_spd_system(max_f: usize) -> impl Strategy<Value = (usize, Vec<f32>, Vec<f
     arb_spd_system_conditioned(max_f).prop_map(|(f, a, b, _)| (f, a, b))
 }
 
-/// A strategy for one ALS row's system: `n` ratings (`1..=4f`, so both
-/// under- and over-determined rows), the right-hand side `Σ r·θ_v` and the
-/// weighted ridge `λ·n` with `λ ∈ [0.01, 2]`.
-fn arb_als_system(max_f: usize) -> impl Strategy<Value = (usize, Vec<f32>, Vec<f32>, f64)> {
-    (1..=max_f)
-        .prop_flat_map(|f| (Just(f), 1..=4 * f))
-        .prop_flat_map(|(f, n)| {
+/// A strategy for one ALS row's system of order `f`: `n` ratings (`1..=4f`,
+/// so both under- and over-determined rows), the right-hand side `Σ r·θ_v`
+/// and the weighted ridge `λ·n` with `λ ∈ [0.01, 2]`.
+fn als_system_of_order(f: usize) -> impl Strategy<Value = (usize, Vec<f32>, Vec<f32>, f64)> {
+    (1..=4 * f)
+        .prop_flat_map(move |n| {
             (
-                Just(f),
                 proptest::collection::vec(-1.0f32..1.0, n * f),
                 proptest::collection::vec(1.0f32..5.0, n),
                 0.01f32..2.0,
             )
         })
-        .prop_map(|(f, thetas, ratings, lambda)| {
+        .prop_map(move |(thetas, ratings, lambda)| {
             let (a, kappa) = ridge_system(f, &thetas, lambda * ratings.len() as f32);
             let mut b = vec![0.0f32; f];
             for (theta, &r) in thetas.chunks(f).zip(&ratings) {
                 axpy(r, theta, &mut b);
             }
             (f, a, b, kappa)
+        })
+}
+
+/// [`als_system_of_order`] at any order up to `max_f`.
+fn arb_als_system(max_f: usize) -> impl Strategy<Value = (usize, Vec<f32>, Vec<f32>, f64)> {
+    (1..=max_f).prop_flat_map(als_system_of_order)
+}
+
+/// `(f, a, b)`: one to [`GROUP`] systems of one order `f ≤ max_f`,
+/// concatenated the way [`GroupSolver::solve`] takes them, each ALS-shaped
+/// or plain-ridge.
+fn arb_group(max_f: usize) -> impl Strategy<Value = (usize, Vec<f32>, Vec<f32>)> {
+    (1..=max_f, 1..=GROUP)
+        .prop_flat_map(|(f, n)| {
+            (
+                proptest::collection::vec(spd_system_of_order(f), n),
+                proptest::collection::vec(als_system_of_order(f), n),
+                proptest::collection::vec(0u8..2, n),
+            )
+        })
+        .prop_map(|(ridge, als, pick)| {
+            let f = ridge[0].0;
+            let (mut a, mut b) = (Vec::new(), Vec::new());
+            for ((ridge, als), pick) in ridge.into_iter().zip(als).zip(pick) {
+                let system = if pick == 0 { ridge } else { als };
+                a.extend(system.1);
+                b.extend(system.2);
+            }
+            (f, a, b)
         })
 }
 
@@ -384,6 +412,52 @@ proptest! {
         prop_assert_eq!(bits(&x_new), bits(&b));
     }
 
+    /// A lane of the group solver against the straight-line scalar loop on
+    /// that lane's system alone: same solution bits, for every order (so
+    /// every tail width and `f < 4`), every group size, and either shape of
+    /// system in any lane.  Only bites under the optimiser.
+    #[test]
+    fn group_solve_is_bit_identical_to_the_scalar_reference((f, a, b) in arb_group(70)) {
+        let mut x = b.clone();
+        let status = GroupSolver::new(f).solve(&a, &mut x);
+        prop_assert_eq!(status, [Ok(()); GROUP]);
+        for (lane, (a, b)) in a.chunks(f * f).zip(b.chunks(f)).enumerate() {
+            let (mut a_ref, mut x_ref) = (a.to_vec(), b.to_vec());
+            prop_assert_eq!(cholesky_solve_reference(&mut a_ref, f, &mut x_ref), Ok(()));
+            prop_assert_eq!(bits(&x_ref), bits(&x[lane * f..][..f]), "f={} lane {}", f, lane);
+        }
+    }
+
+    /// One or two lanes of a group are not positive definite: each reports
+    /// the pivot the scalar reference fails at and keeps its right-hand
+    /// side, and the other lanes' solutions are what they are without them.
+    #[test]
+    fn group_solve_reports_the_reference_pivot_per_lane(
+        (f, a, b) in arb_group(70),
+        bad in proptest::collection::vec((0..GROUP, 0usize..70, 0u8..2), 1..=2),
+    ) {
+        let n = b.len() / f;
+        let mut a = a;
+        for &(lane, at, negative) in &bad {
+            // A zero or negative diagonal entry makes a pivot at or before
+            // `at` fail for certain.
+            let (lane, at) = (lane % n, at % f);
+            a[lane * f * f + at * (f + 1)] = if negative == 1 { -1.0 } else { 0.0 };
+        }
+        let mut x = b.clone();
+        let status = GroupSolver::new(f).solve(&a, &mut x);
+        for (lane, (a, b)) in a.chunks(f * f).zip(b.chunks(f)).enumerate() {
+            let (mut a_ref, mut x_ref) = (a.to_vec(), b.to_vec());
+            let expect = cholesky_solve_reference(&mut a_ref, f, &mut x_ref);
+            let is_bad = bad.iter().any(|&(l, _, _)| l % n == lane);
+            prop_assert_eq!(expect.is_err(), is_bad);
+            prop_assert_eq!(status[lane], expect, "f={} lane {}", f, lane);
+            // On failure the reference returns before touching `x_ref`.
+            prop_assert_eq!(bits(&x_ref), bits(&x[lane * f..][..f]), "f={} lane {}", f, lane);
+        }
+        prop_assert!(status[n..].iter().all(|s| s.is_ok()), "an idle lane failed");
+    }
+
     /// A score *is* `score_dot`: the row-tiled kernel batches the horizontal
     /// sums of several rows, which may change the instructions but not one
     /// operation or its order.  Only bites under the optimiser (CI's
@@ -485,7 +559,7 @@ proptest! {
         }
         let orig_a = hermitians.clone();
         let orig_b = rhs.clone();
-        let report = batch_solve(&mut hermitians, &mut rhs, f);
+        let report = batch_solve(&hermitians, &mut rhs, f);
         prop_assert!(report.all_ok());
         for i in 0..batch {
             let mut a = orig_a[i * f * f..(i + 1) * f * f].to_vec();
