@@ -84,8 +84,12 @@ pub struct ItemSegment {
 }
 
 impl ItemSegment {
+    /// Builds a segment over `theta` (rows in catalog order) **in place**:
+    /// the norm-descending layout permutes the owned rows rather than
+    /// gathering them into a second `n·f` buffer, so a build holds one copy
+    /// of the catalog.
     fn build_with_precision(
-        theta: FactorMatrix,
+        mut theta: FactorMatrix,
         start: u32,
         layout: ItemLayout,
         precision: Precision,
@@ -114,20 +118,19 @@ impl ItemSegment {
                         .total_cmp(&norms[a as usize])
                         .then(a.cmp(&b))
                 });
-                let rank = theta.rank();
-                let mut data = Vec::with_capacity(n * rank);
                 let mut sorted_norms = Vec::with_capacity(n);
                 let mut pos = vec![0u32; n];
                 for (row, &orig) in order.iter().enumerate() {
-                    data.extend_from_slice(theta.vector(orig as usize));
                     sorted_norms.push(norms[orig as usize]);
                     pos[orig as usize] = row as u32;
                 }
-                let ids: Vec<u32> = order.iter().map(|&orig| start + orig).collect();
+                let rank = theta.rank();
+                permute_rows(theta.data_mut(), rank, &order);
+                let ids: Vec<u32> = order.into_iter().map(|orig| start + orig).collect();
                 let block_max = block_max_norms(&sorted_norms, DEFAULT_ITEM_BLOCK.min(n.max(1)));
                 Self {
                     start,
-                    theta: FactorMatrix::from_vec(n, rank, data),
+                    theta,
                     norms: sorted_norms,
                     block_max,
                     ids: Some(ids),
@@ -160,8 +163,7 @@ impl ItemSegment {
         if let Some(slab) =
             EncodedSlab::encode(self.theta.data(), f, self.default_block(), precision)
         {
-            let decoded = slab.decode_all();
-            self.norms = item_norms(&decoded, f);
+            self.norms = decoded_norms(&slab, self.default_block());
             self.block_max = block_max_norms(&self.norms, self.default_block());
             self.encoded = Some(slab);
             self.precision = precision;
@@ -278,6 +280,48 @@ impl ItemSegment {
             encoded: self.encoded.as_ref(),
         }
     }
+}
+
+/// Permutes the `f`-float rows of `data` in place so that row `r` becomes
+/// the row that was at `order[r]`.  Follows the cycles of `order` with one
+/// row of scratch and a visited mark per row: `O(n·f)` moves, `O(f + n)`
+/// extra memory, never a second slab.
+fn permute_rows(data: &mut [f32], f: usize, order: &[u32]) {
+    let mut visited = vec![false; order.len()];
+    let mut held = vec![0.0f32; f];
+    for first in 0..order.len() {
+        if visited[first] || order[first] as usize == first {
+            continue;
+        }
+        held.copy_from_slice(&data[first * f..(first + 1) * f]);
+        let mut row = first;
+        loop {
+            visited[row] = true;
+            let src = order[row] as usize;
+            if src == first {
+                data[row * f..(row + 1) * f].copy_from_slice(&held);
+                break;
+            }
+            data.copy_within(src * f..(src + 1) * f, row * f);
+            row = src;
+        }
+    }
+}
+
+/// `item_norms` of `slab`'s decoded rows, decoding one `tile` of rows at a
+/// time so the full decoded slab is never materialized.  Bit-identical to
+/// `item_norms(&slab.decode_all(), f)`: each norm depends on its row alone.
+fn decoded_norms(slab: &EncodedSlab, tile: usize) -> Vec<f32> {
+    let f = slab.rank();
+    let mut norms = Vec::with_capacity(slab.rows());
+    let mut scratch = vec![0.0f32; tile * f];
+    for start in (0..slab.rows()).step_by(tile) {
+        let end = (start + tile).min(slab.rows());
+        let rows = &mut scratch[..(end - start) * f];
+        slab.decode_rows(start, end, rows);
+        norms.extend(item_norms(rows, f));
+    }
+    norms
 }
 
 /// The serving-side item factors as block-aligned, `Arc`-shared segments.
@@ -712,5 +756,144 @@ mod tests {
         let (grown, bytes) = store.append(&theta(5, 4, 14));
         assert_eq!(grown.n_items(), 5);
         assert_eq!(bytes, 5 * 4 * 4);
+    }
+
+    #[test]
+    fn quantized_norm_tables_match_the_fully_decoded_slab() {
+        // Row counts off the decode tile (and one under it), ranks off a
+        // multiple of four.
+        for precision in [Precision::F16, Precision::I8] {
+            for (n, f) in [(1_037, 7), (513, 5), (200, 13)] {
+                let seg = ItemSegment::build_with_precision(
+                    theta(n, f, 31),
+                    0,
+                    ItemLayout::NormDescending,
+                    precision,
+                );
+                let slab = seg.encoded().expect("scan slab present");
+                let norms = item_norms(&slab.decode_all(), f);
+                let block_max = block_max_norms(&norms, seg.default_block());
+                let bits = |xs: &[f32]| xs.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+                assert_eq!(bits(seg.norms()), bits(&norms), "{precision} n={n} f={f}");
+                assert_eq!(bits(seg.block_max()), bits(&block_max), "{precision}");
+            }
+        }
+    }
+
+    /// The segment build as it was before rows were permuted in place: the
+    /// norm-sorted rows gathered into a fresh slab, and quantized norm
+    /// tables taken from a fully decoded copy.  The oracle the in-place
+    /// build is diffed against.
+    fn gather_build(
+        theta: &FactorMatrix,
+        start: u32,
+        layout: ItemLayout,
+        precision: Precision,
+    ) -> ItemSegment {
+        let (n, rank) = (theta.len(), theta.rank());
+        let f = rank.max(1);
+        let block = DEFAULT_ITEM_BLOCK.min(n.max(1));
+        let norms = item_norms(theta.data(), f);
+        let (data, norms, ids, pos) = match layout {
+            ItemLayout::CatalogOrder => (theta.data().to_vec(), norms, None, None),
+            ItemLayout::NormDescending => {
+                let mut order: Vec<u32> = (0..n as u32).collect();
+                order.sort_by(|&a, &b| {
+                    norms[b as usize]
+                        .total_cmp(&norms[a as usize])
+                        .then(a.cmp(&b))
+                });
+                let mut data = Vec::with_capacity(n * rank);
+                let mut sorted_norms = Vec::with_capacity(n);
+                let mut pos = vec![0u32; n];
+                for (row, &orig) in order.iter().enumerate() {
+                    data.extend_from_slice(theta.vector(orig as usize));
+                    sorted_norms.push(norms[orig as usize]);
+                    pos[orig as usize] = row as u32;
+                }
+                let ids = order.iter().map(|&orig| start + orig).collect();
+                (data, sorted_norms, Some(ids), Some(pos))
+            }
+        };
+        let encoded = EncodedSlab::encode(&data, f, block, precision);
+        let norms = match &encoded {
+            Some(slab) => item_norms(&slab.decode_all(), f),
+            None => norms,
+        };
+        ItemSegment {
+            start,
+            theta: FactorMatrix::from_vec(n, rank, data),
+            block_max: block_max_norms(&norms, block),
+            norms,
+            ids,
+            pos,
+            precision: if encoded.is_some() {
+                precision
+            } else {
+                Precision::F32
+            },
+            encoded,
+        }
+    }
+
+    /// `n × f` factors mixing random rows, all-zero rows, and sign-flipped
+    /// copies of three template rows (equal norms, distinct vectors), so
+    /// the norm sort meets ties and zeros.
+    fn tied_theta(n: usize, f: usize, seed: u64) -> FactorMatrix {
+        let random = FactorMatrix::random(n, f, 1.0, seed);
+        let templates = FactorMatrix::random(3, f, 1.0, seed ^ 0x5eed);
+        let mut t = FactorMatrix::zeros(n, f);
+        for v in 0..n {
+            let h = v.wrapping_mul(2_654_435_761) ^ seed as usize;
+            match h % 4 {
+                0 => {}
+                1 => {
+                    let template = templates.vector(h / 4 % 3);
+                    for (j, (dst, &x)) in t.vector_mut(v).iter_mut().zip(template).enumerate() {
+                        *dst = if (h >> (j % 32)) & 1 == 1 { -x } else { x };
+                    }
+                }
+                _ => t.vector_mut(v).copy_from_slice(random.vector(v)),
+            }
+        }
+        t
+    }
+
+    use proptest::prelude::*;
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(24))]
+
+        /// A segment built in place is `==` the gather build — stored order,
+        /// norms, block maxima, id maps and scan slab — for both layouts and
+        /// every precision, on a full build, an appended tail and a
+        /// compaction.  One case in four draws a tiny (possibly empty)
+        /// catalog.
+        #[test]
+        fn in_place_segments_equal_the_gather_build(
+            (n, tail) in (0u8..4, 0usize..=1500, 0usize..=300)
+                .prop_map(|(tiny, n, tail)| if tiny == 0 { (n % 8, tail % 8) } else { (n, tail) }),
+            f in 1usize..=70,
+            seed in 0u64..1_000,
+            precision in 0usize..3,
+        ) {
+            let precision = [Precision::F32, Precision::F16, Precision::I8][precision];
+            let base = tied_theta(n, f, seed);
+            let rows = tied_theta(tail, f, seed + 1);
+            for layout in [ItemLayout::CatalogOrder, ItemLayout::NormDescending] {
+                let store = ItemStore::new_with_precision(base.clone(), layout, precision);
+                prop_assert_eq!(&*store.segments()[0], &gather_build(&base, 0, layout, precision));
+                let (grown, _) = store.append(&rows);
+                prop_assert_eq!(
+                    &*grown.segments()[1],
+                    &gather_build(&rows, n as u32, layout, precision)
+                );
+                let compacted = grown.compact();
+                prop_assert_eq!(
+                    &*compacted.segments()[0],
+                    &gather_build(&grown.to_matrix(), 0, layout, precision)
+                );
+            }
+        }
     }
 }

@@ -59,7 +59,8 @@ struct UserFactors {
 }
 
 impl UserFactors {
-    fn from_matrix(m: &FactorMatrix) -> Self {
+    /// Splits `m` into blocks, consuming it so it is freed once copied.
+    fn from_matrix(m: FactorMatrix) -> Self {
         let f = m.rank();
         let blocks = m
             .data()
@@ -388,9 +389,12 @@ impl FactorSnapshot {
         layout: ItemLayout,
     ) -> Self {
         assert_eq!(x.rank(), theta.rank(), "factor rank mismatch");
+        // `x` is consumed (and freed) before the item store is built, so
+        // the build's peak holds one copy of each factor matrix.
+        let x = UserFactors::from_matrix(x);
         Self {
             generation: 0,
-            x: UserFactors::from_matrix(&x),
+            x,
             items: ItemStore::new(theta, layout),
         }
     }

@@ -22,7 +22,7 @@ use cumf_serve::{
 use cumf_sparse::{Coo, Csr, Entry};
 use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::Arc;
+use std::sync::{mpsc, Arc};
 use std::time::Duration;
 
 const F: usize = 8;
@@ -89,15 +89,23 @@ fn closed_loop_stays_fresh_under_serving_traffic() {
         ServeConfig::default(),
     );
 
-    // Live read traffic for the whole duration of the loop.
+    // Live read traffic for the whole duration of the loop.  The reader
+    // signals its first reply, and the loop does not start before it: the
+    // writer could otherwise publish every event before one read completes.
     let stop = Arc::new(AtomicBool::new(false));
     let client = service.client();
     let reader_stop = Arc::clone(&stop);
+    let (first_reply, first_reply_seen) = mpsc::channel::<()>();
     let reader = std::thread::spawn(move || {
         let mut served = 0u64;
         let mut user = 0u32;
         while !reader_stop.load(Ordering::Relaxed) {
             if client.recommend(user % 80, 5, &[]).is_ok() {
+                if served == 0 {
+                    first_reply
+                        .send(())
+                        .expect("test thread waits for the first reply");
+                }
                 served += 1;
             }
             user = user.wrapping_add(1);
@@ -132,6 +140,9 @@ fn closed_loop_stays_fresh_under_serving_traffic() {
     // after a newer one.
     let mut last_generation = service.snapshot().generation();
     let base_generation = last_generation;
+    first_reply_seen
+        .recv_timeout(Duration::from_secs(60))
+        .expect("the reader completes a read before the loop starts");
     loop {
         match driver.step().expect("delta publish failed") {
             None => break,
