@@ -155,8 +155,8 @@ impl crate::engine::Engine for BaseAls {
         BaseAls::attach_metrics(self, metrics);
     }
 
-    fn metrics(&self) -> Option<&TrainMetrics> {
-        self.metrics.as_deref()
+    fn metrics(&self) -> Option<&Arc<TrainMetrics>> {
+        self.metrics.as_ref()
     }
 
     fn train_rmse(&self) -> f64 {

@@ -390,8 +390,8 @@ impl crate::engine::Engine for MoAlsEngine {
         MoAlsEngine::attach_metrics(self, metrics);
     }
 
-    fn metrics(&self) -> Option<&TrainMetrics> {
-        self.metrics.as_deref()
+    fn metrics(&self) -> Option<&Arc<TrainMetrics>> {
+        self.metrics.as_ref()
     }
 
     fn train_rmse(&self) -> f64 {

@@ -63,8 +63,9 @@ pub trait Engine {
     /// still keep the sink for fold-in instrumentation.
     fn attach_metrics(&mut self, metrics: Arc<TrainMetrics>);
 
-    /// The attached metrics sink, if any.
-    fn metrics(&self) -> Option<&TrainMetrics> {
+    /// The attached metrics sink, if any — the shared handle itself, so a
+    /// caller can keep recording into it after dropping the engine.
+    fn metrics(&self) -> Option<&Arc<TrainMetrics>> {
         None
     }
 
@@ -101,7 +102,7 @@ pub trait IncrementalEngine: Engine {
             ratings,
             self.theta(),
             self.fold_in_lambda(),
-            self.metrics(),
+            self.metrics().map(Arc::as_ref),
         )
     }
 
@@ -120,7 +121,7 @@ pub trait IncrementalEngine: Engine {
             segments,
             self.theta().rank(),
             self.fold_in_lambda(),
-            self.metrics(),
+            self.metrics().map(Arc::as_ref),
         )
     }
 }

@@ -376,8 +376,8 @@ impl Engine for SgdEngine {
         self.metrics = Some(metrics);
     }
 
-    fn metrics(&self) -> Option<&TrainMetrics> {
-        self.metrics.as_deref()
+    fn metrics(&self) -> Option<&Arc<TrainMetrics>> {
+        self.metrics.as_ref()
     }
 
     fn train_rmse(&self) -> f64 {

@@ -353,9 +353,11 @@ impl StreamBatcher {
     }
 
     /// Blocks up to `max_wait` for the first event, then drains whatever
-    /// else is already queued (up to `max_events`).  Returns `None` once
-    /// the stream is exhausted and fully drained; an empty batch is never
-    /// returned.
+    /// else is already queued (up to `max_events`).  Returns an empty batch
+    /// when `max_wait` passes with nothing queued (the stream is live but
+    /// quiet), and `None` once the stream is exhausted and fully drained.
+    /// A `max_wait` of `Duration::MAX` waits for the first event or the
+    /// stream's end.
     pub fn next_batch(&self, max_events: usize, max_wait: Duration) -> Option<MiniBatch> {
         assert!(
             max_events > 0,

@@ -57,6 +57,7 @@ pub struct ServeConfig {
     /// Largest micro-batch a worker scores at once.
     pub max_batch: usize,
     /// Longest a batch waits for co-travellers after its first request.
+    /// `Duration::MAX` sets no deadline: a batch seals at `max_batch`.
     pub max_delay: Duration,
     /// Scorer worker threads pulling micro-batches off the shared queue
     /// (clamped to at least 1).  One worker reproduces the single-threaded
@@ -529,13 +530,21 @@ impl TopKService {
                 Ok(Msg::Shutdown) | Err(_) => return,
             };
             let mut batch = vec![first];
-            let deadline = Instant::now() + config.max_delay;
+            // A `max_delay` too long to add to an instant (`Duration::MAX`)
+            // has no deadline: the batch waits until it holds `max_batch`.
+            let deadline = Instant::now().checked_add(config.max_delay);
             while batch.len() < config.max_batch {
-                let now = Instant::now();
-                if now >= deadline {
-                    break;
-                }
-                match rx.recv_timeout(deadline - now) {
+                let left = match deadline {
+                    Some(deadline) => {
+                        let now = Instant::now();
+                        if now >= deadline {
+                            break;
+                        }
+                        deadline - now
+                    }
+                    None => Duration::MAX,
+                };
+                match rx.recv_timeout(left) {
                     Ok(Msg::Request(r)) => batch.push(pop(r)),
                     Ok(Msg::Shutdown) => {
                         shutdown = true;
@@ -546,9 +555,10 @@ impl TopKService {
             }
             // Serve what was coalesced, even on the way out.  A panic while
             // scoring must not vanish into the thread: record the message
-            // *before* the batch (and its reply channels) drops, so waiters
-            // waking to a closed channel can already see the cause.  The
-            // panicked batch itself always fails — the supervisor policy
+            // *and* the supervisor's verdict before the batch (and its
+            // reply channels) drops, so waiters waking to a closed channel
+            // already see the cause, the restart count and `poisoned()`.
+            // The panicked batch itself always fails — the supervisor policy
             // only decides whether the *worker* survives: within the
             // pool-wide panic budget it resumes the loop (a restart); once
             // the budget is spent it takes the original poison path and the
@@ -559,13 +569,16 @@ impl TopKService {
             if let Err(payload) = scored {
                 state.record_panic(panic_message(payload.as_ref()));
                 metrics.record_worker_panic();
-                drop(batch); // fail this batch's waiters before resuming
-                if state.try_restart(config.panic_budget) {
+                let restart = state.try_restart(config.panic_budget);
+                if restart {
                     metrics.record_worker_restart();
-                    continue;
+                } else {
+                    state.poison();
                 }
-                state.poison();
-                return;
+                drop(batch); // only now fail this batch's waiters
+                if !restart {
+                    return;
+                }
             }
         }
     }
@@ -1247,6 +1260,49 @@ mod tests {
             "deadline flush took {:?}",
             start.elapsed()
         );
+    }
+
+    #[test]
+    fn a_max_delay_of_duration_max_waits_for_a_full_batch() {
+        // `Instant + Duration::MAX` overflows; the worker must not die on
+        // it.  With no deadline a batch seals when it holds `max_batch`:
+        // at once for a batch of one, and once the second client arrives
+        // for a batch of two.
+        let service = TopKService::start(
+            snapshot(5),
+            ServeConfig {
+                max_batch: 1,
+                max_delay: Duration::MAX,
+                ..Default::default()
+            },
+        );
+        let reference = service.snapshot();
+        let client = service.client();
+        assert_eq!(
+            client.recommend(0, 3, &[]).unwrap(),
+            reference.recommend_one(0, 3, &[])
+        );
+        assert_eq!(service.metrics().worker_panics, 0);
+
+        let service = TopKService::start(
+            snapshot(5),
+            ServeConfig {
+                max_batch: 2,
+                max_delay: Duration::MAX,
+                ..Default::default()
+            },
+        );
+        let (a, b) = std::thread::scope(|s| {
+            let ca = service.client();
+            let cb = service.client();
+            let ha = s.spawn(move || ca.recommend(1, 3, &[]).unwrap());
+            let hb = s.spawn(move || cb.recommend(2, 3, &[]).unwrap());
+            (ha.join().unwrap(), hb.join().unwrap())
+        });
+        assert_eq!(a, reference.recommend_one(1, 3, &[]));
+        assert_eq!(b, reference.recommend_one(2, 3, &[]));
+        let m = service.metrics();
+        assert_eq!((m.batches, m.requests), (1, 2));
     }
 
     #[test]

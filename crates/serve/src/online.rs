@@ -23,13 +23,17 @@
 //!
 //! * [`OnlineLoop::fold_in`] re-solves each touched user's normal equations
 //!   against the **serving snapshot's own item segments**
-//!   ([`cumf_core::IncrementalEngine::fold_in_users_segmented`] over
+//!   ([`cumf_core::foldin::fold_in_users_segmented_instrumented`] over
 //!   [`crate::itemstore::ItemStore::views`]) — the item factors are read in
 //!   place, so the loop moves `O(nnz_u·f²)` flops and `O(u·f)` bytes and
 //!   the published [`DeltaStats::item_factor_bytes_copied`] is asserted to
-//!   stay **zero**.  Fold-in needs each user's full rating history (a
-//!   re-solve from scratch), so the loop keeps one, seeded from the
-//!   training matrix and updated per event with last-write-wins semantics.
+//!   stay **zero**.  The solve reads nothing of the engine but its λ, its
+//!   rank and its metrics sink, so the loop keeps those three and drops
+//!   the engine with its own factors and training matrices.  Fold-in needs
+//!   each user's full rating history (a re-solve from scratch), so the
+//!   loop keeps one, seeded from the training matrix and updated per event
+//!   with last-write-wins semantics: one item-sorted `(item, rating)` list
+//!   per user id.
 //! * [`OnlineLoop::sgd`] feeds each batch to
 //!   [`cumf_core::sgd::SgdEngine::absorb`] — a few gradient steps per
 //!   rating, no history needed — and publishes the touched rows of the
@@ -47,12 +51,13 @@ use crate::batcher::TopKService;
 use crate::metrics::ServeMetrics;
 use crate::snapshot::{DeltaError, DeltaStats, FactorSnapshot, SnapshotDelta, SnapshotStore};
 use crate::sync::Arc;
+use cumf_core::foldin::fold_in_users_segmented_instrumented;
 use cumf_core::sgd::SgdEngine;
-use cumf_core::{Engine, IncrementalEngine};
+use cumf_core::{Engine, IncrementalEngine, TrainMetrics};
 use cumf_data::stream::StreamBatcher;
 use cumf_linalg::FactorMatrix;
 use cumf_sparse::Csr;
-use std::collections::{BTreeMap, BTreeSet};
+use std::collections::BTreeSet;
 use std::time::{Duration, Instant};
 
 /// Anything the loop can publish deltas through: the raw [`SnapshotStore`]
@@ -140,21 +145,99 @@ pub struct StepOutcome {
     pub stats: Option<DeltaStats>,
 }
 
+/// Every user's known ratings, indexed by user id: each row sorted by item
+/// id and holding the latest rating per item (last write wins on
+/// re-rates).  Grows on demand as users past the end stream in.
+#[derive(Debug, Default)]
+struct History {
+    rows: Vec<Vec<(u32, f32)>>,
+}
+
+impl History {
+    /// Seeds the history from `training`, each row's entries applied in CSR
+    /// order — so unsorted or duplicate columns resolve like re-rates.
+    fn from_training(training: &Csr) -> Self {
+        let mut history = History::default();
+        for u in 0..training.n_rows() {
+            let (cols, vals) = training.row(u);
+            history.rows.push(Vec::with_capacity(cols.len()));
+            for (&v, &rating) in cols.iter().zip(vals) {
+                history.rate(u, v, rating);
+            }
+        }
+        history
+    }
+
+    /// Records `user`'s latest rating of `item`.
+    fn rate(&mut self, user: u32, item: u32, rating: f32) {
+        let u = user as usize;
+        if u >= self.rows.len() {
+            self.rows.resize_with(u + 1, Vec::new);
+        }
+        let row = &mut self.rows[u];
+        match row.binary_search_by_key(&item, |&(v, _)| v) {
+            Ok(i) => row[i].1 = rating,
+            Err(i) => row.insert(i, (item, rating)),
+        }
+    }
+
+    /// The fold-in ratings matrix of `users`: row `i` holds `users[i]`'s
+    /// history over an `n_items`-column catalog.
+    fn ratings_of(&self, users: &[u32], n_items: u32) -> Csr {
+        let mut row_ptr = Vec::with_capacity(users.len() + 1);
+        row_ptr.push(0);
+        let mut col_idx = Vec::new();
+        let mut values = Vec::new();
+        for &u in users {
+            for &(v, rating) in self.rows.get(u as usize).map_or(&[][..], Vec::as_slice) {
+                col_idx.push(v);
+                values.push(rating);
+            }
+            row_ptr.push(col_idx.len());
+        }
+        Csr::from_raw(users.len() as u32, n_items, row_ptr, col_idx, values)
+            // lint-ok: serve-unwrap row_ptr/col_idx/values are built consistently just above
+            .expect("per-user history CSR is consistent by construction")
+    }
+}
+
 /// How a batch of ratings becomes updated user factors.
 enum Updater {
     /// Re-solve each touched user against the serving snapshot's item
-    /// segments, from the user's full accumulated rating history.
+    /// segments, from the user's full accumulated rating history.  Keeps
+    /// only what that solve reads from the engine.
     FoldIn {
-        engine: Box<dyn IncrementalEngine>,
-        /// Per user: item → latest rating (last write wins on re-rates;
-        /// `BTreeMap` keeps CSR columns sorted for free).
-        history: BTreeMap<u32, BTreeMap<u32, f32>>,
+        /// The engine's fold-in regularization.
+        lambda: f32,
+        /// The engine's latent rank.
+        rank: usize,
+        /// The engine's attached metrics sink, which keeps recording
+        /// fold-ins after the engine is gone.  A `cumf-core` handle, so
+        /// it is a plain `std` `Arc` rather than a sync-facade one.
+        // lint-ok: sync-facade the sink is shared with cumf-core, which is outside the facade
+        metrics: Option<std::sync::Arc<TrainMetrics>>,
+        history: History,
     },
     /// Absorb each batch as Hogwild gradient steps; publish the touched
     /// rows of the engine's user snapshot.  Boxed to keep the two
     /// variants' sizes comparable.
     Sgd { engine: Box<SgdEngine> },
 }
+
+/// Bytes of the block [`OnlineLoop::fold_in`] allocates and frees, never
+/// written, once the engine is gone.
+///
+/// glibc maps every request at or above its mmap threshold afresh and
+/// raises that threshold to the largest mapped block freed so far.  A
+/// process that re-allocates buffers of a few MB around it — `perf/`'s
+/// per-round latency copies on `serve_online`, 3–4 MB at ~100k reads/s —
+/// then takes each from the heap or from a new mapping depending on the
+/// order of their sizes, and a mapping made while the heap still holds a
+/// freed copy costs one more copy of peak RSS, so the same run reads ~4 MB
+/// apart from one time to the next.  Freeing this block lifts the
+/// threshold above such buffers, so they all come from the heap.  It is
+/// never resident; under other allocators it is one map and unmap.
+const MMAP_THRESHOLD_LIFT: usize = 8 << 20;
 
 /// The driver that closes the loop: drain a mini-batch, update factors
 /// incrementally, publish the delta, record freshness — repeat until the
@@ -170,11 +253,13 @@ pub struct OnlineLoop<'a> {
 
 impl<'a> OnlineLoop<'a> {
     /// A fold-in loop: each touched user is re-solved against the published
-    /// snapshot's item segments through
-    /// [`IncrementalEngine::fold_in_users_segmented`], so the item factors
-    /// are never materialized or copied.  `training` seeds the per-user
-    /// rating history (fold-in re-solves from *all* of a user's known
-    /// ratings, not just the streamed ones).
+    /// snapshot's item segments with the engine's λ — the same solve as
+    /// [`IncrementalEngine::fold_in_users_segmented`] — so the item factors
+    /// are never materialized or copied.  The engine itself is dropped
+    /// here: the loop keeps its λ, rank and metrics sink (fold-ins keep
+    /// recording into the sink).  `training` seeds the per-user rating
+    /// history (fold-in re-solves from *all* of a user's known ratings, not
+    /// just the streamed ones).
     ///
     /// # Panics
     /// Panics if the engine's latent rank disagrees with the published
@@ -187,23 +272,30 @@ impl<'a> OnlineLoop<'a> {
         metrics: Arc<ServeMetrics>,
         config: OnlineLoopConfig,
     ) -> Self {
+        let rank = engine.theta().rank();
         assert_eq!(
-            engine.theta().rank(),
+            rank,
             publisher.current().rank(),
             "fold-in engine rank must match the published snapshot"
         );
-        let mut history: BTreeMap<u32, BTreeMap<u32, f32>> = BTreeMap::new();
-        for u in 0..training.n_rows() {
-            let (cols, vals) = training.row(u);
-            if !cols.is_empty() {
-                history.insert(u, cols.iter().copied().zip(vals.iter().copied()).collect());
-            }
-        }
+        let lambda = engine.fold_in_lambda();
+        let fold_in_metrics = engine.metrics().cloned();
+        // Freed before the history is built, so the two never coexist.
+        drop(engine);
+        // `black_box` keeps the optimiser from eliding the pair.
+        drop(std::hint::black_box(Vec::<u8>::with_capacity(
+            MMAP_THRESHOLD_LIFT,
+        )));
         Self {
             publisher,
             metrics,
             batcher,
-            updater: Updater::FoldIn { engine, history },
+            updater: Updater::FoldIn {
+                lambda,
+                rank,
+                metrics: fold_in_metrics,
+                history: History::from_training(training),
+            },
             config,
             report: OnlineReport::default(),
         }
@@ -283,7 +375,7 @@ impl<'a> OnlineLoop<'a> {
             Updater::FoldIn { history, .. } => {
                 let mut touched = BTreeSet::new();
                 for e in &entries {
-                    history.entry(e.row).or_default().insert(e.col, e.val);
+                    history.rate(e.row, e.col, e.val);
                     touched.insert(e.row);
                 }
                 touched.into_iter().collect()
@@ -344,32 +436,23 @@ impl<'a> OnlineLoop<'a> {
         let f = snap.rank();
         let mut delta = snap.delta();
         match &self.updater {
-            Updater::FoldIn { engine, history } => {
+            Updater::FoldIn {
+                lambda,
+                rank,
+                metrics,
+                history,
+            } => {
                 // One CSR row per touched user, over the full history.
-                let mut row_ptr = vec![0usize];
-                let mut col_idx = Vec::new();
-                let mut values = Vec::new();
-                for u in touched {
-                    if let Some(ratings) = history.get(u) {
-                        for (&v, &val) in ratings {
-                            col_idx.push(v);
-                            values.push(val);
-                        }
-                    }
-                    row_ptr.push(col_idx.len());
-                }
-                let ratings = Csr::from_raw(
-                    touched.len() as u32,
-                    snap.n_items() as u32,
-                    row_ptr,
-                    col_idx,
-                    values,
-                )
-                // lint-ok: serve-unwrap row_ptr/col_idx/values are built consistently just above
-                .expect("per-user history CSR is consistent by construction");
+                let ratings = history.ratings_of(touched, snap.n_items() as u32);
                 // The solve reads the serving snapshot's segments in place:
                 // no Θ materialization, no catalog copy.
-                let folded = engine.fold_in_users_segmented(&ratings, &snap.items().views());
+                let folded = fold_in_users_segmented_instrumented(
+                    &ratings,
+                    &snap.items().views(),
+                    *rank,
+                    *lambda,
+                    metrics.as_deref(),
+                );
                 let mut appended = Vec::new();
                 let mut next_append = n_base;
                 for (i, &u) in touched.iter().enumerate() {
@@ -421,6 +504,9 @@ mod tests {
     use cumf_data::stream::{MutationStreamConfig, ReplayStream, SyntheticMutationStream};
     use cumf_data::synth::SyntheticConfig;
     use cumf_sparse::Entry;
+    use proptest::prelude::*;
+    use std::collections::BTreeMap;
+    use std::sync::atomic::{AtomicBool, Ordering};
 
     const F: usize = 8;
 
@@ -640,6 +726,250 @@ mod tests {
         assert_eq!(report.events, 0);
         assert_eq!(store.load().generation(), 1);
         assert_eq!(metrics.report().freshness.count(), 0);
+    }
+
+    /// A `BaseAls` that raises `dropped` when it is dropped.
+    struct DropFlagged {
+        inner: BaseAls,
+        dropped: std::sync::Arc<AtomicBool>,
+    }
+
+    impl Drop for DropFlagged {
+        fn drop(&mut self) {
+            self.dropped.store(true, Ordering::SeqCst);
+        }
+    }
+
+    impl Engine for DropFlagged {
+        fn name(&self) -> &'static str {
+            "drop-flagged"
+        }
+        fn train_sweep(&mut self) -> f64 {
+            self.inner.train_sweep()
+        }
+        fn x(&self) -> &FactorMatrix {
+            Engine::x(&self.inner)
+        }
+        fn theta(&self) -> &FactorMatrix {
+            Engine::theta(&self.inner)
+        }
+        fn set_factors(&mut self, x: FactorMatrix, theta: FactorMatrix) {
+            Engine::set_factors(&mut self.inner, x, theta);
+        }
+        fn attach_metrics(&mut self, metrics: std::sync::Arc<TrainMetrics>) {
+            Engine::attach_metrics(&mut self.inner, metrics);
+        }
+        fn metrics(&self) -> Option<&std::sync::Arc<TrainMetrics>> {
+            Engine::metrics(&self.inner)
+        }
+        fn train_rmse(&self) -> f64 {
+            self.inner.train_rmse()
+        }
+    }
+
+    impl IncrementalEngine for DropFlagged {
+        fn fold_in_lambda(&self) -> f32 {
+            self.inner.fold_in_lambda()
+        }
+    }
+
+    #[test]
+    fn fold_in_loop_drops_its_engine_and_keeps_its_metrics_sink() {
+        let (r, als) = trained();
+        let store = SnapshotStore::new(FactorSnapshot::from_factors(
+            als.x().clone(),
+            als.theta().clone(),
+        ));
+        let dropped = std::sync::Arc::new(AtomicBool::new(false));
+        let mut engine = DropFlagged {
+            inner: als,
+            dropped: std::sync::Arc::clone(&dropped),
+        };
+        let fold_ins = std::sync::Arc::new(TrainMetrics::new());
+        engine.attach_metrics(std::sync::Arc::clone(&fold_ins));
+        let events = vec![
+            Entry {
+                row: 2,
+                col: 5,
+                val: 4.0,
+            },
+            Entry {
+                row: 9,
+                col: 1,
+                val: 2.0,
+            },
+        ];
+        let mut driver = OnlineLoop::fold_in(
+            Box::new(engine),
+            &r,
+            replay_batcher(events, r.n_cols()),
+            &store,
+            Arc::new(ServeMetrics::new()),
+            OnlineLoopConfig::default(),
+        );
+        assert!(
+            dropped.load(Ordering::SeqCst),
+            "the loop must not keep the engine"
+        );
+        let report = driver.run().unwrap();
+        assert!(report.publishes >= 1);
+        let recorded = fold_ins.report();
+        assert_eq!(recorded.fold_in.count(), report.publishes);
+        assert_eq!(recorded.rows_solved, report.users_updated);
+    }
+
+    #[test]
+    fn a_batch_wait_of_duration_max_still_steps() {
+        // `Instant + Duration::MAX` overflows; the wait must mean "until an
+        // event or the stream's end", not a panic.
+        let (r, engine) = trained();
+        let store = SnapshotStore::new(FactorSnapshot::from_factors(
+            engine.x().clone(),
+            engine.theta().clone(),
+        ));
+        let events = vec![Entry {
+            row: 4,
+            col: 3,
+            val: 3.5,
+        }];
+        let mut driver = OnlineLoop::fold_in(
+            Box::new(engine),
+            &r,
+            replay_batcher(events, r.n_cols()),
+            &store,
+            Arc::new(ServeMetrics::new()),
+            OnlineLoopConfig {
+                max_batch_wait: Duration::MAX,
+                ..Default::default()
+            },
+        );
+        let step = driver.step().unwrap().expect("one event is queued");
+        assert_eq!(step.events, 1);
+        assert!(step.generation.is_some());
+        assert_eq!(driver.step().unwrap(), None, "then the stream ends");
+    }
+
+    /// The history representation the loop used before [`History`]: per
+    /// user, item → latest rating.
+    type TreeHistory = BTreeMap<u32, BTreeMap<u32, f32>>;
+
+    /// The fold-in matrix the loop built from a [`TreeHistory`].
+    fn tree_ratings_of(history: &TreeHistory, users: &[u32], n_items: u32) -> Csr {
+        let mut row_ptr = vec![0usize];
+        let mut col_idx = Vec::new();
+        let mut values = Vec::new();
+        for u in users {
+            if let Some(ratings) = history.get(u) {
+                for (&v, &val) in ratings {
+                    col_idx.push(v);
+                    values.push(val);
+                }
+            }
+            row_ptr.push(col_idx.len());
+        }
+        Csr::from_raw(users.len() as u32, n_items, row_ptr, col_idx, values).unwrap()
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(48))]
+
+        /// Over random streams — re-rates, new items, users past the
+        /// snapshot edge and id gaps, training rows with unsorted and
+        /// duplicate columns — the loop's history equals the old nested
+        /// tree map, builds the same fold-in matrix, and every published
+        /// user row is the fold of that user's tree-map history.
+        #[test]
+        fn history_matches_the_tree_map_reference(
+            training in proptest::collection::vec((0u32..10, 0u32..16, 1u8..=9), 0..80),
+            events in proptest::collection::vec((0u32..30, 0u32..16, 1u8..=9), 1..60),
+            max_batch_events in 1usize..8,
+            seed in 0u64..1_000,
+        ) {
+            const USERS: u32 = 10;
+            const ITEMS: u32 = 16;
+            let rating = |r: u8| f32::from(r) * 0.5;
+            // Rows in generation order: columns unsorted, duplicates kept.
+            let mut by_row: Vec<Vec<(u32, f32)>> = vec![Vec::new(); USERS as usize];
+            for &(u, v, r) in &training {
+                by_row[u as usize].push((v, rating(r)));
+            }
+            let mut row_ptr = vec![0usize];
+            for row in &by_row {
+                row_ptr.push(row_ptr.last().unwrap() + row.len());
+            }
+            let flat = by_row.concat();
+            let r = Csr::from_raw(
+                USERS,
+                ITEMS,
+                row_ptr,
+                flat.iter().map(|p| p.0).collect(),
+                flat.iter().map(|p| p.1).collect(),
+            )
+            .unwrap();
+
+            let mut reference = TreeHistory::new();
+            for u in 0..USERS {
+                let (cols, vals) = r.row(u);
+                if !cols.is_empty() {
+                    reference.insert(u, cols.iter().copied().zip(vals.iter().copied()).collect());
+                }
+            }
+            let entries: Vec<Entry> = events
+                .iter()
+                .map(|&(row, col, v)| Entry { row, col, val: rating(v) })
+                .collect();
+            for e in &entries {
+                reference.entry(e.row).or_default().insert(e.col, e.val);
+            }
+
+            let store = SnapshotStore::new(FactorSnapshot::from_factors(
+                FactorMatrix::random(USERS as usize, F, 1.0, seed),
+                FactorMatrix::random(ITEMS as usize, F, 1.0, seed + 1),
+            ));
+            let engine = BaseAls::new(
+                AlsConfig { f: F, lambda: 0.05, ..Default::default() },
+                r.clone(),
+            );
+            let mut driver = OnlineLoop::fold_in(
+                Box::new(engine),
+                &r,
+                replay_batcher(entries.clone(), ITEMS),
+                &store,
+                Arc::new(ServeMetrics::new()),
+                OnlineLoopConfig { max_batch_events, ..Default::default() },
+            );
+            driver.run().unwrap();
+
+            let Updater::FoldIn { history, .. } = &driver.updater else {
+                unreachable!("a fold-in loop");
+            };
+            let max_user = entries.iter().map(|e| e.row).max().unwrap().max(USERS - 1);
+            let all: Vec<u32> = (0..=max_user).collect();
+            for &u in &all {
+                let expect: Vec<(u32, f32)> = reference
+                    .get(&u)
+                    .map(|m| m.iter().map(|(&v, &x)| (v, x)).collect())
+                    .unwrap_or_default();
+                let row = history.rows.get(u as usize).map_or(&[][..], Vec::as_slice);
+                prop_assert_eq!(row, &expect[..], "user {}", u);
+            }
+            prop_assert_eq!(history.ratings_of(&all, ITEMS), tree_ratings_of(&reference, &all, ITEMS));
+
+            let snap = store.load();
+            prop_assert_eq!(snap.n_users() as u32, max_user + 1);
+            let theta = snap.item_factors_matrix();
+            let touched: BTreeSet<u32> = entries.iter().map(|e| e.row).collect();
+            for &u in &all {
+                let got = snap.user_vector(u).unwrap();
+                if touched.contains(&u) {
+                    let one = tree_ratings_of(&reference, &[u], ITEMS);
+                    let expect = cumf_core::foldin::fold_in_users(&one, &theta, 0.05);
+                    prop_assert_eq!(got, expect.vector(0), "user {}", u);
+                } else if u >= USERS {
+                    prop_assert!(got.iter().all(|&x| x == 0.0), "gap user {} is not zero", u);
+                }
+            }
+        }
     }
 
     #[test]
