@@ -16,7 +16,10 @@ use crate::planner::PartitionPlan;
 use crate::reduce::ReductionScheme;
 use cumf_gpu_sim::{GpuCluster, TopologyKind};
 use cumf_linalg::batch::SegmentView;
-use cumf_linalg::FactorMatrix;
+use cumf_linalg::topk::DEFAULT_ITEM_BLOCK;
+use cumf_linalg::{
+    block_max_norms, item_norms, scan_top_k, ApproxPolicy, FactorMatrix, ScoreKind, TopK,
+};
 use cumf_sparse::{Csr, Entry};
 use std::sync::Arc;
 use std::time::Instant;
@@ -412,7 +415,9 @@ impl MatrixFactorizer {
 
     /// Top-`k` recommendations for `user`, excluding the items listed in
     /// `exclude` (typically the items the user has already rated).
-    /// Returns `(item, predicted_rating)` pairs sorted by score.
+    /// Returns `(item, predicted_rating)` pairs sorted by score, and an
+    /// empty list for a user outside the fitted model — the answer
+    /// `FactorSnapshot::recommend_one` and the serving client give.
     ///
     /// ```
     /// use cumf_core::config::AlsConfig;
@@ -435,20 +440,42 @@ impl MatrixFactorizer {
     /// assert!(recs.iter().all(|(item, _)| !seen.contains(item)));
     /// ```
     pub fn recommend(&self, user: u32, k: usize, exclude: &[u32]) -> Vec<(u32, f32)> {
-        let theta = self.theta();
-        let x = self.x();
-        // Single-request snapshot path: the same blocked scoring + bounded
-        // heap the `cumf-serve` batch scorer runs per user, instead of
-        // scoring and sorting the whole catalog.
+        let (x, theta) = (self.x(), self.theta());
+        if user as usize >= x.len() || k == 0 {
+            return Vec::new();
+        }
+        // A tile of one over Θ as one catalog-order segment: the scan every
+        // `cumf-serve` request runs, pruned on Θ's block norm maxima.
+        let f = theta.rank();
+        let norms = item_norms(theta.data(), f);
+        let item_block = DEFAULT_ITEM_BLOCK.min(theta.len().max(1));
+        let block_max = block_max_norms(&norms, item_block);
+        let view = SegmentView {
+            items: theta.data(),
+            norms: &norms,
+            block_max: &block_max,
+            item_block,
+            first_id: 0,
+            ids: None,
+            pos: None,
+            encoded: None,
+        };
         let excluded: std::collections::HashSet<u32> = exclude.iter().copied().collect();
-        cumf_linalg::retrieve_top_k(
+        let mut heaps = [Some(TopK::new(k))];
+        scan_top_k(
             x.vector(user as usize),
-            theta.data(),
-            theta.rank(),
-            k,
-            cumf_linalg::topk::DEFAULT_ITEM_BLOCK,
-            |v| excluded.contains(&v),
-        )
+            f,
+            &mut heaps,
+            &[view],
+            0..block_max.len(),
+            ScoreKind::Dot,
+            &ApproxPolicy::exact(),
+            |_, v| excluded.contains(&v),
+        );
+        heaps[0]
+            .take()
+            .map(TopK::into_sorted_vec)
+            .unwrap_or_default()
     }
 }
 
@@ -529,6 +556,28 @@ mod tests {
             assert!(!seen.contains(item));
         }
         assert!(recs.windows(2).all(|w| w[0].1 >= w[1].1));
+    }
+
+    #[test]
+    fn recommend_matches_a_full_sort_and_answers_unknown_users_empty() {
+        let (train, test) = problem();
+        let mut model = MatrixFactorizer::new(config(3), Backend::Reference);
+        model.fit(&train, &test);
+        let (x, theta) = (model.x(), model.theta());
+        let exclude: Vec<u32> = (0..theta.len() as u32).filter(|v| v % 5 == 0).collect();
+        for user in [0u32, 7, x.len() as u32 - 1] {
+            let x_u = x.vector(user as usize);
+            let mut all: Vec<(u32, f32)> = (0..theta.len() as u32)
+                .filter(|v| v % 5 != 0)
+                .map(|v| (v, cumf_linalg::score_dot(x_u, theta.vector(v as usize))))
+                .collect();
+            all.sort_by(|a, b| b.1.total_cmp(&a.1).then(a.0.cmp(&b.0)));
+            all.truncate(10);
+            assert_eq!(model.recommend(user, 10, &exclude), all, "user {user}");
+        }
+        assert!(model.recommend(x.len() as u32, 5, &[]).is_empty());
+        assert!(model.recommend(u32::MAX, 5, &[]).is_empty());
+        assert!(model.recommend(0, 0, &[]).is_empty());
     }
 
     #[test]

@@ -260,30 +260,6 @@ impl<'a> SegmentView<'a> {
     }
 }
 
-/// [`batch_score_block`] addressed through a [`SegmentView`]: scores stored
-/// rows `[start, end)` of the segment for `n_users` users.  This is the
-/// segment-aware entry point the serving tile scorer and the single-user
-/// segmented retrieval share.
-pub fn batch_score_segment(
-    users: &[f32],
-    n_users: usize,
-    seg: &SegmentView<'_>,
-    start: usize,
-    end: usize,
-    f: usize,
-    out: &mut [f32],
-) {
-    assert!(start <= end && end <= seg.n_items(), "segment row range");
-    batch_score_block(
-        users,
-        n_users,
-        &seg.items[start * f..end * f],
-        end - start,
-        f,
-        out,
-    );
-}
-
 /// Four-lane `f32` dot product for retrieval scoring.  Public so the
 /// serving rerank pass can rescore candidates with the *same* accumulation
 /// order the blocked scan uses — an exact-f32 rescore then reproduces the
@@ -332,6 +308,7 @@ mod tests {
     use super::*;
     use crate::blas::{add_diagonal, syr_full};
     use crate::cholesky::residual_norm;
+    use crate::topk::{scan_top_k, ApproxPolicy, ScoreKind, TopK};
     use crate::FactorMatrix;
 
     use rand::prelude::*;
@@ -469,19 +446,28 @@ mod tests {
         };
         assert_eq!(no_remap.global_id(3), 10);
 
+        // A tile of two over the whole view keeps every row, remapped.
         let users = FactorMatrix::random(2, f, 1.0, 32);
-        let mut seg_out = vec![0.0f32; 2 * 3];
-        batch_score_segment(users.data(), 2, &seg, 4, 7, f, &mut seg_out);
-        let mut flat_out = vec![0.0f32; 2 * 3];
-        batch_score_block(
+        let mut heaps = [Some(TopK::new(12)), Some(TopK::new(12))];
+        let exact = ApproxPolicy::exact();
+        scan_top_k(
             users.data(),
-            2,
-            &items.data()[4 * f..7 * f],
-            3,
             f,
-            &mut flat_out,
+            &mut heaps,
+            &[seg],
+            0..3,
+            ScoreKind::Dot,
+            &exact,
+            |_, _| false,
         );
-        assert_eq!(seg_out, flat_out);
+        let mut flat_out = vec![0.0f32; 2 * 12];
+        batch_score_block(users.data(), 2, items.data(), 12, f, &mut flat_out);
+        for (heap, flat) in heaps.into_iter().zip(flat_out.chunks(12)) {
+            let mut got = heap.unwrap().into_sorted_vec();
+            got.sort_by_key(|&(id, _)| id);
+            let expect: Vec<(u32, f32)> = ids.iter().copied().zip(flat.iter().copied()).collect();
+            assert_eq!(got, expect);
+        }
     }
 
     #[test]

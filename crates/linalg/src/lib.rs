@@ -22,8 +22,10 @@
 //!   routines (groups of four through the group solver, the groups across
 //!   rayon threads), plus the blocked retrieval-time scoring kernel
 //!   ([`batch::batch_score_block`]).
-//! * [`topk`] — bounded-heap top-k selection and the blocked single-request
-//!   retrieval path shared by `recommend()` and the serving subsystem.
+//! * [`quant`] — f16 / i8 storage of item factors, decoded tile by tile
+//!   into the same scoring kernel.
+//! * [`topk`] — bounded-heap top-k selection and [`topk::scan_top_k`], the
+//!   one blocked, pruned scan behind `recommend()` and every serving path.
 
 #![forbid(unsafe_code)]
 pub mod batch;
@@ -33,7 +35,7 @@ pub mod dense;
 pub mod quant;
 pub mod topk;
 
-pub use batch::{batch_score_block, batch_score_segment, batch_solve, score_dot, SegmentView};
+pub use batch::{batch_score_block, batch_solve, score_dot, SegmentView};
 pub use cholesky::{cholesky_factor, cholesky_solve, CholeskyError};
 pub use dense::{DenseMatrix, FactorMatrix};
 pub use quant::{
@@ -41,7 +43,6 @@ pub use quant::{
     F16_SUBNORMAL_ABS,
 };
 pub use topk::{
-    block_max_norms, item_norms, merge_top_k, retrieve_top_k, retrieve_top_k_pruned,
-    retrieve_top_k_segments, retrieve_top_k_segments_approx, suffix_max_norms, ApproxPolicy,
-    PruneStats, TopK, DEFAULT_APPROX_EPSILON,
+    block_max_norms, item_norms, merge_top_k, scan_top_k, suffix_max_norms, ApproxPolicy,
+    PruneStats, ScoreKind, TopK, DEFAULT_APPROX_EPSILON,
 };

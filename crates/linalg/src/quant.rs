@@ -364,7 +364,7 @@ impl EncodedSlab {
     }
 }
 
-/// Quantized counterpart of [`crate::batch_score_segment`]: decodes rows
+/// Quantized counterpart of [`batch_score_block`]: decodes rows
 /// `[start, end)` of the slab into `scratch` and scores them with the same
 /// four-lane [`batch_score_block`] kernel — the scan streams encoded bytes,
 /// the arithmetic stays f32.

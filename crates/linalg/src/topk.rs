@@ -1,17 +1,23 @@
-//! Bounded top-k selection over scored items.
+//! Bounded top-k selection over scored items, and the one blocked scan that
+//! feeds it.
 //!
 //! Retrieval ranks every candidate item for a user but only ever returns the
 //! `k` best.  Sorting all `n` scores costs `O(n log n)` and materializes the
 //! whole score vector; the bounded min-heap here costs `O(n log k)` with
-//! `O(k)` state.  Every blocked scan — [`retrieve_top_k`]`{,_pruned}`
-//! (`MatrixFactorizer::recommend`), [`retrieve_top_k_segments`]`{,_approx}`
-//! (`FactorSnapshot::recommend_one`) and `cumf-serve`'s tile scorer — is one
-//! kernel, [`crate::batch::batch_score_block`], and one heap feed,
-//! [`TopK::offer_block`], per item block; they differ in the blocks visited.
+//! `O(k)` state.  Every retrieval in the tree — `cumf-serve`'s sharded
+//! micro-batches, `FactorSnapshot::recommend_one` (a batch of one) and
+//! `MatrixFactorizer::recommend` (a tile of one over Θ) — is [`scan_top_k`]:
+//! per item block one prune decision, one kernel call
+//! ([`crate::batch::batch_score_block`], or
+//! [`crate::quant::batch_score_rows_quant`] over an encoded slab) and one heap
+//! feed per user ([`TopK::offer_block`]).  Callers differ only in the tile,
+//! the segments, the block range and the [`ApproxPolicy`].
 
-use crate::batch::{batch_score_block, batch_score_segment, SegmentView};
+use crate::batch::{batch_score_block, SegmentView};
+use crate::quant::batch_score_rows_quant;
 use std::cmp::Ordering;
 use std::collections::BinaryHeap;
+use std::ops::Range;
 
 /// Default items per scored block — the granularity of the block-max pruning
 /// tables and the scans' scratch rows.  512 vectors of `f ≤ 128` floats stay
@@ -151,7 +157,7 @@ impl TopK {
 pub const NORM_BOUND_SLACK: f32 = 1.0 + 1e-3;
 
 /// Per-block maxima of item L2 norms for `item_block`-sized blocks — the
-/// precomputed side of threshold pruning ([`retrieve_top_k_pruned`]): block
+/// precomputed side of threshold pruning ([`scan_top_k`]): block
 /// `b` covers items `[b·item_block, (b+1)·item_block)` and no item in it can
 /// score above `‖x_u‖ · block_max[b]`.
 pub fn block_max_norms(item_norms: &[f32], item_block: usize) -> Vec<f32> {
@@ -182,7 +188,7 @@ pub fn item_norms(items: &[f32], f: usize) -> Vec<f32> {
 /// testable) without changing a single result — pruning is exact either
 /// way.
 ///
-/// Approximate retrieval ([`retrieve_top_k_segments_approx`]) adds a third
+/// Approximate retrieval ([`scan_top_k`] under a non-exact policy) adds a third
 /// outcome: blocks skipped because an [`ApproxPolicy`] **terminated** the
 /// scan early.  Those skips may change results (that is the point of
 /// approximation), so they are counted in their own field — an exact-mode
@@ -196,8 +202,8 @@ pub struct PruneStats {
     /// that can never change results.
     pub blocks_pruned: u64,
     /// Item blocks skipped because an [`ApproxPolicy`] ended the scan early
-    /// (epsilon slack or block budget) — an **approximate** decision; always
-    /// 0 on the exact retrieval paths.
+    /// (epsilon slack or block budget) — an **approximate** decision; 0
+    /// under an exact policy.
     pub blocks_terminated: u64,
     /// Factor bytes streamed from memory by the scan: f32 bytes for plain
     /// segments, encoded bytes (plus scales) for quantized ones, and the
@@ -371,139 +377,6 @@ pub fn suffix_max_norms(block_max: &[f32]) -> Vec<f32> {
     suffix
 }
 
-/// Blocked, threshold-pruned top-`k` retrieval of one user vector over a
-/// **segmented** item catalog: each [`SegmentView`] is scored block by block
-/// with its own block-max table (segments are block-aligned on their own, so
-/// no kernel call straddles a boundary), stored rows are remapped to global
-/// item ids on the way into one shared [`TopK`] heap, and whole blocks are
-/// skipped exactly as in [`retrieve_top_k_pruned`].
-///
-/// Results are bit-identical to [`retrieve_top_k`] over the equivalent
-/// contiguous catalog-order slab, for any segmentation and any per-segment
-/// permutation — scores depend only on the vectors and the heap tie-break
-/// is a total order on `(score, global id)`.  Dot-product scores only (the
-/// norm bound does not apply to norm-divided scores).
-///
-/// `stats` accumulates the per-block prune/score decisions.
-pub fn retrieve_top_k_segments<F: FnMut(u32) -> bool>(
-    user: &[f32],
-    f: usize,
-    k: usize,
-    segments: &[SegmentView<'_>],
-    mut skip: F,
-    stats: &mut PruneStats,
-) -> Vec<(u32, f32)> {
-    assert!(f > 0, "latent dimension must be positive");
-    assert_eq!(user.len(), f, "user vector length mismatch");
-    if k == 0 {
-        return Vec::new();
-    }
-    let user_norm = crate::blas::norm_sq(user).sqrt();
-    let scratch = segments
-        .iter()
-        .map(|s| s.item_block.min(s.n_items().max(1)))
-        .max()
-        .unwrap_or(1);
-    let mut topk = TopK::new(k);
-    let mut scores = vec![0.0f32; scratch];
-    for seg in segments {
-        seg.validate(f);
-        let n = seg.n_items();
-        for (b, start) in (0..n).step_by(seg.item_block).enumerate() {
-            if let Some(threshold) = topk.threshold() {
-                if user_norm * seg.block_max[b] * NORM_BOUND_SLACK < threshold {
-                    stats.blocks_pruned += 1;
-                    continue;
-                }
-            }
-            stats.blocks_scored += 1;
-            let end = (start + seg.item_block).min(n);
-            let out = &mut scores[..end - start];
-            batch_score_segment(user, 1, seg, start, end, f, out);
-            topk.offer_block(out, |j| seg.global_id(start + j), &mut skip);
-        }
-    }
-    topk.into_sorted_vec()
-}
-
-/// Early-exit variant of [`retrieve_top_k_segments`]: identical blocked,
-/// threshold-pruned scan, but an [`ApproxPolicy`] may end a segment's scan
-/// before the exact bound does.
-///
-/// Two stop rules, both gated on the heap already holding `k` items:
-///
-/// * **Epsilon termination** — the scan of a segment stops at the first
-///   block `b` where `‖x_u‖ · suffix_max[b] · NORM_BOUND_SLACK ·
-///   (1 − epsilon) < threshold`; the blocks left behind are counted in
-///   [`PruneStats::blocks_terminated`].  With `epsilon = 0` the rule is
-///   implied by the exact per-block bound on every remaining block, so
-///   results are **bit-identical** to [`retrieve_top_k_segments`] for any
-///   segmentation and any stored order (only the pruned/terminated
-///   classification of the skipped tail may differ).
-/// * **Block budget** — once `policy.max_blocks > 0` blocks have been
-///   scored, further blocks are skipped as terminated.
-///
-/// Because both rules require a full heap, a request with `k ≥` catalog
-/// size or a zero-norm user vector (threshold pinned at `0`, bound `0`
-/// everywhere, and `0 < 0` is false) degrades to the full exact scan and
-/// always returns complete results.  Dot-product scores only, like the
-/// exact variant.
-pub fn retrieve_top_k_segments_approx<F: FnMut(u32) -> bool>(
-    user: &[f32],
-    f: usize,
-    k: usize,
-    segments: &[SegmentView<'_>],
-    mut skip: F,
-    policy: &ApproxPolicy,
-    stats: &mut PruneStats,
-) -> Vec<(u32, f32)> {
-    assert!(f > 0, "latent dimension must be positive");
-    assert_eq!(user.len(), f, "user vector length mismatch");
-    policy.validate();
-    if k == 0 {
-        return Vec::new();
-    }
-    let user_norm = crate::blas::norm_sq(user).sqrt();
-    let term_slack = policy.termination_slack();
-    let scratch = segments
-        .iter()
-        .map(|s| s.item_block.min(s.n_items().max(1)))
-        .max()
-        .unwrap_or(1);
-    let mut topk = TopK::new(k);
-    let mut scores = vec![0.0f32; scratch];
-    let mut scored_blocks = 0usize;
-    for seg in segments {
-        seg.validate(f);
-        let n = seg.n_items();
-        let n_blocks = n.div_ceil(seg.item_block.max(1));
-        let suffix = suffix_max_norms(seg.block_max);
-        for (b, start) in (0..n).step_by(seg.item_block).enumerate() {
-            if let Some(threshold) = topk.threshold() {
-                if user_norm * suffix[b] * term_slack < threshold {
-                    stats.blocks_terminated += (n_blocks - b) as u64;
-                    break;
-                }
-                if user_norm * seg.block_max[b] * NORM_BOUND_SLACK < threshold {
-                    stats.blocks_pruned += 1;
-                    continue;
-                }
-                if policy.max_blocks > 0 && scored_blocks >= policy.max_blocks {
-                    stats.blocks_terminated += 1;
-                    continue;
-                }
-            }
-            stats.blocks_scored += 1;
-            scored_blocks += 1;
-            let end = (start + seg.item_block).min(n);
-            let out = &mut scores[..end - start];
-            batch_score_segment(user, 1, seg, start, end, f, out);
-            topk.offer_block(out, |j| seg.global_id(start + j), &mut skip);
-        }
-    }
-    topk.into_sorted_vec()
-}
-
 /// Merges per-shard partial top-k lists into the final top-`k`.
 ///
 /// Exactness: the [`TopK`] tie-break is a total order (score descending,
@@ -525,92 +398,270 @@ pub fn merge_top_k(parts: &[Vec<(u32, f32)>], k: usize) -> Vec<(u32, f32)> {
     topk.into_sorted_vec()
 }
 
-/// Blocked top-k retrieval of a single user vector against a row-major item
-/// factor table: scores `items` in blocks of `item_block` vectors through
-/// [`batch_score_block`] and keeps the best `k` in a [`TopK`] heap.
-///
-/// `skip(item)` excludes items from the result (typically the user's
-/// already-rated items).  Returns `(item, score)` sorted by score descending.
-pub fn retrieve_top_k<F: FnMut(u32) -> bool>(
-    user: &[f32],
-    items: &[f32],
-    f: usize,
-    k: usize,
-    item_block: usize,
-    skip: F,
-) -> Vec<(u32, f32)> {
-    retrieve_impl(user, items, f, k, item_block, None, skip)
+/// How a candidate item is scored.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
+pub enum ScoreKind {
+    /// Raw inner product `x_u · θ_v` (predicted rating).
+    #[default]
+    Dot,
+    /// Inner product divided by `‖θ_v‖` — stops high-norm (popular) items
+    /// from dominating every list.  The user-norm factor is constant per
+    /// request and cannot change the ranking, so it is skipped.  Zero-norm
+    /// (cold, never trained) items score 0.0 rather than being dropped, so a
+    /// request never comes back shorter than `k` just because the catalog
+    /// has cold entries.
+    Cosine,
 }
 
-/// [`retrieve_top_k`] with whole-block threshold short-circuiting: once the
-/// heap is full, any block whose score upper bound
-/// `‖x_u‖ · block_max[b] · NORM_BOUND_SLACK` falls strictly below the k-th
-/// best score ([`TopK::threshold`]) is skipped without touching its factors.
-///
-/// `block_max` must come from [`block_max_norms`] over the same item norms
-/// and the same `item_block`.  Results are bit-identical to
-/// [`retrieve_top_k`]; only dot-product scores may use this path (a
-/// norm-divided score has no per-block bound tighter than `‖x_u‖`).
-pub fn retrieve_top_k_pruned<F: FnMut(u32) -> bool>(
-    user: &[f32],
-    items: &[f32],
-    f: usize,
-    k: usize,
-    item_block: usize,
-    block_max: &[f32],
-    skip: F,
-) -> Vec<(u32, f32)> {
-    retrieve_impl(user, items, f, k, item_block, Some(block_max), skip)
-}
-
-fn retrieve_impl<F: FnMut(u32) -> bool>(
-    user: &[f32],
-    items: &[f32],
-    f: usize,
-    k: usize,
-    item_block: usize,
-    block_max: Option<&[f32]>,
-    mut skip: F,
-) -> Vec<(u32, f32)> {
-    assert!(f > 0, "latent dimension must be positive");
-    assert!(item_block > 0, "item block must be positive");
-    assert_eq!(user.len(), f, "user vector length mismatch");
-    if k == 0 {
-        return Vec::new();
+impl ScoreKind {
+    /// The ranked score of an item from its inner product with the user and
+    /// its norm — the one definition the scan and an exact rescore share.
+    #[inline]
+    pub fn finish(self, dot: f32, norm: f32) -> f32 {
+        match self {
+            ScoreKind::Dot => dot,
+            ScoreKind::Cosine if norm > 0.0 => dot / norm,
+            ScoreKind::Cosine => 0.0,
+        }
     }
-    assert_eq!(items.len() % f, 0, "item buffer not a multiple of f");
-    let n_items = items.len() / f;
-    // The user norm feeds only the pruning bound; the unpruned path must
-    // not pay for it.
-    let user_norm = block_max.map(|bm| {
-        assert_eq!(
-            bm.len(),
-            n_items.div_ceil(item_block),
-            "block max norms do not match the item blocking"
-        );
-        crate::blas::norm_sq(user).sqrt()
-    });
-    let mut topk = TopK::new(k);
-    let mut scores = vec![0.0f32; item_block.min(n_items.max(1))];
-    for (b, start) in (0..n_items).step_by(item_block).enumerate() {
-        if let (Some(bm), Some(norm), Some(threshold)) = (block_max, user_norm, topk.threshold()) {
-            if norm * bm[b] * NORM_BOUND_SLACK < threshold {
+}
+
+/// True when every fed heap is full and `below(i, t)` holds for heap `i`'s
+/// threshold `t` (an empty slot never holds a block back).
+fn all_full(heaps: &[Option<TopK>], below: impl Fn(usize, f32) -> bool) -> bool {
+    heaps.iter().enumerate().all(|(i, h)| {
+        h.as_ref()
+            .is_none_or(|h| h.threshold().is_some_and(|t| below(i, t)))
+    })
+}
+
+/// The blocked top-k scan: one tile of users against the blocks `blocks` of
+/// a segmented catalog, feeding each user's heap.  Every retrieval in the
+/// tree is a call of this — a served micro-batch is one call per
+/// `(tile, shard)`, a single request and `MatrixFactorizer::recommend` are a
+/// tile of one.
+///
+/// * `users` — `heaps.len()` row-major user vectors.  A `None` heap is a
+///   slot with nothing to rank (unknown user, `k = 0`): never fed, and never
+///   holds a block back.
+/// * `blocks` — a range of the global block numbering, which runs over
+///   `segments` in order, each contributing its `block_max.len()` blocks of
+///   `item_block` stored rows (no block straddles a segment boundary).  A
+///   range past the last block is clamped.
+/// * `skip(i, item)` — excludes `item` from user `i`'s heap.
+///
+/// Each block is decided for the whole tile, in this order:
+///
+/// 1. **Terminate** (Dot, non-exact `policy` only): when every heap has
+///    `(‖x‖ · suffix[b]) · policy.termination_slack() < t`, with `suffix[b]`
+///    the largest bound from `b` to the segment's end, the rest of the
+///    segment's share of `blocks` is counted terminated.  Under an exact
+///    policy the prune below already implies it.
+/// 2. **Prune** (Dot): when every heap has `‖x‖ · (bound[b] ·`
+///    [`NORM_BOUND_SLACK`]`) < t`, the block is counted pruned.  `bound[b] =
+///    block_max[b] + err_b`: `block_max` describes the rows the scan
+///    streams and `err_b` ([`crate::quant::EncodedSlab::err_bound`], 0 for
+///    f32 rows) how
+///    much longer an exact row may be, so a skip is admissible against
+///    exact scores for every precision.
+/// 3. **Budget**: once `policy.max_blocks > 0` blocks were scored by this
+///    call and every heap is full, the block is counted terminated.
+///
+/// Otherwise the block is scored for the tile with one kernel call —
+/// [`batch_score_rows_quant`] over an encoded slab, [`batch_score_block`]
+/// over f32 rows — Cosine scores are finished with the stored norms
+/// ([`ScoreKind::finish`]), and each heap takes its row through
+/// [`TopK::offer_block`].  Every skip waits for full heaps, so a
+/// `k ≥ catalog` request or a zero-norm user always gets a full list.
+/// Under an exact policy each heap ends holding the exact top-k of the
+/// streamed scores for any segmentation, stored order, blocking and block
+/// partition (partials merged with [`merge_top_k`]).
+#[allow(clippy::too_many_arguments)]
+pub fn scan_top_k(
+    users: &[f32],
+    f: usize,
+    heaps: &mut [Option<TopK>],
+    segments: &[SegmentView<'_>],
+    blocks: Range<usize>,
+    score: ScoreKind,
+    policy: &ApproxPolicy,
+    mut skip: impl FnMut(usize, u32) -> bool,
+) -> PruneStats {
+    assert!(f > 0, "latent dimension must be positive");
+    assert_eq!(users.len(), heaps.len() * f, "user buffer size mismatch");
+    policy.validate();
+    let tile = heaps.len();
+    let norms: Vec<f32> = users
+        .chunks_exact(f)
+        .map(|x| crate::blas::norm_sq(x).sqrt())
+        .collect();
+    let terminate = score == ScoreKind::Dot && !policy.is_exact();
+    let term_slack = policy.termination_slack();
+    let max_rows = segments.iter().map(|s| s.item_block.min(s.n_items()));
+    let mut scores = vec![0.0f32; tile * max_rows.max().unwrap_or(0)];
+    let mut dequant = Vec::new();
+    let mut stats = PruneStats::default();
+    let mut first = 0;
+    for seg in segments {
+        seg.validate(f);
+        let (n, block, n_blocks) = (seg.n_items(), seg.item_block, seg.block_max.len());
+        let lo = blocks.start.max(first) - first;
+        let hi = blocks.end.min(first + n_blocks).saturating_sub(first);
+        first += n_blocks;
+        if lo >= hi {
+            continue;
+        }
+        let rows = |b: usize| b * block..((b + 1) * block).min(n);
+        let bound = |b: usize| {
+            let (m, r) = (seg.block_max[b], rows(b));
+            seg.encoded
+                .map_or(m, |slab| m + slab.err_bound(r.start, r.end, m))
+        };
+        // Largest bound from each block to the segment's end; empty unless
+        // the policy terminates.
+        let suffix = if terminate {
+            suffix_max_norms(&(0..n_blocks).map(bound).collect::<Vec<_>>())
+        } else {
+            Vec::new()
+        };
+        for b in lo..hi {
+            if score == ScoreKind::Dot {
+                let rest = suffix.get(b).copied();
+                if rest.is_some_and(|m| all_full(heaps, |i, t| norms[i] * m * term_slack < t)) {
+                    stats.blocks_terminated += (hi - b) as u64;
+                    break;
+                }
+                let bound = bound(b) * NORM_BOUND_SLACK;
+                if all_full(heaps, |i, t| norms[i] * bound < t) {
+                    stats.blocks_pruned += 1;
+                    continue;
+                }
+            }
+            let over_budget =
+                policy.max_blocks > 0 && stats.blocks_scored >= policy.max_blocks as u64;
+            if over_budget && all_full(heaps, |_, _| true) {
+                stats.blocks_terminated += 1;
                 continue;
             }
+            stats.blocks_scored += 1;
+            let r = rows(b);
+            let out = &mut scores[..tile * r.len()];
+            match seg.encoded {
+                Some(slab) => {
+                    stats.bytes_scanned += slab.scan_bytes(r.start, r.end);
+                    batch_score_rows_quant(users, tile, slab, r.start, r.end, f, &mut dequant, out);
+                }
+                None => {
+                    stats.bytes_scanned += (r.len() * f * std::mem::size_of::<f32>()) as u64;
+                    let items = &seg.items[r.start * f..r.end * f];
+                    batch_score_block(users, tile, items, r.len(), f, out);
+                }
+            }
+            for (i, (heap, row)) in heaps
+                .iter_mut()
+                .zip(out.chunks_exact_mut(r.len()))
+                .enumerate()
+            {
+                let Some(heap) = heap else { continue };
+                if score == ScoreKind::Cosine {
+                    for (s, &norm) in row.iter_mut().zip(&seg.norms[r.clone()]) {
+                        *s = score.finish(*s, norm);
+                    }
+                }
+                heap.offer_block(row, |j| seg.global_id(r.start + j), |item| skip(i, item));
+            }
         }
-        let end = (start + item_block).min(n_items);
-        let block = &items[start * f..end * f];
-        let out = &mut scores[..end - start];
-        batch_score_block(user, 1, block, end - start, f, out);
-        topk.offer_block(out, |j| (start + j) as u32, &mut skip);
     }
-    topk.into_sorted_vec()
+    stats
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::FactorMatrix;
+
+    /// One user's top-`k` through [`scan_top_k`] — a tile of one over every
+    /// block of `views`.
+    fn scan_segments_approx(
+        user: &[f32],
+        f: usize,
+        k: usize,
+        views: &[SegmentView<'_>],
+        skip: impl Fn(u32) -> bool,
+        policy: &ApproxPolicy,
+        stats: &mut PruneStats,
+    ) -> Vec<(u32, f32)> {
+        if k == 0 {
+            return Vec::new();
+        }
+        let mut heaps = [Some(TopK::new(k))];
+        let all = 0..usize::MAX;
+        let scan = scan_top_k(
+            user,
+            f,
+            &mut heaps,
+            views,
+            all,
+            ScoreKind::Dot,
+            policy,
+            |_, v| skip(v),
+        );
+        stats.merge(&scan);
+        heaps[0]
+            .take()
+            .map(TopK::into_sorted_vec)
+            .unwrap_or_default()
+    }
+
+    /// [`scan_segments_approx`] under the exact policy.
+    fn scan_segments(
+        user: &[f32],
+        f: usize,
+        k: usize,
+        views: &[SegmentView<'_>],
+        skip: impl Fn(u32) -> bool,
+        stats: &mut PruneStats,
+    ) -> Vec<(u32, f32)> {
+        scan_segments_approx(user, f, k, views, skip, &ApproxPolicy::exact(), stats)
+    }
+
+    /// Catalog-order `items` as one view pruned against `block_max`.
+    fn scan_flat_pruned(
+        user: &[f32],
+        items: &[f32],
+        f: usize,
+        k: usize,
+        item_block: usize,
+        block_max: &[f32],
+        skip: impl Fn(u32) -> bool,
+    ) -> Vec<(u32, f32)> {
+        let norms = vec![0.0f32; items.len() / f];
+        let view = SegmentView {
+            items,
+            norms: &norms,
+            block_max,
+            item_block,
+            first_id: 0,
+            ids: None,
+            pos: None,
+            encoded: None,
+        };
+        let mut stats = PruneStats::default();
+        scan_segments(user, f, k, &[view], skip, &mut stats)
+    }
+
+    /// [`scan_flat_pruned`] against infinite block maxima: nothing pruned.
+    fn scan_flat(
+        user: &[f32],
+        items: &[f32],
+        f: usize,
+        k: usize,
+        item_block: usize,
+        skip: impl Fn(u32) -> bool,
+    ) -> Vec<(u32, f32)> {
+        let unbounded = vec![f32::INFINITY; (items.len() / f).div_ceil(item_block)];
+        scan_flat_pruned(user, items, f, k, item_block, &unbounded, skip)
+    }
 
     #[test]
     fn keeps_the_k_best_sorted() {
@@ -774,7 +825,7 @@ mod tests {
         let n = 1000;
         let theta = FactorMatrix::random(n, f, 1.0, 42);
         let user: Vec<f32> = FactorMatrix::random(1, f, 1.0, 7).data().to_vec();
-        let got = retrieve_top_k(&user, theta.data(), f, 10, 64, |v| v % 97 == 0);
+        let got = scan_flat(&user, theta.data(), f, 10, 64, |v| v % 97 == 0);
 
         // Reference: score the whole table with the same kernel, then fully
         // sort — the heap must select exactly the same winners.
@@ -794,8 +845,8 @@ mod tests {
         let f = 4;
         let theta = FactorMatrix::random(333, f, 1.0, 3);
         let user: Vec<f32> = FactorMatrix::random(1, f, 1.0, 9).data().to_vec();
-        let a = retrieve_top_k(&user, theta.data(), f, 7, 8, |_| false);
-        let b = retrieve_top_k(&user, theta.data(), f, 7, 1000, |_| false);
+        let a = scan_flat(&user, theta.data(), f, 7, 8, |_| false);
+        let b = scan_flat(&user, theta.data(), f, 7, 1000, |_| false);
         assert_eq!(a, b);
     }
 
@@ -831,17 +882,16 @@ mod tests {
         let n = 600;
         let theta = FactorMatrix::random(n, f, 1.0, 17);
         let user: Vec<f32> = FactorMatrix::random(1, f, 1.0, 18).data().to_vec();
-        let whole = retrieve_top_k(&user, theta.data(), f, 9, 64, |_| false);
+        let whole = scan_flat(&user, theta.data(), f, 9, 64, |_| false);
         // Split the catalog into 4 uneven shards, keep top-9 per shard,
         // merge: bit-identical to the single run.
         let cuts = [0usize, 150, 151, 400, n];
         let parts: Vec<Vec<(u32, f32)>> = cuts
             .windows(2)
             .map(|w| {
-                let part =
-                    retrieve_top_k(&user, &theta.data()[w[0] * f..w[1] * f], f, 9, 64, |_| {
-                        false
-                    });
+                let part = scan_flat(&user, &theta.data()[w[0] * f..w[1] * f], f, 9, 64, |_| {
+                    false
+                });
                 part.into_iter()
                     .map(|(v, s)| (v + w[0] as u32, s))
                     .collect()
@@ -875,11 +925,9 @@ mod tests {
                 .collect();
             for item_block in [7usize, 64, 2000] {
                 let bm = block_max_norms(&norms, item_block);
-                let plain = retrieve_top_k(&user, theta.data(), f, 10, item_block, |v| v % 31 == 0);
+                let plain = scan_flat(&user, theta.data(), f, 10, item_block, |v| v % 31 == 0);
                 let pruned =
-                    retrieve_top_k_pruned(&user, theta.data(), f, 10, item_block, &bm, |v| {
-                        v % 31 == 0
-                    });
+                    scan_flat_pruned(&user, theta.data(), f, 10, item_block, &bm, |v| v % 31 == 0);
                 assert_eq!(plain, pruned, "seed {seed} block {item_block}");
             }
         }
@@ -906,8 +954,8 @@ mod tests {
             .map(|v| crate::blas::norm_sq(v).sqrt())
             .collect();
         let bm = block_max_norms(&norms, 16);
-        let plain = retrieve_top_k(&user, theta.data(), f, 5, 16, |_| false);
-        let pruned = retrieve_top_k_pruned(&user, theta.data(), f, 5, 16, &bm, |_| false);
+        let plain = scan_flat(&user, theta.data(), f, 5, 16, |_| false);
+        let pruned = scan_flat_pruned(&user, theta.data(), f, 5, 16, &bm, |_| false);
         assert_eq!(plain, pruned);
         assert_eq!(pruned[0].0, 9 - 2, "largest seeded item wins");
     }
@@ -949,7 +997,7 @@ mod tests {
         let user: Vec<f32> = FactorMatrix::random(1, f, 1.0, 52).data().to_vec();
         let norms = item_norms(theta.data(), f);
         let bm = block_max_norms(&norms, 64);
-        let expect = retrieve_top_k_pruned(&user, theta.data(), f, 9, 64, &bm, |v| v % 13 == 0);
+        let expect = scan_flat_pruned(&user, theta.data(), f, 9, 64, &bm, |v| v % 13 == 0);
         for cuts in [
             vec![0usize, n],
             vec![0, 100, n],
@@ -959,7 +1007,7 @@ mod tests {
             let mut tables = Vec::new();
             let views = views_at(&theta, &cuts, 64, &norms, &mut tables);
             let mut stats = PruneStats::default();
-            let got = retrieve_top_k_segments(&user, f, 9, &views, |v| v % 13 == 0, &mut stats);
+            let got = scan_segments(&user, f, 9, &views, |v| v % 13 == 0, &mut stats);
             assert_eq!(got, expect, "cuts {cuts:?}");
             assert!(
                 stats.blocks_scored + stats.blocks_pruned > 0,
@@ -996,9 +1044,9 @@ mod tests {
         };
         let user: Vec<f32> = FactorMatrix::random(1, f, 1.0, 62).data().to_vec();
         let plain_bm = block_max_norms(&norms, 16);
-        let expect = retrieve_top_k_pruned(&user, theta.data(), f, 7, 16, &plain_bm, |_| false);
+        let expect = scan_flat_pruned(&user, theta.data(), f, 7, 16, &plain_bm, |_| false);
         let mut stats = PruneStats::default();
-        let got = retrieve_top_k_segments(&user, f, 7, &[view], |_| false, &mut stats);
+        let got = scan_segments(&user, f, 7, &[view], |_| false, &mut stats);
         assert_eq!(got, expect);
     }
 
@@ -1097,10 +1145,9 @@ mod tests {
             let mut tables = Vec::new();
             let views = views_at(&theta, &cuts, 64, &norms, &mut tables);
             let mut exact_stats = PruneStats::default();
-            let expect =
-                retrieve_top_k_segments(&user, f, 9, &views, |v| v % 13 == 0, &mut exact_stats);
+            let expect = scan_segments(&user, f, 9, &views, |v| v % 13 == 0, &mut exact_stats);
             let mut stats = PruneStats::default();
-            let got = retrieve_top_k_segments_approx(
+            let got = scan_segments_approx(
                 &user,
                 f,
                 9,
@@ -1152,7 +1199,7 @@ mod tests {
         let mut prev_scored = u64::MAX;
         for eps in [0.0f32, 0.05, 0.1, 0.3, 0.6] {
             let mut stats = PruneStats::default();
-            let got = retrieve_top_k_segments_approx(
+            let got = scan_segments_approx(
                 &user,
                 f,
                 10,
@@ -1189,8 +1236,7 @@ mod tests {
             target_recall: 1.0,
         };
         let mut stats = PruneStats::default();
-        let got =
-            retrieve_top_k_segments_approx(&user, f, 5, &views, |_| false, &policy, &mut stats);
+        let got = scan_segments_approx(&user, f, 5, &views, |_| false, &policy, &mut stats);
         assert_eq!(got.len(), 5, "budgeted scan still returns a full list");
         assert_eq!(stats.blocks_scored, 2);
         assert!(stats.blocks_terminated > 0);
@@ -1198,13 +1244,12 @@ mod tests {
         // k ≥ catalog: the heap never fills, so the budget never engages and
         // every item comes back — never a short list.
         let mut stats = PruneStats::default();
-        let all =
-            retrieve_top_k_segments_approx(&user, f, n + 5, &views, |_| false, &policy, &mut stats);
+        let all = scan_segments_approx(&user, f, n + 5, &views, |_| false, &policy, &mut stats);
         assert_eq!(all.len(), n);
         assert_eq!(stats.blocks_scored, 10);
         assert_eq!(stats.blocks_terminated, 0);
         let mut exact_stats = PruneStats::default();
-        let exact = retrieve_top_k_segments(&user, f, n + 5, &views, |_| false, &mut exact_stats);
+        let exact = scan_segments(&user, f, n + 5, &views, |_| false, &mut exact_stats);
         assert_eq!(all, exact);
     }
 
@@ -1219,10 +1264,9 @@ mod tests {
         let user = vec![0.0f32; f];
         let policy = ApproxPolicy::with_epsilon(0.5);
         let mut stats = PruneStats::default();
-        let got =
-            retrieve_top_k_segments_approx(&user, f, 7, &views, |_| false, &policy, &mut stats);
+        let got = scan_segments_approx(&user, f, 7, &views, |_| false, &policy, &mut stats);
         let mut exact_stats = PruneStats::default();
-        let exact = retrieve_top_k_segments(&user, f, 7, &views, |_| false, &mut exact_stats);
+        let exact = scan_segments(&user, f, 7, &views, |_| false, &mut exact_stats);
         // Bound and threshold are both 0; `0 < 0` never holds, so nothing
         // is pruned or terminated and the results are the exact ones.
         assert_eq!(got, exact);
@@ -1232,10 +1276,10 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "block max norms do not match")]
+    #[should_panic(expected = "block maxima do not match")]
     fn pruned_retrieval_rejects_mismatched_blocking() {
         let theta = FactorMatrix::random(64, 4, 1.0, 1);
         let user = vec![1.0f32; 4];
-        retrieve_top_k_pruned(&user, theta.data(), 4, 3, 16, &[1.0; 2], |_| false);
+        scan_flat_pruned(&user, theta.data(), 4, 3, 16, &[1.0; 2], |_| false);
     }
 }

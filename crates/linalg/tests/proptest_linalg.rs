@@ -4,47 +4,84 @@ use cumf_linalg::blas::{add_diagonal, axpy, dot, gemv, norm_sq, syr_axpy, syr_fu
 use cumf_linalg::cholesky::{cholesky_solve, residual_norm, CholeskyError, GroupSolver, GROUP};
 use cumf_linalg::{
     batch_score_block, batch_score_rows_quant, batch_solve, block_max_norms, f16_bits_to_f32,
-    f32_to_f16_bits, item_norms, retrieve_top_k_segments, retrieve_top_k_segments_approx,
-    score_dot, ApproxPolicy, DenseMatrix, EncodedSlab, FactorMatrix, Precision, PruneStats,
-    SegmentView, F16_REL_ERR, F16_SUBNORMAL_ABS,
+    f32_to_f16_bits, item_norms, merge_top_k, scan_top_k, score_dot, ApproxPolicy, DenseMatrix,
+    EncodedSlab, FactorMatrix, Precision, PruneStats, ScoreKind, SegmentView, TopK, F16_REL_ERR,
+    F16_SUBNORMAL_ABS,
 };
 use proptest::prelude::*;
 
+/// How one segment of a [`SegmentedCatalog`] is stored.
+#[derive(Debug, Clone, Copy)]
+struct SegmentSpec {
+    /// Global offset one past the segment's last item.
+    end: usize,
+    item_block: usize,
+    /// Rows sorted by exact norm, descending, with an id remap.
+    norm_descending: bool,
+    precision: Precision,
+    /// Norm tables over the decoded rows (as `cumf-serve` keeps them)
+    /// rather than the exact ones; either way a bound that holds for one
+    /// holds for the other once widened by the codec's error.
+    decoded_tables: bool,
+}
+
 /// Owned backing storage for a set of segment views over one catalog: the
-/// (possibly permuted) slabs, norms, block-max tables, and id remaps.
+/// (possibly permuted) slabs, their encodings, norms, block-max tables, and
+/// id remaps, plus the rows a scan actually scores.
 struct SegmentedCatalog {
     slabs: Vec<Vec<f32>>,
+    encoded: Vec<Option<EncodedSlab>>,
+    /// The decoded rows of an encoded segment, the slab itself otherwise.
+    scored: Vec<Vec<f32>>,
     norms: Vec<Vec<f32>>,
     tables: Vec<Vec<f32>>,
     ids: Vec<Option<Vec<u32>>>,
     firsts: Vec<u32>,
-    item_block: usize,
+    blocks: Vec<usize>,
 }
 
 impl SegmentedCatalog {
-    /// Splits `theta` at `cuts` (global item offsets, ending at `n`); when
-    /// `norm_descending` each segment's rows are stored sorted by norm
-    /// (descending) with an id remap, mirroring the serve-tier layout.
+    /// Splits `theta` at `cuts` (global item offsets, ending at `n`) into
+    /// f32 segments blocked at `item_block`; when `norm_descending` each
+    /// segment's rows are stored sorted by norm (descending) with an id
+    /// remap, mirroring the serve-tier layout.
     fn build(
         theta: &FactorMatrix,
         cuts: &[usize],
         item_block: usize,
         norm_descending: bool,
     ) -> Self {
-        let f = theta.rank();
-        let all_norms = item_norms(theta.data(), f);
+        let specs: Vec<SegmentSpec> = cuts[1..]
+            .iter()
+            .map(|&end| SegmentSpec {
+                end,
+                item_block,
+                norm_descending,
+                precision: Precision::F32,
+                decoded_tables: false,
+            })
+            .collect();
+        Self::build_specs(theta.data(), theta.rank(), &specs)
+    }
+
+    /// One segment per spec over the row-major `rows`, in order.
+    fn build_specs(rows: &[f32], f: usize, specs: &[SegmentSpec]) -> Self {
+        let all_norms = item_norms(rows, f);
         let mut out = SegmentedCatalog {
             slabs: Vec::new(),
+            encoded: Vec::new(),
+            scored: Vec::new(),
             norms: Vec::new(),
             tables: Vec::new(),
             ids: Vec::new(),
             firsts: Vec::new(),
-            item_block,
+            blocks: Vec::new(),
         };
-        for w in cuts.windows(2) {
-            let (lo, hi) = (w[0], w[1]);
+        let mut lo = 0;
+        for spec in specs {
+            let hi = spec.end;
             let mut order: Vec<usize> = (lo..hi).collect();
-            if norm_descending {
+            if spec.norm_descending {
                 order.sort_by(|&a, &b| {
                     all_norms[b]
                         .partial_cmp(&all_norms[a])
@@ -53,20 +90,27 @@ impl SegmentedCatalog {
                 });
             }
             let mut slab = Vec::with_capacity((hi - lo) * f);
-            let mut norms = Vec::with_capacity(hi - lo);
             for &v in &order {
-                slab.extend_from_slice(&theta.data()[v * f..(v + 1) * f]);
-                norms.push(all_norms[v]);
+                slab.extend_from_slice(&rows[v * f..(v + 1) * f]);
             }
-            out.tables.push(block_max_norms(&norms, item_block));
+            let encoded = EncodedSlab::encode(&slab, f, spec.item_block, spec.precision);
+            let scored = encoded
+                .as_ref()
+                .map_or_else(|| slab.clone(), |e| e.decode_all());
+            let norms = item_norms(if spec.decoded_tables { &scored } else { &slab }, f);
+            out.tables.push(block_max_norms(&norms, spec.item_block));
             out.slabs.push(slab);
+            out.encoded.push(encoded);
+            out.scored.push(scored);
             out.norms.push(norms);
-            out.ids.push(if norm_descending {
+            out.ids.push(if spec.norm_descending {
                 Some(order.iter().map(|&v| v as u32).collect())
             } else {
                 None
             });
             out.firsts.push(lo as u32);
+            out.blocks.push(spec.item_block);
+            lo = hi;
         }
         out
     }
@@ -77,14 +121,70 @@ impl SegmentedCatalog {
                 items: &self.slabs[i],
                 norms: &self.norms[i],
                 block_max: &self.tables[i],
-                item_block: self.item_block,
+                item_block: self.blocks[i],
                 first_id: self.firsts[i],
                 ids: self.ids[i].as_deref(),
                 pos: None,
-                encoded: None,
+                encoded: self.encoded[i].as_ref(),
             })
             .collect()
     }
+
+    /// Every `(global id, stored row as scored, stored norm)` of the catalog.
+    fn rows(&self, f: usize) -> Vec<(u32, &[f32], f32)> {
+        let mut out = Vec::new();
+        for (i, scored) in self.scored.iter().enumerate() {
+            for (r, row) in scored.chunks_exact(f).enumerate() {
+                let id = self.ids[i]
+                    .as_ref()
+                    .map_or(self.firsts[i] + r as u32, |ids| ids[r]);
+                out.push((id, row, self.norms[i][r]));
+            }
+        }
+        out
+    }
+}
+
+/// One user's top-`k` through [`scan_top_k`] — a tile of one over every
+/// block of `views`.
+fn scan_segments_approx(
+    user: &[f32],
+    f: usize,
+    k: usize,
+    views: &[SegmentView<'_>],
+    skip: impl Fn(u32) -> bool,
+    policy: &ApproxPolicy,
+    stats: &mut PruneStats,
+) -> Vec<(u32, f32)> {
+    let mut heaps = [Some(TopK::new(k))];
+    let all = 0..usize::MAX;
+    let scan = scan_top_k(
+        user,
+        f,
+        &mut heaps,
+        views,
+        all,
+        ScoreKind::Dot,
+        policy,
+        |_, v| skip(v),
+    );
+    stats.merge(&scan);
+    heaps[0]
+        .take()
+        .map(TopK::into_sorted_vec)
+        .unwrap_or_default()
+}
+
+/// [`scan_segments_approx`] under the exact policy.
+fn scan_segments(
+    user: &[f32],
+    f: usize,
+    k: usize,
+    views: &[SegmentView<'_>],
+    skip: impl Fn(u32) -> bool,
+    stats: &mut PruneStats,
+) -> Vec<(u32, f32)> {
+    scan_segments_approx(user, f, k, views, skip, &ApproxPolicy::exact(), stats)
 }
 
 /// A factor coefficient that exercises the codecs' whole input domain:
@@ -591,11 +691,11 @@ proptest! {
             let catalog = SegmentedCatalog::build(&theta, &cuts, item_block, norm_descending);
             let views = catalog.views();
             let mut exact_stats = PruneStats::default();
-            let exact = retrieve_top_k_segments(
+            let exact = scan_segments(
                 &user, f, k, &views, |v| v % 11 == 0, &mut exact_stats,
             );
             let mut approx_stats = PruneStats::default();
-            let approx = retrieve_top_k_segments_approx(
+            let approx = scan_segments_approx(
                 &user, f, k, &views, |v| v % 11 == 0,
                 &ApproxPolicy::exact(), &mut approx_stats,
             );
@@ -633,13 +733,13 @@ proptest! {
         let catalog = SegmentedCatalog::build(&theta, &[0, n], 64, true);
         let views = catalog.views();
         let mut exact_stats = PruneStats::default();
-        let exact = retrieve_top_k_segments(&user, f, k, &views, |_| false, &mut exact_stats);
+        let exact = scan_segments(&user, f, k, &views, |_| false, &mut exact_stats);
         let truth: std::collections::HashSet<u32> = exact.iter().map(|&(v, _)| v).collect();
         let mut prev_recall = f64::INFINITY;
         let mut prev_scored = u64::MAX;
         for eps in [0.0f32, 0.05, 0.1, 0.25, 0.5, 0.9] {
             let mut stats = PruneStats::default();
-            let got = retrieve_top_k_segments_approx(
+            let got = scan_segments_approx(
                 &user, f, k, &views, |_| false,
                 &ApproxPolicy::with_epsilon(eps), &mut stats,
             );
@@ -661,6 +761,134 @@ proptest! {
             );
             prev_recall = recall;
             prev_scored = stats.blocks_scored;
+        }
+    }
+
+    /// The scan against brute force: a tile of users (some slots empty) over
+    /// a randomly segmented, permuted and encoded catalog, scanned part by
+    /// part over a random partition of its blocks and merged, returns per
+    /// user exactly the sorted top-`k` of `score_dot` over every scored row
+    /// (decoded for encoded segments), finished with the stored norm, bits
+    /// included.  With `plant`, every user points along an i8 row that
+    /// decodes 0.3 % longer than its block's exact-norm bound, behind an f32
+    /// row that beats the unwidened bound: only the codec's error term keeps
+    /// that block from being pruned.
+    #[test]
+    fn scan_top_k_matches_a_brute_force_oracle(
+        (f, n, seed) in (1usize..=8, 0usize..160, 0u64..1000),
+        segs in proptest::collection::vec(
+            (0usize..=160, 0usize..4, 0u8..2, 0usize..3, 0u8..2),
+            0..5,
+        ),
+        tile in proptest::collection::vec((0usize..=170, 0u32..4), 1..=9),
+        shard_cuts in proptest::collection::vec(0usize..64, 0..4),
+        (cosine, plant) in (0u8..2, 0u8..2),
+    ) {
+        let (cosine, plant) = (cosine == 1, plant == 1 && f >= 3);
+        let score = if cosine { ScoreKind::Cosine } else { ScoreKind::Dot };
+        let mut rows = FactorMatrix::random(n, f, 1.0, seed).data().to_vec();
+        let mut specs = Vec::new();
+        let spec = |end, (_, block, desc, prec, decoded): (usize, usize, u8, usize, u8)| {
+            SegmentSpec {
+                end,
+                item_block: [1usize, 3, 16, 64][block],
+                norm_descending: desc == 1,
+                precision: [Precision::F32, Precision::F16, Precision::I8][prec],
+                decoded_tables: decoded == 1,
+            }
+        };
+        let s = 1.0 + (seed % 3) as f32;
+        let row = |head: [f32; 3]| {
+            let mut r = vec![0.0f32; f];
+            for (r, h) in r.iter_mut().zip(head) {
+                *r = h * s;
+            }
+            r
+        };
+        let v = row([126.51, 10.49, 10.49]);
+        let offset = usize::from(plant);
+        if plant {
+            // z (f32, its own segment, scanned first) scores between the
+            // unwidened bound of the [w, v] block and v's decoded score; w
+            // sets the block's i8 scale so v's head rounds up to 127.
+            let z: Vec<f32> = v.iter().map(|x| x * (127.63 / 127.38)).collect();
+            rows.splice(0..0, z);
+            rows.extend(row([127.0, 0.0, 0.0]));
+            rows.extend(&v);
+            specs.push(spec(1, (0, 0, 0, 0, 0)));
+        }
+        let mut cuts: Vec<usize> = segs.iter().map(|c| offset + c.0 % (n + 1)).collect();
+        cuts.sort_unstable();
+        for (&end, &c) in cuts.iter().zip(&segs) {
+            specs.push(spec(end, c));
+        }
+        specs.push(spec(offset + n, segs.last().copied().unwrap_or((0, 2, 1, 2, 1))));
+        if plant {
+            let block = 2 + seed as usize % 3;
+            specs.push(SegmentSpec {
+                end: n + 3,
+                item_block: block,
+                norm_descending: seed % 2 == 0,
+                precision: Precision::I8,
+                decoded_tables: false,
+            });
+        }
+        let catalog = SegmentedCatalog::build_specs(&rows, f, &specs);
+        let views = catalog.views();
+        let n_rows = rows.len() / f;
+
+        let mut users = FactorMatrix::random(tile.len(), f, 1.0, seed + 1).data().to_vec();
+        let mut ks: Vec<Option<usize>> = tile.iter().map(|&(k, _)| (k > 0).then_some(k)).collect();
+        let mut mods: Vec<u32> = tile.iter().map(|&(_, m)| m).collect();
+        let total: usize = views.iter().map(|v| v.block_max.len()).sum();
+        let mut bounds: Vec<usize> = shard_cuts.iter().map(|c| c % (total + 1)).collect();
+        if plant {
+            // A block is pruned only when every heap of the tile agrees, and
+            // z must share v's part: every user points along v and keeps its
+            // best item, and the blocks are scanned whole.
+            for (i, x) in users.chunks_exact_mut(f).enumerate() {
+                let c = 0.5 + 0.25 * (i % 4) as f32;
+                x.iter_mut().zip(&v).for_each(|(x, v)| *x = v * c);
+                ks[i] = ks[i].map(|_| 1);
+                mods[i] = 0;
+            }
+            ks[0] = Some(1);
+            bounds.clear();
+        }
+        bounds.sort_unstable();
+        bounds.dedup();
+        let excluded = |i: usize, item: u32| {
+            mods[i] > 0 && (item + i as u32).is_multiple_of(mods[i] + 1)
+        };
+        let mut parts: Vec<Vec<Vec<(u32, f32)>>> = vec![Vec::new(); tile.len()];
+        let starts = std::iter::once(0).chain(bounds.iter().copied());
+        let ends = bounds.iter().copied().chain(std::iter::once(usize::MAX));
+        for range in starts.zip(ends).map(|(a, b)| a..b) {
+            let mut heaps: Vec<Option<TopK>> = ks.iter().map(|k| k.map(TopK::new)).collect();
+            let exact = ApproxPolicy::exact();
+            scan_top_k(&users, f, &mut heaps, &views, range, score, &exact, excluded);
+            for (part, heap) in parts.iter_mut().zip(heaps) {
+                part.extend(heap.map(TopK::into_sorted_vec));
+            }
+        }
+
+        let catalog_rows = catalog.rows(f);
+        for (i, x) in users.chunks_exact(f).enumerate() {
+            let got = ks[i].map_or_else(Vec::new, |k| merge_top_k(&parts[i], k));
+            let mut want: Vec<(u32, f32)> = catalog_rows
+                .iter()
+                .filter(|&&(id, _, _)| ks[i].is_some() && !excluded(i, id))
+                .map(|&(id, row, norm)| (id, score.finish(score_dot(x, row), norm)))
+                .collect();
+            want.sort_by(|a, b| b.1.total_cmp(&a.1).then(a.0.cmp(&b.0)));
+            want.truncate(ks[i].unwrap_or(0));
+            let bits = |l: &[(u32, f32)]| -> Vec<(u32, u32)> {
+                l.iter().map(|&(v, s)| (v, s.to_bits())).collect()
+            };
+            prop_assert_eq!(
+                bits(&got), bits(&want),
+                "user {} of {} rows, {:?}, blocks {:?} of {}", i, n_rows, score, bounds, total
+            );
         }
     }
 

@@ -21,7 +21,8 @@
 //!   [`snapshot::SnapshotDelta`] copying only `O(u·f)` bytes for `u`
 //!   changed users and `O(a·f)` (one tail segment) for `a` appended items.
 //! * [`topk::TopKIndex`] — scores micro-batches of requests as blocked
-//!   matrix-vector products ([`cumf_linalg::batch_score_segment`]) with a
+//!   matrix-vector products, a tile of users at a time through
+//!   [`cumf_linalg::scan_top_k`] (the one scan every retrieval runs), with a
 //!   bounded heap per user and seen-item exclusion; the catalog's blocks —
 //!   spanning every segment — can be partitioned into item **shards**
 //!   scored in parallel and merged ([`cumf_linalg::merge_top_k`]) with

@@ -31,13 +31,15 @@
 //! and then score against an immutable object, so a publish never stalls
 //! in-flight batches and a batch can never observe two generations.
 
+use crate::batcher::ServeConfig;
 use crate::itemstore::{ItemLayout, ItemStore};
 use crate::sync::atomic::{AtomicU64, Ordering};
 use crate::sync::{Arc, RwLock};
+use crate::topk::{Query, ScanPlan};
 use cumf_core::checkpoint::Checkpoint;
 use cumf_core::trainer::MatrixFactorizer;
-use cumf_linalg::{retrieve_top_k_segments, FactorMatrix, PruneStats};
-use std::collections::{HashMap, HashSet};
+use cumf_linalg::FactorMatrix;
+use std::collections::HashMap;
 
 /// Rows per copy-on-write user-factor block.  Small enough that updating one
 /// user copies at most `USER_COW_ROWS · f` floats (the `O(u·f)` bound of a
@@ -613,26 +615,29 @@ impl FactorSnapshot {
         Some(cumf_linalg::blas::dot(x_u, self.item_vector(item)?))
     }
 
-    /// Single-request top-`k` retrieval: the blocked-scoring + bounded-heap
-    /// path a batch of size one takes, walking the item segments with
-    /// whole-block threshold pruning driven by each segment's precomputed
-    /// norms (results are identical to the unpruned path, for any segment
-    /// count and layout).  Out-of-range users get an empty result (a
+    /// Single-request top-`k` retrieval: a batch of one through
+    /// [`crate::TopKIndex`]'s own scan and exact rerank at
+    /// [`ServeConfig`]'s defaults (exact, Dot, default blocking), so
+    /// the reply is by construction the one the service gives — on
+    /// quantized catalogs too.  Out-of-range users get an empty result (a
     /// serving layer must not panic on bad requests).
     pub fn recommend_one(&self, user: u32, k: usize, exclude: &[u32]) -> Vec<(u32, f32)> {
-        let Some(x_u) = self.user_vector(user) else {
-            return Vec::new();
-        };
-        let excluded: HashSet<u32> = exclude.iter().copied().collect();
-        let mut stats = PruneStats::default();
-        retrieve_top_k_segments(
-            x_u,
-            self.rank(),
+        let query = Query {
+            user,
             k,
-            &self.items.views(),
-            |v| excluded.contains(&v),
-            &mut stats,
-        )
+            exclude: exclude.to_vec(),
+        };
+        let c = ServeConfig::default();
+        let plan = ScanPlan::new(
+            self,
+            c.item_block,
+            c.score,
+            c.shards,
+            c.approx,
+            c.rerank_factor,
+        );
+        let (mut results, _) = plan.query_batch_stats(self, std::slice::from_ref(&query));
+        results.pop().unwrap_or_default()
     }
 }
 
@@ -781,6 +786,31 @@ mod tests {
         assert_eq!(recs.len(), 10);
         assert!(recs.iter().all(|(v, _)| !exclude.contains(v)));
         assert!(recs.windows(2).all(|w| w[0].1 >= w[1].1));
+    }
+
+    #[test]
+    fn quantized_recommend_one_keeps_an_exact_winner_its_decoded_block_hides() {
+        // Item 513 = b wins exactly (score ‖b‖ ≈ 127.36), but i8 decodes it
+        // to [126, 10, 10] (norm 126.8) beside item 512 = [127, 0, 0], which
+        // sets block 1's scale: the decoded block maximum 127.0 alone would
+        // prune the block behind item 0 (127.2).  Only the codec's error
+        // bound keeps it in the scan.
+        let b = [126.49f32, 10.49, 10.49];
+        let norm = cumf_linalg::blas::norm_sq(&b).sqrt();
+        let user: Vec<f32> = b.iter().map(|x| x / norm).collect();
+        let mut theta = FactorMatrix::zeros(600, 3);
+        let item_0: Vec<f32> = user.iter().map(|x| x * 127.2).collect();
+        theta.vector_mut(0).copy_from_slice(&item_0);
+        theta.vector_mut(512).copy_from_slice(&[127.0, 0.0, 0.0]);
+        theta.vector_mut(513).copy_from_slice(&b);
+        let x = FactorMatrix::from_vec(1, 3, user);
+        let snap = FactorSnapshot::from_factors_with_layout(x, theta, ItemLayout::CatalogOrder);
+        let exact = snap.recommend_one(0, 1, &[]);
+        assert_eq!(exact, vec![(513, 127.35697)]);
+        for precision in [cumf_linalg::Precision::I8, cumf_linalg::Precision::F16] {
+            let quantized = snap.reencoded(precision);
+            assert_eq!(quantized.recommend_one(0, 1, &[]), exact, "{precision}");
+        }
     }
 
     #[test]

@@ -2,12 +2,13 @@
 //!
 //! The training-time insight of the paper — batch many independent small
 //! problems into one regular, blocked kernel — applied at serving time: a
-//! micro-batch of user requests is scored as blocked matrix-vector products
-//! ([`cumf_linalg::batch_score_block`]), so each item block comes from
-//! memory once per *tile of users* instead of once per request, and each
-//! user's block scores go through one threshold-first heap feed
-//! ([`cumf_linalg::TopK::offer_block`]), never materializing the full score
-//! vector.  Both are shared with `cumf-linalg`'s single-request scans.
+//! micro-batch of user requests is scored tile by tile through
+//! [`cumf_linalg::scan_top_k`], so each item block comes from memory once
+//! per *tile of users* instead of once per request, and each user's block
+//! scores go through one threshold-first heap feed, never materializing the
+//! full score vector.  The scan is the same one a single request
+//! ([`FactorSnapshot::recommend_one`], a batch of one through this module)
+//! and `MatrixFactorizer::recommend` run.
 //!
 //! Two levers scale the scorer past one core per batch:
 //!
@@ -22,27 +23,24 @@
 //!   results are **bit-identical for every shard count** — sharding is purely
 //!   a parallelism knob.
 //!
-//! Dot-product scoring also short-circuits whole low-scoring blocks: once a
-//! tile's heaps are full, a block whose Cauchy–Schwarz bound
-//! (`‖x_u‖ · max‖θ_v‖ ·` [`cumf_linalg::topk::NORM_BOUND_SLACK`]) cannot
-//! beat any heap threshold is skipped without touching its factors.  Blocks
-//! never straddle a segment boundary (segments are block-aligned on their
-//! own), each segment prunes against its own block-max table — which a
-//! norm-descending layout makes fire systematically — and the
-//! skipped/scored decisions are counted in a [`PruneStats`]
-//! ([`TopKIndex::query_batch_stats`]).
+//! Dot-product scoring also skips whole low-scoring blocks on the
+//! Cauchy–Schwarz bound, widened by a quantized segment's codec error (see
+//! [`cumf_linalg::scan_top_k`]); each segment prunes against its own
+//! block-max table — which a norm-descending layout makes fire
+//! systematically — and the skipped/scored decisions are counted in a
+//! [`PruneStats`] ([`TopKIndex::query_batch_stats`]).
 
 use crate::snapshot::FactorSnapshot;
 use crate::sync::Arc;
-use cumf_linalg::topk::NORM_BOUND_SLACK;
 use cumf_linalg::{
-    batch_score_rows_quant, batch_score_segment, block_max_norms, merge_top_k, suffix_max_norms,
-    ApproxPolicy, PruneStats, TopK,
+    block_max_norms, merge_top_k, scan_top_k, ApproxPolicy, PruneStats, SegmentView, TopK,
 };
 use rayon::prelude::*;
 use std::collections::HashSet;
 use std::ops::Range;
 use std::time::Instant;
+
+pub use cumf_linalg::ScoreKind;
 
 /// Default candidate over-fetch multiplier for quantized scans: the blocked
 /// scan keeps `ceil(k · rerank_factor)` candidates per query so the exact
@@ -53,31 +51,6 @@ pub const DEFAULT_RERANK_FACTOR: f32 = 2.0;
 /// One shard's partial output for a user tile: per-query top-k lists plus
 /// the shard's pruning counters.
 type TilePartials = (Vec<Vec<(u32, f32)>>, PruneStats);
-
-/// How a candidate item is scored.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum ScoreKind {
-    /// Raw inner product `x_u · θ_v` (predicted rating).
-    #[default]
-    Dot,
-    /// Inner product divided by `‖θ_v‖` — uses the snapshot's precomputed
-    /// item norms to stop high-norm (popular) items from dominating every
-    /// list.  The user-norm factor is constant per request and cannot
-    /// change the ranking, so it is skipped.  Zero-norm (cold, never
-    /// trained) items score 0.0 rather than being dropped, so a request
-    /// never comes back shorter than `k` just because the catalog has cold
-    /// entries.
-    Cosine,
-}
-
-/// [`ScoreKind::Cosine`]'s score from the inner product and the item norm.
-fn cosine(dot: f32, norm: f32) -> f32 {
-    if norm > 0.0 {
-        dot / norm
-    } else {
-        0.0
-    }
-}
 
 /// One top-k retrieval request.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -107,13 +80,12 @@ const USER_TILE: usize = 8;
 
 /// Per-tile scoring state computed once and shared by every item shard the
 /// tile is scored against: the gathered contiguous user operand, validity
-/// flags, user norms (for block pruning), and the exclusion hash sets —
-/// hashing a heavy exclusion list per shard would erode the parallelism
-/// sharding buys.
+/// flags, and the exclusion hash sets — hashing a heavy exclusion list per
+/// shard would erode the parallelism sharding buys.
 struct TileCtx {
+    f: usize,
     users: Vec<f32>,
     valid: Vec<bool>,
-    user_norms: Vec<f32>,
     excluded: Vec<HashSet<u32>>,
 }
 
@@ -131,62 +103,24 @@ impl TileCtx {
                 valid[i] = true;
             }
         }
-        let user_norms = users
-            .chunks_exact(f)
-            .map(|x| cumf_linalg::blas::norm_sq(x).sqrt())
-            .collect();
         let excluded = tile
             .iter()
             .map(|q| q.exclude.iter().copied().collect())
             .collect();
         Self {
+            f,
             users,
             valid,
-            user_norms,
             excluded,
         }
     }
 }
 
-/// One item segment's blocking as resolved by a [`TopKIndex`]: the index's
-/// `item_block` clamped to the segment, a matching block-max table (reusing
-/// the segment's precomputed table when the granularity matches), and the
-/// segment's position in the global block numbering the shard partition
-/// runs over.
+/// A [`TopKIndex`]'s configuration resolved against one snapshot's
+/// segments, apart from the snapshot itself — so a borrowed snapshot
+/// ([`FactorSnapshot::recommend_one`]) runs exactly the index's code.
 #[derive(Debug, Clone)]
-struct IndexSegment {
-    /// Index into the snapshot's `ItemStore::segments()`.
-    seg: usize,
-    /// Items per block within this segment.
-    item_block: usize,
-    /// Block maxima of the segment's stored-order norms at `item_block`
-    /// granularity.
-    block_max: Vec<f32>,
-    /// Pruning bound per block: `block_max` widened by the segment's
-    /// per-block quantization error bound (`block_max` itself on exact
-    /// segments).  For a quantized segment `block_max` describes the
-    /// **decoded** rows while the exact row may be up to the codec's error
-    /// bound longer, so Cauchy–Schwarz pruning against exact scores must
-    /// compare `‖x_u‖ · (max‖dec(θ_v)‖ + err_b)` — folding the error into
-    /// the bound keeps every skip admissible.
-    bound_max: Vec<f32>,
-    /// Running maxima of `bound_max` from each block to the segment's end —
-    /// the approximate stop rule compares against this so terminating a
-    /// segment scan is safe for any stored order (in a norm-descending
-    /// segment it equals `bound_max`).
-    bound_suffix: Vec<f32>,
-    /// Global index of this segment's first block.
-    first_block: usize,
-}
-
-/// Batched blocked top-k scorer over one immutable snapshot.
-///
-/// All queries of a [`TopKIndex::query_batch`] call are answered from the
-/// same snapshot generation — the index holds its own `Arc`, so a
-/// concurrent hot-swap cannot tear a batch.
-#[derive(Debug, Clone)]
-pub struct TopKIndex {
-    snapshot: Arc<FactorSnapshot>,
+pub(crate) struct ScanPlan {
     score: ScoreKind,
     shards: usize,
     /// Early-termination policy; `None` keeps the scan exact.
@@ -198,12 +132,268 @@ pub struct TopKIndex {
     /// turns on over-fetch + exact rerank.  All-f32 stores take the exact
     /// path untouched (bit-identical to the pre-quantization scorer).
     quantized: bool,
-    /// Per-segment blocking, base segment first, in global block order.
-    segs: Vec<IndexSegment>,
+    /// Items per block, before clamping to each segment's size.
+    item_block: usize,
+    /// Per segment, the block maxima at `item_block` when that differs from
+    /// the segment's precomputed blocking (`None` reuses the segment's own
+    /// table — the common case: `ServeConfig` builds an index per
+    /// micro-batch).
+    tables: Vec<Option<Vec<f32>>>,
     /// Total blocks across all segments (what shards partition).
     n_blocks: usize,
-    /// Largest per-segment block size (scratch-buffer sizing).
-    max_block: usize,
+}
+
+impl ScanPlan {
+    pub(crate) fn new(
+        snapshot: &FactorSnapshot,
+        item_block: usize,
+        score: ScoreKind,
+        shards: usize,
+        approx: Option<ApproxPolicy>,
+        rerank_factor: f32,
+    ) -> Self {
+        assert!(item_block > 0, "item block must be positive");
+        assert!(
+            rerank_factor.is_finite() && rerank_factor >= 1.0,
+            "rerank factor must be a finite multiplier >= 1.0, got {rerank_factor}"
+        );
+        if let Some(p) = &approx {
+            p.validate();
+        }
+        let segments = snapshot.items().segments();
+        let tables: Vec<Option<Vec<f32>>> = segments
+            .iter()
+            .map(|seg| {
+                let block = item_block.min(seg.len().max(1));
+                (block != seg.default_block()).then(|| block_max_norms(seg.norms(), block))
+            })
+            .collect();
+        let n_blocks = segments
+            .iter()
+            .zip(&tables)
+            .map(|(seg, t)| t.as_ref().map_or(seg.block_max().len(), Vec::len))
+            .sum();
+        Self {
+            score,
+            shards: shards.max(1),
+            approx,
+            rerank_factor,
+            quantized: segments.iter().any(|seg| seg.encoded().is_some()),
+            item_block,
+            tables,
+            n_blocks,
+        }
+    }
+
+    /// The snapshot's segments as scan views at this plan's blocking.
+    fn views<'a>(&'a self, snapshot: &'a FactorSnapshot) -> Vec<SegmentView<'a>> {
+        let segments = snapshot.items().segments().iter();
+        segments
+            .zip(&self.tables)
+            .map(|(seg, table)| match table {
+                Some(t) => seg.view_with(self.item_block.min(seg.len().max(1)), t),
+                None => seg.view(),
+            })
+            .collect()
+    }
+
+    /// Contiguous block ranges, one per non-empty shard.
+    fn shard_ranges(&self) -> Vec<Range<usize>> {
+        let n_blocks = self.n_blocks;
+        let shards = self.shards.min(n_blocks.max(1));
+        let base = n_blocks / shards;
+        let rem = n_blocks % shards;
+        let mut ranges = Vec::with_capacity(shards);
+        let mut start = 0;
+        for s in 0..shards {
+            let len = base + usize::from(s < rem);
+            if len == 0 {
+                continue;
+            }
+            ranges.push(start..start + len);
+            start += len;
+        }
+        if ranges.is_empty() {
+            ranges.push(0..0);
+        }
+        ranges
+    }
+
+    /// [`TopKIndex::query_batch_stats`] against `snapshot`, which must be
+    /// the snapshot this plan was resolved for.
+    pub(crate) fn query_batch_stats(
+        &self,
+        snapshot: &FactorSnapshot,
+        queries: &[Query],
+    ) -> (Vec<Vec<(u32, f32)>>, PruneStats) {
+        let views = self.views(snapshot);
+        let ranges = self.shard_ranges();
+        if ranges.len() == 1 {
+            // lint-ok: serve-unwrap guarded by the ranges.len() == 1 branch
+            let range = ranges.into_iter().next().expect("one shard");
+            let tiles: Vec<TilePartials> = queries
+                .par_chunks(USER_TILE)
+                .map(|tile| {
+                    let ctx = TileCtx::new(tile, snapshot);
+                    self.score_tile(&views, tile, &ctx, range.clone())
+                })
+                .collect();
+            let mut stats = PruneStats::default();
+            let mut results = Vec::with_capacity(queries.len());
+            for (tile_results, tile_stats) in tiles {
+                stats.merge(&tile_stats);
+                results.extend(tile_results);
+            }
+            let results = self.rerank_exact(snapshot, queries, results, &mut stats);
+            return (results, stats);
+        }
+
+        let n_shards = ranges.len();
+        let n_tiles = queries.len().div_ceil(USER_TILE);
+        // The per-tile setup (user gather, exclusion sets) is shared across
+        // that tile's shard units — heavy exclusion lists are hashed once
+        // per tile, not once per shard.
+        let contexts: Vec<TileCtx> = queries
+            .par_chunks(USER_TILE)
+            .map(|tile| TileCtx::new(tile, snapshot))
+            .collect();
+        let units: Vec<(usize, usize)> = (0..n_tiles)
+            .flat_map(|t| (0..n_shards).map(move |s| (t, s)))
+            .collect();
+        let mut partials: Vec<TilePartials> = units
+            .par_iter()
+            .map(|&(t, s)| {
+                let tile = &queries[t * USER_TILE..((t + 1) * USER_TILE).min(queries.len())];
+                self.score_tile(&views, tile, &contexts[t], ranges[s].clone())
+            })
+            .collect();
+        let mut stats = PruneStats::default();
+        for (_, s) in &partials {
+            stats.merge(s);
+        }
+        let results = queries
+            .iter()
+            .enumerate()
+            .map(|(qi, q)| {
+                let (t, i) = (qi / USER_TILE, qi % USER_TILE);
+                let parts: Vec<Vec<(u32, f32)>> = (0..n_shards)
+                    .map(|s| std::mem::take(&mut partials[t * n_shards + s].0[i]))
+                    .collect();
+                merge_top_k(&parts, self.k_eff(q.k))
+            })
+            .collect();
+        let results = self.rerank_exact(snapshot, queries, results, &mut stats);
+        (results, stats)
+    }
+
+    /// Candidates the blocked scan keeps per query: `k` on an all-f32 store,
+    /// `ceil(k · rerank_factor)` when any segment is quantized — the
+    /// over-fetch margin the exact rerank draws its replacements from.
+    fn k_eff(&self, k: usize) -> usize {
+        if self.quantized && k > 0 {
+            ((k as f64) * f64::from(self.rerank_factor)).ceil() as usize
+        } else {
+            k
+        }
+    }
+
+    /// Exact-f32 rerank over quantized-scan candidates: rescores each
+    /// query's `k_eff` survivors against the retained exact rows, re-sorts
+    /// under the same (score desc, id asc) total order the heaps use, and
+    /// truncates back to `k`.  A no-op (queries pass through untouched) on
+    /// an all-f32 store, so the full-precision path stays bit-identical to
+    /// the pre-quantization scorer.  Timing and candidate/byte counts fold
+    /// into `stats`.
+    fn rerank_exact(
+        &self,
+        snapshot: &FactorSnapshot,
+        queries: &[Query],
+        results: Vec<Vec<(u32, f32)>>,
+        stats: &mut PruneStats,
+    ) -> Vec<Vec<(u32, f32)>> {
+        if !self.quantized {
+            return results;
+        }
+        let started = Instant::now();
+        let f = snapshot.rank();
+        let items = snapshot.items();
+        let mut rerank = PruneStats::default();
+        let out: Vec<Vec<(u32, f32)>> = queries
+            .iter()
+            .zip(results)
+            .map(|(q, list)| {
+                let Some(x_u) = snapshot.user_vector(q.user) else {
+                    return list;
+                };
+                if list.is_empty() {
+                    return list;
+                }
+                rerank.rerank_candidates += list.len() as u64;
+                rerank.bytes_scanned += (list.len() * f * std::mem::size_of::<f32>()) as u64;
+                let mut rescored: Vec<(u32, f32)> = list
+                    .into_iter()
+                    .map(|(v, _)| {
+                        let row = items.vector(v as usize);
+                        let norm = cumf_linalg::blas::norm_sq(row).sqrt();
+                        (v, self.score.finish(cumf_linalg::score_dot(x_u, row), norm))
+                    })
+                    .collect();
+                rescored.sort_unstable_by(|a, b| b.1.total_cmp(&a.1).then_with(|| a.0.cmp(&b.0)));
+                rescored.truncate(q.k);
+                rescored
+            })
+            .collect();
+        if rerank.rerank_candidates > 0 {
+            rerank.rerank_ns = started.elapsed().as_nanos() as u64;
+        }
+        stats.merge(&rerank);
+        out
+    }
+
+    /// Scores one user tile against the global block range `blocks` (the
+    /// shard-partitioned numbering spanning every store segment), returning
+    /// each query's top-k **within that shard** plus the shard's pruning
+    /// counters.
+    fn score_tile(
+        &self,
+        views: &[SegmentView<'_>],
+        tile: &[Query],
+        ctx: &TileCtx,
+        blocks: Range<usize>,
+    ) -> TilePartials {
+        let mut heaps: Vec<Option<TopK>> = tile
+            .iter()
+            .zip(&ctx.valid)
+            .map(|(q, &ok)| (ok && q.k > 0).then(|| TopK::new(self.k_eff(q.k))))
+            .collect();
+        let policy = self.approx.unwrap_or_else(ApproxPolicy::exact);
+        let stats = scan_top_k(
+            &ctx.users,
+            ctx.f,
+            &mut heaps,
+            views,
+            blocks,
+            self.score,
+            &policy,
+            |i, item| ctx.excluded[i].contains(&item),
+        );
+        let results = heaps
+            .into_iter()
+            .map(|h| h.map(TopK::into_sorted_vec).unwrap_or_default())
+            .collect();
+        (results, stats)
+    }
+}
+
+/// Batched blocked top-k scorer over one immutable snapshot.
+///
+/// All queries of a [`TopKIndex::query_batch`] call are answered from the
+/// same snapshot generation — the index holds its own `Arc`, so a
+/// concurrent hot-swap cannot tear a batch.
+#[derive(Debug, Clone)]
+pub struct TopKIndex {
+    snapshot: Arc<FactorSnapshot>,
+    plan: ScanPlan,
 }
 
 impl TopKIndex {
@@ -269,71 +459,8 @@ impl TopKIndex {
         approx: Option<ApproxPolicy>,
         rerank_factor: f32,
     ) -> Self {
-        assert!(item_block > 0, "item block must be positive");
-        assert!(
-            rerank_factor.is_finite() && rerank_factor >= 1.0,
-            "rerank factor must be a finite multiplier >= 1.0, got {rerank_factor}"
-        );
-        if let Some(p) = &approx {
-            p.validate();
-        }
-        // Resolve the blocking per segment.  The default blocking (the
-        // common case — `ServeConfig` builds an index per micro-batch)
-        // reuses each segment's precomputed maxima instead of rescanning
-        // the norms every batch.
-        let mut segs = Vec::with_capacity(snapshot.items().segment_count());
-        let mut n_blocks = 0usize;
-        let mut max_block = 1usize;
-        let mut quantized = false;
-        for (i, seg) in snapshot.items().segments().iter().enumerate() {
-            let block = item_block.min(seg.len().max(1));
-            let block_max = if block == seg.default_block() {
-                seg.block_max().to_vec()
-            } else {
-                block_max_norms(seg.norms(), block)
-            };
-            let first_block = n_blocks;
-            n_blocks += block_max.len();
-            max_block = max_block.max(block);
-            // Widen the pruning bound by the codec's per-block error so a
-            // skip stays admissible against exact scores (see `bound_max`).
-            let bound_max = match seg.encoded() {
-                Some(slab) => {
-                    quantized = true;
-                    let n = seg.len();
-                    block_max
-                        .iter()
-                        .enumerate()
-                        .map(|(b, &m)| {
-                            let start = b * block;
-                            let end = (start + block).min(n);
-                            m + slab.err_bound(start, end, m)
-                        })
-                        .collect()
-                }
-                None => block_max.clone(),
-            };
-            let bound_suffix = suffix_max_norms(&bound_max);
-            segs.push(IndexSegment {
-                seg: i,
-                item_block: block,
-                block_max,
-                bound_max,
-                bound_suffix,
-                first_block,
-            });
-        }
-        Self {
-            snapshot,
-            score,
-            shards: shards.max(1),
-            approx,
-            rerank_factor,
-            quantized,
-            segs,
-            n_blocks,
-            max_block,
-        }
+        let plan = ScanPlan::new(&snapshot, item_block, score, shards, approx, rerank_factor);
+        Self { snapshot, plan }
     }
 
     /// The snapshot this index serves from.
@@ -344,34 +471,12 @@ impl TopKIndex {
     /// Number of item shards the catalog is partitioned into (≥ 1; the
     /// effective count is further capped by the number of item blocks).
     pub fn shards(&self) -> usize {
-        self.shards
+        self.plan.shards
     }
 
     /// The early-termination policy, if this index scans approximately.
     pub fn approx(&self) -> Option<&ApproxPolicy> {
-        self.approx.as_ref()
-    }
-
-    /// Contiguous block ranges, one per non-empty shard.
-    fn shard_ranges(&self) -> Vec<Range<usize>> {
-        let n_blocks = self.n_blocks;
-        let shards = self.shards.min(n_blocks.max(1));
-        let base = n_blocks / shards;
-        let rem = n_blocks % shards;
-        let mut ranges = Vec::with_capacity(shards);
-        let mut start = 0;
-        for s in 0..shards {
-            let len = base + usize::from(s < rem);
-            if len == 0 {
-                continue;
-            }
-            ranges.push(start..start + len);
-            start += len;
-        }
-        if ranges.is_empty() {
-            ranges.push(0..0);
-        }
-        ranges
+        self.plan.approx.as_ref()
     }
 
     /// Scores a micro-batch of queries, returning one ranked
@@ -388,263 +493,7 @@ impl TopKIndex {
     /// counters — the observable half of the norm-ordered layout's value
     /// (more blocks skipped, same results).
     pub fn query_batch_stats(&self, queries: &[Query]) -> (Vec<Vec<(u32, f32)>>, PruneStats) {
-        let ranges = self.shard_ranges();
-        if ranges.len() == 1 {
-            // lint-ok: serve-unwrap guarded by the ranges.len() == 1 branch
-            let range = ranges.into_iter().next().expect("one shard");
-            let tiles: Vec<TilePartials> = queries
-                .par_chunks(USER_TILE)
-                .map(|tile| {
-                    self.score_tile(tile, &TileCtx::new(tile, &self.snapshot), range.clone())
-                })
-                .collect();
-            let mut stats = PruneStats::default();
-            let mut results = Vec::with_capacity(queries.len());
-            for (tile_results, tile_stats) in tiles {
-                stats.merge(&tile_stats);
-                results.extend(tile_results);
-            }
-            let results = self.rerank_exact(queries, results, &mut stats);
-            return (results, stats);
-        }
-
-        let n_shards = ranges.len();
-        let n_tiles = queries.len().div_ceil(USER_TILE);
-        // The per-tile setup (user gather, norms, exclusion sets) is shared
-        // across that tile's shard units — heavy exclusion lists are hashed
-        // once per tile, not once per shard.
-        let contexts: Vec<TileCtx> = queries
-            .par_chunks(USER_TILE)
-            .map(|tile| TileCtx::new(tile, &self.snapshot))
-            .collect();
-        let units: Vec<(usize, usize)> = (0..n_tiles)
-            .flat_map(|t| (0..n_shards).map(move |s| (t, s)))
-            .collect();
-        let mut partials: Vec<TilePartials> = units
-            .par_iter()
-            .map(|&(t, s)| {
-                let tile = &queries[t * USER_TILE..((t + 1) * USER_TILE).min(queries.len())];
-                self.score_tile(tile, &contexts[t], ranges[s].clone())
-            })
-            .collect();
-        let mut stats = PruneStats::default();
-        for (_, s) in &partials {
-            stats.merge(s);
-        }
-        let results = queries
-            .iter()
-            .enumerate()
-            .map(|(qi, q)| {
-                let (t, i) = (qi / USER_TILE, qi % USER_TILE);
-                let parts: Vec<Vec<(u32, f32)>> = (0..n_shards)
-                    .map(|s| std::mem::take(&mut partials[t * n_shards + s].0[i]))
-                    .collect();
-                merge_top_k(&parts, self.k_eff(q.k))
-            })
-            .collect();
-        let results = self.rerank_exact(queries, results, &mut stats);
-        (results, stats)
-    }
-
-    /// Candidates the blocked scan keeps per query: `k` on an all-f32 store,
-    /// `ceil(k · rerank_factor)` when any segment is quantized — the
-    /// over-fetch margin the exact rerank draws its replacements from.
-    fn k_eff(&self, k: usize) -> usize {
-        if self.quantized && k > 0 {
-            ((k as f64) * f64::from(self.rerank_factor)).ceil() as usize
-        } else {
-            k
-        }
-    }
-
-    /// Exact-f32 rerank over quantized-scan candidates: rescores each
-    /// query's `k_eff` survivors against the retained exact rows, re-sorts
-    /// under the same (score desc, id asc) total order the heaps use, and
-    /// truncates back to `k`.  A no-op (queries pass through untouched) on
-    /// an all-f32 store, so the full-precision path stays bit-identical to
-    /// the pre-quantization scorer.  Timing and candidate/byte counts fold
-    /// into `stats`.
-    fn rerank_exact(
-        &self,
-        queries: &[Query],
-        results: Vec<Vec<(u32, f32)>>,
-        stats: &mut PruneStats,
-    ) -> Vec<Vec<(u32, f32)>> {
-        if !self.quantized {
-            return results;
-        }
-        let started = Instant::now();
-        let f = self.snapshot.rank();
-        let items = self.snapshot.items();
-        let mut rerank = PruneStats::default();
-        let out: Vec<Vec<(u32, f32)>> = queries
-            .iter()
-            .zip(results)
-            .map(|(q, list)| {
-                let Some(x_u) = self.snapshot.user_vector(q.user) else {
-                    return list;
-                };
-                if list.is_empty() {
-                    return list;
-                }
-                rerank.rerank_candidates += list.len() as u64;
-                rerank.bytes_scanned += (list.len() * f * std::mem::size_of::<f32>()) as u64;
-                let mut rescored: Vec<(u32, f32)> = list
-                    .into_iter()
-                    .map(|(v, _)| {
-                        let row = items.vector(v as usize);
-                        let s = cumf_linalg::score_dot(x_u, row);
-                        let s = match self.score {
-                            ScoreKind::Dot => s,
-                            ScoreKind::Cosine => cosine(s, cumf_linalg::blas::norm_sq(row).sqrt()),
-                        };
-                        (v, s)
-                    })
-                    .collect();
-                rescored.sort_unstable_by(|a, b| b.1.total_cmp(&a.1).then_with(|| a.0.cmp(&b.0)));
-                rescored.truncate(q.k);
-                rescored
-            })
-            .collect();
-        if rerank.rerank_candidates > 0 {
-            rerank.rerank_ns = started.elapsed().as_nanos() as u64;
-        }
-        stats.merge(&rerank);
-        out
-    }
-
-    /// Scores one user tile against the global block range `blocks` (the
-    /// shard-partitioned numbering spanning every store segment), returning
-    /// each query's top-k **within that shard** plus the shard's pruning
-    /// counters.  Blocks are resolved segment by segment; a block never
-    /// straddles a segment boundary.
-    fn score_tile(&self, tile: &[Query], ctx: &TileCtx, blocks: Range<usize>) -> TilePartials {
-        let snap = &self.snapshot;
-        let f = snap.rank();
-        let segments = snap.items().segments();
-        let TileCtx {
-            users,
-            valid,
-            user_norms,
-            excluded,
-        } = ctx;
-
-        let mut heaps: Vec<Option<TopK>> = tile
-            .iter()
-            .zip(valid.iter())
-            .map(|(q, &ok)| (ok && q.k > 0).then(|| TopK::new(self.k_eff(q.k))))
-            .collect();
-
-        let mut stats = PruneStats::default();
-        let mut scores = vec![0.0f32; tile.len() * self.max_block];
-        let mut dequant = Vec::new();
-        let mut scored_blocks = 0usize;
-        let term_slack = self.approx.as_ref().map(ApproxPolicy::termination_slack);
-        let block_budget = self.approx.as_ref().map_or(0, |p| p.max_blocks);
-        for is in &self.segs {
-            let lo = blocks.start.max(is.first_block);
-            let hi = blocks.end.min(is.first_block + is.block_max.len());
-            if lo >= hi {
-                continue;
-            }
-            let seg = &segments[is.seg];
-            let view = seg.view_with(is.item_block, &is.block_max);
-            let n = seg.len();
-            for b in (lo - is.first_block)..(hi - is.first_block) {
-                let start = b * is.item_block;
-                let end = (start + is.item_block).min(n);
-                // Dot scoring admits a per-block Cauchy–Schwarz bound; skip
-                // the whole block when no user's heap could accept anything
-                // in it.  (Cosine's bound is ‖x_u‖ for every block —
-                // nothing to prune.)
-                if self.score == ScoreKind::Dot {
-                    // Approximate mode first asks the stronger question: can
-                    // anything in the *rest of the segment* beat any heap by
-                    // more than the epsilon slack?  `suffix_max` bounds every
-                    // remaining block, so a "no" ends the segment scan — in a
-                    // norm-descending segment that fires as soon as the first
-                    // prunable block appears.
-                    if let Some(slack) = term_slack {
-                        let done = heaps.iter().enumerate().all(|(i, h)| match h {
-                            Some(h) => h
-                                .threshold()
-                                .is_some_and(|t| user_norms[i] * is.bound_suffix[b] * slack < t),
-                            None => true,
-                        });
-                        if done {
-                            stats.blocks_terminated += (hi - is.first_block - b) as u64;
-                            break;
-                        }
-                    }
-                    let bound = is.bound_max[b] * NORM_BOUND_SLACK;
-                    let prunable = heaps.iter().enumerate().all(|(i, h)| match h {
-                        Some(h) => h.threshold().is_some_and(|t| user_norms[i] * bound < t),
-                        None => true,
-                    });
-                    if prunable {
-                        stats.blocks_pruned += 1;
-                        continue;
-                    }
-                }
-                // The block budget (both score kinds) skips further blocks
-                // once the tile has scored its allowance — but only after
-                // every heap holds its k items, so a k ≥ catalog request is
-                // never cut short.
-                if block_budget > 0
-                    && scored_blocks >= block_budget
-                    && heaps
-                        .iter()
-                        .all(|h| h.as_ref().is_none_or(|h| h.threshold().is_some()))
-                {
-                    stats.blocks_terminated += 1;
-                    continue;
-                }
-                stats.blocks_scored += 1;
-                scored_blocks += 1;
-                let nb = end - start;
-                let out = &mut scores[..tile.len() * nb];
-                match view.encoded {
-                    Some(slab) => {
-                        stats.bytes_scanned += slab.scan_bytes(start, end);
-                        batch_score_rows_quant(
-                            users,
-                            tile.len(),
-                            slab,
-                            start,
-                            end,
-                            f,
-                            &mut dequant,
-                            out,
-                        );
-                    }
-                    None => {
-                        stats.bytes_scanned += (nb * f * std::mem::size_of::<f32>()) as u64;
-                        batch_score_segment(users, tile.len(), &view, start, end, f, out);
-                    }
-                }
-                for (i, heap) in heaps.iter_mut().enumerate() {
-                    let Some(heap) = heap else { continue };
-                    let row = &mut out[i * nb..(i + 1) * nb];
-                    // Cosine ranks final scores: divide before the feed.
-                    if self.score == ScoreKind::Cosine {
-                        for (s, &n) in row.iter_mut().zip(&view.norms[start..end]) {
-                            *s = cosine(*s, n);
-                        }
-                    }
-                    heap.offer_block(
-                        row,
-                        |j| view.global_id(start + j),
-                        |item| excluded[i].contains(&item),
-                    );
-                }
-            }
-        }
-
-        let results = heaps
-            .into_iter()
-            .map(|h| h.map(TopK::into_sorted_vec).unwrap_or_default())
-            .collect();
-        (results, stats)
+        self.plan.query_batch_stats(&self.snapshot, queries)
     }
 }
 
