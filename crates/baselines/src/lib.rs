@@ -29,27 +29,6 @@ pub mod spark_als;
 
 pub use cumf_core::Engine;
 
-/// Compatibility alias for the pre-unification baseline interface.
-///
-/// Every baseline now implements [`cumf_core::Engine`] directly, so the
-/// benchmark harness drives the baselines and the cuMF engines through one
-/// trait.  `MfSolver` survives only so downstream code keeps compiling: it is
-/// a blanket extension of `Engine` whose sole method, [`MfSolver::iterate`],
-/// forwards to [`Engine::train_sweep`].
-#[deprecated(
-    since = "0.9.0",
-    note = "drive solvers through cumf_core::Engine; MfSolver is a compatibility alias"
-)]
-pub trait MfSolver: Engine {
-    /// Runs one iteration (ALS) or one epoch (SGD/CCD).
-    fn iterate(&mut self) {
-        self.train_sweep();
-    }
-}
-
-#[allow(deprecated)]
-impl<T: Engine + ?Sized> MfSolver for T {}
-
 pub use ccd::CcdPlusPlus;
 pub use hogwild::HogwildSgd;
 pub use libmf::LibMfSgd;

@@ -34,7 +34,7 @@ fn bench_get_hermitian(c: &mut Criterion) {
         // One iteration processes every stored rating once.
         group.throughput(Throughput::Elements(r.nnz() as u64));
         group.bench_with_input(BenchmarkId::from_parameter(nnz), &nnz, |b, _| {
-            b.iter(|| black_box(solve_side(&r, &theta, 0.05)));
+            b.iter(|| black_box(solve_side(&r, &theta, 0.05, None)));
         });
     }
     group.finish();

@@ -142,7 +142,14 @@ fn bench_serving(c: &mut Criterion) {
                 },
             );
         }
-        let index = TopKIndex::new(Arc::clone(&snap), 512, ScoreKind::Dot);
+        let index = TopKIndex::new(
+            Arc::clone(&snap),
+            &ServeConfig {
+                item_block: 512,
+                score: ScoreKind::Dot,
+                ..Default::default()
+            },
+        );
         group.bench_with_input(
             BenchmarkId::new("batched_blocked", n_items),
             &n_items,
@@ -150,7 +157,15 @@ fn bench_serving(c: &mut Criterion) {
                 b.iter(|| black_box(index.query_batch(&qs)));
             },
         );
-        let sharded = TopKIndex::with_shards(Arc::clone(&snap), 512, ScoreKind::Dot, shards);
+        let sharded = TopKIndex::new(
+            Arc::clone(&snap),
+            &ServeConfig {
+                item_block: 512,
+                score: ScoreKind::Dot,
+                shards,
+                ..Default::default()
+            },
+        );
         group.bench_with_input(
             BenchmarkId::new(format!("batched_sharded{shards}"), n_items),
             &n_items,
@@ -312,7 +327,14 @@ fn bench_pruning(c: &mut Criterion) {
             theta.clone(),
             layout,
         ));
-        let index = TopKIndex::new(Arc::clone(&snap), 512, ScoreKind::Dot);
+        let index = TopKIndex::new(
+            Arc::clone(&snap),
+            &ServeConfig {
+                item_block: 512,
+                score: ScoreKind::Dot,
+                ..Default::default()
+            },
+        );
         let (res, prune) = index.query_batch_stats(&qs);
         println!(
             "pruning[{name}]: {} blocks scored, {} pruned ({:.1}% skipped) over {} requests",
@@ -377,7 +399,17 @@ fn bench_approximate(c: &mut Criterion) {
     let mut default_report = None;
     for eps in [0.0f32, 0.05, DEFAULT_APPROX_EPSILON, 0.25, 0.5] {
         let policy = ApproxPolicy::with_epsilon(eps);
-        let report = measure_recall(&snap, &qs, 512, ScoreKind::Dot, shards, &policy);
+        let report = measure_recall(
+            &snap,
+            &qs,
+            &ServeConfig {
+                item_block: 512,
+                score: ScoreKind::Dot,
+                shards,
+                ..Default::default()
+            },
+            &policy,
+        );
         println!(
             "approximate[eps={eps:.2}]: mean recall {:.4}, min {:.4}, blocks {} (exact {}), {} terminated",
             report.mean_recall,
@@ -395,8 +427,16 @@ fn bench_approximate(c: &mut Criterion) {
         if eps == DEFAULT_APPROX_EPSILON {
             default_report = Some((policy, report));
         }
-        let index =
-            TopKIndex::with_approx(Arc::clone(&snap), 512, ScoreKind::Dot, shards, Some(policy));
+        let index = TopKIndex::new(
+            Arc::clone(&snap),
+            &ServeConfig {
+                item_block: 512,
+                score: ScoreKind::Dot,
+                shards,
+                approx: Some(policy),
+                ..Default::default()
+            },
+        );
         group.bench_with_input(
             BenchmarkId::new(format!("eps{eps:.2}"), n_items),
             &n_items,
@@ -443,7 +483,15 @@ fn bench_quantized(c: &mut Criterion) {
         ItemLayout::NormDescending,
     ));
     let qs = queries();
-    let exact = TopKIndex::with_shards(Arc::clone(&snap), 512, ScoreKind::Dot, shards);
+    let exact = TopKIndex::new(
+        Arc::clone(&snap),
+        &ServeConfig {
+            item_block: 512,
+            score: ScoreKind::Dot,
+            shards,
+            ..Default::default()
+        },
+    );
     let (exact_results, exact_stats) = exact.query_batch_stats(&qs);
 
     let mut group = c.benchmark_group("serving_quantized");
@@ -461,7 +509,15 @@ fn bench_quantized(c: &mut Criterion) {
         [(Precision::F16, 1.8, 1.0), (Precision::I8, 3.5, 0.99)]
     {
         let re = Arc::new(snap.reencoded(precision));
-        let index = TopKIndex::with_shards(Arc::clone(&re), 512, ScoreKind::Dot, shards);
+        let index = TopKIndex::new(
+            Arc::clone(&re),
+            &ServeConfig {
+                item_block: 512,
+                score: ScoreKind::Dot,
+                shards,
+                ..Default::default()
+            },
+        );
         let (got, stats) = index.query_batch_stats(&qs);
         let report = report_from_lists(&exact_results, &got, exact_stats, stats);
         let scan_only = stats.bytes_scanned - stats.rerank_candidates * (F as u64) * 4;
@@ -584,8 +640,8 @@ fn bench_fold_in(c: &mut Criterion) {
     let ratings = ratings_rows(&rating_lists, n_items as u32);
     let lambda = 0.05;
 
-    let materialized = fold_in_users(&ratings, &snap.item_factors_matrix(), lambda);
-    let segmented = fold_in_users_segmented(&ratings, &snap.items().views(), F, lambda);
+    let materialized = fold_in_users(&ratings, &snap.item_factors_matrix(), lambda, None);
+    let segmented = fold_in_users_segmented(&ratings, &snap.items().views(), F, lambda, None);
     for u in 0..batch_users {
         assert_eq!(
             materialized.vector(u),
@@ -604,7 +660,12 @@ fn bench_fold_in(c: &mut Criterion) {
             b.iter(|| {
                 // The pre-online-loop path: copy the whole segmented
                 // catalog into one contiguous Θ, then solve.
-                black_box(fold_in_users(&ratings, &snap.item_factors_matrix(), lambda))
+                black_box(fold_in_users(
+                    &ratings,
+                    &snap.item_factors_matrix(),
+                    lambda,
+                    None,
+                ))
             });
         },
     );
@@ -618,6 +679,7 @@ fn bench_fold_in(c: &mut Criterion) {
                     &snap.items().views(),
                     F,
                     lambda,
+                    None,
                 ))
             });
         },

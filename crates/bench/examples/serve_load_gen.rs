@@ -382,7 +382,7 @@ fn main() {
             let ratings = ratings_rows(&rating_lists, args.items as u32);
             // The segmented solve reads the serving segments in place —
             // no contiguous catalog-order Θ is ever materialized.
-            let rows = fold_in_users_segmented(&ratings, &snap.items().views(), args.f, 0.05);
+            let rows = fold_in_users_segmented(&ratings, &snap.items().views(), args.f, 0.05, None);
             let mut delta = snap.delta();
             for (i, &u) in batch_users.iter().enumerate() {
                 delta.update_user(u, rows.vector(i));
@@ -600,23 +600,16 @@ fn main() {
             "service must be serving the requested precision"
         );
         let exact_snap = Arc::new(snap.reencoded(Precision::F32));
-        let config = ServeConfig::default();
+        let config = ServeConfig {
+            shards: args.shards,
+            ..Default::default()
+        };
         let mut rng = StdRng::seed_from_u64(777);
         let queries: Vec<Query> = (0..128)
             .map(|_| Query::new(skewed_user(&mut rng, args.users), args.k))
             .collect();
-        let truth = TopKIndex::with_shards(
-            Arc::clone(&exact_snap),
-            config.item_block,
-            config.score,
-            args.shards,
-        );
-        let quant = TopKIndex::with_shards(
-            Arc::clone(&snap),
-            config.item_block,
-            config.score,
-            args.shards,
-        );
+        let truth = TopKIndex::new(Arc::clone(&exact_snap), &config);
+        let quant = TopKIndex::new(Arc::clone(&snap), &config);
         let (want, want_stats) = truth.query_batch_stats(&queries);
         let (got, got_stats) = quant.query_batch_stats(&queries);
         let quant_bytes = got_stats.bytes_scanned;
@@ -685,15 +678,11 @@ fn main() {
         let queries: Vec<Query> = (0..128)
             .map(|_| Query::new(skewed_user(&mut rng, args.users), args.k))
             .collect();
-        let config = ServeConfig::default();
-        let report = measure_recall(
-            &snap,
-            &queries,
-            config.item_block,
-            config.score,
-            args.shards,
-            &policy,
-        );
+        let config = ServeConfig {
+            shards: args.shards,
+            ..Default::default()
+        };
+        let report = measure_recall(&snap, &queries, &config, &policy);
         println!(
             "recall gate (epsilon {:.2}, floor {floor:.2}): {report}",
             args.approx_epsilon
@@ -705,12 +694,7 @@ fn main() {
             );
             std::process::exit(1);
         }
-        let truth = TopKIndex::with_shards(
-            Arc::clone(&snap),
-            config.item_block,
-            config.score,
-            args.shards,
-        );
+        let truth = TopKIndex::new(Arc::clone(&snap), &config);
         let client = service.client();
         let mut exact_divergent = 0u64;
         let mut short_approx = 0u64;

@@ -46,7 +46,7 @@ fn restore_mid_training_continues_and_serves() {
 
     // …into a serving snapshot: predictions must equal the crashed
     // trainer's, so serving continuity is immediate.
-    let snapshot = FactorSnapshot::from_checkpoint(&ckpt);
+    let snapshot = FactorSnapshot::from_factors(ckpt.x.clone(), ckpt.theta.clone());
     assert_eq!(snapshot.n_users(), 300);
     assert_eq!(snapshot.n_items(), 150);
     let recs = snapshot.recommend_one(0, 5, &[]);
@@ -72,7 +72,7 @@ fn restore_mid_training_continues_and_serves() {
 
     // The restored trainer and the snapshot agree with each other.
     let trainer_recs = resumed.recommend(0, 5, &[]);
-    let snapshot_after = FactorSnapshot::from_trainer(&resumed);
+    let snapshot_after = FactorSnapshot::from_factors(resumed.x().clone(), resumed.theta().clone());
     assert_eq!(snapshot_after.recommend_one(0, 5, &[]), trainer_recs);
 
     std::fs::remove_dir_all(dir).unwrap();

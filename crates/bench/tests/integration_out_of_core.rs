@@ -81,7 +81,7 @@ fn streamed_partials_with_bounded_prefetch_match_in_core_solve() {
     let degrees: Vec<usize> = (0..r.n_rows()).map(|u| r.nnz_row(u)).collect();
     let streamed = finalize_and_solve(&mut acc_a, &mut acc_b, &degrees, lambda, f);
 
-    let in_core = cumf_core::als::kernels::solve_side(&r, &theta, lambda);
+    let in_core = cumf_core::als::kernels::solve_side(&r, &theta, lambda, None);
     let diff = streamed.max_abs_diff(&in_core);
     assert!(
         diff < 1e-3,

@@ -5,7 +5,7 @@
 //! two normal-equation solves until the configured number of iterations is
 //! reached.
 
-use crate::als::kernels::solve_side_instrumented;
+use crate::als::kernels::solve_side;
 use crate::config::AlsConfig;
 use crate::instrument::TrainMetrics;
 use crate::loss;
@@ -100,7 +100,7 @@ impl BaseAls {
 
     /// Runs only the update-X half (used by equivalence tests).
     pub fn update_x(&mut self) {
-        self.x = solve_side_instrumented(
+        self.x = solve_side(
             &self.r,
             &self.theta,
             self.config.lambda,
@@ -110,7 +110,7 @@ impl BaseAls {
 
     /// Runs only the update-Θ half.
     pub fn update_theta(&mut self) {
-        self.theta = solve_side_instrumented(
+        self.theta = solve_side(
             &self.r_t,
             &self.x,
             self.config.lambda,

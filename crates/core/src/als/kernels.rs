@@ -134,12 +134,9 @@ pub fn solve_rows<'t>(
 /// * `fixed` — the factor matrix of the other side, indexed by `r`'s columns.
 /// * `lambda` — weighted-λ regularization; each row's ridge is
 ///   `λ · n_{x_u}`.
-pub fn solve_side(r: &Csr, fixed: &FactorMatrix, lambda: f32) -> FactorMatrix {
-    solve_side_instrumented(r, fixed, lambda, None)
-}
-
-/// [`solve_side`] with optional per-row phase timing (see [`solve_rows`]).
-pub fn solve_side_instrumented(
+/// * `metrics` — optional per-row phase timing (see [`solve_rows`]); `None`
+///   records nothing.
+pub fn solve_side(
     r: &Csr,
     fixed: &FactorMatrix,
     lambda: f32,
@@ -244,21 +241,21 @@ pub fn finalize_and_solve(
     out
 }
 
-/// Convenience wrapper: one full fused update of a side through the
-/// partial-Hermitian path with a single (trivial) partition — used by tests
-/// to check that the blocked path agrees with [`solve_side`].
-pub fn solve_side_via_partials(r: &Csr, fixed: &FactorMatrix, lambda: f32) -> FactorMatrix {
-    let f = fixed.rank();
-    let (mut a, mut b) = partial_hermitians(r, fixed, f);
-    let degrees: Vec<usize> = (0..r.n_rows()).map(|u| r.nnz_row(u)).collect();
-    finalize_and_solve(&mut a, &mut b, &degrees, lambda, f)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use cumf_data::synth::SyntheticConfig;
     use cumf_sparse::{vertical_partition, Coo};
+
+    /// One full update of a side through the partial-Hermitian path with a
+    /// single (trivial) partition, to check the blocked path against
+    /// [`solve_side`].
+    fn solve_by_partials(r: &Csr, fixed: &FactorMatrix, lambda: f32) -> FactorMatrix {
+        let f = fixed.rank();
+        let (mut a, mut b) = partial_hermitians(r, fixed, f);
+        let degrees: Vec<usize> = (0..r.n_rows()).map(|u| r.nnz_row(u)).collect();
+        finalize_and_solve(&mut a, &mut b, &degrees, lambda, f)
+    }
 
     fn small_problem() -> (Csr, FactorMatrix) {
         let data = SyntheticConfig {
@@ -279,7 +276,7 @@ mod tests {
         let (r, theta) = small_problem();
         let x0 = FactorMatrix::random(r.n_rows() as usize, 8, 0.5, 3);
         let before = crate::loss::rmse_csr(&x0, &theta, &r);
-        let x1 = solve_side(&r, &theta, 0.05);
+        let x1 = solve_side(&r, &theta, 0.05, None);
         let after = crate::loss::rmse_csr(&x1, &theta, &r);
         assert!(
             after < before,
@@ -300,7 +297,7 @@ mod tests {
             }
         }
         let r = coo.to_csr();
-        let x = solve_side(&r, &theta, 1e-9);
+        let x = solve_side(&r, &theta, 1e-9, None);
         assert!((x.vector(0)[0] - 1.0).abs() < 1e-4);
         assert!((x.vector(1)[0] - 2.0).abs() < 1e-4);
     }
@@ -312,7 +309,7 @@ mod tests {
         coo.push(2, 1, 2.0).unwrap();
         let r = coo.to_csr();
         let theta = FactorMatrix::random(2, 4, 1.0, 5);
-        let x = solve_side(&r, &theta, 0.1);
+        let x = solve_side(&r, &theta, 0.1, None);
         assert!(x.vector(1).iter().all(|&v| v == 0.0));
         assert!(x.vector(0).iter().any(|&v| v != 0.0));
     }
@@ -340,7 +337,7 @@ mod tests {
         for f in [8usize, 32, 64] {
             let theta = FactorMatrix::random(r.n_cols() as usize, f, 0.5, 11);
             for r in [&r, &by_degree] {
-                let got = solve_side(r, &theta, lambda);
+                let got = solve_side(r, &theta, lambda, None);
                 for u in 0..r.n_rows() {
                     let (cols, vals) = r.row(u);
                     if cols.is_empty() {
@@ -406,8 +403,8 @@ mod tests {
                 }
             }
             let r = coo.to_csr();
-            let fused = solve_side(&r, &theta, 0.0);
-            let partial = solve_side_via_partials(&r, &theta, 0.0);
+            let fused = solve_side(&r, &theta, 0.0, None);
+            let partial = solve_by_partials(&r, &theta, 0.0);
             for u in 0..5u32 {
                 let expect = solve_row_reference(r.row(u), &theta, 0.0);
                 let well_posed = u != 2 && u != occupied[failing_lane];
@@ -443,7 +440,7 @@ mod tests {
             }
         }
         let r = coo.to_csr();
-        let got = solve_side(&r, &theta, 0.05);
+        let got = solve_side(&r, &theta, 0.05, None);
         for u in 0..67u32 {
             let expect = if r.nnz_row(u) == 0 {
                 vec![0.0; f]
@@ -471,7 +468,7 @@ mod tests {
             }
         }
         let metrics = TrainMetrics::new();
-        let x = solve_side_instrumented(&coo.to_csr(), &theta, 0.05, Some(&metrics));
+        let x = solve_side(&coo.to_csr(), &theta, 0.05, Some(&metrics));
         assert!(x.vector(2).iter().all(|&v| v == 0.0));
         let report = metrics.report();
         assert_eq!(report.rows_solved, 5);
@@ -535,8 +532,8 @@ mod tests {
     #[test]
     fn partial_path_matches_fused_path() {
         let (r, theta) = small_problem();
-        let fused = solve_side(&r, &theta, 0.05);
-        let partial = solve_side_via_partials(&r, &theta, 0.05);
+        let fused = solve_side(&r, &theta, 0.05, None);
+        let partial = solve_by_partials(&r, &theta, 0.05);
         assert!(
             fused.max_abs_diff(&partial) < 1e-4,
             "fused and partial paths should agree"

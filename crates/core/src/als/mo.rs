@@ -15,7 +15,7 @@
 //!
 //! Disabling each of these reproduces the ablations of Figures 7 and 8.
 
-use crate::als::kernels::solve_side_instrumented;
+use crate::als::kernels::solve_side;
 use crate::config::{AlsConfig, MemoryOptConfig};
 use crate::instrument::TrainMetrics;
 use crate::loss;
@@ -310,7 +310,7 @@ impl MoAlsEngine {
         let f = self.config.f;
 
         // --- update X (solve rows of R against Θ) ---
-        self.x = solve_side_instrumented(
+        self.x = solve_side(
             &self.r,
             &self.theta,
             self.config.lambda,
@@ -331,7 +331,7 @@ impl MoAlsEngine {
             .run_kernel(0, "batch_solve_x", tx.batch_solve_s);
 
         // --- update Θ (solve rows of Rᵀ against X) ---
-        self.theta = solve_side_instrumented(
+        self.theta = solve_side(
             &self.r_t,
             &self.x,
             self.config.lambda,

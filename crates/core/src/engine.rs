@@ -4,8 +4,8 @@
 //! Before this module, the three ALS engines exposed near-identical
 //! inherent methods (`iterate`, `set_factors`, `fold_in_users`, ...) that
 //! the trainer dispatched over with a hand-written enum, and the baseline
-//! solvers lived behind a separate `MfSolver` trait with a different
-//! surface.  [`Engine`] unifies them:
+//! solvers lived behind a separate trait with a different surface.
+//! [`Engine`] unifies them:
 //!
 //! | method | what it does |
 //! |---|---|
@@ -16,11 +16,11 @@
 //! | [`Engine::rmse`] / [`Engine::train_rmse`] | held-out / training error |
 //!
 //! [`IncrementalEngine`] extends it with the online-serving half: folding
-//! new-or-updated users in against the engine's frozen `Θ`, either from a
-//! contiguous catalog ([`IncrementalEngine::fold_in_users`]) or directly
-//! from the serving tier's segmented item store
-//! ([`IncrementalEngine::fold_in_users_segmented`]) without materializing a
-//! contiguous `Θ` copy.
+//! new-or-updated users in against the engine's frozen `Θ`
+//! ([`IncrementalEngine::fold_in_users`]).  A caller that holds the
+//! serving tier's segmented item store instead of the engine calls
+//! [`crate::foldin::fold_in_users_segmented`] directly, with the engine's
+//! [`IncrementalEngine::fold_in_lambda`] and metrics sink.
 //!
 //! Both traits are object safe; [`crate::trainer::MatrixFactorizer`] holds a
 //! `Box<dyn IncrementalEngine>` and the benchmark harness drives baselines
@@ -28,7 +28,6 @@
 
 use crate::instrument::TrainMetrics;
 use crate::loss;
-use cumf_linalg::batch::SegmentView;
 use cumf_linalg::FactorMatrix;
 use cumf_sparse::{Csr, Entry};
 use std::sync::Arc;
@@ -98,28 +97,9 @@ pub trait IncrementalEngine: Engine {
     /// # Panics
     /// Panics if `ratings` does not span the item catalog.
     fn fold_in_users(&self, ratings: &Csr) -> FactorMatrix {
-        crate::foldin::fold_in_users_instrumented(
+        crate::foldin::fold_in_users(
             ratings,
             self.theta(),
-            self.fold_in_lambda(),
-            self.metrics().map(Arc::as_ref),
-        )
-    }
-
-    /// [`IncrementalEngine::fold_in_users`] against a segmented catalog:
-    /// the Hermitians are assembled by resolving each rating's item id
-    /// through its segment view, so no contiguous catalog-order `Θ` is ever
-    /// materialized.  `segments` would typically come from the serving
-    /// tier's item store (`ItemStore::views()`).
-    ///
-    /// # Panics
-    /// Panics if the segments do not tile `[0, ratings.n_cols())` or their
-    /// rank differs from the engine's.
-    fn fold_in_users_segmented(&self, ratings: &Csr, segments: &[SegmentView<'_>]) -> FactorMatrix {
-        crate::foldin::fold_in_users_segmented_instrumented(
-            ratings,
-            segments,
-            self.theta().rank(),
             self.fold_in_lambda(),
             self.metrics().map(Arc::as_ref),
         )

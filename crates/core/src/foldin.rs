@@ -15,10 +15,12 @@
 //! The solve itself is [`crate::als::kernels::solve_rows`] — the same
 //! per-row kernel every training engine uses, parallel over users via
 //! rayon — so a folded-in user gets *exactly* the factors one more
-//! update-`X` half-iteration would have given them.  The contiguous and the
-//! segmented path differ only in how a rating's item id finds its `θ_v`.
+//! update-`X` half-iteration would have given them.  The contiguous
+//! ([`fold_in_users`]) and the segmented ([`fold_in_users_segmented`]) path
+//! differ only in how a rating's item id finds its `θ_v`; both take an
+//! optional [`TrainMetrics`] sink, and `None` records nothing.
 
-use crate::als::kernels::{solve_rows, solve_side_instrumented};
+use crate::als::kernels::{solve_rows, solve_side};
 use crate::instrument::TrainMetrics;
 use cumf_linalg::batch::SegmentView;
 use cumf_linalg::FactorMatrix;
@@ -34,6 +36,10 @@ use std::time::Instant;
 /// * `theta` — the frozen item factors.
 /// * `lambda` — the same weighted-λ regularization used in training: each
 ///   row's ridge is `λ · n_u`.
+/// * `metrics` — optional batch-latency recording: the whole batch's wall
+///   time lands in the [`TrainMetrics`] `fold_in` histogram and each
+///   non-empty row records its assembly/solve phases, exactly like an
+///   instrumented training half-iteration.  `None` records nothing.
 ///
 /// Returns one factor row per input row (row `i` of the result belongs to
 /// row `i` of `ratings`).  Users with no ratings get a zero vector, exactly
@@ -41,15 +47,7 @@ use std::time::Instant;
 ///
 /// # Panics
 /// Panics if `ratings.n_cols() != theta.len()`.
-pub fn fold_in_users(ratings: &Csr, theta: &FactorMatrix, lambda: f32) -> FactorMatrix {
-    fold_in_users_instrumented(ratings, theta, lambda, None)
-}
-
-/// [`fold_in_users`] with optional batch-latency recording: the whole
-/// batch's wall time lands in the [`TrainMetrics`] `fold_in` histogram and
-/// each non-empty row records its assembly/solve phases, exactly like an
-/// instrumented training half-iteration.
-pub fn fold_in_users_instrumented(
+pub fn fold_in_users(
     ratings: &Csr,
     theta: &FactorMatrix,
     lambda: f32,
@@ -61,7 +59,7 @@ pub fn fold_in_users_instrumented(
         "fold-in ratings must span the item catalog"
     );
     let started = metrics.map(|_| Instant::now());
-    let out = solve_side_instrumented(ratings, theta, lambda, metrics);
+    let out = solve_side(ratings, theta, lambda, metrics);
     if let (Some(m), Some(t0)) = (metrics, started) {
         m.record_fold_in(t0.elapsed());
     }
@@ -79,26 +77,16 @@ pub fn fold_in_users_instrumented(
 ///   `ItemStore::views()`.  Permuted segments must carry their `pos`
 ///   inverse remap.
 /// * `f` — the latent rank (views carry slabs, not ranks).
+/// * `metrics` — the same optional recording as [`fold_in_users`].
 ///
 /// Per row, ratings are visited in the same CSR order as the contiguous
 /// path, so results are **bit-identical** to
-/// `fold_in_users(ratings, &store.to_matrix(), lambda)`.
+/// `fold_in_users(ratings, &store.to_matrix(), lambda, None)`.
 ///
 /// # Panics
 /// Panics if the segments do not tile the catalog or a slab disagrees with
 /// `f`.
 pub fn fold_in_users_segmented(
-    ratings: &Csr,
-    segments: &[SegmentView<'_>],
-    f: usize,
-    lambda: f32,
-) -> FactorMatrix {
-    fold_in_users_segmented_instrumented(ratings, segments, f, lambda, None)
-}
-
-/// [`fold_in_users_segmented`] with the same optional batch/phase recording
-/// as [`fold_in_users_instrumented`].
-pub fn fold_in_users_segmented_instrumented(
     ratings: &Csr,
     segments: &[SegmentView<'_>],
     f: usize,
@@ -192,7 +180,7 @@ mod tests {
         // fold_in_users solves the same system as update_x: feeding the
         // training matrix back in must reproduce solve_side's X exactly.
         let (r, mut engine) = trained();
-        let folded = fold_in_users(&r, engine.theta(), engine.config().lambda);
+        let folded = fold_in_users(&r, engine.theta(), engine.config().lambda, None);
         engine.update_x();
         assert_eq!(folded.max_abs_diff(engine.x()), 0.0);
     }
@@ -206,7 +194,7 @@ mod tests {
         let (items, vals) = r.row(3);
         let rows = vec![items.iter().copied().zip(vals.iter().copied()).collect()];
         let batch = ratings_rows(&rows, r.n_cols());
-        let folded = fold_in_users(&batch, engine.theta(), engine.config().lambda);
+        let folded = fold_in_users(&batch, engine.theta(), engine.config().lambda, None);
         assert_eq!(folded.len(), 1);
         let mse: f64 = items
             .iter()
@@ -225,7 +213,7 @@ mod tests {
         let (r, engine) = trained();
         let rows = vec![Vec::new(), vec![(0u32, 4.0f32)]];
         let batch = ratings_rows(&rows, r.n_cols());
-        let folded = fold_in_users(&batch, engine.theta(), 0.05);
+        let folded = fold_in_users(&batch, engine.theta(), 0.05, None);
         assert!(folded.vector(0).iter().all(|&v| v == 0.0));
         assert!(folded.vector(1).iter().any(|&v| v != 0.0));
     }
@@ -235,7 +223,7 @@ mod tests {
     fn catalog_width_mismatch_panics() {
         let (_, engine) = trained();
         let batch = ratings_rows(&[vec![(0, 1.0)]], 10);
-        fold_in_users(&batch, engine.theta(), 0.05);
+        fold_in_users(&batch, engine.theta(), 0.05, None);
     }
 
     /// Splits `theta` at the given cuts into segments, permuting each
@@ -315,11 +303,11 @@ mod tests {
             .collect();
         rows.push(Vec::new());
         let batch = ratings_rows(&rows, r.n_cols());
-        let expect = fold_in_users(&batch, engine.theta(), 0.05);
+        let expect = fold_in_users(&batch, engine.theta(), 0.05, None);
         for cuts in [vec![0usize, n], vec![0, 17, n], vec![0, 1, 2, 40, n]] {
             let seg = SegmentedTheta::build(engine.theta(), &cuts);
             let views = seg.views();
-            let got = fold_in_users_segmented(&batch, &views, f, 0.05);
+            let got = fold_in_users_segmented(&batch, &views, f, 0.05, None);
             assert_eq!(
                 got.max_abs_diff(&expect),
                 0.0,
@@ -335,13 +323,7 @@ mod tests {
         let views = seg.views();
         let batch = ratings_rows(&[vec![(0, 4.0), (3, 2.0)]], r.n_cols());
         let metrics = TrainMetrics::new();
-        fold_in_users_segmented_instrumented(
-            &batch,
-            &views,
-            engine.theta().rank(),
-            0.05,
-            Some(&metrics),
-        );
+        fold_in_users_segmented(&batch, &views, engine.theta().rank(), 0.05, Some(&metrics));
         let report = metrics.report();
         assert_eq!(report.fold_in.count(), 1);
         assert_eq!(report.solve_side.count(), 1);
@@ -356,7 +338,7 @@ mod tests {
         let mut views = seg.views();
         views.remove(0);
         let batch = ratings_rows(&[vec![(0, 1.0)]], r.n_cols());
-        fold_in_users_segmented(&batch, &views, engine.theta().rank(), 0.05);
+        fold_in_users_segmented(&batch, &views, engine.theta().rank(), 0.05, None);
     }
 
     #[test]

@@ -5,10 +5,10 @@
 //! (equation (2)): assembling the Hermitian `A = Σ θ_v θ_vᵀ` (the
 //! `get_hermitian` kernel) and solving the regularized system (the
 //! `batch_solve` kernel).  [`TrainMetrics`] reports both **per row** from
-//! inside [`crate::als::kernels::solve_rows`], plus whole `solve_side` calls
-//! and incremental fold-in batches
-//! ([`crate::foldin::fold_in_users_instrumented`]) — giving the host-side
-//! analogue of the kernel split the simulator prices.
+//! inside [`crate::als::kernels::solve_rows`], plus whole
+//! [`crate::als::kernels::solve_side`] calls and incremental fold-in batches
+//! ([`crate::foldin::fold_in_users`], [`crate::foldin::fold_in_users_segmented`])
+//! — giving the host-side analogue of the kernel split the simulator prices.
 //!
 //! Assembly is timed row by row.  The solve is not: up to four rows are
 //! factored together, one per SIMD lane, so a row has no solve time of its
@@ -20,9 +20,9 @@
 //! row's share of a group, so the histogram's spread is that of groups.
 //!
 //! Recording is wait-free ([`cumf_obs::Histogram`] relaxed atomics), so the
-//! rayon row loop stays embarrassingly parallel; the uninstrumented entry
-//! points ([`crate::als::kernels::solve_side`]) pass `None` and pay no
-//! timing overhead at all.
+//! rayon row loop stays embarrassingly parallel.  Every entry point takes
+//! the sink as an `Option<&TrainMetrics>`: an uninstrumented call passes
+//! `None` and pays no timing overhead at all.
 
 use cumf_obs::{Exporter, Histogram, HistogramSnapshot};
 use std::sync::atomic::{AtomicU64, Ordering};

@@ -379,24 +379,6 @@ impl MatrixFactorizer {
         self.fitted_engine().fold_in_users(ratings)
     }
 
-    /// [`MatrixFactorizer::fold_in_users`] against a segmented item catalog
-    /// (e.g. the serving tier's `ItemStore::views()`), assembling each
-    /// user's normal equations straight from the segment slabs — no
-    /// contiguous catalog-order `Θ` copy is materialized.
-    ///
-    /// # Panics
-    /// Panics if [`MatrixFactorizer::fit`] has not been called, the
-    /// segments do not tile the catalog, or their rank differs from the
-    /// model's.
-    pub fn fold_in_users_segmented(
-        &self,
-        ratings: &Csr,
-        segments: &[SegmentView<'_>],
-    ) -> FactorMatrix {
-        self.fitted_engine()
-            .fold_in_users_segmented(ratings, segments)
-    }
-
     /// A snapshot of the trainer-side latency metrics: per-row
     /// Hermitian-assembly and solve phases, whole `solve_side` calls, and
     /// fold-in batches (see [`crate::instrument::TrainMetrics`]).  Empty

@@ -39,7 +39,7 @@ use crate::metrics::{MetricsReport, ServeMetrics, Stage, WindowedReport};
 use crate::snapshot::{DeltaError, DeltaStats, FactorSnapshot, SnapshotDelta, SnapshotStore};
 use crate::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use crate::sync::{Arc, Mutex};
-use crate::topk::{Query, ScoreKind, TopKIndex, DEFAULT_RERANK_FACTOR};
+use crate::topk::{Query, ScanPlan, ScoreKind, DEFAULT_RERANK_FACTOR};
 use crossbeam::channel::{bounded, Receiver, RecvTimeoutError, Sender, TryRecvError};
 use cumf_linalg::topk::DEFAULT_ITEM_BLOCK;
 use cumf_linalg::{ApproxPolicy, Precision, PruneStats};
@@ -64,7 +64,7 @@ pub struct ServeConfig {
     /// batcher; more workers scale scoring past one core's budget and keep
     /// serving while another worker is mid-batch.
     pub workers: usize,
-    /// Item shards per scoring pass (see [`TopKIndex::with_shards`]):
+    /// Item shards per scoring pass (see [`crate::TopKIndex::new`]):
     /// partitions Θ into contiguous shards scored in parallel and merged.
     /// Results are bit-identical for every value; > 1 buys parallelism for
     /// small batches over large catalogs.
@@ -119,7 +119,7 @@ pub struct ServeConfig {
     pub precision_overrides: Vec<(usize, Precision)>,
     /// Over-fetch margin of the quantized-scan rerank pass: heaps keep
     /// `ceil(k · rerank_factor)` candidates and the exact rescore truncates
-    /// back to `k` (see [`TopKIndex::with_rerank`]).  Ignored when every
+    /// back to `k` (see [`crate::TopKIndex::new`]).  Ignored when every
     /// segment is exact f32.  Must be finite and ≥ 1.
     pub rerank_factor: f32,
     /// Trace one request in `trace_sample` (0 disables tracing, 1 traces
@@ -436,16 +436,12 @@ impl TopKService {
         fault: Option<FaultHook>,
     ) -> Self {
         assert!(config.max_batch > 0, "max_batch must be positive");
-        if let Some(policy) = &config.approx {
-            policy.validate();
-        }
-        assert!(
-            config.rerank_factor.is_finite() && config.rerank_factor >= 1.0,
-            "rerank_factor must be finite and >= 1"
-        );
         let n_workers = config.workers.max(1);
         let initial =
             encode_to_serving_precision(initial, config.precision, &config.precision_overrides);
+        // Every batch builds its plan from `config`: building one here
+        // rejects bad index fields before a worker could panic on them.
+        let _ = ScanPlan::new(&initial, &config, config.approx);
         let store = Arc::new(SnapshotStore::new(initial));
         let metrics = Arc::new(ServeMetrics::new());
         let state = Arc::new(PoolState::default());
@@ -495,11 +491,6 @@ impl TopKService {
             precision,
             precision_overrides,
         }
-    }
-
-    /// Starts with the default configuration.
-    pub fn start_default(initial: FactorSnapshot) -> Self {
-        Self::start(initial, ServeConfig::default())
     }
 
     #[allow(clippy::too_many_arguments)]
@@ -719,15 +710,8 @@ impl TopKService {
                     .iter()
                     .map(|&slot| batch[slots[slot].0].request.query.clone())
                     .collect();
-                let index = TopKIndex::with_rerank(
-                    Arc::clone(&snapshot),
-                    config.item_block,
-                    config.score,
-                    config.shards,
-                    policy,
-                    config.rerank_factor,
-                );
-                let (group_results, group_prune) = index.query_batch_stats(&queries);
+                let (group_results, group_prune) =
+                    ScanPlan::new(&snapshot, config, policy).query_batch_stats(&snapshot, &queries);
                 prune.merge(&group_prune);
                 for (slot, result) in members.into_iter().zip(group_results) {
                     results[slot] = result;
@@ -1335,25 +1319,25 @@ mod tests {
 
     #[test]
     fn worker_panic_is_surfaced_with_its_message() {
-        // item_block = 0 is a config error that only explodes inside the
-        // scorer — it stands in for any scoring-time panic.  With a zero
-        // panic budget (the pre-supervisor policy) the request that
+        // A fault on every batch stands in for any scoring-time panic.  With
+        // a zero panic budget (the pre-supervisor policy) the request that
         // triggered it and every later request must fail with the panic's
         // message, not a silent Shutdown.
-        let service = TopKService::start(
+        let fault: super::FaultHook = Arc::new(|_: &Query| true);
+        let service = TopKService::start_with_fault(
             snapshot(8),
             ServeConfig {
-                item_block: 0,
                 max_delay: Duration::from_millis(1),
                 panic_budget: 0,
                 ..Default::default()
             },
+            Some(fault),
         );
         let client = service.client();
         let err = client.recommend(0, 3, &[]).unwrap_err();
         match &err {
             ServeError::WorkerPanicked(msg) => {
-                assert!(msg.contains("item block"), "unexpected message: {msg}")
+                assert!(msg.contains("injected fault"), "unexpected message: {msg}")
             }
             other => panic!("expected WorkerPanicked, got {other:?}"),
         }
@@ -1364,7 +1348,22 @@ mod tests {
         assert_eq!(m.worker_panics, 1);
         assert_eq!(m.worker_restarts, 0);
         // The error formats with its cause attached.
-        assert!(err.to_string().contains("item block"));
+        assert!(err.to_string().contains("injected fault"));
+    }
+
+    /// A bad index field fails `start` on the caller's thread, before any
+    /// worker spawns — instead of panicking inside the pool on every batch
+    /// and poisoning it.
+    #[test]
+    #[should_panic(expected = "item block must be positive")]
+    fn start_rejects_a_zero_item_block() {
+        TopKService::start(
+            snapshot(8),
+            ServeConfig {
+                item_block: 0,
+                ..config()
+            },
+        );
     }
 
     /// A data-dependent scoring panic within the budget costs only the

@@ -343,20 +343,11 @@ pub struct ItemStore {
 
 impl ItemStore {
     /// Builds a single-segment store over `theta` (rows in catalog order)
-    /// with the given layout, at full precision.
-    pub fn new(theta: FactorMatrix, layout: ItemLayout) -> Self {
-        Self::new_with_precision(theta, layout, Precision::F32)
-    }
-
-    /// [`ItemStore::new`] with the scan slab stored at `precision`.  The
+    /// with the given layout and the scan slab stored at `precision`.  The
     /// exact f32 rows are always retained alongside — point lookups,
     /// [`ItemStore::to_matrix`], and fold-in stay exact; only the blocked
     /// scan reads compressed bytes.
-    pub fn new_with_precision(
-        theta: FactorMatrix,
-        layout: ItemLayout,
-        precision: Precision,
-    ) -> Self {
+    pub fn new(theta: FactorMatrix, layout: ItemLayout, precision: Precision) -> Self {
         let f = theta.rank();
         let n_items = theta.len();
         let segments = vec![Arc::new(ItemSegment::build_with_precision(
@@ -485,7 +476,7 @@ impl ItemStore {
     /// every delta.  Retrieval against the compacted store is bit-identical
     /// when every segment already carried the default precision.
     pub fn compact(&self) -> ItemStore {
-        ItemStore::new_with_precision(self.to_matrix(), self.layout, self.precision)
+        ItemStore::new(self.to_matrix(), self.layout, self.precision)
     }
 
     /// Materializes the catalog in global id order — the contiguous Θ a
@@ -557,7 +548,7 @@ mod tests {
     #[test]
     fn catalog_order_store_round_trips_vectors_and_norms() {
         let t = theta(37, 5, 1);
-        let store = ItemStore::new(t.clone(), ItemLayout::CatalogOrder);
+        let store = ItemStore::new(t.clone(), ItemLayout::CatalogOrder, Precision::F32);
         assert_eq!(store.n_items(), 37);
         assert_eq!(store.segment_count(), 1);
         for v in 0..37 {
@@ -571,7 +562,7 @@ mod tests {
     #[test]
     fn norm_descending_store_permutes_rows_but_remaps_ids() {
         let t = theta(100, 6, 2);
-        let store = ItemStore::new(t.clone(), ItemLayout::NormDescending);
+        let store = ItemStore::new(t.clone(), ItemLayout::NormDescending, Precision::F32);
         let seg = &store.segments()[0];
         assert!(seg.is_permuted());
         // Stored norms are non-increasing.
@@ -596,7 +587,7 @@ mod tests {
             2,
             vec![1.0, 0.0, 0.0, 1.0, 1.0, 0.0, 0.0, 1.0, 1.0, 0.0, 0.0, 1.0],
         );
-        let store = ItemStore::new(t, ItemLayout::NormDescending);
+        let store = ItemStore::new(t, ItemLayout::NormDescending, Precision::F32);
         let seg = &store.segments()[0];
         let ids: Vec<u32> = (0..seg.len()).map(|r| seg.global_id(r)).collect();
         assert_eq!(ids, vec![0, 1, 2, 3, 4, 5]);
@@ -606,7 +597,7 @@ mod tests {
     fn append_pushes_a_tail_segment_and_shares_the_base() {
         for layout in [ItemLayout::CatalogOrder, ItemLayout::NormDescending] {
             let base_theta = theta(90, 4, 3);
-            let store = ItemStore::new(base_theta.clone(), layout);
+            let store = ItemStore::new(base_theta.clone(), layout, Precision::F32);
             let tail = theta(15, 4, 4);
             let (grown, bytes) = store.append(&tail);
             assert_eq!(bytes, 15 * 4 * 4, "O(a·f) bytes for {layout:?}");
@@ -630,7 +621,7 @@ mod tests {
     #[test]
     fn compact_merges_tails_into_one_identical_base() {
         for layout in [ItemLayout::CatalogOrder, ItemLayout::NormDescending] {
-            let store = ItemStore::new(theta(60, 5, 6), layout);
+            let store = ItemStore::new(theta(60, 5, 6), layout, Precision::F32);
             let (store, _) = store.append(&theta(20, 5, 7));
             let (store, _) = store.append(&theta(3, 5, 8));
             assert_eq!(store.segment_count(), 3);
@@ -647,7 +638,7 @@ mod tests {
 
     #[test]
     fn views_cover_every_item_exactly_once() {
-        let store = ItemStore::new(theta(50, 4, 9), ItemLayout::NormDescending);
+        let store = ItemStore::new(theta(50, 4, 9), ItemLayout::NormDescending, Precision::F32);
         let (store, _) = store.append(&theta(11, 4, 10));
         let views = store.views();
         assert_eq!(views.len(), 2);
@@ -665,21 +656,21 @@ mod tests {
     #[test]
     #[should_panic(expected = "out of range")]
     fn out_of_range_vector_panics() {
-        ItemStore::new(theta(3, 2, 11), ItemLayout::CatalogOrder).vector(3);
+        ItemStore::new(theta(3, 2, 11), ItemLayout::CatalogOrder, Precision::F32).vector(3);
     }
 
     #[test]
     #[should_panic(expected = "wrong rank")]
     fn append_rejects_rank_mismatch() {
-        ItemStore::new(theta(3, 2, 12), ItemLayout::CatalogOrder).append(&theta(1, 3, 13));
+        ItemStore::new(theta(3, 2, 12), ItemLayout::CatalogOrder, Precision::F32)
+            .append(&theta(1, 3, 13));
     }
 
     #[test]
     fn quantized_store_retains_exact_rows_and_encodes_the_scan_slab() {
         for precision in [Precision::F16, Precision::I8] {
             let t = theta(200, 8, 21);
-            let store =
-                ItemStore::new_with_precision(t.clone(), ItemLayout::NormDescending, precision);
+            let store = ItemStore::new(t.clone(), ItemLayout::NormDescending, precision);
             assert_eq!(store.precision(), precision);
             let seg = &store.segments()[0];
             assert_eq!(seg.precision(), precision);
@@ -702,18 +693,14 @@ mod tests {
             let restored = store.reencode(Precision::F32);
             assert_eq!(
                 restored,
-                ItemStore::new(t.clone(), ItemLayout::NormDescending)
+                ItemStore::new(t.clone(), ItemLayout::NormDescending, Precision::F32)
             );
         }
     }
 
     #[test]
     fn quantized_append_and_compact_reencode_tails() {
-        let store = ItemStore::new_with_precision(
-            theta(90, 4, 3),
-            ItemLayout::NormDescending,
-            Precision::I8,
-        );
+        let store = ItemStore::new(theta(90, 4, 3), ItemLayout::NormDescending, Precision::I8);
         let (grown, _) = store.append(&theta(15, 4, 4));
         assert_eq!(grown.segments()[1].precision(), Precision::I8);
         assert!(grown.segments()[1].encoded().is_some(), "tail re-encoded");
@@ -726,7 +713,7 @@ mod tests {
 
     #[test]
     fn mixed_precision_overrides_share_unchanged_segments() {
-        let store = ItemStore::new(theta(60, 5, 6), ItemLayout::NormDescending);
+        let store = ItemStore::new(theta(60, 5, 6), ItemLayout::NormDescending, Precision::F32);
         let (store, _) = store.append(&theta(20, 5, 7));
         let mixed = store.reencode_with(|i, _| {
             if i == 0 {
@@ -749,7 +736,11 @@ mod tests {
 
     #[test]
     fn empty_catalog_is_representable() {
-        let store = ItemStore::new(FactorMatrix::zeros(0, 4), ItemLayout::NormDescending);
+        let store = ItemStore::new(
+            FactorMatrix::zeros(0, 4),
+            ItemLayout::NormDescending,
+            Precision::F32,
+        );
         assert_eq!(store.n_items(), 0);
         assert_eq!(store.views().len(), 1);
         assert!(store.segments()[0].is_empty());
@@ -881,7 +872,7 @@ mod tests {
             let base = tied_theta(n, f, seed);
             let rows = tied_theta(tail, f, seed + 1);
             for layout in [ItemLayout::CatalogOrder, ItemLayout::NormDescending] {
-                let store = ItemStore::new_with_precision(base.clone(), layout, precision);
+                let store = ItemStore::new(base.clone(), layout, precision);
                 prop_assert_eq!(&*store.segments()[0], &gather_build(&base, 0, layout, precision));
                 let (grown, _) = store.append(&rows);
                 prop_assert_eq!(

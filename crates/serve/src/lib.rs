@@ -1,8 +1,8 @@
 //! # cumf-serve — batched, cached top-k retrieval over factor snapshots
 //!
 //! Training produces factors; traffic wants rankings.  This crate turns a
-//! fitted [`cumf_core::trainer::MatrixFactorizer`] (or a saved
-//! [`cumf_core::checkpoint::Checkpoint`]) into a production-shaped
+//! fitted [`cumf_core::trainer::MatrixFactorizer`]'s factors (or a saved
+//! [`cumf_core::checkpoint::Checkpoint`]'s) into a production-shaped
 //! retrieval service, reusing the paper's central trick — batch many small
 //! independent problems into one regular blocked kernel — at serving time:
 //!
@@ -62,8 +62,9 @@
 //! * [`online::OnlineLoop`] — the **closed online loop**: drains
 //!   time-ordered rating mini-batches from a
 //!   [`cumf_data::stream::StreamBatcher`], updates the touched users
-//!   incrementally (segment-aware fold-in through any
-//!   [`cumf_core::IncrementalEngine`], or streaming SGD via
+//!   incrementally (segment-aware fold-in,
+//!   [`cumf_core::foldin::fold_in_users_segmented`] at an
+//!   [`cumf_core::IncrementalEngine`]'s λ, or streaming SGD via
 //!   [`cumf_core::sgd::SgdEngine::absorb`]) and publishes each batch as a
 //!   [`snapshot::SnapshotDelta`] under live traffic, recording every
 //!   rating's ingest→publish **freshness** into the `serve_freshness_*`
@@ -85,7 +86,8 @@
 //! );
 //! model.fit(&train, &[]);
 //!
-//! let service = TopKService::start(FactorSnapshot::from_trainer(&model), ServeConfig::default());
+//! let snapshot = FactorSnapshot::from_factors(model.x().clone(), model.theta().clone());
+//! let service = TopKService::start(snapshot, ServeConfig::default());
 //! let client = service.client();
 //! let (seen, _) = train.row(0);
 //! let recs = client.recommend(0, 10, seen).unwrap();

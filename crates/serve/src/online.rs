@@ -23,7 +23,7 @@
 //!
 //! * [`OnlineLoop::fold_in`] re-solves each touched user's normal equations
 //!   against the **serving snapshot's own item segments**
-//!   ([`cumf_core::foldin::fold_in_users_segmented_instrumented`] over
+//!   ([`cumf_core::foldin::fold_in_users_segmented`] over
 //!   [`crate::itemstore::ItemStore::views`]) — the item factors are read in
 //!   place, so the loop moves `O(nnz_u·f²)` flops and `O(u·f)` bytes and
 //!   the published [`DeltaStats::item_factor_bytes_copied`] is asserted to
@@ -51,7 +51,7 @@ use crate::batcher::TopKService;
 use crate::metrics::ServeMetrics;
 use crate::snapshot::{DeltaError, DeltaStats, FactorSnapshot, SnapshotDelta, SnapshotStore};
 use crate::sync::Arc;
-use cumf_core::foldin::fold_in_users_segmented_instrumented;
+use cumf_core::foldin::fold_in_users_segmented;
 use cumf_core::sgd::SgdEngine;
 use cumf_core::{Engine, IncrementalEngine, TrainMetrics};
 use cumf_data::stream::StreamBatcher;
@@ -253,11 +253,12 @@ pub struct OnlineLoop<'a> {
 
 impl<'a> OnlineLoop<'a> {
     /// A fold-in loop: each touched user is re-solved against the published
-    /// snapshot's item segments with the engine's λ — the same solve as
-    /// [`IncrementalEngine::fold_in_users_segmented`] — so the item factors
-    /// are never materialized or copied.  The engine itself is dropped
-    /// here: the loop keeps its λ, rank and metrics sink (fold-ins keep
-    /// recording into the sink).  `training` seeds the per-user rating
+    /// snapshot's item segments with the engine's λ through
+    /// [`cumf_core::foldin::fold_in_users_segmented`] — bit-identical to
+    /// [`IncrementalEngine::fold_in_users`] over a contiguous `Θ` — so the
+    /// item factors are never materialized or copied.  The engine itself is
+    /// dropped here: the loop keeps its λ, rank and metrics sink (fold-ins
+    /// keep recording into the sink).  `training` seeds the per-user rating
     /// history (fold-in re-solves from *all* of a user's known ratings, not
     /// just the streamed ones).
     ///
@@ -446,7 +447,7 @@ impl<'a> OnlineLoop<'a> {
                 let ratings = history.ratings_of(touched, snap.n_items() as u32);
                 // The solve reads the serving snapshot's segments in place:
                 // no Θ materialization, no catalog copy.
-                let folded = fold_in_users_segmented_instrumented(
+                let folded = fold_in_users_segmented(
                     &ratings,
                     &snap.items().views(),
                     *rank,
@@ -599,7 +600,8 @@ mod tests {
         let cols: Vec<u32> = merged.keys().copied().collect();
         let vals: Vec<f32> = merged.values().copied().collect();
         let one = Csr::from_raw(1, r.n_cols(), vec![0, cols.len()], cols, vals).unwrap();
-        let expect = cumf_core::foldin::fold_in_users(&one, &after.item_factors_matrix(), 0.05);
+        let expect =
+            cumf_core::foldin::fold_in_users(&one, &after.item_factors_matrix(), 0.05, None);
         assert_eq!(after.user_vector(3).unwrap(), expect.vector(0));
     }
 
@@ -963,7 +965,7 @@ mod tests {
                 let got = snap.user_vector(u).unwrap();
                 if touched.contains(&u) {
                     let one = tree_ratings_of(&reference, &[u], ITEMS);
-                    let expect = cumf_core::foldin::fold_in_users(&one, &theta, 0.05);
+                    let expect = cumf_core::foldin::fold_in_users(&one, &theta, 0.05, None);
                     prop_assert_eq!(got, expect.vector(0), "user {}", u);
                 } else if u >= USERS {
                     prop_assert!(got.iter().all(|&x| x == 0.0), "gap user {} is not zero", u);

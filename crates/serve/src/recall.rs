@@ -2,9 +2,9 @@
 //! truth on the same snapshot.
 //!
 //! "Approximate" is only trustworthy when the approximation is *measured*:
-//! this module builds an exact and an approximate [`TopKIndex`] over one
-//! snapshot, runs the same queries through both, and reports recall@k plus
-//! the block-scan counters of each side.  The same harness backs the
+//! this module runs the same queries through an exact and an approximate
+//! scan of one snapshot — the scan a [`crate::TopKIndex`] runs — and reports
+//! recall@k plus the block-scan counters of each side.  The same harness backs the
 //! statistical recall tests, the `serving_approximate` bench group, and the
 //! `serve_load_gen --recall` smoke gate, so every epsilon→recall claim in
 //! the repo comes from one code path.
@@ -14,9 +14,9 @@
 //! deliberately ignored — early termination may drop a true top-k item, but
 //! it never changes the score of an item it did return.
 
+use crate::batcher::ServeConfig;
 use crate::snapshot::FactorSnapshot;
-use crate::sync::Arc;
-use crate::topk::{Query, ScoreKind, TopKIndex};
+use crate::topk::{Query, ScanPlan};
 use cumf_linalg::{ApproxPolicy, PruneStats};
 
 /// Outcome of one [`measure_recall`] run: per-query recall aggregates plus
@@ -76,30 +76,29 @@ pub fn recall_at_k(exact: &[(u32, f32)], approx: &[(u32, f32)]) -> f64 {
     hit as f64 / truth.len() as f64
 }
 
-/// Runs `queries` through an exact and a `policy`-approximate
-/// [`TopKIndex`] over the same `snapshot` and aggregates recall@k.
+/// Runs `queries` through an exact and a `policy`-approximate scan over the
+/// same `snapshot` and aggregates recall@k.
 ///
-/// Both indexes share `item_block`, `score`, and `shards`, so the *only*
-/// difference between the two sides is the early-termination policy — the
-/// measured recall isolates exactly what approximation costs.
+/// Both sides take their index fields (`item_block`, `score`, `shards`,
+/// `rerank_factor`) from `config` — the scan a [`crate::TopKIndex`] built from it
+/// runs — and ignore `config.approx`: the exact side runs no policy and the
+/// approximate side runs `policy`, so the *only* difference between the two
+/// is the early-termination policy and the measured recall isolates
+/// exactly what approximation costs.
+///
+/// # Panics
+/// Panics if `config`'s index fields or `policy` fail validation (see
+/// [`crate::TopKIndex::new`]).
 pub fn measure_recall(
-    snapshot: &Arc<FactorSnapshot>,
+    snapshot: &FactorSnapshot,
     queries: &[Query],
-    item_block: usize,
-    score: ScoreKind,
-    shards: usize,
+    config: &ServeConfig,
     policy: &ApproxPolicy,
 ) -> RecallReport {
-    let exact = TopKIndex::with_shards(Arc::clone(snapshot), item_block, score, shards);
-    let approx = TopKIndex::with_approx(
-        Arc::clone(snapshot),
-        item_block,
-        score,
-        shards,
-        Some(*policy),
-    );
-    let (exact_results, exact_stats) = exact.query_batch_stats(queries);
-    let (approx_results, approx_stats) = approx.query_batch_stats(queries);
+    let (exact_results, exact_stats) =
+        ScanPlan::new(snapshot, config, None).query_batch_stats(snapshot, queries);
+    let (approx_results, approx_stats) =
+        ScanPlan::new(snapshot, config, Some(*policy)).query_batch_stats(snapshot, queries);
     report_from_lists(&exact_results, &approx_results, exact_stats, approx_stats)
 }
 
@@ -197,19 +196,18 @@ mod tests {
 
     #[test]
     fn measure_recall_is_perfect_and_identical_at_epsilon_zero() {
-        let snap = Arc::new(FactorSnapshot::from_factors(
+        let snap = FactorSnapshot::from_factors(
             FactorMatrix::random(16, 8, 1.0, 40),
             FactorMatrix::random(600, 8, 1.0, 41),
-        ));
-        let queries: Vec<Query> = (0..16u32).map(|u| Query::new(u, 10)).collect();
-        let r = measure_recall(
-            &snap,
-            &queries,
-            64,
-            ScoreKind::Dot,
-            2,
-            &ApproxPolicy::exact(),
         );
+        let queries: Vec<Query> = (0..16u32).map(|u| Query::new(u, 10)).collect();
+        let config = ServeConfig {
+            item_block: 64,
+            score: crate::ScoreKind::Dot,
+            shards: 2,
+            ..Default::default()
+        };
+        let r = measure_recall(&snap, &queries, &config, &ApproxPolicy::exact());
         assert_eq!(r.queries, 16);
         assert!(r.all_identical(), "epsilon 0 must be bit-identical");
         assert_eq!(r.mean_recall, 1.0);

@@ -36,9 +36,7 @@ use crate::itemstore::{ItemLayout, ItemStore};
 use crate::sync::atomic::{AtomicU64, Ordering};
 use crate::sync::{Arc, RwLock};
 use crate::topk::{Query, ScanPlan};
-use cumf_core::checkpoint::Checkpoint;
-use cumf_core::trainer::MatrixFactorizer;
-use cumf_linalg::FactorMatrix;
+use cumf_linalg::{FactorMatrix, Precision};
 use std::collections::HashMap;
 
 /// Rows per copy-on-write user-factor block.  Small enough that updating one
@@ -365,7 +363,10 @@ pub struct FactorSnapshot {
 
 impl FactorSnapshot {
     /// Builds a snapshot from factor matrices (generation 0 until
-    /// published), storing the catalog in the default serving layout —
+    /// published): a fitted trainer's `x().clone()` and `theta().clone()`,
+    /// or a checkpoint's `x` and `theta` — restoring the last checkpoint is
+    /// how serving survives a retrain crash (the paper's §4.4).  The catalog
+    /// is stored in the default serving layout —
     /// [`ItemLayout::NormDescending`] since the approximate-retrieval PR.
     /// Exact results are bit-identical across layouts (pinned by the
     /// segment proptests); callers that need catalog-row storage pass
@@ -397,33 +398,8 @@ impl FactorSnapshot {
         Self {
             generation: 0,
             x,
-            items: ItemStore::new(theta, layout),
+            items: ItemStore::new(theta, layout, Precision::F32),
         }
-    }
-
-    /// Snapshots a live, fitted trainer.
-    ///
-    /// # Panics
-    /// Panics if [`MatrixFactorizer::fit`] has not been called.
-    pub fn from_trainer(model: &MatrixFactorizer) -> Self {
-        Self::from_factors(model.x().clone(), model.theta().clone())
-    }
-
-    /// [`FactorSnapshot::from_trainer`] with an explicit item layout.
-    pub fn from_trainer_with_layout(model: &MatrixFactorizer, layout: ItemLayout) -> Self {
-        Self::from_factors_with_layout(model.x().clone(), model.theta().clone(), layout)
-    }
-
-    /// Restores a snapshot from a saved checkpoint — the serving half of the
-    /// paper's §4.4 fault-tolerance story: a retrain crash loses no serving
-    /// capability, the last checkpoint serves on.
-    pub fn from_checkpoint(checkpoint: &Checkpoint) -> Self {
-        Self::from_factors(checkpoint.x.clone(), checkpoint.theta.clone())
-    }
-
-    /// [`FactorSnapshot::from_checkpoint`] with an explicit item layout.
-    pub fn from_checkpoint_with_layout(checkpoint: &Checkpoint, layout: ItemLayout) -> Self {
-        Self::from_factors_with_layout(checkpoint.x.clone(), checkpoint.theta.clone(), layout)
     }
 
     /// The publication generation (0 for never-published snapshots).
@@ -481,7 +457,7 @@ impl FactorSnapshot {
     /// precision) and gains — or drops — the compressed slab the blocked
     /// scan streams.  User blocks are shared with `self`; segments already
     /// at `precision` are `Arc`-shared, not rebuilt.
-    pub fn reencoded(&self, precision: cumf_linalg::Precision) -> FactorSnapshot {
+    pub fn reencoded(&self, precision: Precision) -> FactorSnapshot {
         Self {
             generation: self.generation,
             x: self.x.clone(),
@@ -495,7 +471,7 @@ impl FactorSnapshot {
     /// Segments whose choice matches their current precision are shared.
     pub fn reencoded_with(
         &self,
-        choose: impl FnMut(usize, &crate::itemstore::ItemSegment) -> cumf_linalg::Precision,
+        choose: impl FnMut(usize, &crate::itemstore::ItemSegment) -> Precision,
     ) -> FactorSnapshot {
         Self {
             generation: self.generation,
@@ -627,15 +603,7 @@ impl FactorSnapshot {
             k,
             exclude: exclude.to_vec(),
         };
-        let c = ServeConfig::default();
-        let plan = ScanPlan::new(
-            self,
-            c.item_block,
-            c.score,
-            c.shards,
-            c.approx,
-            c.rerank_factor,
-        );
+        let plan = ScanPlan::new(self, &ServeConfig::default(), None);
         let (mut results, _) = plan.query_batch_stats(self, std::slice::from_ref(&query));
         results.pop().unwrap_or_default()
     }

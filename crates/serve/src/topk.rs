@@ -30,6 +30,7 @@
 //! systematically — and the skipped/scored decisions are counted in a
 //! [`PruneStats`] ([`TopKIndex::query_batch_stats`]).
 
+use crate::batcher::ServeConfig;
 use crate::snapshot::FactorSnapshot;
 use crate::sync::Arc;
 use cumf_linalg::{
@@ -144,14 +145,28 @@ pub(crate) struct ScanPlan {
 }
 
 impl ScanPlan {
+    /// Resolves `config`'s index fields (`item_block`, `score`, `shards`,
+    /// `rerank_factor`) and the effective policy `approx` against
+    /// `snapshot`'s segments.  This is the one place those fields are
+    /// validated: [`crate::TopKService::start`] builds a plan over its
+    /// initial snapshot before any worker spawns.
+    ///
+    /// # Panics
+    /// Panics on a zero `item_block`, a `rerank_factor` that is not a
+    /// finite multiplier ≥ 1.0, or an `approx` policy that fails
+    /// [`ApproxPolicy::validate`].
     pub(crate) fn new(
         snapshot: &FactorSnapshot,
-        item_block: usize,
-        score: ScoreKind,
-        shards: usize,
+        config: &ServeConfig,
         approx: Option<ApproxPolicy>,
-        rerank_factor: f32,
     ) -> Self {
+        let &ServeConfig {
+            item_block,
+            score,
+            shards,
+            rerank_factor,
+            ..
+        } = config;
         assert!(item_block > 0, "item block must be positive");
         assert!(
             rerank_factor.is_finite() && rerank_factor >= 1.0,
@@ -397,69 +412,39 @@ pub struct TopKIndex {
 }
 
 impl TopKIndex {
-    /// Creates an unsharded index over `snapshot` scoring `item_block`
-    /// items per block.
-    pub fn new(snapshot: Arc<FactorSnapshot>, item_block: usize, score: ScoreKind) -> Self {
-        Self::with_shards(snapshot, item_block, score, 1)
-    }
-
-    /// Creates an index that partitions the catalog's item blocks — across
-    /// every store segment — into `shards` contiguous runs scored in
-    /// parallel (clamped to at least 1 and at most one shard per block).
-    /// Results are bit-identical for every shard count.
-    pub fn with_shards(
-        snapshot: Arc<FactorSnapshot>,
-        item_block: usize,
-        score: ScoreKind,
-        shards: usize,
-    ) -> Self {
-        Self::with_approx(snapshot, item_block, score, shards, None)
-    }
-
-    /// [`TopKIndex::with_shards`] with an optional early-termination policy.
+    /// Creates an index over `snapshot` from the five index fields of
+    /// `config` — the ones a [`crate::TopKService`] scans with; every other
+    /// field is ignored:
     ///
-    /// With `Some(policy)` the scorer may stop scanning a segment once the
-    /// discounted Cauchy–Schwarz bound says nothing left in it can improve
-    /// any tile heap by more than the policy's epsilon slack, and may cap
-    /// scored blocks at `policy.max_blocks` per `(tile, shard)` scan.  Both
-    /// rules only engage once every heap in the tile holds its `k` items, so
-    /// result lists never come back short.  A policy with `epsilon = 0` and
-    /// no budget is bit-identical to the exact index.  Epsilon termination
-    /// applies to [`ScoreKind::Dot`] only (a norm-divided score has no
-    /// per-block bound); the block budget applies to both score kinds.
-    pub fn with_approx(
-        snapshot: Arc<FactorSnapshot>,
-        item_block: usize,
-        score: ScoreKind,
-        shards: usize,
-        approx: Option<ApproxPolicy>,
-    ) -> Self {
-        Self::with_rerank(
-            snapshot,
-            item_block,
-            score,
-            shards,
-            approx,
-            DEFAULT_RERANK_FACTOR,
-        )
-    }
-
-    /// [`TopKIndex::with_approx`] with an explicit rerank over-fetch factor.
+    /// * `item_block` — items scored per block (must be positive).
+    /// * `score` — the scoring function.
+    /// * `shards` — the catalog's item blocks, across every store segment,
+    ///   are partitioned into this many contiguous runs scored in parallel
+    ///   (clamped to at least 1 and at most one shard per block).  Results
+    ///   are bit-identical for every shard count.
+    /// * `approx` — an optional early-termination policy.  With
+    ///   `Some(policy)` the scorer may stop scanning a segment once the
+    ///   discounted Cauchy–Schwarz bound says nothing left in it can improve
+    ///   any tile heap by more than the policy's epsilon slack, and may cap
+    ///   scored blocks at `policy.max_blocks` per `(tile, shard)` scan.  Both
+    ///   rules only engage once every heap in the tile holds its `k` items,
+    ///   so result lists never come back short.  A policy with
+    ///   `epsilon = 0` and no budget is bit-identical to the exact index.
+    ///   Epsilon termination applies to [`ScoreKind::Dot`] only (a
+    ///   norm-divided score has no per-block bound); the block budget
+    ///   applies to both score kinds.
+    /// * `rerank_factor` — when any store segment is quantized the scan
+    ///   keeps `ceil(k · rerank_factor)` candidates per query and a final
+    ///   pass rescores them against the retained exact f32 rows, truncating
+    ///   back to `k` under the same (score desc, id asc) total order.  Must
+    ///   be ≥ 1.0; ignored on all-f32 stores.
     ///
-    /// When any store segment is quantized the scan keeps
-    /// `ceil(k · rerank_factor)` candidates per query and a final pass
-    /// rescores them against the retained exact f32 rows, truncating back to
-    /// `k` under the same (score desc, id asc) total order.  `rerank_factor`
-    /// must be ≥ 1.0; it is ignored on all-f32 stores.
-    pub fn with_rerank(
-        snapshot: Arc<FactorSnapshot>,
-        item_block: usize,
-        score: ScoreKind,
-        shards: usize,
-        approx: Option<ApproxPolicy>,
-        rerank_factor: f32,
-    ) -> Self {
-        let plan = ScanPlan::new(&snapshot, item_block, score, shards, approx, rerank_factor);
+    /// # Panics
+    /// Panics on a zero `item_block`, a `rerank_factor` that is not a
+    /// finite multiplier ≥ 1.0, or an `approx` policy that fails
+    /// [`ApproxPolicy::validate`].
+    pub fn new(snapshot: Arc<FactorSnapshot>, config: &ServeConfig) -> Self {
+        let plan = ScanPlan::new(&snapshot, config, config.approx);
         Self { snapshot, plan }
     }
 
@@ -503,12 +488,22 @@ mod tests {
     use crate::ItemLayout;
     use cumf_linalg::{FactorMatrix, Precision};
 
+    /// A config whose index fields are the given ones, the rest default.
+    fn config(item_block: usize, score: ScoreKind, shards: usize) -> ServeConfig {
+        ServeConfig {
+            item_block,
+            score,
+            shards,
+            ..Default::default()
+        }
+    }
+
     fn index(seed: u64, n_users: usize, n_items: usize, score: ScoreKind) -> TopKIndex {
         let snap = FactorSnapshot::from_factors(
             FactorMatrix::random(n_users, 8, 1.0, seed),
             FactorMatrix::random(n_items, 8, 1.0, seed + 1),
         );
-        TopKIndex::new(Arc::new(snap), 64, score)
+        TopKIndex::new(Arc::new(snap), &config(64, score, 1))
     }
 
     #[test]
@@ -559,8 +554,8 @@ mod tests {
         let x = FactorMatrix::from_vec(1, 2, vec![1.0, 0.0]);
         let theta = FactorMatrix::from_vec(3, 2, vec![10.0, 0.0, 1.0, 0.0, 0.0, 5.0]);
         let snap = Arc::new(FactorSnapshot::from_factors(x, theta));
-        let dot = TopKIndex::new(Arc::clone(&snap), 64, ScoreKind::Dot);
-        let cos = TopKIndex::new(snap, 64, ScoreKind::Cosine);
+        let dot = TopKIndex::new(Arc::clone(&snap), &config(64, ScoreKind::Dot, 1));
+        let cos = TopKIndex::new(snap, &config(64, ScoreKind::Cosine, 1));
         let q = vec![Query::new(0, 2)];
         assert_eq!(dot.query_batch(&q)[0], vec![(0, 10.0), (1, 1.0)]);
         // Cosine: items 0 and 1 both score 1.0; ties prefer small ids.
@@ -579,8 +574,8 @@ mod tests {
         // Items 0, 2, 4 stay zero vectors (never trained).
         let snap = Arc::new(FactorSnapshot::from_factors(x, theta));
         let q = vec![Query::new(0, 5)];
-        let dot = TopKIndex::new(Arc::clone(&snap), 64, ScoreKind::Dot).query_batch(&q);
-        let cos = TopKIndex::new(snap, 64, ScoreKind::Cosine).query_batch(&q);
+        let dot = TopKIndex::new(Arc::clone(&snap), &config(64, ScoreKind::Dot, 1)).query_batch(&q);
+        let cos = TopKIndex::new(snap, &config(64, ScoreKind::Cosine, 1)).query_batch(&q);
         assert_eq!(
             dot[0].len(),
             cos[0].len(),
@@ -629,11 +624,9 @@ mod tests {
                 layout,
             ));
             for (item_block, shards) in [(1usize, 1usize), (4, 1), (4, 3), (64, 1)] {
-                let idx = TopKIndex::with_shards(
+                let idx = TopKIndex::new(
                     Arc::clone(&snap),
-                    item_block,
-                    ScoreKind::Cosine,
-                    shards,
+                    &config(item_block, ScoreKind::Cosine, shards),
                 );
                 let got = idx.query_batch(&[Query::new(0, 8)]);
                 assert_eq!(
@@ -651,8 +644,9 @@ mod tests {
             FactorMatrix::random(777, 4, 1.0, 4),
         ));
         let q: Vec<Query> = (0..5u32).map(|u| Query::new(u, 9)).collect();
-        let small = TopKIndex::new(Arc::clone(&snap), 3, ScoreKind::Dot).query_batch(&q);
-        let large = TopKIndex::new(snap, 10_000, ScoreKind::Dot).query_batch(&q);
+        let small =
+            TopKIndex::new(Arc::clone(&snap), &config(3, ScoreKind::Dot, 1)).query_batch(&q);
+        let large = TopKIndex::new(snap, &config(10_000, ScoreKind::Dot, 1)).query_batch(&q);
         assert_eq!(small, large);
     }
 
@@ -671,11 +665,11 @@ mod tests {
                 })
                 .collect();
             let baseline =
-                TopKIndex::with_shards(Arc::clone(&snap), 64, score, 1).query_batch(&queries);
+                TopKIndex::new(Arc::clone(&snap), &config(64, score, 1)).query_batch(&queries);
             // 999 items in 64-blocks = 16 blocks; 7 shards split unevenly,
             // 100 shards clamp to one per block.
             for shards in [2usize, 3, 7, 16, 100] {
-                let sharded = TopKIndex::with_shards(Arc::clone(&snap), 64, score, shards)
+                let sharded = TopKIndex::new(Arc::clone(&snap), &config(64, score, shards))
                     .query_batch(&queries);
                 assert_eq!(sharded, baseline, "score {score:?} shards {shards}");
             }
@@ -713,14 +707,14 @@ mod tests {
             })
             .collect();
         for shards in [1usize, 3, 8] {
-            let exact = TopKIndex::with_shards(Arc::clone(&snap), 64, ScoreKind::Dot, shards)
+            let exact = TopKIndex::new(Arc::clone(&snap), &config(64, ScoreKind::Dot, shards))
                 .query_batch(&queries);
-            let approx = TopKIndex::with_approx(
+            let approx = TopKIndex::new(
                 Arc::clone(&snap),
-                64,
-                ScoreKind::Dot,
-                shards,
-                Some(ApproxPolicy::exact()),
+                &ServeConfig {
+                    approx: Some(ApproxPolicy::exact()),
+                    ..config(64, ScoreKind::Dot, shards)
+                },
             )
             .query_batch(&queries);
             assert_eq!(approx, exact, "shards {shards}");
@@ -732,14 +726,14 @@ mod tests {
         let snap = skewed_snapshot(16, 8192, 33);
         let queries: Vec<Query> = (0..16u32).map(|u| Query::new(u, 10)).collect();
         let (exact_res, exact_stats) =
-            TopKIndex::with_shards(Arc::clone(&snap), 64, ScoreKind::Dot, 1)
+            TopKIndex::new(Arc::clone(&snap), &config(64, ScoreKind::Dot, 1))
                 .query_batch_stats(&queries);
-        let (approx_res, approx_stats) = TopKIndex::with_approx(
+        let (approx_res, approx_stats) = TopKIndex::new(
             Arc::clone(&snap),
-            64,
-            ScoreKind::Dot,
-            1,
-            Some(ApproxPolicy::default()),
+            &ServeConfig {
+                approx: Some(ApproxPolicy::default()),
+                ..config(64, ScoreKind::Dot, 1)
+            },
         )
         .query_batch_stats(&queries);
         assert_eq!(exact_stats.blocks_terminated, 0, "exact never terminates");
@@ -767,23 +761,39 @@ mod tests {
         // every item comes back, exactly.
         let q = vec![Query::new(0, 1000)];
         let exact =
-            TopKIndex::with_shards(Arc::clone(&snap), 64, ScoreKind::Dot, 1).query_batch(&q);
-        let capped = TopKIndex::with_approx(Arc::clone(&snap), 64, ScoreKind::Dot, 1, Some(budget))
-            .query_batch(&q);
+            TopKIndex::new(Arc::clone(&snap), &config(64, ScoreKind::Dot, 1)).query_batch(&q);
+        let capped = TopKIndex::new(
+            Arc::clone(&snap),
+            &ServeConfig {
+                approx: Some(budget),
+                ..config(64, ScoreKind::Dot, 1)
+            },
+        )
+        .query_batch(&q);
         assert_eq!(capped, exact);
         assert_eq!(capped[0].len(), 500);
         // Small k: the budget truncates the scan but the list stays full
         // length.
         let q = vec![Query::new(0, 5)];
-        let (capped, stats) =
-            TopKIndex::with_approx(Arc::clone(&snap), 64, ScoreKind::Dot, 1, Some(budget))
-                .query_batch_stats(&q);
+        let (capped, stats) = TopKIndex::new(
+            Arc::clone(&snap),
+            &ServeConfig {
+                approx: Some(budget),
+                ..config(64, ScoreKind::Dot, 1)
+            },
+        )
+        .query_batch_stats(&q);
         assert_eq!(capped[0].len(), 5);
         assert!(stats.blocks_terminated > 0);
         // The budget also bounds Cosine scans (no epsilon bound there).
-        let (cos, cos_stats) =
-            TopKIndex::with_approx(Arc::clone(&snap), 64, ScoreKind::Cosine, 1, Some(budget))
-                .query_batch_stats(&q);
+        let (cos, cos_stats) = TopKIndex::new(
+            Arc::clone(&snap),
+            &ServeConfig {
+                approx: Some(budget),
+                ..config(64, ScoreKind::Cosine, 1)
+            },
+        )
+        .query_batch_stats(&q);
         assert_eq!(cos[0].len(), 5);
         assert!(cos_stats.blocks_terminated > 0);
     }
@@ -802,13 +812,13 @@ mod tests {
         ));
         let q = vec![Query::new(2, 9)];
         let exact =
-            TopKIndex::with_shards(Arc::clone(&snap), 64, ScoreKind::Dot, 1).query_batch(&q);
-        let (approx, stats) = TopKIndex::with_approx(
+            TopKIndex::new(Arc::clone(&snap), &config(64, ScoreKind::Dot, 1)).query_batch(&q);
+        let (approx, stats) = TopKIndex::new(
             Arc::clone(&snap),
-            64,
-            ScoreKind::Dot,
-            1,
-            Some(ApproxPolicy::with_epsilon(0.5)),
+            &ServeConfig {
+                approx: Some(ApproxPolicy::with_epsilon(0.5)),
+                ..config(64, ScoreKind::Dot, 1)
+            },
         )
         .query_batch_stats(&q);
         assert_eq!(approx, exact);
@@ -827,10 +837,10 @@ mod tests {
                 exclude: vec![u % 7],
             })
             .collect();
-        let (base, base_stats) = TopKIndex::with_shards(Arc::clone(&snap), 64, ScoreKind::Dot, 3)
+        let (base, base_stats) = TopKIndex::new(Arc::clone(&snap), &config(64, ScoreKind::Dot, 3))
             .query_batch_stats(&queries);
         let (same, stats) =
-            TopKIndex::with_shards(re, 64, ScoreKind::Dot, 3).query_batch_stats(&queries);
+            TopKIndex::new(re, &config(64, ScoreKind::Dot, 3)).query_batch_stats(&queries);
         assert_eq!(same, base, "F32 re-encode must not change results");
         assert_eq!(stats.rerank_candidates, 0, "no rerank on an all-f32 store");
         assert_eq!(stats.rerank_ns, 0);
@@ -849,11 +859,12 @@ mod tests {
             })
             .collect();
         let exact =
-            TopKIndex::with_shards(Arc::clone(&snap), 64, ScoreKind::Dot, 1).query_batch(&queries);
+            TopKIndex::new(Arc::clone(&snap), &config(64, ScoreKind::Dot, 1)).query_batch(&queries);
         let f16 = Arc::new(snap.reencoded(Precision::F16));
         for shards in [1usize, 3, 8] {
-            let (got, stats) = TopKIndex::with_shards(Arc::clone(&f16), 64, ScoreKind::Dot, shards)
-                .query_batch_stats(&queries);
+            let (got, stats) =
+                TopKIndex::new(Arc::clone(&f16), &config(64, ScoreKind::Dot, shards))
+                    .query_batch_stats(&queries);
             // The rerank rescores with the same 4-lane kernel the exact scan
             // uses, so a complete candidate set reproduces the exact lists
             // bit-for-bit — items and scores.
@@ -874,7 +885,7 @@ mod tests {
                 })
                 .collect();
             let (_, exact_wide) =
-                TopKIndex::with_shards(Arc::clone(&snap), 64, ScoreKind::Dot, shards)
+                TopKIndex::new(Arc::clone(&snap), &config(64, ScoreKind::Dot, shards))
                     .query_batch_stats(&wide);
             let block_bytes = 64 * snap.rank() as u64 * 4;
             assert!(
@@ -891,15 +902,15 @@ mod tests {
         let snap = skewed_snapshot(16, 4096, 73);
         let queries: Vec<Query> = (0..16u32).map(|u| Query::new(u, 10)).collect();
         let exact =
-            TopKIndex::with_shards(Arc::clone(&snap), 64, ScoreKind::Dot, 1).query_batch(&queries);
+            TopKIndex::new(Arc::clone(&snap), &config(64, ScoreKind::Dot, 1)).query_batch(&queries);
         // Byte baseline at the quantized path's candidate count (see the
         // f16 test for why k_eff, not k, is the fair comparison).
         let wide: Vec<Query> = (0..16u32).map(|u| Query::new(u, 20)).collect();
-        let (_, exact_wide) = TopKIndex::with_shards(Arc::clone(&snap), 64, ScoreKind::Dot, 1)
+        let (_, exact_wide) = TopKIndex::new(Arc::clone(&snap), &config(64, ScoreKind::Dot, 1))
             .query_batch_stats(&wide);
         let i8 = Arc::new(snap.reencoded(Precision::I8));
         let (got, stats) =
-            TopKIndex::with_shards(i8, 64, ScoreKind::Dot, 1).query_batch_stats(&queries);
+            TopKIndex::new(i8, &config(64, ScoreKind::Dot, 1)).query_batch_stats(&queries);
         let scan = stats.bytes_scanned - stats.rerank_candidates * (snap.rank() as u64) * 4;
         assert!(
             scan * 2 < exact_wide.bytes_scanned,
@@ -923,10 +934,10 @@ mod tests {
     fn quantized_cosine_reranks_with_exact_norms() {
         let snap = skewed_snapshot(8, 1000, 74);
         let queries: Vec<Query> = (0..8u32).map(|u| Query::new(u, 8)).collect();
-        let exact = TopKIndex::with_shards(Arc::clone(&snap), 64, ScoreKind::Cosine, 1)
+        let exact = TopKIndex::new(Arc::clone(&snap), &config(64, ScoreKind::Cosine, 1))
             .query_batch(&queries);
         let f16 = Arc::new(snap.reencoded(Precision::F16));
-        let got = TopKIndex::with_shards(f16, 64, ScoreKind::Cosine, 1).query_batch(&queries);
+        let got = TopKIndex::new(f16, &config(64, ScoreKind::Cosine, 1)).query_batch(&queries);
         assert_eq!(got.len(), exact.len());
         for (e, g) in exact.iter().zip(&got) {
             assert_eq!(g.len(), e.len());
@@ -944,8 +955,14 @@ mod tests {
     fn rerank_factor_one_still_returns_full_lists() {
         let snap = Arc::new(skewed_snapshot(4, 300, 75).reencoded(Precision::I8));
         let queries = vec![Query::new(0, 7), Query::new(9999, 3), Query::new(1, 0)];
-        let (got, stats) = TopKIndex::with_rerank(snap, 64, ScoreKind::Dot, 1, None, 1.0)
-            .query_batch_stats(&queries);
+        let (got, stats) = TopKIndex::new(
+            snap,
+            &ServeConfig {
+                rerank_factor: 1.0,
+                ..config(64, ScoreKind::Dot, 1)
+            },
+        )
+        .query_batch_stats(&queries);
         assert_eq!(got[0].len(), 7);
         assert!(got[1].is_empty(), "invalid user skips the rerank");
         assert!(got[2].is_empty());
@@ -959,9 +976,10 @@ mod tests {
             FactorMatrix::random(2, 4, 1.0, 9),
         ));
         let q = vec![Query::new(0, 5), Query::new(1, 1)];
-        let one = TopKIndex::with_shards(Arc::clone(&snap), 512, ScoreKind::Dot, 1).query_batch(&q);
+        let one =
+            TopKIndex::new(Arc::clone(&snap), &config(512, ScoreKind::Dot, 1)).query_batch(&q);
         let many =
-            TopKIndex::with_shards(Arc::clone(&snap), 512, ScoreKind::Dot, 8).query_batch(&q);
+            TopKIndex::new(Arc::clone(&snap), &config(512, ScoreKind::Dot, 8)).query_batch(&q);
         assert_eq!(one, many);
         assert_eq!(one[0].len(), 2, "catalog smaller than k returns all");
     }

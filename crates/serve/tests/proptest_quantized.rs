@@ -6,7 +6,9 @@
 //! codec, not merely a close approximation.
 
 use cumf_linalg::{FactorMatrix, Precision};
-use cumf_serve::{ApproxPolicy, FactorSnapshot, ItemLayout, Query, ScoreKind, TopKIndex};
+use cumf_serve::{
+    ApproxPolicy, FactorSnapshot, ItemLayout, Query, ScoreKind, ServeConfig, TopKIndex,
+};
 use proptest::prelude::*;
 use std::sync::Arc;
 
@@ -67,18 +69,15 @@ proptest! {
             })
             .collect();
         for score in [ScoreKind::Dot, ScoreKind::Cosine] {
+            let config = ServeConfig { item_block, score, shards, ..Default::default() };
             // The pre-quantization path: plain sharded exact index.
-            let exact = TopKIndex::with_shards(Arc::clone(&snap), item_block, score, shards);
+            let exact = TopKIndex::new(Arc::clone(&snap), &config);
             let (want, want_stats) = exact.query_batch_stats(&queries);
             // The new path: rerank-capable index over the re-encoded store
             // with a zero-slack policy and an over-fetch factor armed.
-            let quant = TopKIndex::with_rerank(
+            let quant = TopKIndex::new(
                 Arc::clone(&re),
-                item_block,
-                score,
-                shards,
-                Some(ApproxPolicy::exact()),
-                2.0,
+                &ServeConfig { approx: Some(ApproxPolicy::exact()), rerank_factor: 2.0, ..config },
             );
             let (got, got_stats) = quant.query_batch_stats(&queries);
             prop_assert_eq!(

@@ -58,13 +58,19 @@ fn service_config(approx: Option<ApproxPolicy>) -> ServeConfig {
 fn default_policy_meets_target_recall_on_skewed_and_uniform_catalogs() {
     let policy = ApproxPolicy::default();
     let queries: Vec<Query> = (0..64u32).map(|u| Query::new(u, 10)).collect();
+    let config = ServeConfig {
+        item_block: 512,
+        score: ScoreKind::Dot,
+        shards: 2,
+        ..Default::default()
+    };
 
     // Skewed: termination fires — require the saving AND the recall floor.
     let skewed = snapshot(
         FactorMatrix::random(64, 8, 1.0, 900),
         skewed_theta(8192, 8, 901),
     );
-    let report = measure_recall(&skewed, &queries, 512, ScoreKind::Dot, 2, &policy);
+    let report = measure_recall(&skewed, &queries, &config, &policy);
     assert!(
         report.mean_recall >= policy.target_recall,
         "skewed catalog recall below target: {report}"
@@ -83,7 +89,7 @@ fn default_policy_meets_target_recall_on_skewed_and_uniform_catalogs() {
         FactorMatrix::random(64, 8, 1.0, 902),
         FactorMatrix::random(8192, 8, 1.0, 903),
     );
-    let report = measure_recall(&uniform, &queries, 512, ScoreKind::Dot, 2, &policy);
+    let report = measure_recall(&uniform, &queries, &config, &policy);
     assert!(
         report.mean_recall >= policy.target_recall,
         "uniform catalog recall below target: {report}"
@@ -101,7 +107,17 @@ fn default_policy_recall_holds_for_every_shard_count() {
     );
     let queries: Vec<Query> = (0..32u32).map(|u| Query::new(u, 10)).collect();
     for shards in [1usize, 3, 8] {
-        let report = measure_recall(&snap, &queries, 512, ScoreKind::Dot, shards, &policy);
+        let report = measure_recall(
+            &snap,
+            &queries,
+            &ServeConfig {
+                item_block: 512,
+                score: ScoreKind::Dot,
+                shards,
+                ..Default::default()
+            },
+            &policy,
+        );
         assert!(
             report.mean_recall >= policy.target_recall,
             "shards {shards}: {report}"
@@ -126,7 +142,14 @@ fn live_service_exact_and_approx_traffic_do_not_cross_contaminate() {
     let x = FactorMatrix::random(48, 8, 1.0, 920);
     let theta = skewed_theta(4096, 8, 921);
     let snap = snapshot(x.clone(), theta.clone());
-    let truth = TopKIndex::new(Arc::clone(&snap), 512, ScoreKind::Dot);
+    let truth = TopKIndex::new(
+        Arc::clone(&snap),
+        &ServeConfig {
+            item_block: 512,
+            score: ScoreKind::Dot,
+            ..Default::default()
+        },
+    );
 
     let service = TopKService::start(
         FactorSnapshot::from_factors_with_layout(x, theta, ItemLayout::NormDescending),
@@ -171,7 +194,14 @@ fn zero_norm_user_and_oversized_k_return_full_exact_results() {
     }
     let theta = skewed_theta(n, 8, 931);
     let snap = snapshot(x.clone(), theta.clone());
-    let truth = TopKIndex::new(Arc::clone(&snap), 64, ScoreKind::Dot);
+    let truth = TopKIndex::new(
+        Arc::clone(&snap),
+        &ServeConfig {
+            item_block: 64,
+            score: ScoreKind::Dot,
+            ..Default::default()
+        },
+    );
 
     let aggressive = ApproxPolicy {
         epsilon: 0.9,

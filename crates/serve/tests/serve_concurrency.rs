@@ -92,7 +92,7 @@ fn hot_swap_under_concurrent_queries_never_mixes_generations() {
 #[test]
 fn publish_does_not_block_in_flight_reads() {
     // A reader holding the old Arc keeps a coherent view across publishes.
-    let service = TopKService::start_default(tagged_snapshot(0));
+    let service = TopKService::start(tagged_snapshot(0), ServeConfig::default());
     let before = service.snapshot();
     let g0 = before.generation();
     service.publish(tagged_snapshot(1));

@@ -131,10 +131,11 @@ proptest! {
         let queries: Vec<Query> = (0..next.n_users() as u32)
             .map(|u| Query { user: u, k: 8, exclude: vec![u % 17] })
             .collect();
-        let expected = TopKIndex::new(Arc::new(rebuilt), 64, ScoreKind::Dot).query_batch(&queries);
+        let config = ServeConfig { item_block: 64, score: ScoreKind::Dot, ..Default::default() };
+        let expected = TopKIndex::new(Arc::new(rebuilt), &config).query_batch(&queries);
         for shards in [1usize, 2, 5] {
-            let got = TopKIndex::with_shards(Arc::new(next.clone()), 64, ScoreKind::Dot, shards)
-                .query_batch(&queries);
+            let sharded = ServeConfig { shards, ..config.clone() };
+            let got = TopKIndex::new(Arc::new(next.clone()), &sharded).query_batch(&queries);
             prop_assert_eq!(&got, &expected, "shards {}", shards);
         }
     }

@@ -4,9 +4,9 @@
 //! queued and reject what comes later; and the byte-budgeted cache must
 //! bound memory under heavy-exclusion traffic without changing replies.
 
-use cumf_linalg::FactorMatrix;
+use cumf_linalg::{FactorMatrix, Precision};
 use cumf_serve::{
-    FactorSnapshot, Query, ScoreKind, ServeConfig, ServeError, TopKIndex, TopKService,
+    ApproxPolicy, FactorSnapshot, Query, ScoreKind, ServeConfig, ServeError, TopKIndex, TopKService,
 };
 use proptest::prelude::*;
 use std::sync::Arc;
@@ -87,6 +87,67 @@ fn shard_and_worker_counts_are_reply_invariant() {
             );
             assert_eq!(service.metrics().worker_panics, 0);
         }
+    }
+
+    // The index a config builds is the service's scorer: for non-default
+    // index fields, every reply is bit-identical to a `TopKIndex` built from
+    // the same config over the served (re-encoded) snapshot.  Requests go
+    // through the service one at a time, so each is a batch of one; the
+    // index is queried the same way, because approximate termination is
+    // decided per user tile.
+    let base = ServeConfig {
+        cache_capacity: 0,
+        max_delay: Duration::from_millis(1),
+        ..Default::default()
+    };
+    let configs = [
+        ServeConfig {
+            item_block: 16,
+            ..base.clone()
+        },
+        ServeConfig {
+            shards: 3,
+            ..base.clone()
+        },
+        ServeConfig {
+            score: ScoreKind::Cosine,
+            ..base.clone()
+        },
+        ServeConfig {
+            approx: Some(ApproxPolicy::default()),
+            ..base.clone()
+        },
+        ServeConfig {
+            precision: Precision::I8,
+            rerank_factor: 2.0,
+            ..base.clone()
+        },
+        ServeConfig {
+            item_block: 16,
+            shards: 3,
+            score: ScoreKind::Cosine,
+            approx: Some(ApproxPolicy::default()),
+            precision: Precision::I8,
+            rerank_factor: 2.0,
+            ..base
+        },
+    ];
+    let bits = |replies: &[Vec<(u32, f32)>]| -> Vec<Vec<(u32, u32)>> {
+        replies
+            .iter()
+            .map(|r| r.iter().map(|&(v, s)| (v, s.to_bits())).collect())
+            .collect()
+    };
+    for config in configs {
+        let service = TopKService::start(snap.clone(), config.clone());
+        let got = serve_all(&service, &queries);
+        let index = TopKIndex::new(service.snapshot(), &config);
+        let expect: Vec<Vec<(u32, f32)>> = queries
+            .iter()
+            .map(|q| index.query_batch(std::slice::from_ref(q)).remove(0))
+            .collect();
+        assert_eq!(bits(&got), bits(&expect), "{config:?}");
+        assert_eq!(service.metrics().worker_panics, 0);
     }
 }
 
@@ -229,12 +290,10 @@ proptest! {
         let queries: Vec<Query> = (0..12u32)
             .map(|u| Query { user: u, k, exclude: vec![u % 5, u % 3] })
             .collect();
-        let baseline =
-            TopKIndex::with_shards(Arc::clone(&snap), item_block, score, 1)
-                .query_batch(&queries);
-        let sharded =
-            TopKIndex::with_shards(Arc::clone(&snap), item_block, score, shards)
-                .query_batch(&queries);
+        let config = ServeConfig { item_block, score, ..Default::default() };
+        let baseline = TopKIndex::new(Arc::clone(&snap), &config).query_batch(&queries);
+        let sharded = TopKIndex::new(Arc::clone(&snap), &ServeConfig { shards, ..config })
+            .query_batch(&queries);
         prop_assert_eq!(baseline, sharded);
     }
 }

@@ -113,14 +113,15 @@ proptest! {
         // since the construction default is norm-descending now.
         let baseline_snap =
             FactorSnapshot::from_factors_with_layout(x.clone(), theta.clone(), ItemLayout::CatalogOrder);
-        let baseline = TopKIndex::new(Arc::new(baseline_snap), 64, score).query_batch(&queries);
+        let config = ServeConfig { item_block: 64, score, ..Default::default() };
+        let baseline = TopKIndex::new(Arc::new(baseline_snap), &config).query_batch(&queries);
 
         for layout in [ItemLayout::CatalogOrder, ItemLayout::NormDescending] {
             for (name, snap) in variants(&x, &theta, &cuts, layout) {
                 let snap = Arc::new(snap);
                 for shards in [1usize, 3, 7] {
-                    let got = TopKIndex::with_shards(Arc::clone(&snap), 64, score, shards)
-                        .query_batch(&queries);
+                    let sharded = ServeConfig { shards, ..config.clone() };
+                    let got = TopKIndex::new(Arc::clone(&snap), &sharded).query_batch(&queries);
                     prop_assert_eq!(
                         &got, &baseline,
                         "{} {:?} shards {} score {:?}", name, layout, shards, score
@@ -128,10 +129,9 @@ proptest! {
                     // Epsilon-zero approximate mode must not change a bit
                     // either, for any segmentation × layout × shard count ×
                     // score kind.
-                    let approx = TopKIndex::with_approx(
-                        Arc::clone(&snap), 64, score, shards, Some(ApproxPolicy::exact()),
-                    )
-                    .query_batch(&queries);
+                    let exact_policy = ServeConfig { approx: Some(ApproxPolicy::exact()), ..sharded };
+                    let approx = TopKIndex::new(Arc::clone(&snap), &exact_policy)
+                        .query_batch(&queries);
                     prop_assert_eq!(
                         &approx, &baseline,
                         "approx eps=0 {} {:?} shards {} score {:?}", name, layout, shards, score
@@ -164,11 +164,12 @@ proptest! {
             x, theta, ItemLayout::NormDescending,
         ));
         let queries: Vec<Query> = (0..12u32).map(|u| Query::new(u, k)).collect();
+        let config = ServeConfig { item_block: 64, score: ScoreKind::Dot, ..Default::default() };
         let mut prev_recall = f64::INFINITY;
         let mut prev_scored = u64::MAX;
         for eps in [0.0f32, 0.05, 0.1, 0.2, 0.4, 0.8] {
             let report = cumf_serve::measure_recall(
-                &snap, &queries, 64, ScoreKind::Dot, 1, &ApproxPolicy::with_epsilon(eps),
+                &snap, &queries, &config, &ApproxPolicy::with_epsilon(eps),
             );
             prop_assert!(
                 report.mean_recall <= prev_recall + 1e-12,
@@ -258,10 +259,24 @@ fn norm_ordered_layout_prunes_strictly_more_blocks() {
         theta,
         ItemLayout::NormDescending,
     ));
-    let (plain_results, plain_stats) =
-        TopKIndex::new(Arc::clone(&plain), 512, ScoreKind::Dot).query_batch_stats(&queries);
-    let (permuted_results, permuted_stats) =
-        TopKIndex::new(Arc::clone(&permuted), 512, ScoreKind::Dot).query_batch_stats(&queries);
+    let (plain_results, plain_stats) = TopKIndex::new(
+        Arc::clone(&plain),
+        &ServeConfig {
+            item_block: 512,
+            score: ScoreKind::Dot,
+            ..Default::default()
+        },
+    )
+    .query_batch_stats(&queries);
+    let (permuted_results, permuted_stats) = TopKIndex::new(
+        Arc::clone(&permuted),
+        &ServeConfig {
+            item_block: 512,
+            score: ScoreKind::Dot,
+            ..Default::default()
+        },
+    )
+    .query_batch_stats(&queries);
 
     assert_eq!(
         permuted_results, plain_results,
@@ -330,8 +345,16 @@ fn excluding_the_entire_unfiltered_top_k_returns_the_next_k() {
                 layout,
             ));
             for shards in [1usize, 3] {
-                let got = TopKIndex::with_shards(Arc::clone(&snap), 64, score, shards)
-                    .query_batch(&queries);
+                let got = TopKIndex::new(
+                    Arc::clone(&snap),
+                    &ServeConfig {
+                        item_block: 64,
+                        score,
+                        shards,
+                        ..Default::default()
+                    },
+                )
+                .query_batch(&queries);
                 for (u, reply) in got.iter().enumerate() {
                     assert_eq!(
                         reply[..],
