@@ -4,9 +4,9 @@
 //! wall-clock companion of Figure 9).
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
-use cumf_core::als::su::{SuAlsConfig, SuAlsEngine};
-use cumf_core::als::{BaseAls, MoAlsEngine};
+use cumf_core::als::{AlsEngine, Placement};
 use cumf_core::config::{AlsConfig, MemoryOptConfig};
+use cumf_core::planner::PartitionPlan;
 use cumf_core::reduce::ReductionScheme;
 use cumf_data::synth::SyntheticConfig;
 use cumf_gpu_sim::GpuCluster;
@@ -43,7 +43,7 @@ fn bench_reference_iteration(c: &mut Criterion) {
     group.sample_size(10);
     group.bench_function("reference_als", |b| {
         b.iter(|| {
-            let mut engine = BaseAls::new(config(MemoryOptConfig::optimized()), r.clone());
+            let mut engine = AlsEngine::new(config(MemoryOptConfig::optimized()), r.clone());
             engine.iterate();
             black_box(engine.train_rmse());
         });
@@ -65,7 +65,7 @@ fn bench_mo_als_ablation(c: &mut Criterion) {
     ] {
         group.bench_with_input(BenchmarkId::from_parameter(name), &opts, |b, &opts| {
             b.iter(|| {
-                let mut engine = MoAlsEngine::on_titan_x(config(opts), r.clone());
+                let mut engine = AlsEngine::on_titan_x(config(opts), r.clone());
                 black_box(engine.iterate());
             });
         });
@@ -87,13 +87,12 @@ fn bench_su_als_scaling(c: &mut Criterion) {
             |b, &n_gpus| {
                 b.iter(|| {
                     let cluster = GpuCluster::titan_x_flat(n_gpus);
-                    let cfg = SuAlsConfig::with_plan(
-                        config(MemoryOptConfig::optimized()),
-                        ReductionScheme::OnePhase,
-                        n_gpus,
-                        2,
-                    );
-                    let mut engine = SuAlsEngine::new(cfg, r.clone(), cluster);
+                    let placement = Placement::Grid {
+                        reduction: ReductionScheme::OnePhase,
+                        plan: Some(PartitionPlan { p: n_gpus, q: 2 }),
+                    };
+                    let config = config(MemoryOptConfig::optimized());
+                    let mut engine = AlsEngine::on_cluster(config, r.clone(), cluster, placement);
                     black_box(engine.iterate());
                 });
             },

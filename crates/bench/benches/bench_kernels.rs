@@ -1,9 +1,10 @@
 //! Micro-benchmarks of the ALS kernels (the building blocks of Table 3):
-//! the fused `get_hermitian` + solve, the partial-Hermitian path of SU-ALS,
-//! the batched Cholesky solve and the cross-partition accumulation.
+//! the fused `get_hermitian` + solve, the same row loop summing SU-ALS's
+//! partial Hermitians over column partitions, and the batched Cholesky
+//! solve.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
-use cumf_core::als::kernels::{accumulate_partials, partial_hermitians, solve_side};
+use cumf_core::als::kernels::{solve_rows, solve_side};
 use cumf_data::synth::SyntheticConfig;
 use cumf_linalg::blas::{add_diagonal, axpy, syr_axpy, syr_axpy_x4, syr_full};
 use cumf_linalg::cholesky::{GroupSolver, GROUP};
@@ -90,36 +91,30 @@ fn bench_hermitian_assembly(c: &mut Criterion) {
     group.finish();
 }
 
-fn bench_partial_hermitians(c: &mut Criterion) {
-    let mut group = c.benchmark_group("partial_hermitians");
+fn bench_partitioned_solve(c: &mut Criterion) {
+    // SU-ALS's row loop: each row's Hermitian summed over p = 4 column
+    // partitions (equation (5)), next to the same rows uncut.
+    let mut group = c.benchmark_group("partitioned_solve");
     group.sample_size(10);
     let (r, theta) = workload(1_000, 400, 40_000);
     group.throughput(Throughput::Elements(r.nnz() as u64));
-    group.bench_function("1000x400_40k_f32", |b| {
-        b.iter(|| black_box(partial_hermitians(&r, &theta, 32)));
-    });
-    group.finish();
-}
-
-fn bench_accumulate(c: &mut Criterion) {
-    let mut group = c.benchmark_group("reduce_accumulate");
-    group.sample_size(20);
-    let f = 32usize;
-    let rows = 2_000usize;
-    let a_src = vec![1.0f32; rows * f * f];
-    let b_src = vec![1.0f32; rows * f];
-    // Bytes read from both partial buffers plus written to the accumulators.
-    group.throughput(Throughput::Bytes(
-        2 * 4 * (a_src.len() + b_src.len()) as u64,
-    ));
-    group.bench_function("2000_rows_f32", |b| {
-        let mut a_dst = vec![0.0f32; rows * f * f];
-        let mut b_dst = vec![0.0f32; rows * f];
-        b.iter(|| {
-            accumulate_partials(&mut a_dst, &mut b_dst, &a_src, &b_src);
-            black_box(&a_dst);
+    for (name, cuts) in [
+        ("1000x400_40k_f32_p1", &[][..]),
+        ("1000x400_40k_f32_p4", &[100, 200, 300]),
+    ] {
+        group.bench_function(name, |b| {
+            b.iter(|| {
+                black_box(solve_rows(
+                    &r,
+                    32,
+                    |v| theta.vector(v as usize),
+                    cuts,
+                    0.05,
+                    None,
+                ))
+            });
         });
-    });
+    }
     group.finish();
 }
 
@@ -185,8 +180,7 @@ criterion_group!(
     kernels,
     bench_get_hermitian,
     bench_hermitian_assembly,
-    bench_partial_hermitians,
-    bench_accumulate,
+    bench_partitioned_solve,
     bench_batch_solve
 );
 criterion_main!(kernels);

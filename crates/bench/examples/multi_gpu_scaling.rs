@@ -9,8 +9,9 @@
 //! cargo run --release --example multi_gpu_scaling
 //! ```
 
-use cumf_core::als::su::{SuAlsConfig, SuAlsEngine};
+use cumf_core::als::{AlsEngine, Placement};
 use cumf_core::config::AlsConfig;
+use cumf_core::planner::PartitionPlan;
 use cumf_core::reduce::ReductionScheme;
 use cumf_data::datasets::PaperDataset;
 use cumf_data::synth::SyntheticConfig;
@@ -48,17 +49,21 @@ fn main() {
         let cluster = GpuCluster::titan_x_flat(n_gpus);
         // Force p = n_gpus so the data-parallel path is exercised even though
         // the scaled problem would fit on one card.
-        let cfg = SuAlsConfig::with_plan(als.clone(), ReductionScheme::OnePhase, n_gpus, 2);
-        let mut engine = SuAlsEngine::new(cfg, ratings.clone(), cluster);
+        let placement = Placement::Grid {
+            reduction: ReductionScheme::OnePhase,
+            plan: Some(PartitionPlan { p: n_gpus, q: 2 }),
+        };
+        let mut engine = AlsEngine::on_cluster(als.clone(), ratings.clone(), cluster, placement);
 
         let mut gh = 0.0;
         let mut red = 0.0;
         let mut tr = 0.0;
         for _ in 0..iterations {
-            let stats = engine.iterate();
-            gh += stats.update_x.get_hermitian_s + stats.update_theta.get_hermitian_s;
-            red += stats.update_x.reduce_s + stats.update_theta.reduce_s;
-            tr += stats.update_x.transfer_s + stats.update_theta.transfer_s;
+            for half in engine.iterate() {
+                gh += half.get_hermitian_s;
+                red += half.reduce_s;
+                tr += half.transfer_s;
+            }
         }
         let per_iter = engine.simulated_time() / iterations as f64;
         let speedup = match single_gpu_time {

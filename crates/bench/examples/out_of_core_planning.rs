@@ -15,7 +15,7 @@
 //! cargo run --release --example out_of_core_planning
 //! ```
 
-use cumf_core::als::BaseAls;
+use cumf_core::als::AlsEngine;
 use cumf_core::checkpoint::{Checkpoint, CheckpointManager};
 use cumf_core::config::AlsConfig;
 use cumf_core::costmodel::{cumf_iteration_cost, ClusterConfig};
@@ -91,7 +91,7 @@ fn main() {
     let manager = CheckpointManager::new(&dir).expect("create checkpoint dir");
 
     // Run three iterations, checkpointing each one, then "crash".
-    let mut engine = BaseAls::new(config.clone(), ratings.clone());
+    let mut engine = AlsEngine::new(config.clone(), ratings.clone());
     for iter in 1..=3u64 {
         engine.iterate();
         manager
@@ -114,7 +114,7 @@ fn main() {
         "\nrestarting from checkpoint after iteration {} (train RMSE {:.4})",
         latest.iteration, rmse_at_crash
     );
-    let mut resumed = BaseAls::new(config, ratings);
+    let mut resumed = AlsEngine::new(config, ratings);
     resumed.set_factors(latest.x, latest.theta);
     for _ in latest.iteration as usize..6 {
         resumed.iterate();

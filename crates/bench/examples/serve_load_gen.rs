@@ -75,7 +75,7 @@
 //! loop with its freshness histogram, and the approximate-retrieval recall
 //! floor.
 
-use cumf_core::als::BaseAls;
+use cumf_core::als::AlsEngine;
 use cumf_core::config::AlsConfig;
 use cumf_core::foldin::{fold_in_users_segmented, ratings_rows};
 use cumf_core::sgd::{SgdConfig, SgdEngine};
@@ -451,7 +451,7 @@ fn main() {
             let metrics = service.metrics_handle();
             let report = match args.stream_mode {
                 StreamMode::FoldIn => OnlineLoop::fold_in(
-                    Box::new(BaseAls::new(
+                    Box::new(AlsEngine::new(
                         AlsConfig {
                             f: args.f,
                             lambda: 0.05,

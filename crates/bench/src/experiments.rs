@@ -13,7 +13,7 @@ use cumf_baselines::{Engine, LibMfSgd, NomadSgd};
 use cumf_cluster::models::BaselineSystem;
 use cumf_cluster::pricing::CostComparison;
 use cumf_core::als::mo::side_update_time;
-use cumf_core::als::BaseAls;
+use cumf_core::als::AlsEngine;
 use cumf_core::config::{AlsConfig, MemoryOptConfig};
 use cumf_core::costmodel::{cumf_iteration_cost, table3, ClusterConfig, Table3Row};
 use cumf_core::loss;
@@ -175,7 +175,7 @@ pub fn als_rmse_trajectory(
         track_rmse: false,
         ..Default::default()
     };
-    let mut engine = BaseAls::new(config, train);
+    let mut engine = AlsEngine::new(config, train);
     let mut out = Vec::with_capacity(iterations);
     for _ in 0..iterations {
         engine.iterate();

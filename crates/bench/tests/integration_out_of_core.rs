@@ -1,13 +1,14 @@
 //! An out-of-core "run" that spills more batches than the prefetcher keeps
-//! in flight: 12 vertical partitions of `R` stream through a 2-deep
-//! [`Prefetcher`] while the consumer accumulates partial Hermitians, and
-//! the result must equal the in-core fused solve.
+//! in flight: `R` in 12 horizontal batches — SU-ALS's `X(j)`, solved in
+//! sequence — streams through a 2-deep [`Prefetcher`] while the consumer
+//! solves each batch's rows against `Θ`.  Every row is solved on its own,
+//! so the streamed `X` must equal the in-core solve bit for bit.
 
-use cumf_core::als::kernels::{accumulate_partials, finalize_and_solve, partial_hermitians};
+use cumf_core::als::kernels::solve_side;
 use cumf_core::oocore::Prefetcher;
 use cumf_data::synth::SyntheticConfig;
 use cumf_linalg::FactorMatrix;
-use cumf_sparse::vertical_partition;
+use cumf_sparse::horizontal_partition;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
 
@@ -28,28 +29,14 @@ fn streamed_partials_with_bounded_prefetch_match_in_core_solve() {
     let lambda = 0.05;
     let theta = FactorMatrix::random(240, f, 0.5, 3);
 
-    let blocks = vertical_partition(&r, N_BATCHES).unwrap();
-    assert!(
-        blocks.len() > IN_FLIGHT,
-        "scenario must spill: {} batches vs {IN_FLIGHT} in flight",
-        blocks.len()
-    );
-
-    // Package each partition as the data an out-of-core loader would
-    // materialize: the block of R plus the matching slice of Θ.
-    let batches: Vec<(cumf_sparse::Csr, FactorMatrix)> = blocks
-        .iter()
-        .map(|b| {
-            let cs = b.col_start as usize;
-            let cols = b.n_cols() as usize;
-            let mut part = FactorMatrix::zeros(cols, f);
-            for c in 0..cols {
-                part.vector_mut(c).copy_from_slice(theta.vector(cs + c));
-            }
-            (b.csr.clone(), part)
-        })
-        .collect();
+    // Each batch is what an out-of-core loader would materialize: a block
+    // of R's rows over the whole catalog.
+    let batches = horizontal_partition(&r, N_BATCHES).unwrap();
     let n_batches = batches.len();
+    assert!(
+        n_batches > IN_FLIGHT,
+        "scenario must spill: {n_batches} batches vs {IN_FLIGHT} in flight"
+    );
 
     let produced = Arc::new(AtomicUsize::new(0));
     let produced_in_loader = Arc::clone(&produced);
@@ -60,11 +47,9 @@ fn streamed_partials_with_bounded_prefetch_match_in_core_solve() {
         batches[i].clone()
     });
 
-    let rows = r.n_rows() as usize;
-    let mut acc_a = vec![0.0f32; rows * f * f];
-    let mut acc_b = vec![0.0f32; rows * f];
+    let mut streamed = FactorMatrix::zeros(r.n_rows() as usize, f);
     let mut consumed = 0usize;
-    while let Some((block, part)) = prefetcher.next_batch() {
+    while let Some(batch) = prefetcher.next_batch() {
         consumed += 1;
         // The bounded channel is the double buffer: the loader may only run
         // ahead by the channel capacity plus the batch it is producing.
@@ -73,18 +58,20 @@ fn streamed_partials_with_bounded_prefetch_match_in_core_solve() {
             ahead <= IN_FLIGHT + 1,
             "prefetcher ran {ahead} batches ahead with in_flight={IN_FLIGHT}"
         );
-        let (pa, pb) = partial_hermitians(&block, &part, f);
-        accumulate_partials(&mut acc_a, &mut acc_b, &pa, &pb);
+        let x = solve_side(&batch.csr, &theta, lambda, None);
+        for local in 0..batch.n_rows() {
+            streamed
+                .vector_mut(batch.global_row(local) as usize)
+                .copy_from_slice(x.vector(local as usize));
+        }
     }
     assert_eq!(consumed, n_batches, "every spilled batch must arrive");
 
-    let degrees: Vec<usize> = (0..r.n_rows()).map(|u| r.nnz_row(u)).collect();
-    let streamed = finalize_and_solve(&mut acc_a, &mut acc_b, &degrees, lambda, f);
-
-    let in_core = cumf_core::als::kernels::solve_side(&r, &theta, lambda, None);
-    let diff = streamed.max_abs_diff(&in_core);
-    assert!(
-        diff < 1e-3,
-        "streamed out-of-core update diverged from in-core solve: {diff}"
+    let in_core = solve_side(&r, &theta, lambda, None);
+    let bits = |m: &FactorMatrix| m.data().iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+    assert_eq!(
+        bits(&streamed),
+        bits(&in_core),
+        "streamed out-of-core update diverged from the in-core solve"
     );
 }

@@ -1,34 +1,82 @@
-//! Algorithm 1: the baseline ALS update.
+//! The one ALS engine.
 //!
-//! This is the numerical reference every other engine is checked against.
-//! It has no notion of GPUs or memory hierarchies — it simply alternates the
-//! two normal-equation solves until the configured number of iterations is
-//! reached.
+//! [`AlsEngine`] alternates Algorithm 1's two half-iterations through
+//! [`solve_rows`], whichever of the paper's algorithms it stands for.  The
+//! three differ only in where `Θ` and `R` live and in what the GPU pays for
+//! that (§3–4), so that is all an engine's optional simulated cluster and
+//! its [`Placement`] decide:
+//!
+//! * no cluster — Algorithm 1, the host reference; a sweep costs 0 s;
+//! * [`Placement::Resident`] — Algorithm 2, MO-ALS: `R`, `X` and `Θᵀ` live
+//!   on one GPU, priced by [`crate::als::mo`];
+//! * [`Placement::Grid`] — Algorithm 3, SU-ALS: `Θᵀ` is split over `p`
+//!   GPUs and `X` into `q` batches, priced by [`crate::als::su`].
+//!
+//! The grid's `p` also splits each row's sum into `p` partial Hermitians
+//! (equation (5)), so with `p > 1` the factors can differ from the other
+//! placements' in the last bits; with `p = 1` they are bit-identical.
 
-use crate::als::kernels::solve_side;
+use crate::als::kernels::solve_rows;
+use crate::als::mo::{self, SideTiming};
+use crate::als::su;
 use crate::config::AlsConfig;
 use crate::instrument::TrainMetrics;
 use crate::loss;
+use crate::planner::PartitionPlan;
+use crate::reduce::ReductionScheme;
+use cumf_gpu_sim::GpuCluster;
 use cumf_linalg::FactorMatrix;
-use cumf_sparse::Csr;
+use cumf_sparse::{split_ranges, Csr};
 use std::sync::Arc;
 
-/// The reference ALS engine (Algorithm 1 of the paper).
+/// Where `R` and `Θᵀ` live on an engine's simulated cluster.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub enum Placement {
+    /// MO-ALS (Algorithm 2): `R`, `X` and `Θᵀ` resident on one GPU.
+    Resident,
+    /// SU-ALS (Algorithm 3): `Θᵀ` split vertically into `p` partitions, one
+    /// per GPU, `X` horizontally into `q` batches solved in sequence, and
+    /// `R` into the `p × q` grid of their blocks.
+    Grid {
+        /// Cross-GPU reduction of the partial Hermitians (§4.2).
+        reduction: ReductionScheme,
+        /// The `(p, q)` partitioning; `None` asks the planner
+        /// (equation (8)).
+        plan: Option<PartitionPlan>,
+    },
+}
+
+/// The simulated cluster an engine's sweeps are priced on.
 #[derive(Debug, Clone)]
-pub struct BaseAls {
+struct Simulated {
+    cluster: GpuCluster,
+    placement: Placement,
+    /// `(p, q)` of the update-X and the update-Θ half.
+    plans: [PartitionPlan; 2],
+    upload_s: f64,
+    total_s: f64,
+}
+
+const WHOLE: PartitionPlan = PartitionPlan { p: 1, q: 1 };
+
+/// The ALS engine: the reference, MO-ALS or SU-ALS, by its cluster and
+/// placement (see the module documentation).
+#[derive(Debug, Clone)]
+pub struct AlsEngine {
     config: AlsConfig,
     r: Csr,
     r_t: Csr,
     x: FactorMatrix,
     theta: FactorMatrix,
+    sim: Option<Simulated>,
     metrics: Option<Arc<TrainMetrics>>,
 }
 
-impl BaseAls {
-    /// Creates an engine for the given ratings; factor matrices are
-    /// initialized with uniform random numbers in `[0, 1/√f)` (the paper
-    /// initializes in `[0, 1]`; the `1/√f` scaling keeps initial predictions
-    /// in the rating range for any `f`).
+impl AlsEngine {
+    /// The host reference (Algorithm 1) for the given ratings; factor
+    /// matrices are initialized with uniform random numbers in `[0, 1/√f)`
+    /// (the paper initializes in `[0, 1]`; the `1/√f` scaling keeps initial
+    /// predictions in the rating range for any `f`).
     pub fn new(config: AlsConfig, r: Csr) -> Self {
         config.validate();
         let f = config.f;
@@ -42,13 +90,52 @@ impl BaseAls {
             r_t,
             x,
             theta,
+            sim: None,
             metrics: None,
         }
     }
 
+    /// MO-ALS on one simulated Titan X (the paper's single-GPU setting).
+    pub fn on_titan_x(config: AlsConfig, r: Csr) -> Self {
+        Self::on_cluster(config, r, GpuCluster::single_titan_x(), Placement::Resident)
+    }
+
+    /// The engine priced on `cluster` with `placement`; the same seeded
+    /// start as [`AlsEngine::new`].  A grid without a plan is planned
+    /// against the device's memory capacity, once per half.
+    ///
+    /// # Panics
+    /// Panics if a resident placement is asked of more than one GPU, or if
+    /// `R`, `X` and `Θ` do not fit in its global memory (use a grid).
+    pub fn on_cluster(
+        config: AlsConfig,
+        r: Csr,
+        mut cluster: GpuCluster,
+        placement: Placement,
+    ) -> Self {
+        let mut engine = Self::new(config, r);
+        let f = engine.config.f;
+        let (plans, upload_s) = match placement {
+            Placement::Resident => ([WHOLE; 2], mo::place(&mut cluster, &engine.r, f)),
+            Placement::Grid { plan, .. } => {
+                let plans = [&engine.r, &engine.r_t].map(|r| su::plan(plan, &cluster, r, f));
+                (plans, 0.0)
+            }
+        };
+        engine.sim = Some(Simulated {
+            cluster,
+            placement,
+            plans,
+            upload_s,
+            total_s: 0.0,
+        });
+        engine
+    }
+
     /// Attaches a shared [`TrainMetrics`] sink: every subsequent
     /// half-iteration records its per-row assembly/solve phases and whole
-    /// `solve_side` latency there.
+    /// `solve_side` latency there (simulated GPU time is reported by
+    /// [`AlsEngine::iterate`] instead).
     pub fn attach_metrics(&mut self, metrics: Arc<TrainMetrics>) {
         self.metrics = Some(metrics);
     }
@@ -73,6 +160,29 @@ impl BaseAls {
         &self.r
     }
 
+    /// The `(p, q)` of the update-X and the update-Θ half: `(1, 1)` unless
+    /// the engine runs on a grid.
+    pub fn plans(&self) -> [PartitionPlan; 2] {
+        self.sim.as_ref().map_or([WHOLE; 2], |s| s.plans)
+    }
+
+    /// The simulated cluster, if the engine is priced on one (for
+    /// profiling).
+    pub fn cluster(&self) -> Option<&GpuCluster> {
+        self.sim.as_ref().map(|s| &s.cluster)
+    }
+
+    /// Simulated seconds of the one-time initial upload (resident placement
+    /// only; hidden behind the first iteration in the real system).
+    pub fn upload_time(&self) -> f64 {
+        self.sim.as_ref().map_or(0.0, |s| s.upload_s)
+    }
+
+    /// Simulated seconds of every iteration so far (excluding the upload).
+    pub fn simulated_time(&self) -> f64 {
+        self.sim.as_ref().map_or(0.0, |s| s.total_s)
+    }
+
     /// Replaces the current factors (used to resume from a checkpoint).
     pub fn set_factors(&mut self, x: FactorMatrix, theta: FactorMatrix) {
         assert_eq!(
@@ -91,31 +201,63 @@ impl BaseAls {
         self.theta = theta;
     }
 
-    /// Runs one full ALS iteration: update `X` with `Θ` fixed, then update
-    /// `Θ` with `X` fixed (both halves of Algorithm 1).
-    pub fn iterate(&mut self) {
-        self.update_x();
-        self.update_theta();
+    /// Runs one full ALS iteration — update `X` with `Θ` fixed, then `Θ`
+    /// with `X` fixed — and returns the simulated timing of the two halves
+    /// (all zero without a cluster).
+    pub fn iterate(&mut self) -> [SideTiming; 2] {
+        let halves = [self.update_side(true), self.update_side(false)];
+        if let Some(sim) = &mut self.sim {
+            sim.total_s += halves[0].total() + halves[1].total();
+        }
+        halves
     }
 
-    /// Runs only the update-X half (used by equivalence tests).
-    pub fn update_x(&mut self) {
-        self.x = solve_side(
-            &self.r,
-            &self.theta,
+    /// One half-iteration: `solve_x = true` updates `X` from `R` and `Θ`,
+    /// `false` updates `Θ` from `Rᵀ` and `X`.
+    pub(crate) fn update_side(&mut self, solve_x: bool) -> SideTiming {
+        let (r, fixed) = if solve_x {
+            (&self.r, &self.theta)
+        } else {
+            (&self.r_t, &self.x)
+        };
+        let plan = self.plans()[usize::from(!solve_x)];
+        let cuts: Vec<u32> = split_ranges(r.n_cols(), plan.p)
+            .expect("plans are clamped to the matrix")
+            .iter()
+            .skip(1)
+            .map(|&(start, _)| start)
+            .collect();
+        let f = self.config.f;
+        let solved = solve_rows(
+            r,
+            f,
+            |v| fixed.vector(v as usize),
+            &cuts,
             self.config.lambda,
             self.metrics.as_deref(),
         );
-    }
-
-    /// Runs only the update-Θ half.
-    pub fn update_theta(&mut self) {
-        self.theta = solve_side(
-            &self.r_t,
-            &self.x,
-            self.config.lambda,
-            self.metrics.as_deref(),
-        );
+        let opts = &self.config.memory_opt;
+        let timing = match &mut self.sim {
+            None => SideTiming::default(),
+            Some(sim) => match sim.placement {
+                Placement::Resident => mo::price_side(
+                    &mut sim.cluster,
+                    r,
+                    f,
+                    opts,
+                    if solve_x { "x" } else { "theta" },
+                ),
+                Placement::Grid { reduction, .. } => {
+                    su::price_side(&mut sim.cluster, r, f, opts, &cuts, plan.q, reduction)
+                }
+            },
+        };
+        if solve_x {
+            self.x = solved;
+        } else {
+            self.theta = solved;
+        }
+        timing
     }
 
     /// Training RMSE of the current factors.
@@ -129,14 +271,18 @@ impl BaseAls {
     }
 }
 
-impl crate::engine::Engine for BaseAls {
+impl crate::engine::Engine for AlsEngine {
     fn name(&self) -> &'static str {
-        "base-als"
+        match self.sim.as_ref().map(|s| s.placement) {
+            None => "base-als",
+            Some(Placement::Resident) => "mo-als",
+            Some(Placement::Grid { .. }) => "su-als",
+        }
     }
 
     fn train_sweep(&mut self) -> f64 {
-        self.iterate();
-        0.0
+        let [x, theta] = self.iterate();
+        x.total() + theta.total()
     }
 
     fn x(&self) -> &FactorMatrix {
@@ -148,11 +294,11 @@ impl crate::engine::Engine for BaseAls {
     }
 
     fn set_factors(&mut self, x: FactorMatrix, theta: FactorMatrix) {
-        BaseAls::set_factors(self, x, theta);
+        AlsEngine::set_factors(self, x, theta);
     }
 
     fn attach_metrics(&mut self, metrics: Arc<TrainMetrics>) {
-        BaseAls::attach_metrics(self, metrics);
+        AlsEngine::attach_metrics(self, metrics);
     }
 
     fn metrics(&self) -> Option<&Arc<TrainMetrics>> {
@@ -160,11 +306,11 @@ impl crate::engine::Engine for BaseAls {
     }
 
     fn train_rmse(&self) -> f64 {
-        BaseAls::train_rmse(self)
+        AlsEngine::train_rmse(self)
     }
 }
 
-impl crate::engine::IncrementalEngine for BaseAls {
+impl crate::engine::IncrementalEngine for AlsEngine {
     fn fold_in_lambda(&self) -> f32 {
         self.config.lambda
     }
@@ -175,7 +321,7 @@ mod tests {
     use super::*;
     use cumf_data::synth::SyntheticConfig;
 
-    fn engine(f: usize, iterations: usize) -> BaseAls {
+    fn engine(f: usize, iterations: usize) -> AlsEngine {
         let data = SyntheticConfig {
             m: 200,
             n: 100,
@@ -192,7 +338,7 @@ mod tests {
             track_rmse: true,
             ..Default::default()
         };
-        BaseAls::new(config, data.to_csr())
+        AlsEngine::new(config, data.to_csr())
     }
 
     #[test]
@@ -232,10 +378,10 @@ mod tests {
     fn half_iterations_each_reduce_objective() {
         let mut e = engine(8, 2);
         let j0 = e.objective();
-        e.update_x();
+        e.update_side(true);
         let j1 = e.objective();
         assert!(j1 <= j0 * (1.0 + 1e-6));
-        e.update_theta();
+        e.update_side(false);
         let j2 = e.objective();
         assert!(j2 <= j1 * (1.0 + 1e-6));
     }
@@ -265,7 +411,8 @@ mod tests {
         let mut b = engine(6, 2);
         a.iterate();
         b.iterate();
-        assert!(a.x().max_abs_diff(b.x()) < 1e-6);
-        assert!(a.theta().max_abs_diff(b.theta()) < 1e-6);
+        let bits = |m: &FactorMatrix| m.data().iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+        assert_eq!(bits(a.x()), bits(b.x()));
+        assert_eq!(bits(a.theta()), bits(b.theta()));
     }
 }

@@ -1,26 +1,27 @@
-//! Numerical kernels shared by every ALS engine.
+//! The ALS row loop every engine runs.
 //!
-//! Every engine in this crate — the reference CPU ALS, MO-ALS and SU-ALS —
-//! computes exactly the same update (equation (2) of the paper):
+//! All three of the paper's algorithms compute the same update
+//! (equation (2)):
 //!
 //! ```text
 //!   (Σ_{r_uv≠0} θ_v θ_vᵀ  +  λ·n_{x_u}·I) · x_u  =  Σ_{r_uv≠0} r_uv·θ_v
 //! ```
 //!
-//! What differs between engines is *where the bytes move on the simulated
-//! GPU*, which is handled by the traffic models in [`crate::als::mo`] and
-//! [`crate::als::su`].  Keeping the numerics in one place guarantees the
-//! engines agree bit-for-bit up to floating-point summation order, which the
-//! integration tests check.
+//! [`solve_rows`] is that update, row by row.  The only thing a placement
+//! changes about it is the order of the sum: SU-ALS splits `Θᵀ` into `p`
+//! column partitions and sums one partial Hermitian per partition
+//! (equation (5)), which the row loop reproduces given the partition's
+//! cuts.  Where the bytes move on the simulated GPU is priced separately,
+//! in [`crate::als::mo`] and [`crate::als::su`].
 
 use crate::instrument::TrainMetrics;
-use cumf_linalg::batch::batch_solve;
 use cumf_linalg::blas::{add_diagonal, syr_axpy, syr_axpy_x4};
 use cumf_linalg::cholesky::{GroupSolver, GROUP};
 use cumf_linalg::FactorMatrix;
 use cumf_obs::ns_between;
 use cumf_sparse::Csr;
 use rayon::prelude::*;
+use std::ops::Range;
 use std::time::Instant;
 
 /// Rows a worker solves with one set of scratch buffers; also the grain of
@@ -54,13 +55,37 @@ fn assemble<'t>(
     }
 }
 
+/// The ranges of `cols` (one row's sorted column ids) that fall in each
+/// part of the column partition cut at `col_cuts`: one range per part, in
+/// order, empty where the row has no rating in that part.
+pub(crate) fn split_row<'a>(
+    cols: &'a [u32],
+    col_cuts: &'a [u32],
+) -> impl Iterator<Item = Range<usize>> + 'a {
+    let ends = col_cuts.iter().map(|&c| cols.partition_point(|&v| v < c));
+    let mut start = 0;
+    ends.chain([cols.len()]).map(move |end| {
+        let part = start..end;
+        start = end;
+        part
+    })
+}
+
 /// The exact per-row ALS update — assemble, ridge `λ · n_{x_u}`, Cholesky
 /// solve — over every row of `r`, against factor vectors looked up through
 /// `theta_of` (column id → `θ_v`, each `f` long): the one row loop behind
-/// training half-iterations and both fold-in paths.  Rows with no ratings
-/// get a zero vector (their system is singular under weighted
+/// every training half-iteration and both fold-in paths.  Rows with no
+/// ratings get a zero vector (their system is singular under weighted
 /// regularization, matching the original cuMF), and so do numerically
 /// singular systems rather than propagating NaNs.
+///
+/// `col_cuts` are the interior boundaries of the fixed side's column
+/// partition, ascending: none for a single partition (the reference,
+/// MO-ALS and fold-in), `p − 1` for SU-ALS's `Θᵀ(1..p)`.  With no cuts a
+/// row assembles straight into its group's buffer.  With cuts, each part's
+/// ratings assemble into a zeroed scratch — that part's partial Hermitian
+/// and right-hand side, equation (5) — which is added onto the sum of the
+/// parts before it; the ridge uses the whole row's degree.
 ///
 /// The non-empty rows of a chunk are solved [`GROUP`] at a time, one per
 /// lane of the [`GroupSolver`]; an empty row takes no lane, and the last
@@ -75,6 +100,7 @@ pub fn solve_rows<'t>(
     r: &Csr,
     f: usize,
     theta_of: impl Fn(u32) -> &'t [f32] + Sync,
+    col_cuts: &[u32],
     lambda: f32,
     metrics: Option<&TrainMetrics>,
 ) -> FactorMatrix {
@@ -84,9 +110,12 @@ pub fn solve_rows<'t>(
         .par_chunks_mut(f * ROWS_PER_CHUNK)
         .enumerate()
         .for_each(|(chunk, rows)| {
-            // One group's Hermitians and right-hand sides and the solver's
-            // packed triangle, allocated once per chunk.
+            // One group's Hermitians and right-hand sides, one partial for
+            // a partitioned row, and the solver's packed triangle, allocated
+            // once per chunk.
             let (mut a, mut b) = (vec![0.0f32; GROUP * f * f], vec![0.0f32; GROUP * f]);
+            let scratch = if col_cuts.is_empty() { 0 } else { f };
+            let (mut part_a, mut part_b) = (vec![0.0f32; scratch * f], vec![0.0f32; scratch]);
             let mut solver = GroupSolver::new(f);
             let first_row = chunk * ROWS_PER_CHUNK;
             let occupied: Vec<usize> = (0..rows.len() / f)
@@ -97,16 +126,32 @@ pub fn solve_rows<'t>(
                 let group_start = metrics.map(|_| Instant::now());
                 let mut assembly_ns = [0u64; GROUP];
                 for (lane, &i) in group.iter().enumerate() {
-                    let row = r.row((first_row + i) as u32);
+                    let (cols, vals) = r.row((first_row + i) as u32);
                     let (a, b) = (&mut a[lane * f * f..][..f * f], &mut b[lane * f..][..f]);
                     let row_start = metrics.map(|_| Instant::now());
                     a.fill(0.0);
                     b.fill(0.0);
-                    assemble(a, b, row, &theta_of);
+                    // The first part (the whole row without cuts) goes
+                    // straight into the lane; each later one into the
+                    // zeroed scratch, then onto the lane.
+                    let mut parts = split_row(cols, col_cuts).map(|p| (&cols[p.clone()], &vals[p]));
+                    assemble(
+                        a,
+                        b,
+                        parts.next().expect("one part more than cuts"),
+                        &theta_of,
+                    );
+                    for part in parts {
+                        part_a.fill(0.0);
+                        part_b.fill(0.0);
+                        assemble(&mut part_a, &mut part_b, part, &theta_of);
+                        a.iter_mut().zip(&part_a).for_each(|(acc, p)| *acc += p);
+                        b.iter_mut().zip(&part_b).for_each(|(acc, p)| *acc += p);
+                    }
                     if let Some(t0) = row_start {
                         assembly_ns[lane] = ns_between(t0, Instant::now());
                     }
-                    add_diagonal(a, f, lambda * row.0.len() as f32);
+                    add_diagonal(a, f, lambda * cols.len() as f32);
                 }
                 let status = solver.solve(&a[..n * f * f], &mut b[..n * f]);
                 for ((&i, x_u), status) in group.iter().zip(b.chunks_exact(f)).zip(status) {
@@ -125,9 +170,9 @@ pub fn solve_rows<'t>(
     out
 }
 
-/// Solves one side of the ALS update with the fused per-row kernel: for each
-/// row `u` of `r`, builds the regularized Hermitian and right-hand side and
-/// solves it immediately.
+/// Solves one side of the ALS update over a single column partition: for
+/// each row `u` of `r`, builds the regularized Hermitian and right-hand side
+/// and solves it ([`solve_rows`] with no cuts).
 ///
 /// * `r` — ratings with the *solved* entities as rows (pass `R` to update
 ///   `X`, `Rᵀ` to update `Θ`).
@@ -146,116 +191,17 @@ pub fn solve_side(
         r,
         fixed.rank(),
         |v| fixed.vector(v as usize),
+        &[],
         lambda,
         metrics,
     )
-}
-
-/// Per-row partial Hermitians and right-hand sides over a *block* of `R`
-/// (the data-parallel half of SU-ALS, equation (5)/(6)/(7) of the paper).
-///
-/// `block` is a block of `R` with block-local column indices; `fixed_part`
-/// holds the factor vectors of exactly those local columns.  No
-/// regularization is added here — that happens after the cross-GPU reduction
-/// in [`finalize_and_solve`], because `n_{x_u}` is a property of the whole
-/// row, not of one block.
-///
-/// Returns `(hermitians, rhs)` with `hermitians.len() == rows · f²` and
-/// `rhs.len() == rows · f`.  Only the lower triangle of each Hermitian is
-/// accumulated ([`syr_axpy`]'s contract); nothing downstream reads the rest.
-pub fn partial_hermitians(
-    block: &Csr,
-    fixed_part: &FactorMatrix,
-    f: usize,
-) -> (Vec<f32>, Vec<f32>) {
-    assert_eq!(fixed_part.rank(), f, "fixed factor rank mismatch");
-    let rows = block.n_rows() as usize;
-    let mut hermitians = vec![0.0f32; rows * f * f];
-    let mut rhs = vec![0.0f32; rows * f];
-
-    hermitians
-        .par_chunks_mut(f * f)
-        .zip(rhs.par_chunks_mut(f))
-        .enumerate()
-        .for_each(|(u, (a, b))| {
-            assemble(a, b, block.row(u as u32), |v| fixed_part.vector(v as usize));
-        });
-    (hermitians, rhs)
-}
-
-/// Element-wise accumulation of partial Hermitians/right-hand sides coming
-/// from different column partitions (the reduction of Algorithm 3,
-/// lines 15–16).
-pub fn accumulate_partials(acc_a: &mut [f32], acc_b: &mut [f32], part_a: &[f32], part_b: &[f32]) {
-    assert_eq!(
-        acc_a.len(),
-        part_a.len(),
-        "hermitian partial length mismatch"
-    );
-    assert_eq!(acc_b.len(), part_b.len(), "rhs partial length mismatch");
-    acc_a
-        .par_iter_mut()
-        .zip(part_a.par_iter())
-        .for_each(|(acc, p)| *acc += p);
-    acc_b
-        .par_iter_mut()
-        .zip(part_b.par_iter())
-        .for_each(|(acc, p)| *acc += p);
-}
-
-/// Adds the weighted-λ ridge to every reduced Hermitian and solves the batch
-/// (Algorithm 3 line 17).
-///
-/// `row_degrees[u]` must be the row's total number of ratings across *all*
-/// column partitions.
-pub fn finalize_and_solve(
-    hermitians: &mut [f32],
-    rhs: &mut [f32],
-    row_degrees: &[usize],
-    lambda: f32,
-    f: usize,
-) -> FactorMatrix {
-    let rows = row_degrees.len();
-    assert_eq!(
-        hermitians.len(),
-        rows * f * f,
-        "hermitian buffer size mismatch"
-    );
-    assert_eq!(rhs.len(), rows * f, "rhs buffer size mismatch");
-
-    hermitians
-        .par_chunks_mut(f * f)
-        .zip(row_degrees.par_iter())
-        .for_each(|(a, &degree)| add_diagonal(a, f, lambda * degree as f32));
-
-    let report = batch_solve(hermitians, rhs, f);
-
-    // A system that failed to factor still holds its raw right-hand side
-    // `Σ r·θ_v` in `rhs`; such a row gets zeros, exactly as in `solve_rows`.
-    // A row with no ratings is one of them: its Hermitian is all zero.
-    let mut out = FactorMatrix::zeros(rows, f);
-    out.data_mut().copy_from_slice(rhs);
-    for u in report.failed {
-        out.vector_mut(u).fill(0.0);
-    }
-    out
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use cumf_data::synth::SyntheticConfig;
-    use cumf_sparse::{vertical_partition, Coo};
-
-    /// One full update of a side through the partial-Hermitian path with a
-    /// single (trivial) partition, to check the blocked path against
-    /// [`solve_side`].
-    fn solve_by_partials(r: &Csr, fixed: &FactorMatrix, lambda: f32) -> FactorMatrix {
-        let f = fixed.rank();
-        let (mut a, mut b) = partial_hermitians(r, fixed, f);
-        let degrees: Vec<usize> = (0..r.n_rows()).map(|u| r.nnz_row(u)).collect();
-        finalize_and_solve(&mut a, &mut b, &degrees, lambda, f)
-    }
+    use cumf_sparse::Coo;
 
     fn small_problem() -> (Csr, FactorMatrix) {
         let data = SyntheticConfig {
@@ -362,17 +308,38 @@ mod tests {
     /// `axpy` per rating, ridge, single-system `cholesky_solve`; `None`
     /// when the row's system does not factor.
     fn solve_row_reference(
+        row: (&[u32], &[f32]),
+        theta: &FactorMatrix,
+        lambda: f32,
+    ) -> Option<Vec<f32>> {
+        solve_row_reference_cut(row, theta, lambda, &[])
+    }
+
+    /// [`solve_row_reference`] over a column partition cut at `cuts`: each
+    /// part's ratings build a partial system from zero, added onto the sum
+    /// of the parts before it (equation (5)), then one ridge and solve.
+    fn solve_row_reference_cut(
         (cols, vals): (&[u32], &[f32]),
         theta: &FactorMatrix,
         lambda: f32,
+        cuts: &[u32],
     ) -> Option<Vec<f32>> {
         use cumf_linalg::blas::{axpy, syr_full};
         use cumf_linalg::cholesky::cholesky_solve;
         let f = theta.rank();
         let (mut a, mut b) = (vec![0.0f32; f * f], vec![0.0f32; f]);
-        for (&v, &val) in cols.iter().zip(vals) {
-            syr_full(&mut a, theta.vector(v as usize));
-            axpy(val, theta.vector(v as usize), &mut b);
+        for (k, part) in split_row(cols, cuts).enumerate() {
+            let (mut pa, mut pb) = (vec![0.0f32; f * f], vec![0.0f32; f]);
+            for (&v, &val) in cols[part.clone()].iter().zip(&vals[part]) {
+                syr_full(&mut pa, theta.vector(v as usize));
+                axpy(val, theta.vector(v as usize), &mut pb);
+            }
+            if k == 0 {
+                (a, b) = (pa, pb);
+            } else {
+                a.iter_mut().zip(&pa).for_each(|(acc, p)| *acc += p);
+                b.iter_mut().zip(&pb).for_each(|(acc, p)| *acc += p);
+            }
         }
         add_diagonal(&mut a, f, lambda * cols.len() as f32);
         cholesky_solve(&mut a, f, &mut b).ok().map(|()| b)
@@ -381,16 +348,16 @@ mod tests {
     #[test]
     fn a_row_that_fails_to_factor_is_zero_on_both_paths() {
         // λ = 0 and one rating at f = 4: the Hermitian θθᵀ has rank 1 and
-        // does not factor.  The fused path leaves such a row at zero; the
-        // partial-Hermitian path must too, not hand back its raw Σ r·θ_v.
-        // The failing row takes every lane position of a group whose other
-        // three rows (eight ratings each, so full rank without a ridge) are
-        // well-posed: they must come out exactly as when solved alone.  Row 2
-        // is empty — it takes no lane on the fused path, is one more failing
-        // system on the partial path, and must not shift a result to the
-        // wrong row on either.
+        // does not factor.  Both the whole-row path and the partitioned one
+        // (three column parts, p > 1) leave such a row at zero rather than
+        // its raw Σ r·θ_v.  The failing row takes every lane position of a
+        // group whose other three rows (eight ratings each, so full rank
+        // without a ridge) are well-posed: they must come out exactly as
+        // when solved alone.  Row 2 is empty — it takes no lane and must not
+        // shift a result to the wrong row on either path.
         let theta = FactorMatrix::random(8, 4, 1.0, 5);
         let occupied = [0u32, 1, 3, 4];
+        let cuts = [3u32, 5];
         for failing_lane in 0..occupied.len() {
             let mut coo = Coo::new(5, 8);
             for (lane, &u) in occupied.iter().enumerate() {
@@ -403,14 +370,13 @@ mod tests {
                 }
             }
             let r = coo.to_csr();
-            let fused = solve_side(&r, &theta, 0.0, None);
-            let partial = solve_by_partials(&r, &theta, 0.0);
-            for u in 0..5u32 {
-                let expect = solve_row_reference(r.row(u), &theta, 0.0);
-                let well_posed = u != 2 && u != occupied[failing_lane];
-                assert_eq!(expect.is_some(), well_posed, "row {u}");
-                let expect = expect.unwrap_or(vec![0.0; 4]);
-                for (path, got) in [("fused", &fused), ("partial", &partial)] {
+            for (path, cuts) in [("whole", &[][..]), ("partitioned", &cuts[..])] {
+                let got = solve_rows(&r, 4, |v| theta.vector(v as usize), cuts, 0.0, None);
+                for u in 0..5u32 {
+                    let expect = solve_row_reference_cut(r.row(u), &theta, 0.0, cuts);
+                    let well_posed = u != 2 && u != occupied[failing_lane];
+                    assert_eq!(expect.is_some(), well_posed, "{path} path, row {u}");
+                    let expect = expect.unwrap_or(vec![0.0; 4]);
                     assert_eq!(
                         got.vector(u as usize),
                         &expect[..],
@@ -530,73 +496,26 @@ mod tests {
     }
 
     #[test]
-    fn partial_path_matches_fused_path() {
-        let (r, theta) = small_problem();
-        let fused = solve_side(&r, &theta, 0.05, None);
-        let partial = solve_by_partials(&r, &theta, 0.05);
-        assert!(
-            fused.max_abs_diff(&partial) < 1e-4,
-            "fused and partial paths should agree"
-        );
-    }
-
-    #[test]
     fn partials_over_column_partitions_sum_to_the_whole() {
+        // Equation (5): the row loop cut into column parts sums each part's
+        // partial system onto the parts before it — bit for bit what the
+        // per-row reference does in that order, including parts a row has
+        // no rating in, a cut at 0 and a cut past the last column — and
+        // lands within rounding of the uncut solve.
         let (r, theta) = small_problem();
-        let f = theta.rank();
-        let (full_a, full_b) = partial_hermitians(&r, &theta, f);
-
-        // Split columns into 3 partitions and accumulate the per-partition
-        // partials: the result must equal the unpartitioned computation.
-        let blocks = vertical_partition(&r, 3).unwrap();
-        let rows = r.n_rows() as usize;
-        let mut acc_a = vec![0.0f32; rows * f * f];
-        let mut acc_b = vec![0.0f32; rows * f];
-        for block in &blocks {
-            // Factor vectors for this partition's columns.
-            let cs = block.col_start as usize;
-            let cols = block.n_cols() as usize;
-            let mut part = FactorMatrix::zeros(cols, f);
-            for c in 0..cols {
-                part.vector_mut(c).copy_from_slice(theta.vector(cs + c));
+        let whole = solve_side(&r, &theta, 0.05, None);
+        for cuts in [&[30u32][..], &[0, 7, 8, 41], &[13, 26, 39, 52, 60]] {
+            let got = solve_rows(&r, 8, |v| theta.vector(v as usize), cuts, 0.05, None);
+            for u in 0..r.n_rows() {
+                let expect = if r.nnz_row(u) == 0 {
+                    vec![0.0; 8]
+                } else {
+                    solve_row_reference_cut(r.row(u), &theta, 0.05, cuts).expect("ridged")
+                };
+                assert_eq!(got.vector(u as usize), &expect[..], "cuts {cuts:?} row {u}");
             }
-            let (pa, pb) = partial_hermitians(&block.csr, &part, f);
-            accumulate_partials(&mut acc_a, &mut acc_b, &pa, &pb);
+            let diff = got.max_abs_diff(&whole);
+            assert!(diff < 1e-3, "cuts {cuts:?}: {diff} from the uncut solve");
         }
-        let max_a = full_a
-            .iter()
-            .zip(acc_a.iter())
-            .map(|(x, y)| (x - y).abs())
-            .fold(0.0f32, f32::max);
-        let max_b = full_b
-            .iter()
-            .zip(acc_b.iter())
-            .map(|(x, y)| (x - y).abs())
-            .fold(0.0f32, f32::max);
-        assert!(max_a < 1e-3, "hermitian mismatch {max_a}");
-        assert!(max_b < 1e-3, "rhs mismatch {max_b}");
-    }
-
-    #[test]
-    fn finalize_zeroes_empty_rows() {
-        let f = 4;
-        let mut a = vec![0.0f32; 2 * f * f];
-        let mut b = vec![0.0f32; 2 * f];
-        // Row 0 has data, row 1 is empty.
-        for i in 0..f {
-            a[i * f + i] = 2.0;
-            b[i] = 1.0;
-        }
-        let out = finalize_and_solve(&mut a, &mut b, &[3, 0], 0.1, f);
-        assert!(out.vector(0).iter().any(|&v| v != 0.0));
-        assert!(out.vector(1).iter().all(|&v| v == 0.0));
-    }
-
-    #[test]
-    #[should_panic(expected = "length mismatch")]
-    fn accumulate_rejects_mismatched_buffers() {
-        let mut a = vec![0.0f32; 4];
-        let mut b = vec![0.0f32; 2];
-        accumulate_partials(&mut a, &mut b, &[0.0; 8], &[0.0; 2]);
     }
 }

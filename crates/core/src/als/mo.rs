@@ -1,9 +1,10 @@
-//! Algorithm 2: MO-ALS, the memory-optimized single-GPU engine.
+//! Algorithm 2, MO-ALS: the memory-optimized single-GPU pricing.
 //!
-//! The numerics are identical to [`crate::als::base`]; what this engine adds
-//! is the *simulated GPU execution*: every `get_hermitian` / `batch_solve`
-//! launch is priced by the traffic it would generate on a real card, which
-//! depends on the memory-optimization toggles:
+//! [`crate::als::AlsEngine`] with [`crate::als::Placement::Resident`] keeps
+//! `R`, `X` and `Θᵀ` on one GPU and runs the reference numerics; this module
+//! prices each `get_hermitian` / `batch_solve` launch by the traffic it
+//! would generate on a real card, which depends on the memory-optimization
+//! toggles:
 //!
 //! * **texture** (Algorithm 2 line 3): `Θᵀ` gathers go through the read-only
 //!   texture cache instead of scattered global loads;
@@ -14,16 +15,13 @@
 //!   once per staged tile.
 //!
 //! Disabling each of these reproduces the ablations of Figures 7 and 8.
+//! The traffic models are shared with the grid placement
+//! ([`crate::als::su`]) and the analytic cost model.
 
-use crate::als::kernels::solve_side;
-use crate::config::{AlsConfig, MemoryOptConfig};
-use crate::instrument::TrainMetrics;
-use crate::loss;
+use crate::config::MemoryOptConfig;
 use cumf_gpu_sim::occupancy::{mo_als_regs_per_thread, mo_als_shared_bytes};
 use cumf_gpu_sim::{DeviceSpec, GpuCluster, KernelTraffic, Occupancy, TimingModel};
-use cumf_linalg::FactorMatrix;
 use cumf_sparse::Csr;
-use std::sync::Arc;
 
 /// Approximate on-chip read-only cache available to texture fetches
 /// (per-SM texture/L1 plus the shared L2), in bytes.
@@ -145,270 +143,85 @@ pub fn side_update_time(
     SideTiming {
         get_hermitian_s: gh.total_s,
         batch_solve_s: bs.total_s,
-        get_hermitian_occupancy: gh_occ.occupancy,
+        ..SideTiming::default()
     }
 }
 
-/// Timing breakdown of one side update.
-#[derive(Debug, Clone, Copy, PartialEq)]
+/// Simulated timing of one side update (a half-iteration), whatever the
+/// placement; the phases a placement does not have stay zero.
+#[derive(Debug, Clone, Copy, Default, PartialEq)]
 pub struct SideTiming {
-    /// Simulated seconds spent in `get_hermitian`.
+    /// Host→device streaming of `Θᵀ` and `R` blocks that could not be
+    /// hidden (grid only).
+    pub transfer_s: f64,
+    /// `get_hermitian` kernels (on a grid: the busiest GPU's sum).
     pub get_hermitian_s: f64,
-    /// Simulated seconds spent in `batch_solve`.
+    /// Cross-GPU reductions of the partial Hermitians (grid only).
+    pub reduce_s: f64,
+    /// Batch solves (on a grid: the busiest GPU's sum).
     pub batch_solve_s: f64,
-    /// Occupancy achieved by the `get_hermitian` launch.
-    pub get_hermitian_occupancy: f64,
 }
 
 impl SideTiming {
     /// Total simulated seconds of the side update.
     pub fn total(&self) -> f64 {
-        self.get_hermitian_s + self.batch_solve_s
+        self.transfer_s + self.get_hermitian_s + self.reduce_s + self.batch_solve_s
     }
 }
 
-/// Per-iteration statistics of the MO-ALS engine.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct MoIterationStats {
-    /// Simulated seconds for the update-X half.
-    pub update_x_s: f64,
-    /// Simulated seconds for the update-Θ half.
-    pub update_theta_s: f64,
+/// Places `R`, `X` and `Θᵀ` on GPU 0 of `cluster` and returns the simulated
+/// seconds of the one-time host→device upload.
+///
+/// # Panics
+/// Panics if the cluster has more than one GPU or the three do not fit in
+/// its global memory.
+pub(crate) fn place(cluster: &mut GpuCluster, r: &Csr, f: usize) -> f64 {
+    assert_eq!(cluster.n_gpus(), 1, "MO-ALS runs on exactly one GPU");
+    let (m, n, f) = (r.n_rows() as u64, r.n_cols() as u64, f as u64);
+    let alloc = cluster.allocator_mut(0);
+    alloc
+        .alloc_f32("R (CSR)", r.footprint_words() as u64)
+        .and_then(|_| alloc.alloc_f32("X", m * f))
+        .and_then(|_| alloc.alloc_f32("ThetaT", n * f))
+        .unwrap_or_else(|e| panic!("problem does not fit on one GPU: {e}; use SU-ALS"));
+    let bytes = (r.footprint_words() as u64 + m * f + n * f) * 4;
+    let upload_s = cluster
+        .timing()
+        .transfer_time(bytes as f64, cluster.spec().pcie_gbs);
+    cluster.run_transfer(0, "initial upload", upload_s, 0.0);
+    upload_s
 }
 
-impl MoIterationStats {
-    /// Total simulated seconds of the iteration.
-    pub fn total(&self) -> f64 {
-        self.update_x_s + self.update_theta_s
-    }
-}
-
-/// The memory-optimized single-GPU ALS engine (Algorithm 2).
-#[derive(Debug, Clone)]
-pub struct MoAlsEngine {
-    config: AlsConfig,
-    cluster: GpuCluster,
-    r: Csr,
-    r_t: Csr,
-    x: FactorMatrix,
-    theta: FactorMatrix,
-    upload_s: f64,
-    total_sim_s: f64,
-    metrics: Option<Arc<TrainMetrics>>,
-}
-
-impl MoAlsEngine {
-    /// Creates the engine on the given (single-GPU) cluster.
-    ///
-    /// # Panics
-    /// Panics if the cluster has more than one GPU (use
-    /// [`crate::als::su::SuAlsEngine`] for that) or if `R`, `X` and `Θ` do
-    /// not fit in the device's global memory (use SU-ALS and its planner).
-    pub fn new(config: AlsConfig, r: Csr, mut cluster: GpuCluster) -> Self {
-        config.validate();
-        assert_eq!(cluster.n_gpus(), 1, "MO-ALS runs on exactly one GPU");
-        let f = config.f;
-        let m = r.n_rows() as u64;
-        let n = r.n_cols() as u64;
-
-        // Device-resident data: R (CSR words), X, Θᵀ.
-        let alloc = cluster.allocator_mut(0);
-        alloc
-            .alloc_f32("R (CSR)", r.footprint_words() as u64)
-            .and_then(|_| alloc.alloc_f32("X", m * f as u64))
-            .and_then(|_| alloc.alloc_f32("ThetaT", n * f as u64))
-            .unwrap_or_else(|e| panic!("problem does not fit on one GPU: {e}; use SU-ALS"));
-
-        let scale = 1.0 / (f as f32).sqrt();
-        let x = FactorMatrix::random(m as usize, f, scale, config.seed);
-        let theta = FactorMatrix::random(n as usize, f, scale, config.seed ^ 0xDEAD_BEEF);
-        let r_t = r.transpose();
-
-        // One-time host→device upload (hidden behind the first iteration in
-        // the real system; tracked separately here).
-        let bytes = (r.footprint_words() as u64 + m * f as u64 + n * f as u64) * 4;
-        let timing = cluster.timing().clone();
-        let upload_s = timing.transfer_time(bytes as f64, cluster.spec().pcie_gbs);
-        cluster.run_transfer(0, "initial upload", upload_s, 0.0);
-
-        Self {
-            config,
-            cluster,
-            r,
-            r_t,
-            x,
-            theta,
-            upload_s,
-            total_sim_s: 0.0,
-            metrics: None,
-        }
-    }
-
-    /// Attaches a shared [`TrainMetrics`] sink: every subsequent iteration
-    /// records its host-side per-row assembly/solve phases and whole
-    /// `solve_side` latency there (simulated GPU time is tracked separately
-    /// by [`MoAlsEngine::iterate`]'s [`MoIterationStats`]).
-    pub fn attach_metrics(&mut self, metrics: Arc<TrainMetrics>) {
-        self.metrics = Some(metrics);
-    }
-
-    /// Convenience constructor on a single Titan X.
-    pub fn on_titan_x(config: AlsConfig, r: Csr) -> Self {
-        Self::new(config, r, GpuCluster::single_titan_x())
-    }
-
-    /// The engine's configuration.
-    pub fn config(&self) -> &AlsConfig {
-        &self.config
-    }
-
-    /// Current user factors.
-    pub fn x(&self) -> &FactorMatrix {
-        &self.x
-    }
-
-    /// Current item factors.
-    pub fn theta(&self) -> &FactorMatrix {
-        &self.theta
-    }
-
-    /// Replaces the current factors (used to resume from a checkpoint).
-    pub fn set_factors(&mut self, x: FactorMatrix, theta: FactorMatrix) {
-        assert_eq!(x.len(), self.r.n_rows() as usize, "X row count mismatch");
-        assert_eq!(
-            theta.len(),
-            self.r.n_cols() as usize,
-            "Θ row count mismatch"
-        );
-        assert_eq!(x.rank(), self.config.f, "X rank mismatch");
-        assert_eq!(theta.rank(), self.config.f, "Θ rank mismatch");
-        self.x = x;
-        self.theta = theta;
-    }
-
-    /// Simulated seconds of the one-time initial upload.
-    pub fn upload_time(&self) -> f64 {
-        self.upload_s
-    }
-
-    /// Total simulated compute time accumulated so far (excluding the
-    /// initial upload).
-    pub fn simulated_time(&self) -> f64 {
-        self.total_sim_s
-    }
-
-    /// The underlying simulated cluster (for profiling).
-    pub fn cluster(&self) -> &GpuCluster {
-        &self.cluster
-    }
-
-    /// Runs one full ALS iteration and returns its simulated timing.
-    pub fn iterate(&mut self) -> MoIterationStats {
-        let spec = self.cluster.spec().clone();
-        let timing = self.cluster.timing().clone();
-        let opts = self.config.memory_opt;
-        let f = self.config.f;
-
-        // --- update X (solve rows of R against Θ) ---
-        self.x = solve_side(
-            &self.r,
-            &self.theta,
-            self.config.lambda,
-            self.metrics.as_deref(),
-        );
-        let tx = side_update_time(
-            &spec,
-            &timing,
-            self.r.n_rows() as f64,
-            self.r.nnz() as f64,
-            self.r.n_cols() as f64,
-            f,
-            &opts,
-        );
-        self.cluster
-            .run_kernel(0, "get_hermitian_x", tx.get_hermitian_s);
-        self.cluster
-            .run_kernel(0, "batch_solve_x", tx.batch_solve_s);
-
-        // --- update Θ (solve rows of Rᵀ against X) ---
-        self.theta = solve_side(
-            &self.r_t,
-            &self.x,
-            self.config.lambda,
-            self.metrics.as_deref(),
-        );
-        let tt = side_update_time(
-            &spec,
-            &timing,
-            self.r_t.n_rows() as f64,
-            self.r_t.nnz() as f64,
-            self.r_t.n_cols() as f64,
-            f,
-            &opts,
-        );
-        self.cluster
-            .run_kernel(0, "get_hermitian_theta", tt.get_hermitian_s);
-        self.cluster
-            .run_kernel(0, "batch_solve_theta", tt.batch_solve_s);
-
-        let stats = MoIterationStats {
-            update_x_s: tx.total(),
-            update_theta_s: tt.total(),
-        };
-        self.total_sim_s += stats.total();
-        stats
-    }
-
-    /// Training RMSE of the current factors.
-    pub fn train_rmse(&self) -> f64 {
-        loss::rmse_csr(&self.x, &self.theta, &self.r)
-    }
-}
-
-impl crate::engine::Engine for MoAlsEngine {
-    fn name(&self) -> &'static str {
-        "mo-als"
-    }
-
-    fn train_sweep(&mut self) -> f64 {
-        self.iterate().total()
-    }
-
-    fn x(&self) -> &FactorMatrix {
-        &self.x
-    }
-
-    fn theta(&self) -> &FactorMatrix {
-        &self.theta
-    }
-
-    fn set_factors(&mut self, x: FactorMatrix, theta: FactorMatrix) {
-        MoAlsEngine::set_factors(self, x, theta);
-    }
-
-    fn attach_metrics(&mut self, metrics: Arc<TrainMetrics>) {
-        MoAlsEngine::attach_metrics(self, metrics);
-    }
-
-    fn metrics(&self) -> Option<&Arc<TrainMetrics>> {
-        self.metrics.as_ref()
-    }
-
-    fn train_rmse(&self) -> f64 {
-        MoAlsEngine::train_rmse(self)
-    }
-}
-
-impl crate::engine::IncrementalEngine for MoAlsEngine {
-    fn fold_in_lambda(&self) -> f32 {
-        self.config.lambda
-    }
+/// Prices one side update over all of `r` on GPU 0, recording its two
+/// kernels as `get_hermitian_{side}` and `batch_solve_{side}`.
+pub(crate) fn price_side(
+    cluster: &mut GpuCluster,
+    r: &Csr,
+    f: usize,
+    opts: &MemoryOptConfig,
+    side: &str,
+) -> SideTiming {
+    let t = side_update_time(
+        cluster.spec(),
+        cluster.timing(),
+        r.n_rows() as f64,
+        r.nnz() as f64,
+        r.n_cols() as f64,
+        f,
+        opts,
+    );
+    cluster.run_kernel(0, &format!("get_hermitian_{side}"), t.get_hermitian_s);
+    cluster.run_kernel(0, &format!("batch_solve_{side}"), t.batch_solve_s);
+    t
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::als::{AlsEngine, Placement};
+    use crate::config::AlsConfig;
     use cumf_data::synth::SyntheticConfig;
+    use cumf_linalg::FactorMatrix;
 
     fn small_ratings() -> Csr {
         SyntheticConfig {
@@ -432,29 +245,39 @@ mod tests {
         }
     }
 
+    fn bits(m: &FactorMatrix) -> Vec<u32> {
+        m.data().iter().map(|v| v.to_bits()).collect()
+    }
+
+    fn sweep(engine: &mut AlsEngine) -> f64 {
+        let [x, theta] = engine.iterate();
+        x.total() + theta.total()
+    }
+
     #[test]
     fn engine_converges_like_the_reference() {
         let r = small_ratings();
-        let mut mo = MoAlsEngine::on_titan_x(config(MemoryOptConfig::optimized()), r.clone());
-        let mut base = crate::als::BaseAls::new(config(MemoryOptConfig::optimized()), r);
+        let mut mo = AlsEngine::on_titan_x(config(MemoryOptConfig::optimized()), r.clone());
+        let mut base = AlsEngine::new(config(MemoryOptConfig::optimized()), r);
         for _ in 0..3 {
             mo.iterate();
             base.iterate();
         }
-        // Same seed, same numerics: the factors agree to floating-point noise.
-        assert!(mo.x().max_abs_diff(base.x()) < 1e-4);
-        assert!(mo.theta().max_abs_diff(base.theta()) < 1e-4);
+        // Same seed, same row loop: the placement only prices the sweep.
+        assert_eq!(bits(mo.x()), bits(base.x()));
+        assert_eq!(bits(mo.theta()), bits(base.theta()));
         assert!(mo.train_rmse() < 0.5);
     }
 
     #[test]
     fn memory_opt_toggles_do_not_change_numerics() {
         let r = small_ratings();
-        let mut opt = MoAlsEngine::on_titan_x(config(MemoryOptConfig::optimized()), r.clone());
-        let mut naive = MoAlsEngine::on_titan_x(config(MemoryOptConfig::naive()), r);
+        let mut opt = AlsEngine::on_titan_x(config(MemoryOptConfig::optimized()), r.clone());
+        let mut naive = AlsEngine::on_titan_x(config(MemoryOptConfig::naive()), r);
         opt.iterate();
         naive.iterate();
-        assert!(opt.x().max_abs_diff(naive.x()) < 1e-6);
+        assert_eq!(bits(opt.x()), bits(naive.x()));
+        assert_eq!(bits(opt.theta()), bits(naive.theta()));
     }
 
     #[test]
@@ -463,10 +286,10 @@ mod tests {
         // visible, and at full Netflix scale (where launch overheads are
         // negligible) the register-blocked kernel is substantially faster.
         let r = small_ratings();
-        let mut with = MoAlsEngine::on_titan_x(config(MemoryOptConfig::optimized()), r.clone());
-        let mut without = MoAlsEngine::on_titan_x(config(MemoryOptConfig::without_registers()), r);
-        let t_with = with.iterate().total();
-        let t_without = without.iterate().total();
+        let mut with = AlsEngine::on_titan_x(config(MemoryOptConfig::optimized()), r.clone());
+        let mut without = AlsEngine::on_titan_x(config(MemoryOptConfig::without_registers()), r);
+        let t_with = sweep(&mut with);
+        let t_without = sweep(&mut without);
         assert!(
             t_without > t_with,
             "no-register iteration should be slower: {t_with} vs {t_without}"
@@ -488,10 +311,10 @@ mod tests {
     #[test]
     fn disabling_texture_slows_the_simulated_kernel() {
         let r = small_ratings();
-        let mut with = MoAlsEngine::on_titan_x(config(MemoryOptConfig::optimized()), r.clone());
-        let mut without = MoAlsEngine::on_titan_x(config(MemoryOptConfig::without_texture()), r);
-        let t_with = with.iterate().total();
-        let t_without = without.iterate().total();
+        let mut with = AlsEngine::on_titan_x(config(MemoryOptConfig::optimized()), r.clone());
+        let mut without = AlsEngine::on_titan_x(config(MemoryOptConfig::without_texture()), r);
+        let t_with = sweep(&mut with);
+        let t_without = sweep(&mut without);
         assert!(
             t_without > t_with,
             "no-texture iteration should be slower: {t_with} vs {t_without}"
@@ -501,13 +324,13 @@ mod tests {
     #[test]
     fn simulated_time_accumulates() {
         let r = small_ratings();
-        let mut mo = MoAlsEngine::on_titan_x(config(MemoryOptConfig::optimized()), r);
-        let t1 = mo.iterate().total();
-        let t2 = mo.iterate().total();
+        let mut mo = AlsEngine::on_titan_x(config(MemoryOptConfig::optimized()), r);
+        let t1 = sweep(&mut mo);
+        let t2 = sweep(&mut mo);
         assert!((mo.simulated_time() - (t1 + t2)).abs() < 1e-12);
         assert!(mo.upload_time() > 0.0);
         assert!(
-            mo.cluster().profiler().len() >= 9,
+            mo.cluster().unwrap().profiler().len() >= 9,
             "kernels and upload are profiled"
         );
     }
@@ -523,7 +346,12 @@ mod tests {
             ..cumf_gpu_sim::DeviceSpec::titan_x()
         };
         let cluster = GpuCluster::new(spec, cumf_gpu_sim::PcieTopology::flat(1), 1);
-        MoAlsEngine::new(config(MemoryOptConfig::optimized()), r, cluster);
+        AlsEngine::on_cluster(
+            config(MemoryOptConfig::optimized()),
+            r,
+            cluster,
+            Placement::Resident,
+        );
     }
 
     #[test]

@@ -1,11 +1,8 @@
 //! The unified engine API: one trait pair every factorization engine
 //! implements.
 //!
-//! Before this module, the three ALS engines exposed near-identical
-//! inherent methods (`iterate`, `set_factors`, `fold_in_users`, ...) that
-//! the trainer dispatched over with a hand-written enum, and the baseline
-//! solvers lived behind a separate trait with a different surface.
-//! [`Engine`] unifies them:
+//! The ALS engine ([`crate::als::AlsEngine`], in each of its placements),
+//! streaming SGD and the baseline solvers all sit behind [`Engine`]:
 //!
 //! | method | what it does |
 //! |---|---|
@@ -57,9 +54,9 @@ pub trait Engine {
     /// configured rank.
     fn set_factors(&mut self, x: FactorMatrix, theta: FactorMatrix);
 
-    /// Attaches a shared [`TrainMetrics`] sink.  Engines whose training
-    /// solves are priced by the GPU simulator rather than host-timed (SU-ALS)
-    /// still keep the sink for fold-in instrumentation.
+    /// Attaches a shared [`TrainMetrics`] sink.  The ALS engine records
+    /// every training row and fold-in there, whatever its placement; an
+    /// engine without a row loop keeps the sink for its fold-ins.
     fn attach_metrics(&mut self, metrics: Arc<TrainMetrics>);
 
     /// The attached metrics sink, if any — the shared handle itself, so a
@@ -109,7 +106,7 @@ pub trait IncrementalEngine: Engine {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::als::{BaseAls, MoAlsEngine, SuAlsConfig, SuAlsEngine};
+    use crate::als::{AlsEngine, Placement};
     use crate::config::AlsConfig;
     use crate::foldin::ratings_rows;
     use crate::reduce::ReductionScheme;
@@ -138,12 +135,16 @@ mod tests {
             ..Default::default()
         };
         vec![
-            Box::new(BaseAls::new(als.clone(), r.clone())),
-            Box::new(MoAlsEngine::on_titan_x(als.clone(), r.clone())),
-            Box::new(SuAlsEngine::new(
-                SuAlsConfig::auto(als.clone(), ReductionScheme::OnePhase),
+            Box::new(AlsEngine::new(als.clone(), r.clone())),
+            Box::new(AlsEngine::on_titan_x(als.clone(), r.clone())),
+            Box::new(AlsEngine::on_cluster(
+                als.clone(),
                 r.clone(),
                 GpuCluster::titan_x_flat(2),
+                Placement::Grid {
+                    reduction: ReductionScheme::OnePhase,
+                    plan: None,
+                },
             )),
             Box::new(SgdEngine::new(
                 SgdConfig {
@@ -242,7 +243,7 @@ mod tests {
     #[test]
     fn held_out_rmse_default_is_consistent_with_train_rmse() {
         let r = ratings();
-        let mut engine = BaseAls::new(
+        let mut engine = AlsEngine::new(
             AlsConfig {
                 f: 8,
                 iterations: 2,

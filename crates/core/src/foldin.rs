@@ -119,7 +119,7 @@ pub fn fold_in_users_segmented(
             .saturating_sub(1);
         segments[i].vector_of(v, f)
     };
-    let out = solve_rows(ratings, f, theta_of, lambda, metrics);
+    let out = solve_rows(ratings, f, theta_of, &[], lambda, metrics);
     if let (Some(m), Some(t0)) = (metrics, started) {
         m.record_fold_in(t0.elapsed());
     }
@@ -145,11 +145,11 @@ pub fn ratings_rows(rows: &[Vec<(u32, f32)>], n_items: u32) -> Csr {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::als::BaseAls;
+    use crate::als::AlsEngine;
     use crate::config::AlsConfig;
     use cumf_data::synth::SyntheticConfig;
 
-    fn trained() -> (Csr, BaseAls) {
+    fn trained() -> (Csr, AlsEngine) {
         let data = SyntheticConfig {
             m: 150,
             n: 80,
@@ -160,7 +160,7 @@ mod tests {
         }
         .generate();
         let r = data.to_csr();
-        let mut engine = BaseAls::new(
+        let mut engine = AlsEngine::new(
             AlsConfig {
                 f: 8,
                 lambda: 0.05,
@@ -181,7 +181,7 @@ mod tests {
         // training matrix back in must reproduce solve_side's X exactly.
         let (r, mut engine) = trained();
         let folded = fold_in_users(&r, engine.theta(), engine.config().lambda, None);
-        engine.update_x();
+        engine.update_side(true);
         assert_eq!(folded.max_abs_diff(engine.x()), 0.0);
     }
 

@@ -8,15 +8,18 @@
 //!
 //! The layers match the paper's structure:
 //!
-//! * [`als::base`] — Algorithm 1, the baseline ALS update (`get_hermitian` +
-//!   `batch_solve`) used as the numerical reference.
-//! * [`als::mo`] — Algorithm 2 **MO-ALS**: the memory-optimized single-GPU
-//!   engine.  Toggles for texture caching, register accumulation and the
+//! * [`als::base`] — the one ALS engine, [`als::AlsEngine`]: Algorithm 1's
+//!   update (`get_hermitian` + `batch_solve`) through one row loop
+//!   ([`als::kernels`]), with an optional simulated cluster and a
+//!   [`als::Placement`] that decide only what a sweep is priced at.
+//! * [`als::mo`] — Algorithm 2 **MO-ALS**, the resident single-GPU pricing.
+//!   Toggles for texture caching, register accumulation and the
 //!   shared-memory `bin` size change the simulated traffic and therefore the
 //!   simulated time, reproducing §3.3–3.4 and Figures 7–8.
-//! * [`als::su`] — Algorithm 3 **SU-ALS**: the multi-GPU engine that adds
-//!   data parallelism (grid-partitioned `R`, vertically partitioned `Θᵀ`)
-//!   and cross-GPU reduction, reproducing §4 and Figures 9–11.
+//! * [`als::su`] — Algorithm 3 **SU-ALS**, the multi-GPU grid pricing:
+//!   data parallelism (grid-partitioned `R`, vertically partitioned `Θᵀ`,
+//!   whose partial Hermitians the row loop sums per row) and cross-GPU
+//!   reduction, reproducing §4 and Figures 9–11.
 //! * [`reduce`] — the one-phase and two-phase (topology-aware) parallel
 //!   reduction schemes of §4.2.
 //! * [`planner`] — the memory-capacity partition planner of §4.3 (equation 8).

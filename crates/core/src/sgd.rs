@@ -394,7 +394,7 @@ impl IncrementalEngine for SgdEngine {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::als::BaseAls;
+    use crate::als::AlsEngine;
     use crate::config::AlsConfig;
     use cumf_data::synth::SyntheticConfig;
 
@@ -450,7 +450,7 @@ mod tests {
         // §2.1/§6: ALS converges in fewer iterations than SGD — one ALS
         // iteration should beat several SGD epochs on training RMSE.
         let r = ratings();
-        let mut als = BaseAls::new(
+        let mut als = AlsEngine::new(
             AlsConfig {
                 f: 8,
                 iterations: 1,

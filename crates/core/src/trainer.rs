@@ -4,9 +4,11 @@
 //! drive: pick a backend (reference CPU, single simulated GPU, or multi-GPU
 //! SU-ALS), call [`MatrixFactorizer::fit`], and get back a per-iteration
 //! convergence history with both wall-clock and simulated GPU time — the two
-//! axes the paper's figures use.
+//! axes the paper's figures use.  Every backend is the one
+//! [`AlsEngine`]; the backend picks only its
+//! simulated cluster and placement, which decide what a sweep is priced at.
 
-use crate::als::{BaseAls, MoAlsEngine, SuAlsConfig, SuAlsEngine};
+use crate::als::{AlsEngine, Placement};
 use crate::checkpoint::{Checkpoint, CheckpointManager};
 use crate::config::AlsConfig;
 use crate::engine::IncrementalEngine;
@@ -190,22 +192,10 @@ impl MatrixFactorizer {
     }
 
     fn build_engine(&self, train: &Csr) -> Box<dyn IncrementalEngine> {
-        let mut engine = self.build_engine_cold(train);
-        // The metrics sink goes to every engine; SU-ALS training solves are
-        // simulator-priced and record nothing, so only its fold-ins show up.
-        engine.attach_metrics(Arc::clone(&self.metrics));
-        if let Some((x, theta)) = &self.warm_start {
-            engine.set_factors(x.clone(), theta.clone());
-        }
-        engine
-    }
-
-    fn build_engine_cold(&self, train: &Csr) -> Box<dyn IncrementalEngine> {
-        match &self.backend {
-            Backend::Reference => Box::new(BaseAls::new(self.config.clone(), train.clone())),
-            Backend::SingleGpu => {
-                Box::new(MoAlsEngine::on_titan_x(self.config.clone(), train.clone()))
-            }
+        let (config, train) = (self.config.clone(), train.clone());
+        let mut engine = match &self.backend {
+            Backend::Reference => AlsEngine::new(config, train),
+            Backend::SingleGpu => AlsEngine::on_titan_x(config, train),
             Backend::MultiGpu {
                 n_gpus,
                 topology,
@@ -220,14 +210,20 @@ impl MatrixFactorizer {
                         *n_gpus,
                     ),
                 };
-                let su_cfg = SuAlsConfig {
-                    als: self.config.clone(),
+                let placement = Placement::Grid {
                     reduction: *reduction,
                     plan: *plan,
                 };
-                Box::new(SuAlsEngine::new(su_cfg, train.clone(), cluster))
+                AlsEngine::on_cluster(config, train, cluster, placement)
             }
+        };
+        // Every backend's training solves and fold-ins record into the
+        // factorizer's metrics sink.
+        engine.attach_metrics(Arc::clone(&self.metrics));
+        if let Some((x, theta)) = &self.warm_start {
+            engine.set_factors(x.clone(), theta.clone());
         }
+        Box::new(engine)
     }
 
     /// Fits the model to `train`, reporting per-iteration RMSE on `test`
@@ -381,11 +377,9 @@ impl MatrixFactorizer {
 
     /// A snapshot of the trainer-side latency metrics: per-row
     /// Hermitian-assembly and solve phases, whole `solve_side` calls, and
-    /// fold-in batches (see [`crate::instrument::TrainMetrics`]).  Empty
-    /// until [`MatrixFactorizer::fit`] or
-    /// [`MatrixFactorizer::fold_in_users`] has run; the SU-ALS backend only
-    /// records fold-ins (its training solves go through the
-    /// simulator-priced reduction path).
+    /// fold-in batches (see [`crate::instrument::TrainMetrics`]), from every
+    /// backend.  Empty until [`MatrixFactorizer::fit`] or
+    /// [`MatrixFactorizer::fold_in_users`] has run.
     pub fn train_metrics(&self) -> TrainMetricsReport {
         self.metrics.report()
     }
@@ -680,6 +674,23 @@ mod tests {
         let r = model.train_metrics();
         assert_eq!(r.fold_in.count(), 1);
         assert_eq!(r.solve_side.count(), 7, "fold-in is one more solve_side");
+    }
+
+    #[test]
+    fn multi_gpu_backend_records_its_training_rows() {
+        let (train, _) = problem();
+        let backend = Backend::MultiGpu {
+            n_gpus: 2,
+            topology: TopologyKind::FlatPcie,
+            reduction: ReductionScheme::OnePhase,
+            plan: Some(PartitionPlan { p: 2, q: 2 }),
+        };
+        let mut model = MatrixFactorizer::new(config(2), backend);
+        model.fit(&train, &[]);
+        let r = model.train_metrics();
+        assert!(r.rows_solved > 0);
+        assert_eq!(r.assembly.count(), r.rows_solved);
+        assert_eq!(r.solve_side.count(), 4, "two solve_side samples per sweep");
     }
 
     #[test]

@@ -2,16 +2,17 @@
 //!
 //! * the ALS objective never increases, whatever the data looks like;
 //! * SU-ALS is numerically equivalent to the reference engine for any
-//!   partitioning;
+//!   partitioning, and bit-identical to it with one `Θᵀ` partition;
 //! * the planner's feasibility predicate is monotone and its plans satisfy
 //!   equation (8);
 //! * the reduction schemes never lose bytes and two-phase never beats the
 //!   physical lower bound.
 
-use cumf_core::als::su::{SuAlsConfig, SuAlsEngine};
-use cumf_core::als::BaseAls;
+use cumf_core::als::{AlsEngine, Placement};
 use cumf_core::config::AlsConfig;
-use cumf_core::planner::{feasible, footprint_words, plan_with_capacity, ProblemDims};
+use cumf_core::planner::{
+    feasible, footprint_words, plan_with_capacity, PartitionPlan, ProblemDims,
+};
 use cumf_core::reduce::{reduction_time, ReductionScheme};
 use cumf_data::synth::SyntheticConfig;
 use cumf_gpu_sim::{GpuCluster, PcieTopology};
@@ -46,7 +47,7 @@ proptest! {
         let nnz = ((m as f64 * n as f64) * density) as usize;
         let r = synthetic(m, n, nnz.max(10), seed);
         let config = AlsConfig { f, lambda, iterations: 3, ..Default::default() };
-        let mut engine = BaseAls::new(config, r);
+        let mut engine = AlsEngine::new(config, r);
         let mut prev = engine.objective();
         for _ in 0..3 {
             engine.iterate();
@@ -66,17 +67,31 @@ proptest! {
     ) {
         let r = synthetic(90, 60, 1800, seed);
         let config = AlsConfig { f: 8, lambda: 0.05, iterations: 1, ..Default::default() };
-        let mut reference = BaseAls::new(config.clone(), r.clone());
+        let mut reference = AlsEngine::new(config.clone(), r.clone());
         let cluster = GpuCluster::titan_x_flat(n_gpus);
-        let su_cfg = SuAlsConfig::with_plan(config, ReductionScheme::TwoPhase, p, q);
-        let mut su = SuAlsEngine::new(su_cfg, r, cluster);
+        let placement = Placement::Grid {
+            reduction: ReductionScheme::TwoPhase,
+            plan: Some(PartitionPlan { p, q }),
+        };
+        let mut su = AlsEngine::on_cluster(config, r, cluster, placement);
         reference.iterate();
-        let stats = su.iterate();
-        prop_assert!(su.x().max_abs_diff(reference.x()) < 5e-2,
-            "X mismatch: {}", su.x().max_abs_diff(reference.x()));
-        prop_assert!(su.theta().max_abs_diff(reference.theta()) < 5e-2,
-            "Theta mismatch: {}", su.theta().max_abs_diff(reference.theta()));
-        prop_assert!(stats.total() > 0.0);
+        let [x, theta] = su.iterate();
+        if p == 1 {
+            // One Θᵀ partition: the batches and GPUs change only the pricing.
+            let bits = |m: &cumf_linalg::FactorMatrix| {
+                m.data().iter().map(|v| v.to_bits()).collect::<Vec<_>>()
+            };
+            prop_assert_eq!(bits(su.x()), bits(reference.x()));
+            prop_assert_eq!(bits(su.theta()), bits(reference.theta()));
+        } else {
+            // Equation (5) sums each partition's partial Hermitian before
+            // the row total: the same sum in another order.
+            prop_assert!(su.x().max_abs_diff(reference.x()) < 5e-2,
+                "X mismatch: {}", su.x().max_abs_diff(reference.x()));
+            prop_assert!(su.theta().max_abs_diff(reference.theta()) < 5e-2,
+                "Theta mismatch: {}", su.theta().max_abs_diff(reference.theta()));
+        }
+        prop_assert!(x.total() + theta.total() > 0.0);
     }
 
     #[test]

@@ -155,7 +155,7 @@ struct History {
 
 impl History {
     /// Seeds the history from `training`, each row's entries applied in CSR
-    /// order — so unsorted or duplicate columns resolve like re-rates.
+    /// order — so duplicate columns resolve like re-rates.
     fn from_training(training: &Csr) -> Self {
         let mut history = History::default();
         for u in 0..training.n_rows() {
@@ -499,7 +499,7 @@ impl<'a> OnlineLoop<'a> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use cumf_core::als::BaseAls;
+    use cumf_core::als::AlsEngine;
     use cumf_core::config::AlsConfig;
     use cumf_core::sgd::SgdConfig;
     use cumf_data::stream::{MutationStreamConfig, ReplayStream, SyntheticMutationStream};
@@ -511,7 +511,7 @@ mod tests {
 
     const F: usize = 8;
 
-    fn trained() -> (Csr, BaseAls) {
+    fn trained() -> (Csr, AlsEngine) {
         let data = SyntheticConfig {
             m: 60,
             n: 40,
@@ -527,7 +527,7 @@ mod tests {
             lambda: 0.05,
             ..Default::default()
         };
-        let mut engine = BaseAls::new(config, r.clone());
+        let mut engine = AlsEngine::new(config, r.clone());
         for _ in 0..4 {
             engine.iterate();
         }
@@ -730,9 +730,9 @@ mod tests {
         assert_eq!(metrics.report().freshness.count(), 0);
     }
 
-    /// A `BaseAls` that raises `dropped` when it is dropped.
+    /// An `AlsEngine` that raises `dropped` when it is dropped.
     struct DropFlagged {
-        inner: BaseAls,
+        inner: AlsEngine,
         dropped: std::sync::Arc<AtomicBool>,
     }
 
@@ -876,8 +876,8 @@ mod tests {
         #![proptest_config(ProptestConfig::with_cases(48))]
 
         /// Over random streams — re-rates, new items, users past the
-        /// snapshot edge and id gaps, training rows with unsorted and
-        /// duplicate columns — the loop's history equals the old nested
+        /// snapshot edge and id gaps, training rows with duplicate
+        /// columns — the loop's history equals the old nested
         /// tree map, builds the same fold-in matrix, and every published
         /// user row is the fold of that user's tree-map history.
         #[test]
@@ -890,10 +890,14 @@ mod tests {
             const USERS: u32 = 10;
             const ITEMS: u32 = 16;
             let rating = |r: u8| f32::from(r) * 0.5;
-            // Rows in generation order: columns unsorted, duplicates kept.
+            // Rows sorted by column (a CSR invariant), duplicates kept in
+            // generation order.
             let mut by_row: Vec<Vec<(u32, f32)>> = vec![Vec::new(); USERS as usize];
             for &(u, v, r) in &training {
                 by_row[u as usize].push((v, rating(r)));
+            }
+            for row in &mut by_row {
+                row.sort_by_key(|&(v, _)| v);
             }
             let mut row_ptr = vec![0usize];
             for row in &by_row {
@@ -928,7 +932,7 @@ mod tests {
                 FactorMatrix::random(USERS as usize, F, 1.0, seed),
                 FactorMatrix::random(ITEMS as usize, F, 1.0, seed + 1),
             ));
-            let engine = BaseAls::new(
+            let engine = AlsEngine::new(
                 AlsConfig { f: F, lambda: 0.05, ..Default::default() },
                 r.clone(),
             );
@@ -986,7 +990,7 @@ mod tests {
         }
         .generate();
         let r = data.to_csr();
-        let mut engine = BaseAls::new(
+        let mut engine = AlsEngine::new(
             AlsConfig {
                 f: F,
                 lambda: 0.05,

@@ -8,7 +8,7 @@
 //! clients keep reading, and the incrementally-updated factors must track
 //! what a full batch retrain would have produced.
 
-use cumf_core::als::BaseAls;
+use cumf_core::als::AlsEngine;
 use cumf_core::config::AlsConfig;
 use cumf_core::sgd::{SgdConfig, SgdEngine};
 use cumf_core::Engine;
@@ -40,8 +40,8 @@ fn dataset() -> SyntheticDataset {
     .generate()
 }
 
-fn train(r: &Csr, iterations: usize) -> BaseAls {
-    let mut engine = BaseAls::new(
+fn train(r: &Csr, iterations: usize) -> AlsEngine {
+    let mut engine = AlsEngine::new(
         AlsConfig {
             f: F,
             lambda: LAMBDA,

@@ -14,7 +14,7 @@
 #[cfg(target_os = "linux")]
 #[test]
 fn fold_in_loop_holds_the_history_not_the_engine() {
-    use cumf_core::als::BaseAls;
+    use cumf_core::als::AlsEngine;
     use cumf_core::config::AlsConfig;
     use cumf_data::stream::{ReplayStream, StreamBatcher};
     use cumf_serve::{FactorSnapshot, OnlineLoop, OnlineLoopConfig, ServeMetrics, SnapshotStore};
@@ -30,11 +30,15 @@ fn fold_in_loop_holds_the_history_not_the_engine() {
         .map(|u| u * PER_USER as usize)
         .collect();
     let col_idx = (0..USERS)
-        .flat_map(|u| (0..PER_USER).map(move |j| (u * 7 + j * 101) % ITEMS))
+        .flat_map(|u| {
+            let mut row: Vec<u32> = (0..PER_USER).map(|j| (u * 7 + j * 101) % ITEMS).collect();
+            row.sort_unstable();
+            row
+        })
         .collect();
     let values = (0..nnz).map(|i| 1.0 + (i % 5) as f32).collect();
     let training = Csr::from_raw(USERS, ITEMS, row_ptr, col_idx, values).unwrap();
-    let engine = BaseAls::new(
+    let engine = AlsEngine::new(
         AlsConfig {
             f: 8,
             ..Default::default()

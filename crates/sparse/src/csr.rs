@@ -57,6 +57,13 @@ impl Csr {
                 return Err(SparseError::ColOutOfBounds { col: c, n_cols });
             }
         }
+        // `get`, the partitioners and the ALS row loop slice rows by binary
+        // search; duplicates are allowed, as `from_coo` keeps them.
+        for (row, w) in row_ptr.windows(2).enumerate() {
+            if col_idx[w[0]..w[1]].windows(2).any(|c| c[1] < c[0]) {
+                return Err(SparseError::UnsortedRow { row: row as u32 });
+            }
+        }
         Ok(Self {
             n_rows,
             n_cols,
@@ -281,6 +288,17 @@ mod tests {
         assert!(Csr::from_raw(2, 2, vec![0, 2, 1], vec![0, 1], vec![1.0, 2.0]).is_err());
         assert!(Csr::from_raw(2, 2, vec![0, 1, 2], vec![0, 5], vec![1.0, 2.0]).is_err());
         assert!(Csr::from_raw(2, 2, vec![0, 1, 2], vec![0, 1], vec![1.0, 2.0]).is_ok());
+        // A row's columns must not decrease; a repeated column is kept.
+        assert_eq!(
+            Csr::from_raw(1, 3, vec![0, 3], vec![2, 0, 1], vec![1.0, 2.0, 3.0]),
+            Err(SparseError::UnsortedRow { row: 0 })
+        );
+        assert_eq!(
+            Csr::from_raw(2, 3, vec![0, 1, 3], vec![2, 1, 0], vec![1.0; 3]),
+            Err(SparseError::UnsortedRow { row: 1 })
+        );
+        let dup = Csr::from_raw(1, 3, vec![0, 3], vec![0, 2, 2], vec![1.0, 2.0, 3.0]).unwrap();
+        assert_eq!(dup.nnz(), 3);
     }
 
     #[test]

@@ -18,6 +18,9 @@ pub enum SparseError {
     },
     /// A pointer array is not monotonically non-decreasing.
     NonMonotonicPtr { at: usize },
+    /// A row's column indices decrease somewhere (they must be
+    /// non-decreasing; repeated columns are allowed).
+    UnsortedRow { row: u32 },
     /// A partition request is degenerate (zero parts, or more parts than rows/cols).
     InvalidPartition { requested: usize, available: usize },
 }
@@ -43,6 +46,9 @@ impl fmt::Display for SparseError {
             }
             SparseError::NonMonotonicPtr { at } => {
                 write!(f, "pointer array decreases at position {at}")
+            }
+            SparseError::UnsortedRow { row } => {
+                write!(f, "column indices of row {row} are not sorted")
             }
             SparseError::InvalidPartition {
                 requested,
@@ -77,6 +83,8 @@ mod tests {
         assert!(e.to_string().contains("row_ptr"));
         let e = SparseError::NonMonotonicPtr { at: 2 };
         assert!(e.to_string().contains("position 2"));
+        let e = SparseError::UnsortedRow { row: 4 };
+        assert!(e.to_string().contains("row 4"));
         let e = SparseError::InvalidPartition {
             requested: 0,
             available: 10,
