@@ -4,9 +4,9 @@
 //! drive: pick a backend (reference CPU, single simulated GPU, or multi-GPU
 //! SU-ALS), call [`MatrixFactorizer::fit`], and get back a per-iteration
 //! convergence history with both wall-clock and simulated GPU time — the two
-//! axes the paper's figures use.  Every backend is the one
-//! [`AlsEngine`]; the backend picks only its
-//! simulated cluster and placement, which decide what a sweep is priced at.
+//! axes the paper's figures use.  Every backend is the one [`AlsEngine`]:
+//! the backend picks only its simulated cluster and placement, which decide
+//! what a sweep is priced at.
 
 use crate::als::{AlsEngine, Placement};
 use crate::checkpoint::{Checkpoint, CheckpointManager};
