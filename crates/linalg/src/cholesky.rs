@@ -7,9 +7,9 @@
 //! runs in the paper's `batch_solve` phase.
 //!
 //! Two kernels share one arithmetic: the single-system front door
-//! ([`cholesky_solve`], below) and the [`GroupSolver`] the ALS row loop and
-//! `batch_solve` run, which factors four systems at once, one per SIMD lane,
-//! and is bit-identical to the front door lane for lane.
+//! ([`cholesky_solve`], below) and the [`GroupSolver`] the ALS row loop
+//! runs, which factors four systems at once, one per SIMD lane, two rows
+//! per pass, and is bit-identical to the front door lane for lane.
 //!
 //! **The single-system kernel.** [`cholesky_factor`] is a right-looking blocked
 //! factorisation on the row-major lower triangle, four columns per panel:
@@ -198,9 +198,8 @@ pub fn cholesky_solve_factored(l: &[f32], f: usize, b: &mut [f32]) {
 ///
 /// This is one work item of the paper's `batch_solve` phase, `O(f³)` as
 /// accounted in Table 3, for a caller with one system at a time (the
-/// baselines, the probes, the tests); the ALS row loop and `batch_solve`
-/// take four at a time through [`GroupSolver`], to the same bits.  It
-/// allocates nothing.
+/// baselines, the probes, the tests); the ALS row loop takes four at a time
+/// through [`GroupSolver`], to the same bits.  It allocates nothing.
 pub fn cholesky_solve(a: &mut [f32], f: usize, b: &mut [f32]) -> Result<(), CholeskyError> {
     cholesky_factor(a, f)?;
     cholesky_solve_factored(a, f, b);
@@ -260,6 +259,45 @@ fn row_block<const W: usize, const DIAG: bool>(
             mul_sub(&mut d, x, x);
         }
     }
+    finish_block::<W, DIAG>(done, blk, s, d, inv, j0);
+}
+
+/// [`row_block`] for the four columns `j0..j0 + 4` of two consecutive
+/// rows at once (`row` is row `i`, `next` row `i + 1`, and `j0 + 4 ≤ i`):
+/// the eight accumulators share each column's one `l_jk` load per
+/// `k < j0`, then each row finishes its block triangle on its own.
+#[inline(always)]
+fn pair_block(done: &[Lanes], row: &mut [Lanes], next: &mut [Lanes], inv: &[Lanes], j0: usize) {
+    let (head0, blk0) = row.split_at_mut(j0);
+    let (head1, blk1) = next.split_at_mut(j0);
+    let (head0, head1) = (&head0[..j0], &head1[..j0]);
+    let cols: [&[Lanes]; 4] = std::array::from_fn(|c| &done[tri(j0 + c)..][..j0]);
+    let mut s0: [Lanes; 4] = std::array::from_fn(|c| blk0[c]);
+    let mut s1: [Lanes; 4] = std::array::from_fn(|c| blk1[c]);
+    for k in 0..j0 {
+        let (x0, x1) = (&head0[k], &head1[k]);
+        for c in 0..4 {
+            let l = &cols[c][k];
+            mul_sub(&mut s0[c], x0, l);
+            mul_sub(&mut s1[c], x1, l);
+        }
+    }
+    finish_block::<4, false>(done, blk0, s0, [0.0; GROUP], inv, j0);
+    finish_block::<4, false>(done, blk1, s1, [0.0; GROUP], inv, j0);
+}
+
+/// The in-register end of a block: `s` holds columns `j0..j0 + W` of one
+/// row with every `k < j0` taken out (and `d` the pivot's chain so far);
+/// finishes the block's `W × W` triangle and stores it into `blk`.
+#[inline(always)]
+fn finish_block<const W: usize, const DIAG: bool>(
+    done: &[Lanes],
+    blk: &mut [Lanes],
+    mut s: [Lanes; W],
+    mut d: Lanes,
+    inv: &[Lanes],
+    j0: usize,
+) {
     for c in 0..W {
         let above = &done[tri(j0 + c) + j0..][..c];
         for (c2, t) in above.iter().enumerate() {
@@ -299,9 +337,12 @@ fn row_block<const W: usize, const DIAG: bool>(
 /// last row (`y_j = (b_j − Σ_{k<j} y_k·l_jk)·(1/l_jj)` is the entry rule of
 /// row `f`).
 ///
-/// **Arithmetic.**  Row-oriented: row `i` takes its columns in blocks of
-/// four (`row_block`), then one tail pass carries the remaining 0–3
-/// columns together with the pivot's chain.  Per entry and per lane the
+/// **Arithmetic.**  Row-oriented, two rows at a time: rows `i` and `i + 1`
+/// take the column blocks of four that both hold in full in one shared
+/// pass (`pair_block`: each `l_jk` loaded once for eight accumulators),
+/// then each row finishes on its own — any block of four left to it
+/// (`row_block`), and one tail pass that carries the remaining 0–3 columns
+/// together with the pivot's chain.  Per entry and per lane the
 /// operations and their order are exactly those of [`cholesky_solve`] (and
 /// of the scalar `cholesky_solve_reference` the proptests hold both to):
 /// ascending-`k` multiply-then-subtract, times the reciprocal pivot;
@@ -351,35 +392,19 @@ impl GroupSolver {
         }
         self.pack(a, b, n);
 
-        for i in 0..=f {
-            let (done, rest) = self.l.split_at_mut(tri(i));
-            let row = &mut rest[..=i];
+        for i in (0..=f).step_by(2) {
             let mut j0 = 0;
-            while j0 + 4 <= i {
-                row_block::<4, false>(done, row, &self.inv, j0);
-                j0 += 4;
-            }
-            match i - j0 {
-                0 => row_block::<0, true>(done, row, &self.inv, j0),
-                1 => row_block::<1, true>(done, row, &self.inv, j0),
-                2 => row_block::<2, true>(done, row, &self.inv, j0),
-                _ => row_block::<3, true>(done, row, &self.inv, j0),
-            }
-            if i == f {
-                break; // the right-hand side's row has no pivot
-            }
-            let mut d = row[i];
-            for (lane, d) in d.iter_mut().enumerate() {
-                if *d <= 0.0 || !d.is_finite() {
-                    if status[lane].is_ok() {
-                        status[lane] = Err(CholeskyError { pivot: i });
-                    }
-                    *d = 1.0;
+            if i < f {
+                let (done, rest) = self.l.split_at_mut(tri(i));
+                let (row, next) = rest.split_at_mut(i + 1);
+                while j0 + 4 <= i {
+                    pair_block(done, row, &mut next[..=i + 1], &self.inv, j0);
+                    j0 += 4;
                 }
             }
-            let root = d.map(f32::sqrt);
-            row[i] = root;
-            self.inv[i] = root.map(|r| 1.0 / r);
+            for row in i..=f.min(i + 1) {
+                self.finish_row(row, j0, &mut status);
+            }
         }
 
         // Backward, Lᵀ·x = y, along row i of L, last row first.
@@ -400,6 +425,46 @@ impl GroupSolver {
             }
         }
         status
+    }
+
+    /// Finishes row `i` from column `j0` on (a multiple of four, with
+    /// `row[..j0]` final): its remaining blocks of four, the tail of 0–3
+    /// columns with the pivot's chain, and — except on the right-hand
+    /// side's row `f` — the pivot itself, recording a lane whose pivot
+    /// fails.
+    fn finish_row(
+        &mut self,
+        i: usize,
+        mut j0: usize,
+        status: &mut [Result<(), CholeskyError>; GROUP],
+    ) {
+        let (done, rest) = self.l.split_at_mut(tri(i));
+        let row = &mut rest[..=i];
+        while j0 + 4 <= i {
+            row_block::<4, false>(done, row, &self.inv, j0);
+            j0 += 4;
+        }
+        match i - j0 {
+            0 => row_block::<0, true>(done, row, &self.inv, j0),
+            1 => row_block::<1, true>(done, row, &self.inv, j0),
+            2 => row_block::<2, true>(done, row, &self.inv, j0),
+            _ => row_block::<3, true>(done, row, &self.inv, j0),
+        }
+        if i == self.f {
+            return; // the right-hand side's row has no pivot
+        }
+        let mut d = row[i];
+        for (lane, d) in d.iter_mut().enumerate() {
+            if *d <= 0.0 || !d.is_finite() {
+                if status[lane].is_ok() {
+                    status[lane] = Err(CholeskyError { pivot: i });
+                }
+                *d = 1.0;
+            }
+        }
+        let root = d.map(f32::sqrt);
+        row[i] = root;
+        self.inv[i] = root.map(|r| 1.0 / r);
     }
 
     /// Interleaves the lower triangles and right-hand sides of `n` systems
