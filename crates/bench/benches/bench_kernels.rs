@@ -6,7 +6,7 @@
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
 use cumf_core::als::kernels::{solve_rows, solve_side};
 use cumf_data::synth::SyntheticConfig;
-use cumf_linalg::blas::{add_diagonal, axpy, syr_axpy, syr_axpy_x4, syr_full};
+use cumf_linalg::blas::{add_diagonal, axpy, syr_axpy, syr_axpy_bin, syr_full};
 use cumf_linalg::cholesky::{GroupSolver, GROUP};
 use cumf_linalg::{batch_solve, cholesky_solve, FactorMatrix};
 use cumf_sparse::Csr;
@@ -46,8 +46,9 @@ fn bench_get_hermitian(c: &mut Criterion) {
 /// `f(f+1)/2`) on the identical assembly stream — the per-rating body of
 /// `get_hermitian`, isolated from the Cholesky solve.  The two agree bit for
 /// bit on the lower triangle (pinned in cumf-linalg and cumf-core); this
-/// rung prices the triangle on its own, and then the four-ratings-per-pass
-/// form `als::kernels::assemble` feeds it in (same bits again).
+/// rung prices the triangle on its own, and then the register-tiled form
+/// `als::kernels::assemble` feeds bins of 64 gathered `θ_v` into (same bits
+/// again) at `f = 32` and `f = 64`, the two training workloads' ranks.
 fn bench_hermitian_assembly(c: &mut Criterion) {
     let mut group = c.benchmark_group("hermitian_assembly");
     let f = 32usize;
@@ -77,17 +78,19 @@ fn bench_hermitian_assembly(c: &mut Criterion) {
             black_box((a, rhs))
         });
     });
-    group.bench_function("four_per_pass_syr_axpy_x4_f32", |b| {
-        b.iter(|| {
-            let mut a = vec![0.0f32; f * f];
-            let mut rhs = vec![0.0f32; f];
-            for (i, v) in vals.chunks_exact(4).enumerate() {
-                let x: [&[f32]; 4] = std::array::from_fn(|k| vectors.vector(4 * i + k));
-                syr_axpy_x4(&mut a, &mut rhs, x, [v[0], v[1], v[2], v[3]]);
-            }
-            black_box((a, rhs))
+    for f in [32usize, 64] {
+        let vectors = FactorMatrix::random(updates, f, 0.5, 17);
+        group.bench_with_input(BenchmarkId::new("tiled_bins_of_64_f", f), &f, |b, &f| {
+            b.iter(|| {
+                let mut a = vec![0.0f32; f * f];
+                let mut rhs = vec![0.0f32; f];
+                for (bin, v) in vectors.data().chunks(64 * f).zip(vals.chunks(64)) {
+                    syr_axpy_bin(&mut a, &mut rhs, bin, v);
+                }
+                black_box((a, rhs))
+            });
         });
-    });
+    }
     group.finish();
 }
 

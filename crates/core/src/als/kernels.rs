@@ -13,9 +13,18 @@
 //! (equation (5)), which the row loop reproduces given the partition's
 //! cuts.  Where the bytes move on the simulated GPU is priced separately,
 //! in [`crate::als::mo`] and [`crate::als::su`].
+//!
+//! Both halves of a row's update run in registers, as the paper's MO-ALS
+//! kernel does.  Assembly gathers up to `BIN` (64) of the row's `θ_v` into
+//! scratch and streams each bin past register tiles of the lower triangle
+//! (`blas::syr_axpy_bin`).  The solve takes the non-empty rows four at a
+//! time, one per SIMD lane of the [`GroupSolver`], which factors two rows
+//! of the packed systems per pass.  Every element of a row's factors is
+//! still the same sequence of f32 operations as the one-rating,
+//! one-system scalar reference, so the factors are bit-identical to it.
 
 use crate::instrument::TrainMetrics;
-use cumf_linalg::blas::{add_diagonal, syr_axpy, syr_axpy_x4};
+use cumf_linalg::blas::{add_diagonal, syr_axpy_bin};
 use cumf_linalg::cholesky::{GroupSolver, GROUP};
 use cumf_linalg::FactorMatrix;
 use cumf_obs::ns_between;
@@ -28,30 +37,31 @@ use std::time::Instant;
 /// the parallel split.
 const ROWS_PER_CHUNK: usize = 32;
 
+/// Ratings per bin of [`assemble`]: 64 gathered `θ_v` are 16 KiB at
+/// `f = 64`, half of a typical L1 data cache, beside the tile being built.
+const BIN: usize = 64;
+
 /// The crate's only Hermitian assembly loop: `a += Σ θ_v·θ_vᵀ` (lower
-/// triangle only — [`syr_axpy`]'s contract) and `b += Σ r_uv·θ_v` over one
-/// row's ratings in CSR order; `theta_of` maps a column id to its `θ_v`.
-/// Four ratings share each pass over the triangle ([`syr_axpy_x4`]) and the
-/// last 0–3 go one at a time; either way an element receives one
-/// multiply-add per rating, in CSR order.
+/// triangle only — [`syr_axpy_bin`]'s contract) and `b += Σ r_uv·θ_v` over
+/// one row's ratings in CSR order; `theta_of` maps a column id to its
+/// `θ_v`.  Up to [`BIN`] ratings' `θ_v` at a time are gathered into `bin`
+/// (`BIN · f` scratch) and streamed past the register tiles of
+/// [`syr_axpy_bin`]; either way an element receives one multiply-add per
+/// rating, in CSR order.
 fn assemble<'t>(
     a: &mut [f32],
     b: &mut [f32],
+    bin: &mut [f32],
     (cols, vals): (&[u32], &[f32]),
     theta_of: impl Fn(u32) -> &'t [f32],
 ) {
-    let (mut cols4, mut vals4) = (cols.chunks_exact(4), vals.chunks_exact(4));
-    for (c, v) in (&mut cols4).zip(&mut vals4) {
-        let thetas = [
-            theta_of(c[0]),
-            theta_of(c[1]),
-            theta_of(c[2]),
-            theta_of(c[3]),
-        ];
-        syr_axpy_x4(a, b, thetas, [v[0], v[1], v[2], v[3]]);
-    }
-    for (&v, &val) in cols4.remainder().iter().zip(vals4.remainder()) {
-        syr_axpy(a, b, theta_of(v), val);
+    let f = b.len();
+    for (cols, vals) in cols.chunks(BIN).zip(vals.chunks(BIN)) {
+        let bin = &mut bin[..cols.len() * f];
+        for (theta_v, &v) in bin.chunks_exact_mut(f).zip(cols) {
+            theta_v.copy_from_slice(theta_of(v));
+        }
+        syr_axpy_bin(a, b, bin, vals);
     }
 }
 
@@ -110,10 +120,11 @@ pub fn solve_rows<'t>(
         .par_chunks_mut(f * ROWS_PER_CHUNK)
         .enumerate()
         .for_each(|(chunk, rows)| {
-            // One group's Hermitians and right-hand sides, one partial for
-            // a partitioned row, and the solver's packed triangle, allocated
-            // once per chunk.
+            // One group's Hermitians and right-hand sides, one bin of
+            // gathered θ_v, one partial for a partitioned row, and the
+            // solver's packed triangle, allocated once per chunk.
             let (mut a, mut b) = (vec![0.0f32; GROUP * f * f], vec![0.0f32; GROUP * f]);
+            let mut bin = vec![0.0f32; BIN * f];
             let scratch = if col_cuts.is_empty() { 0 } else { f };
             let (mut part_a, mut part_b) = (vec![0.0f32; scratch * f], vec![0.0f32; scratch]);
             let mut solver = GroupSolver::new(f);
@@ -138,13 +149,14 @@ pub fn solve_rows<'t>(
                     assemble(
                         a,
                         b,
+                        &mut bin,
                         parts.next().expect("one part more than cuts"),
                         &theta_of,
                     );
                     for part in parts {
                         part_a.fill(0.0);
                         part_b.fill(0.0);
-                        assemble(&mut part_a, &mut part_b, part, &theta_of);
+                        assemble(&mut part_a, &mut part_b, &mut bin, part, &theta_of);
                         a.iter_mut().zip(&part_a).for_each(|(acc, p)| *acc += p);
                         b.iter_mut().zip(&part_b).for_each(|(acc, p)| *acc += p);
                     }
@@ -453,14 +465,15 @@ mod tests {
 
         /// `assemble` against the scalar full-matrix pair, one rating at a
         /// time in CSR order: bit for bit on the lower triangle and `b`, at
-        /// ranks on and off every vector width, with every remainder 0–3 of
-        /// the four-rating pass (and no rating at all) and exact zeros in
-        /// `θ`.  Only bites under the optimiser.
+        /// ranks on and off every tile width (so every edge tile), with
+        /// degrees that fill, cross and leave a remainder of the bin (and
+        /// no rating at all) and exact zeros in `θ`.  Only bites under the
+        /// optimiser.
         #[test]
-        fn four_per_pass_assembly_is_bit_identical_to_syr_full_plus_axpy(
+        fn tiled_bin_assembly_is_bit_identical_to_syr_full_plus_axpy(
             (f, thetas, zeros, vals) in {
                 use proptest::prelude::*;
-                (1usize..=70, 0usize..=13).prop_flat_map(|(f, degree)| (
+                (1usize..=70, 0usize..=150).prop_flat_map(|(f, degree)| (
                     Just(f),
                     proptest::collection::vec(-2.0f32..2.0, degree * f),
                     proptest::collection::vec(0u8..4, degree * f),
@@ -481,7 +494,8 @@ mod tests {
                 syr_full(&mut a_ref, theta_v);
                 axpy(val, theta_v, &mut b_ref);
             }
-            assemble(&mut a_new, &mut b_new, (&cols, &vals), |v| {
+            let mut bin = vec![f32::NAN; BIN * f];
+            assemble(&mut a_new, &mut b_new, &mut bin, (&cols, &vals), |v| {
                 &thetas[v as usize * f..][..f]
             });
             let bits = |v: &[f32]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();

@@ -35,8 +35,9 @@ use std::time::Duration;
 /// can be shared across the rayon workers of a `solve_side` call.
 #[derive(Debug, Default)]
 pub struct TrainMetrics {
-    /// Per-row Hermitian assembly (the `syr_axpy` loop over the row's
-    /// ratings — `get_hermitian` in the paper).
+    /// Per-row Hermitian assembly (zeroing the row's system, gathering its
+    /// ratings' `θ_v` bin by bin and `syr_axpy_bin` over each bin —
+    /// `get_hermitian` in the paper).
     assembly: Histogram,
     /// Per-row ridge + Cholesky solve (`batch_solve` in the paper).
     solve: Histogram,

@@ -12,8 +12,9 @@
 //!
 //! * [`dense::DenseMatrix`] and [`dense::FactorMatrix`] — row-major dense
 //!   storage for `X`, `Θ` and the per-row Hermitians.
-//! * [`blas`] — the rank-1 update (`syrk`), `gemv`, `dot`, `axpy` kernels the
-//!   `get_hermitian` phase is made of.
+//! * [`blas`] — the `get_hermitian` kernels: the register-tiled Hermitian
+//!   assembly over a bin of ratings ([`blas::syr_axpy_bin`]), its
+//!   one-rating form, and `gemv`, `dot`, `axpy`.
 //! * [`cholesky`] — a single-precision blocked Cholesky / forward-backward
 //!   solver, in place on the lower triangle of the SPD `f × f` systems, and
 //!   the lane-interleaved [`cholesky::GroupSolver`] that factors four such
