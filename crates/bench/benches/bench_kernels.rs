@@ -1,14 +1,14 @@
 //! Micro-benchmarks of the ALS kernels (the building blocks of Table 3):
 //! the fused `get_hermitian` + solve, the same row loop summing SU-ALS's
-//! partial Hermitians over column partitions, and the batched Cholesky
-//! solve.
+//! partial Hermitians over column partitions, and the group Cholesky
+//! solve standing in for the paper's batched `batch_solve`.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
 use cumf_core::als::kernels::{solve_rows, solve_side};
 use cumf_data::synth::SyntheticConfig;
 use cumf_linalg::blas::{add_diagonal, axpy, syr_axpy, syr_axpy_bin, syr_full};
 use cumf_linalg::cholesky::{GroupSolver, GROUP};
-use cumf_linalg::{batch_solve, cholesky_solve, FactorMatrix};
+use cumf_linalg::{cholesky_solve, FactorMatrix};
 use cumf_sparse::Csr;
 use std::hint::black_box;
 
@@ -136,18 +136,12 @@ fn bench_batch_solve(c: &mut Criterion) {
             add_diagonal(a, f, 0.5);
         }
         let rhs = vec![1.0f32; batch * f];
-        // One iteration solves `batch` independent SPD systems.
+        // One iteration solves `batch` independent SPD systems on one
+        // thread: four per pass of the lane-interleaved group solver the
+        // ALS row loop runs, then one at a time through the single-system
+        // front door.
         group.throughput(Throughput::Elements(batch as u64));
         group.bench_with_input(BenchmarkId::new("1000_systems_f", f), &f, |b, &f| {
-            b.iter(|| {
-                let mut x = rhs.clone();
-                black_box(batch_solve(&hermitians, &mut x, f));
-            });
-        });
-        // The same systems on one thread: four per pass of the
-        // lane-interleaved group solver `batch_solve` and the ALS row loop
-        // run, then one at a time through the single-system front door.
-        group.bench_with_input(BenchmarkId::new("grouped_one_thread_f", f), &f, |b, &f| {
             let mut solver = GroupSolver::new(f);
             b.iter(|| {
                 let mut x = rhs.clone();

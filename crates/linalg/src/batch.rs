@@ -1,83 +1,12 @@
-//! Batched Hermitian solves — the CPU stand-in for cuBLAS's batched
-//! POTRF/POTRS used by the paper's `batch_solve` phase.
+//! Blocked retrieval-time scoring: [`batch_score_block`], the kernel
+//! every top-k scan ends in, and [`SegmentView`], the borrowed view of one
+//! item-factor segment that the scan walks.
 //!
-//! Each of the `m_b` systems in a batch is independent, which is exactly the
-//! property the paper exploits to fill the GPU with thread blocks.  Here the
-//! same independence is exploited twice: across the lanes of a vector —
-//! [`GroupSolver`] factors [`GROUP`] systems per pass, one per lane — and
-//! across rayon's work-stealing threads, which take the groups.
+//! The paper's `batch_solve` phase (cuBLAS's batched POTRF/POTRS) has no
+//! batch driver here: the ALS row loop hands its systems four at a time to
+//! [`crate::cholesky::GroupSolver`] itself.
 
-use crate::cholesky::{GroupSolver, GROUP};
 use crate::quant::EncodedSlab;
-use rayon::prelude::*;
-
-/// Result of a batched solve: per-system error positions (empty when all
-/// systems succeeded).
-#[derive(Debug, Clone, Default, PartialEq, Eq)]
-pub struct BatchSolveReport {
-    /// Indices of systems whose Hermitian matrix was not positive definite.
-    pub failed: Vec<usize>,
-    /// Number of systems solved.
-    pub solved: usize,
-}
-
-impl BatchSolveReport {
-    /// True when every system in the batch solved successfully.
-    pub fn all_ok(&self) -> bool {
-        self.failed.is_empty()
-    }
-}
-
-/// Systems per rayon task of [`batch_solve`]: eight groups share one
-/// solver's scratch.
-const SYSTEMS_PER_TASK: usize = 8 * GROUP;
-
-/// Solves `batch` independent `f × f` SPD systems, [`GROUP`] per pass of the
-/// lane-interleaved [`GroupSolver`] and the groups in parallel.
-///
-/// * `hermitians` — concatenated row-major `A_u` matrices, `batch · f²` long;
-///   only their lower triangles are read.
-/// * `rhs` — concatenated right-hand sides `B_u`, `batch · f` long;
-///   overwritten with the solutions `x_u`.
-///
-/// Each solution is bit-identical to [`crate::cholesky::cholesky_solve`] on
-/// that system alone.  Systems that fail to factor (non-SPD, which for ALS
-/// can only happen with `λ = 0` and an empty row) leave their right-hand
-/// side untouched, do not disturb the systems sharing their group, and are
-/// reported in the returned [`BatchSolveReport`].
-pub fn batch_solve(hermitians: &[f32], rhs: &mut [f32], f: usize) -> BatchSolveReport {
-    assert!(f > 0, "latent dimension must be positive");
-    assert_eq!(
-        hermitians.len() % (f * f),
-        0,
-        "hermitian buffer not a multiple of f*f"
-    );
-    assert_eq!(rhs.len() % f, 0, "rhs buffer not a multiple of f");
-    let batch = hermitians.len() / (f * f);
-    assert_eq!(rhs.len() / f, batch, "hermitian and rhs batch sizes differ");
-
-    let failed: Vec<usize> = hermitians
-        .par_chunks(SYSTEMS_PER_TASK * f * f)
-        .zip(rhs.par_chunks_mut(SYSTEMS_PER_TASK * f))
-        .enumerate()
-        .flat_map(|(task, (a, b))| {
-            let mut solver = GroupSolver::new(f);
-            let mut failed = Vec::new();
-            let groups = a.chunks(GROUP * f * f).zip(b.chunks_mut(GROUP * f));
-            for (group, (a, b)) in groups.enumerate() {
-                let first = task * SYSTEMS_PER_TASK + group * GROUP;
-                let status = solver.solve(a, b);
-                let lanes = status.iter().enumerate();
-                failed.extend(lanes.filter_map(|(lane, s)| s.is_err().then_some(first + lane)));
-            }
-            failed
-        })
-        .collect();
-    BatchSolveReport {
-        solved: batch - failed.len(),
-        failed,
-    }
-}
 
 /// Scores a micro-batch of user vectors against a block of item vectors —
 /// the retrieval-time counterpart of the training-time batched GEMM: the
@@ -282,116 +211,11 @@ pub fn score_dot(x: &[f32], y: &[f32]) -> f32 {
     s
 }
 
-/// The per-system reference [`batch_solve`] is diffed against bit for bit:
-/// one [`crate::cholesky::cholesky_solve`] per system, in order.
-#[cfg(test)]
-fn batch_solve_seq(hermitians: &mut [f32], rhs: &mut [f32], f: usize) -> BatchSolveReport {
-    let systems = hermitians
-        .chunks_exact_mut(f * f)
-        .zip(rhs.chunks_exact_mut(f));
-    let failed: Vec<usize> = systems
-        .enumerate()
-        .filter_map(|(i, (a, b))| {
-            crate::cholesky::cholesky_solve(a, f, b)
-                .is_err()
-                .then_some(i)
-        })
-        .collect();
-    BatchSolveReport {
-        solved: rhs.len() / f - failed.len(),
-        failed,
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::blas::{add_diagonal, syr_full};
-    use crate::cholesky::residual_norm;
     use crate::topk::{scan_top_k, ApproxPolicy, ScoreKind, TopK};
     use crate::FactorMatrix;
-
-    use rand::prelude::*;
-
-    fn random_batch(batch: usize, f: usize, seed: u64) -> (Vec<f32>, Vec<f32>) {
-        let mut rng = StdRng::seed_from_u64(seed);
-        let mut hermitians = vec![0.0f32; batch * f * f];
-        let mut rhs = vec![0.0f32; batch * f];
-        for i in 0..batch {
-            let a = &mut hermitians[i * f * f..(i + 1) * f * f];
-            for _ in 0..(2 * f) {
-                let x: Vec<f32> = (0..f).map(|_| rng.random::<f32>() - 0.5).collect();
-                syr_full(a, &x);
-            }
-            add_diagonal(a, f, 0.2);
-            for b in rhs[i * f..(i + 1) * f].iter_mut() {
-                *b = rng.random::<f32>() - 0.5;
-            }
-        }
-        (hermitians, rhs)
-    }
-
-    #[test]
-    fn solves_a_batch_with_small_residuals() {
-        let (a, orig_b) = random_batch(32, 12, 3);
-        let mut b = orig_b.clone();
-        let report = batch_solve(&a, &mut b, 12);
-        assert!(report.all_ok());
-        assert_eq!(report.solved, 32);
-        for i in 0..32 {
-            let res = residual_norm(
-                &a[i * 144..(i + 1) * 144],
-                12,
-                &b[i * 12..(i + 1) * 12],
-                &orig_b[i * 12..(i + 1) * 12],
-            );
-            assert!(res < 1e-3, "system {i} residual {res}");
-        }
-    }
-
-    #[test]
-    fn parallel_matches_sequential() {
-        // Batch sizes on, beside and far from the group and task sizes, with
-        // a non-SPD system in every lane position (and two in one group).
-        for (batch, f) in [(1usize, 8usize), (3, 5), (4, 8), (33, 8), (70, 13)] {
-            let (mut a0, b0) = random_batch(batch, f, 11 + batch as u64);
-            for bad in [0usize, 5, 10, 15, 13, 69] {
-                if bad < batch {
-                    a0[bad * f * f + (f / 2) * (f + 1)] = -1.0;
-                }
-            }
-            let (mut a_ref, mut b_ref) = (a0.clone(), b0.clone());
-            let mut b_new = b0.clone();
-            let grouped = batch_solve(&a0, &mut b_new, f);
-            let reference = batch_solve_seq(&mut a_ref, &mut b_ref, f);
-            assert_eq!(grouped, reference, "batch {batch} f {f}");
-            let bits = |v: &[f32]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
-            assert_eq!(bits(&b_new), bits(&b_ref), "batch {batch} f {f}");
-        }
-    }
-
-    #[test]
-    fn reports_failed_systems_and_leaves_rhs() {
-        let f = 4;
-        // Two systems: first is identity (fine), second is all zeros (fails).
-        let mut a = vec![0.0f32; 2 * f * f];
-        add_diagonal(&mut a[..f * f], f, 1.0);
-        let mut b = vec![1.0f32; 2 * f];
-        let report = batch_solve(&a, &mut b, f);
-        assert_eq!(report.failed, vec![1]);
-        assert_eq!(report.solved, 1);
-        assert!(!report.all_ok());
-        // Failed system's rhs is untouched (still all ones).
-        assert!(b[f..].iter().all(|&x| x == 1.0));
-    }
-
-    #[test]
-    fn empty_batch_is_ok() {
-        let mut b: Vec<f32> = vec![];
-        let report = batch_solve(&[], &mut b, 5);
-        assert!(report.all_ok());
-        assert_eq!(report.solved, 0);
-    }
 
     #[test]
     fn score_block_matches_per_pair_dots() {
@@ -551,12 +375,5 @@ mod tests {
     fn score_block_rejects_bad_output_len() {
         let mut out = vec![0.0f32; 3];
         batch_score_block(&[1.0, 2.0], 1, &[1.0, 2.0], 1, 2, &mut out);
-    }
-
-    #[test]
-    #[should_panic(expected = "not a multiple")]
-    fn mismatched_buffers_panic() {
-        let mut b = vec![0.0f32; 3];
-        batch_solve(&[0.0f32; 10], &mut b, 3);
     }
 }

@@ -8,7 +8,8 @@
 //! ```
 //!
 //! with `f` in the tens-to-hundreds.  The paper offloads the batched solve to
-//! cuBLAS (`batch_solve`); here we provide the equivalent building blocks:
+//! cuBLAS (its `batch_solve` phase); here we provide the equivalent building
+//! blocks:
 //!
 //! * [`dense::DenseMatrix`] and [`dense::FactorMatrix`] — row-major dense
 //!   storage for `X`, `Θ` and the per-row Hermitians.
@@ -18,11 +19,10 @@
 //! * [`cholesky`] — a single-precision blocked Cholesky / forward-backward
 //!   solver, in place on the lower triangle of the SPD `f × f` systems, and
 //!   the lane-interleaved [`cholesky::GroupSolver`] that factors four such
-//!   systems per pass, one per SIMD lane, bit-identically.
-//! * [`batch`] — the batched solver standing in for the cuBLAS batched
-//!   routines (groups of four through the group solver, the groups across
-//!   rayon threads), plus the blocked retrieval-time scoring kernel
-//!   ([`batch::batch_score_block`]).
+//!   systems per pass, one per SIMD lane, bit-identically — the stand-in
+//!   for the cuBLAS batched routines.
+//! * [`batch`] — the blocked retrieval-time scoring kernel
+//!   ([`batch::batch_score_block`]) and the segment view the scan walks.
 //! * [`quant`] — f16 / i8 storage of item factors, decoded tile by tile
 //!   into the same scoring kernel.
 //! * [`topk`] — bounded-heap top-k selection and [`topk::scan_top_k`], the
@@ -36,7 +36,7 @@ pub mod dense;
 pub mod quant;
 pub mod topk;
 
-pub use batch::{batch_score_block, batch_solve, score_dot, SegmentView};
+pub use batch::{batch_score_block, score_dot, SegmentView};
 pub use cholesky::{cholesky_factor, cholesky_solve, CholeskyError};
 pub use dense::{DenseMatrix, FactorMatrix};
 pub use quant::{
