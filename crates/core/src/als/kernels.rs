@@ -20,8 +20,8 @@
 //! (`blas::syr_axpy_bin`).  The solve takes the non-empty rows four at a
 //! time, one per SIMD lane of the [`GroupSolver`], which factors two rows
 //! of the packed systems per pass.  Every element of a row's factors is
-//! still the same sequence of f32 operations as the one-rating,
-//! one-system scalar reference, so the factors are bit-identical to it.
+//! the same sequence of f32 operations as in the one-rating, one-system
+//! scalar reference, so the factors are bit-identical to it.
 
 use crate::instrument::TrainMetrics;
 use cumf_linalg::blas::{add_diagonal, syr_axpy_bin};
@@ -46,8 +46,8 @@ const BIN: usize = 64;
 /// one row's ratings in CSR order; `theta_of` maps a column id to its
 /// `θ_v`.  Up to [`BIN`] ratings' `θ_v` at a time are gathered into `bin`
 /// (`BIN · f` scratch) and streamed past the register tiles of
-/// [`syr_axpy_bin`]; either way an element receives one multiply-add per
-/// rating, in CSR order.
+/// [`syr_axpy_bin`]; each element receives one multiply-add per rating, in
+/// CSR order.
 fn assemble<'t>(
     a: &mut [f32],
     b: &mut [f32],
