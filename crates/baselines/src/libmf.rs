@@ -7,8 +7,8 @@
 //! rotations and therefore visits every rating exactly once.
 
 use crate::als_util;
+use cumf_core::sgd::sgd_step;
 use cumf_core::{Engine, TrainMetrics};
-use cumf_linalg::blas::dot;
 use cumf_linalg::FactorMatrix;
 use cumf_sparse::{split_ranges, Csr, Entry};
 use rand::prelude::*;
@@ -166,15 +166,9 @@ impl LibMfSgd {
                         for rating in block {
                             let xo = rating.row as usize * f;
                             let to = rating.col as usize * f;
-                            let xu = &mut x_chunk[xo..xo + f];
-                            let tv = &mut theta_chunk[to..to + f];
-                            let err = rating.val - dot(xu, tv);
-                            for k in 0..f {
-                                let xk = xu[k];
-                                let tk = tv[k];
-                                xu[k] = xk + alpha * (err * tk - lambda * xk);
-                                tv[k] = tk + alpha * (err * xk - lambda * tk);
-                            }
+                            let x_u = &mut x_chunk[xo..xo + f];
+                            let theta_v = &mut theta_chunk[to..to + f];
+                            sgd_step(x_u, theta_v, rating.val, alpha, lambda);
                         }
                     });
                 }

@@ -12,8 +12,8 @@
 
 use crate::als_util;
 use crossbeam::channel::{unbounded, Receiver, Sender};
+use cumf_core::sgd::sgd_step;
 use cumf_core::{Engine, TrainMetrics};
-use cumf_linalg::blas::dot;
 use cumf_linalg::FactorMatrix;
 use cumf_sparse::{split_ranges, Csc, Csr, Entry};
 use rand::prelude::*;
@@ -178,13 +178,8 @@ impl NomadSgd {
                         let ratings = &data.ratings_by_col[token.col as usize];
                         for &(local_row, val) in ratings {
                             let xo = local_row as usize * f;
-                            let xu = &mut x_chunk[xo..xo + f];
-                            let err = val - dot(xu, &token.theta_v);
-                            for (x_k, t_k) in xu.iter_mut().zip(token.theta_v.iter_mut()) {
-                                let (xk, tk) = (*x_k, *t_k);
-                                *x_k = xk + alpha * (err * tk - lambda * xk);
-                                *t_k = tk + alpha * (err * xk - lambda * tk);
-                            }
+                            let x_u = &mut x_chunk[xo..xo + f];
+                            sgd_step(x_u, &mut token.theta_v, val, alpha, lambda);
                         }
                         token.hops += 1;
                         if token.hops >= workers {

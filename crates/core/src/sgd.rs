@@ -1,11 +1,13 @@
-//! Stochastic gradient descent reference (equation (4) of the paper).
+//! Stochastic gradient descent (equation (4) of the paper).
 //!
 //! cuMF deliberately chooses ALS over SGD because SGD's updates to the same
 //! row conflict and are hard to spread over thousands of GPU cores (§2.1).
-//! This sequential SGD exists as a numerical reference: tests use it to
-//! confirm that ALS reaches comparable training error in far fewer
-//! iterations, and the baseline crate builds its parallel SGD variants on
-//! the same update rule.
+//! The update rule is [`sgd_step`], over plain slices.  The sequential
+//! [`SgdReference`] is the numerical reference: tests use it to confirm
+//! that ALS reaches comparable training error in far fewer iterations.
+//! [`SgdEngine`] runs the same rule lock-free over atomic factors, for the
+//! online loop and for the HOGWILD! baseline.  The baseline crate's libMF
+//! and NOMAD schedules call [`sgd_step`] on the rows they own.
 
 use crate::engine::{Engine, IncrementalEngine};
 use crate::instrument::TrainMetrics;
@@ -48,6 +50,19 @@ impl Default for SgdConfig {
     }
 }
 
+/// One SGD step of equation (4) for the rating `val` of `x_u` and `θ_v`:
+/// `err = val − x_u·θ_v`, then for each `k` in ascending order
+/// `x_uk += α·(err·θ_vk − λ·x_uk)` and `θ_vk += α·(err·x_uk − λ·θ_vk)`,
+/// both from the values before the step.
+pub fn sgd_step(x_u: &mut [f32], theta_v: &mut [f32], val: f32, alpha: f32, lambda: f32) {
+    let err = val - dot(x_u, theta_v);
+    for (x_k, t_k) in x_u.iter_mut().zip(theta_v.iter_mut()) {
+        let (xk, tk) = (*x_k, *t_k);
+        *x_k = xk + alpha * (err * tk - lambda * xk);
+        *t_k = tk + alpha * (err * xk - lambda * tk);
+    }
+}
+
 /// A plain sequential SGD matrix factorizer.
 #[derive(Debug, Clone)]
 pub struct SgdReference {
@@ -87,7 +102,6 @@ impl SgdReference {
     pub fn epoch(&mut self, epoch_index: usize) -> f32 {
         let alpha = self.config.learning_rate * self.config.decay.powi(epoch_index as i32);
         let lambda = self.config.lambda;
-        let f = self.config.f;
 
         // Shuffle the visit order of all ratings.
         let mut order: Vec<(u32, u32, f32)> =
@@ -99,14 +113,11 @@ impl SgdReference {
         }
 
         for (u, v, r_uv) in order {
-            let (u, v) = (u as usize, v as usize);
-            let err = r_uv - dot(self.x.vector(u), self.theta.vector(v));
-            for k in 0..f {
-                let xu = self.x.vector(u)[k];
-                let tv = self.theta.vector(v)[k];
-                self.x.vector_mut(u)[k] = xu + alpha * (err * tv - lambda * xu);
-                self.theta.vector_mut(v)[k] = tv + alpha * (err * xu - lambda * tv);
-            }
+            let (x_u, theta_v) = (
+                self.x.vector_mut(u as usize),
+                self.theta.vector_mut(v as usize),
+            );
+            sgd_step(x_u, theta_v, r_uv, alpha, lambda);
         }
         alpha
     }
@@ -260,7 +271,9 @@ impl SgdEngine {
         self.x_snapshot = FactorMatrix::from_vec(n, self.config.f, data);
     }
 
-    /// Applies one SGD step for a single rating against the atomic factors.
+    /// Applies one SGD step for a single rating against the atomic factors:
+    /// [`sgd_step`]'s update, except that the error is accumulated in f32,
+    /// one relaxed load at a time, instead of by the f64 `dot`.
     fn step(&self, u: usize, v: usize, val: f32, alpha: f32) {
         let f = self.config.f;
         let lambda = self.config.lambda;
@@ -500,6 +513,13 @@ mod tests {
         a.run();
         b.run();
         assert_eq!(a.x().max_abs_diff(b.x()), 0.0);
+    }
+
+    #[test]
+    fn atomic_roundtrip_preserves_values() {
+        let m = FactorMatrix::random(7, 3, 1.0, 5);
+        let a = AtomicFactors::from_factor_matrix(&m);
+        assert_eq!(a.to_factor_matrix(), m);
     }
 
     fn engine() -> SgdEngine {
