@@ -3,17 +3,18 @@
 //! HOGWILD! (Niu et al., cited as the inspiration for the CPU SGD systems in
 //! §6.2) runs SGD from many threads over shared factors *without locking*,
 //! accepting occasional lost updates because sparse problems make conflicts
-//! rare.  To stay within safe Rust, each `f32` is stored as an `AtomicU32`
-//! and updated with relaxed loads/stores — the same "racy but memory-safe"
-//! semantics HOGWILD! relies on, without undefined behaviour.
+//! rare.  That is [`SgdEngine`]'s training sweep: relaxed atomic loads and
+//! stores (racy but memory-safe, without undefined behaviour) over one
+//! shuffled visit order, with the learning rate decayed per epoch.  This
+//! baseline is therefore an `SgdEngine` given HOGWILD!'s start: factors
+//! centred on the rating mean, as the other SGD baselines begin.
 
 use crate::als_util;
+use cumf_core::sgd::{SgdConfig, SgdEngine};
 use cumf_core::{Engine, TrainMetrics};
 use cumf_linalg::FactorMatrix;
 use cumf_sparse::{Csr, Entry};
 use rand::prelude::*;
-use rayon::prelude::*;
-use std::sync::atomic::{AtomicU32, Ordering};
 use std::sync::Arc;
 
 /// Hyper-parameters of the HOGWILD solver.
@@ -43,58 +44,11 @@ impl Default for HogwildConfig {
     }
 }
 
-/// A factor matrix whose elements are individually atomic.
-struct AtomicFactors {
-    n: usize,
-    f: usize,
-    data: Vec<AtomicU32>,
-}
-
-impl AtomicFactors {
-    fn from_factor_matrix(m: &FactorMatrix) -> Self {
-        Self {
-            n: m.len(),
-            f: m.rank(),
-            data: m
-                .data()
-                .iter()
-                .map(|&v| AtomicU32::new(v.to_bits()))
-                .collect(),
-        }
-    }
-
-    fn to_factor_matrix(&self) -> FactorMatrix {
-        FactorMatrix::from_vec(
-            self.n,
-            self.f,
-            self.data
-                .iter()
-                .map(|a| f32::from_bits(a.load(Ordering::Relaxed))) // relaxed-ok: Hogwild! reads are racy by design; SGD tolerates stale components
-                .collect(),
-        )
-    }
-
-    #[inline]
-    fn load(&self, row: usize, k: usize) -> f32 {
-        f32::from_bits(self.data[row * self.f + k].load(Ordering::Relaxed)) // relaxed-ok: Hogwild! reads are racy by design; SGD tolerates stale components
-    }
-
-    #[inline]
-    fn store(&self, row: usize, k: usize, v: f32) {
-        self.data[row * self.f + k].store(v.to_bits(), Ordering::Relaxed); // relaxed-ok: Hogwild! lock-free write; lost updates are the algorithm's stated trade
-    }
-}
-
 /// HOGWILD!-style lock-free SGD solver.
 pub struct HogwildSgd {
-    config: HogwildConfig,
+    engine: SgdEngine,
+    /// The ratings in the engine's visit order, which `train_rmse` sums in.
     entries: Vec<Entry>,
-    x_atomic: AtomicFactors,
-    theta_atomic: AtomicFactors,
-    // Cached snapshots for the `Engine` accessors.
-    x_snapshot: FactorMatrix,
-    theta_snapshot: FactorMatrix,
-    epoch: usize,
 }
 
 impl HogwildSgd {
@@ -104,50 +58,29 @@ impl HogwildSgd {
         let x = als_util::init_factors_to_mean(r.n_rows() as usize, config.f, config.seed, mean);
         let theta =
             als_util::init_factors_to_mean(r.n_cols() as usize, config.f, config.seed ^ 0x77, mean);
+        // The same seeded shuffle the engine visits the ratings in.
         let mut entries: Vec<Entry> = r.iter().collect();
         let mut rng = StdRng::seed_from_u64(config.seed);
         for i in (1..entries.len()).rev() {
             let j = rng.random_range(0..=i);
             entries.swap(i, j);
         }
-        Self {
-            x_atomic: AtomicFactors::from_factor_matrix(&x),
-            theta_atomic: AtomicFactors::from_factor_matrix(&theta),
-            x_snapshot: x,
-            theta_snapshot: theta,
-            entries,
-            config,
-            epoch: 0,
-        }
+        let sgd = SgdConfig {
+            f: config.f,
+            learning_rate: config.learning_rate,
+            lambda: config.lambda,
+            decay: config.decay,
+            seed: config.seed,
+            ..Default::default()
+        };
+        let mut engine = SgdEngine::new(sgd, r.clone());
+        engine.set_factors(x, theta);
+        Self { engine, entries }
     }
 
     /// One lock-free epoch over all ratings.
     pub fn epoch(&mut self) {
-        let alpha = self.config.learning_rate * self.config.decay.powi(self.epoch as i32);
-        let lambda = self.config.lambda;
-        let f = self.config.f;
-        let x = &self.x_atomic;
-        let theta = &self.theta_atomic;
-
-        self.entries.par_iter().for_each(|e| {
-            let u = e.row as usize;
-            let v = e.col as usize;
-            // Racy read of both vectors (HOGWILD semantics).
-            let mut err = e.val;
-            for k in 0..f {
-                err -= x.load(u, k) * theta.load(v, k);
-            }
-            for k in 0..f {
-                let xk = x.load(u, k);
-                let tk = theta.load(v, k);
-                x.store(u, k, xk + alpha * (err * tk - lambda * xk));
-                theta.store(v, k, tk + alpha * (err * xk - lambda * tk));
-            }
-        });
-
-        self.epoch += 1;
-        self.x_snapshot = self.x_atomic.to_factor_matrix();
-        self.theta_snapshot = self.theta_atomic.to_factor_matrix();
+        self.engine.train_sweep();
     }
 }
 
@@ -162,30 +95,21 @@ impl Engine for HogwildSgd {
     }
 
     fn x(&self) -> &FactorMatrix {
-        &self.x_snapshot
+        self.engine.x()
     }
 
     fn theta(&self) -> &FactorMatrix {
-        &self.theta_snapshot
+        self.engine.theta()
     }
 
     fn set_factors(&mut self, x: FactorMatrix, theta: FactorMatrix) {
+        // The engine also takes extra user rows; this baseline never grows.
         assert_eq!(
             x.len(),
-            self.x_snapshot.len(),
+            self.engine.x().len(),
             "X has the wrong number of rows"
         );
-        assert_eq!(
-            theta.len(),
-            self.theta_snapshot.len(),
-            "Θ has the wrong number of rows"
-        );
-        assert_eq!(x.rank(), self.config.f, "X has the wrong rank");
-        assert_eq!(theta.rank(), self.config.f, "Θ has the wrong rank");
-        self.x_atomic = AtomicFactors::from_factor_matrix(&x);
-        self.theta_atomic = AtomicFactors::from_factor_matrix(&theta);
-        self.x_snapshot = x;
-        self.theta_snapshot = theta;
+        self.engine.set_factors(x, theta);
     }
 
     fn attach_metrics(&mut self, _metrics: Arc<TrainMetrics>) {}
@@ -264,12 +188,5 @@ mod tests {
         let before = solver.x().clone();
         solver.train_sweep();
         assert!(solver.x().max_abs_diff(&before) > 0.0);
-    }
-
-    #[test]
-    fn atomic_roundtrip_preserves_values() {
-        let m = FactorMatrix::random(7, 3, 1.0, 5);
-        let a = AtomicFactors::from_factor_matrix(&m);
-        assert_eq!(a.to_factor_matrix(), m);
     }
 }
