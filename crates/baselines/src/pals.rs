@@ -6,12 +6,17 @@
 //! whole `Θᵀ`** on every worker.  §2.2 of the cuMF paper points out that
 //! this only works while `Θᵀ` is small; the [`Pals::replication_bytes`]
 //! accessor exposes exactly the quantity that blows up.
+//!
+//! Each worker solves its rows against its full copy of the fixed factors,
+//! and a row's solve reads nothing else, so the sweep is the reference
+//! [`cumf_core::als::AlsEngine`]'s: the worker split decides only what is
+//! replicated, not a single bit of the factors.
 
 use crate::als_util;
+use cumf_core::als::AlsEngine;
 use cumf_core::{Engine, TrainMetrics};
 use cumf_linalg::FactorMatrix;
-use cumf_sparse::{horizontal_partition, Csr, Entry, SparseBlock};
-use rayon::prelude::*;
+use cumf_sparse::{split_ranges, Csr, Entry};
 use std::sync::Arc;
 
 /// Hyper-parameters of the PALS solver.
@@ -40,32 +45,22 @@ impl Default for PalsConfig {
 
 /// PALS solver: row-partitioned ALS with full `Θ` replication.
 pub struct Pals {
-    config: PalsConfig,
+    engine: AlsEngine,
     train_entries: Vec<Entry>,
-    row_blocks: Vec<SparseBlock>,
-    col_blocks: Vec<SparseBlock>,
-    x: FactorMatrix,
-    theta: FactorMatrix,
+    workers: usize,
 }
 
 impl Pals {
-    /// Builds the solver, partitioning `R` by rows (for update-X) and by
-    /// rows of `Rᵀ` (for update-Θ).
+    /// Builds the solver over `R`'s rows split across the workers.
     pub fn new(config: PalsConfig, r: &Csr) -> Self {
-        let workers_rows = config.workers.min(r.n_rows().max(1) as usize);
-        let workers_cols = config.workers.min(r.n_cols().max(1) as usize);
-        let row_blocks = horizontal_partition(r, workers_rows).expect("row partition");
-        let col_blocks =
-            horizontal_partition(&r.transpose(), workers_cols).expect("column partition");
-        let x = als_util::init_factors(r.n_rows() as usize, config.f, config.seed);
-        let theta = als_util::init_factors(r.n_cols() as usize, config.f, config.seed ^ 0x7e7a);
+        let workers = config.workers.min(r.n_rows().max(1) as usize);
+        let workers = split_ranges(r.n_rows(), workers)
+            .expect("row partition")
+            .len();
         Self {
-            config,
+            engine: als_util::als_engine(config.f, config.lambda, config.seed, r),
             train_entries: r.iter().collect(),
-            row_blocks,
-            col_blocks,
-            x,
-            theta,
+            workers,
         }
     }
 
@@ -73,62 +68,14 @@ impl Pals {
     /// every worker in one iteration — the scalability limit the cuMF paper
     /// calls out.
     pub fn replication_bytes(&self) -> u64 {
-        let workers = self.row_blocks.len() as u64;
-        let theta_bytes = (self.theta.footprint_words() * 4) as u64;
-        let x_bytes = (self.x.footprint_words() * 4) as u64;
-        workers * (theta_bytes + x_bytes)
-    }
-
-    fn update_side(
-        blocks: &[SparseBlock],
-        fixed: &FactorMatrix,
-        lambda: f32,
-        out_len: usize,
-        f: usize,
-    ) -> FactorMatrix {
-        let mut out = FactorMatrix::zeros(out_len, f);
-        // Each "worker" (block) solves its own rows against the replicated
-        // fixed factors; workers run in parallel.
-        let results: Vec<(u32, FactorMatrix)> = blocks
-            .par_iter()
-            .map(|block| {
-                let mut local = FactorMatrix::zeros(block.n_rows() as usize, f);
-                // The block has *global* column indices because horizontal
-                // partitioning keeps the full column range.
-                for u in 0..block.n_rows() {
-                    let mut row = vec![0.0f32; f];
-                    als_util::solve_row(&block.csr, u, fixed, lambda, &mut row);
-                    local.vector_mut(u as usize).copy_from_slice(&row);
-                }
-                (block.row_start, local)
-            })
-            .collect();
-        for (row_start, local) in results {
-            for u in 0..local.len() {
-                out.vector_mut(row_start as usize + u)
-                    .copy_from_slice(local.vector(u));
-            }
-        }
-        out
+        let theta_bytes = (self.engine.theta().footprint_words() * 4) as u64;
+        let x_bytes = (self.engine.x().footprint_words() * 4) as u64;
+        self.workers as u64 * (theta_bytes + x_bytes)
     }
 
     /// One full ALS iteration.
     pub fn als_iteration(&mut self) {
-        let f = self.config.f;
-        self.x = Self::update_side(
-            &self.row_blocks,
-            &self.theta,
-            self.config.lambda,
-            self.x.len(),
-            f,
-        );
-        self.theta = Self::update_side(
-            &self.col_blocks,
-            &self.x,
-            self.config.lambda,
-            self.theta.len(),
-            f,
-        );
+        self.engine.iterate();
     }
 }
 
@@ -143,24 +90,15 @@ impl Engine for Pals {
     }
 
     fn x(&self) -> &FactorMatrix {
-        &self.x
+        self.engine.x()
     }
 
     fn theta(&self) -> &FactorMatrix {
-        &self.theta
+        self.engine.theta()
     }
 
     fn set_factors(&mut self, x: FactorMatrix, theta: FactorMatrix) {
-        assert_eq!(x.len(), self.x.len(), "X has the wrong number of rows");
-        assert_eq!(
-            theta.len(),
-            self.theta.len(),
-            "Θ has the wrong number of rows"
-        );
-        assert_eq!(x.rank(), self.config.f, "X has the wrong rank");
-        assert_eq!(theta.rank(), self.config.f, "Θ has the wrong rank");
-        self.x = x;
-        self.theta = theta;
+        self.engine.set_factors(x, theta);
     }
 
     fn attach_metrics(&mut self, _metrics: Arc<TrainMetrics>) {}

@@ -7,13 +7,18 @@
 //! when `Nz ≫ m`, and a partition's working set may still not fit on one
 //! device.  This solver reproduces the algorithm and *measures* that
 //! communication volume so the claims can be checked quantitatively.
+//!
+//! A row's solve reads only the `θ_v` of its own ratings, all of which its
+//! partition receives, so the sweep is the reference
+//! [`cumf_core::als::AlsEngine`]'s, bit for bit; what is SparkALS's own is
+//! the shuffle.  `R` never changes, so neither does the shuffle: it is
+//! counted once, when the solver is built.
 
 use crate::als_util;
+use cumf_core::als::AlsEngine;
 use cumf_core::{Engine, TrainMetrics};
 use cumf_linalg::FactorMatrix;
-use cumf_sparse::{horizontal_partition, Csr, Entry, SparseBlock};
-use rayon::prelude::*;
-use std::collections::HashMap;
+use cumf_sparse::{split_ranges, Csr, Entry};
 use std::sync::Arc;
 
 /// Hyper-parameters of the SparkALS-style solver.
@@ -67,131 +72,60 @@ impl ShuffleStats {
 
 /// SparkALS-style solver with partial replication.
 pub struct SparkAlsStyle {
-    config: SparkAlsConfig,
+    engine: AlsEngine,
     train_entries: Vec<Entry>,
-    row_blocks: Vec<SparseBlock>,
-    col_blocks: Vec<SparseBlock>,
-    x: FactorMatrix,
-    theta: FactorMatrix,
+    /// What one iteration ships, both halves.
+    shuffle: ShuffleStats,
     last_shuffle: ShuffleStats,
+}
+
+/// Factor vectors shipped to `partitions` row partitions of `r`: each gets
+/// the distinct columns its rows reference (the "graph partitioning" step
+/// the paper criticizes).
+fn vectors_shipped(r: &Csr, partitions: usize) -> u64 {
+    let partitions = partitions.min(r.n_rows().max(1) as usize);
+    let row_ptr = r.row_ptr();
+    split_ranges(r.n_rows(), partitions)
+        .expect("row partition")
+        .iter()
+        .map(|&(start, end)| {
+            let mut needed = r.col_idx()[row_ptr[start as usize]..row_ptr[end as usize]].to_vec();
+            needed.sort_unstable();
+            needed.dedup();
+            needed.len() as u64
+        })
+        .sum()
 }
 
 impl SparkAlsStyle {
     /// Builds the solver.
     pub fn new(config: SparkAlsConfig, r: &Csr) -> Self {
-        let parts_rows = config.partitions.min(r.n_rows().max(1) as usize);
-        let parts_cols = config.partitions.min(r.n_cols().max(1) as usize);
-        let row_blocks = horizontal_partition(r, parts_rows).expect("row partition");
-        let col_blocks =
-            horizontal_partition(&r.transpose(), parts_cols).expect("column partition");
-        let x = als_util::init_factors(r.n_rows() as usize, config.f, config.seed);
-        let theta = als_util::init_factors(r.n_cols() as usize, config.f, config.seed ^ 0x7e7a);
+        // Update-X ships Θ to the row partitions of R, update-Θ ships X to
+        // those of Rᵀ.
+        let vectors = vectors_shipped(r, config.partitions)
+            + vectors_shipped(&r.transpose(), config.partitions);
+        let shuffle = ShuffleStats {
+            vectors_shipped: vectors,
+            bytes_shipped: vectors * config.f as u64 * 4,
+            distinct_vectors: u64::from(r.n_cols()) + u64::from(r.n_rows()),
+        };
         Self {
-            config,
+            engine: als_util::als_engine(config.f, config.lambda, config.seed, r),
             train_entries: r.iter().collect(),
-            row_blocks,
-            col_blocks,
-            x,
-            theta,
+            shuffle,
             last_shuffle: ShuffleStats::default(),
         }
     }
 
-    /// Communication statistics of the most recent side update.
+    /// Communication statistics of the most recent iteration.
     pub fn last_shuffle(&self) -> ShuffleStats {
         self.last_shuffle
     }
 
-    fn update_side(
-        blocks: &[SparseBlock],
-        fixed: &FactorMatrix,
-        lambda: f32,
-        out_len: usize,
-        f: usize,
-    ) -> (FactorMatrix, ShuffleStats) {
-        let mut out = FactorMatrix::zeros(out_len, f);
-        let mut stats = ShuffleStats {
-            distinct_vectors: fixed.len() as u64,
-            ..Default::default()
-        };
-
-        let results: Vec<(u32, FactorMatrix, u64)> = blocks
-            .par_iter()
-            .map(|block| {
-                // Step 1 (the "graph partitioning" step the paper criticizes):
-                // find the distinct columns this partition needs.
-                let mut needed: Vec<u32> = block.csr.col_idx().to_vec();
-                needed.sort_unstable();
-                needed.dedup();
-
-                // Step 2: "ship" exactly those vectors to the partition.
-                let mut local_index: HashMap<u32, usize> = HashMap::with_capacity(needed.len());
-                let mut local_fixed = FactorMatrix::zeros(needed.len(), f);
-                for (i, &v) in needed.iter().enumerate() {
-                    local_index.insert(v, i);
-                    local_fixed
-                        .vector_mut(i)
-                        .copy_from_slice(fixed.vector(v as usize));
-                }
-
-                // Step 3: solve the partition's rows against the shipped subset.
-                // Re-index the block's columns into the local subset first.
-                let mut local = FactorMatrix::zeros(block.n_rows() as usize, f);
-                for u in 0..block.n_rows() {
-                    let (cols, vals) = block.csr.row(u);
-                    if cols.is_empty() {
-                        continue;
-                    }
-                    // Build a tiny one-row CSR in local column space.
-                    let mut coo = cumf_sparse::Coo::new(1, needed.len() as u32);
-                    for (&c, &val) in cols.iter().zip(vals.iter()) {
-                        coo.push(0, local_index[&c] as u32, val)
-                            .expect("local index in range");
-                    }
-                    let local_row = coo.to_csr();
-                    let mut row = vec![0.0f32; f];
-                    als_util::solve_row(&local_row, 0, &local_fixed, lambda, &mut row);
-                    local.vector_mut(u as usize).copy_from_slice(&row);
-                }
-                (block.row_start, local, needed.len() as u64)
-            })
-            .collect();
-
-        for (row_start, local, shipped) in results {
-            stats.vectors_shipped += shipped;
-            for u in 0..local.len() {
-                out.vector_mut(row_start as usize + u)
-                    .copy_from_slice(local.vector(u));
-            }
-        }
-        stats.bytes_shipped = stats.vectors_shipped * f as u64 * 4;
-        (out, stats)
-    }
-
     /// One full ALS iteration with partial replication in both halves.
     pub fn als_iteration(&mut self) {
-        let f = self.config.f;
-        let (x, sx) = Self::update_side(
-            &self.row_blocks,
-            &self.theta,
-            self.config.lambda,
-            self.x.len(),
-            f,
-        );
-        self.x = x;
-        let (theta, st) = Self::update_side(
-            &self.col_blocks,
-            &self.x,
-            self.config.lambda,
-            self.theta.len(),
-            f,
-        );
-        self.theta = theta;
-        self.last_shuffle = ShuffleStats {
-            vectors_shipped: sx.vectors_shipped + st.vectors_shipped,
-            bytes_shipped: sx.bytes_shipped + st.bytes_shipped,
-            distinct_vectors: sx.distinct_vectors + st.distinct_vectors,
-        };
+        self.engine.iterate();
+        self.last_shuffle = self.shuffle;
     }
 }
 
@@ -206,24 +140,15 @@ impl Engine for SparkAlsStyle {
     }
 
     fn x(&self) -> &FactorMatrix {
-        &self.x
+        self.engine.x()
     }
 
     fn theta(&self) -> &FactorMatrix {
-        &self.theta
+        self.engine.theta()
     }
 
     fn set_factors(&mut self, x: FactorMatrix, theta: FactorMatrix) {
-        assert_eq!(x.len(), self.x.len(), "X has the wrong number of rows");
-        assert_eq!(
-            theta.len(),
-            self.theta.len(),
-            "Θ has the wrong number of rows"
-        );
-        assert_eq!(x.rank(), self.config.f, "X has the wrong rank");
-        assert_eq!(theta.rank(), self.config.f, "Θ has the wrong rank");
-        self.x = x;
-        self.theta = theta;
+        self.engine.set_factors(x, theta);
     }
 
     fn attach_metrics(&mut self, _metrics: Arc<TrainMetrics>) {}
