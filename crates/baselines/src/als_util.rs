@@ -5,7 +5,8 @@
 //! SparkALS sweep with the reference [`AlsEngine`] (no simulated cluster),
 //! HOGWILD! is an [`cumf_core::sgd::SgdEngine`], and libMF and NOMAD call
 //! [`cumf_core::sgd::sgd_step`].  What each keeps for itself is its start
-//! (below), its schedule and its replication accounting.
+//! (below), its schedule and its replication accounting; CCD++ also keeps
+//! its coordinate update, which no core engine runs.
 
 use cumf_core::als::AlsEngine;
 use cumf_core::AlsConfig;

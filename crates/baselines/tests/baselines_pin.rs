@@ -17,6 +17,9 @@
 //! Every other leg is deterministic at any thread count: the ALS baselines
 //! solve each row independently, libMF's blocks never share a row or a
 //! column, and NOMAD runs one worker.
+//!
+//! A last test checks that every baseline's sweep costs 0 simulated
+//! seconds: the baselines run core's engines without a simulated cluster.
 
 use cumf_baselines::ccd::CcdConfig;
 use cumf_baselines::hogwild::HogwildConfig;
@@ -264,6 +267,26 @@ fn replication_accounting_is_pinned() {
                 want,
                 "SparkALS, {partitions} partitions: shuffle moved at sweep {sweep}"
             );
+        }
+    }
+}
+
+/// The baselines run core's engines without a simulated cluster: a sweep of
+/// any of them is host work only and is priced at 0 simulated seconds.
+#[test]
+fn every_baseline_sweeps_without_a_simulated_cluster() {
+    let r = ratings();
+    let mut baselines: Vec<Box<dyn Engine>> = vec![
+        Box::new(pals(3, 8, &r)),
+        Box::new(spark(2, 8, &r)),
+        Box::new(libmf(&r)),
+        Box::new(nomad(&r)),
+        Box::new(ccd(&r)),
+        Box::new(hogwild(&r)),
+    ];
+    for baseline in &mut baselines {
+        for _ in 0..2 {
+            assert_eq!(baseline.train_sweep(), 0.0, "{}", baseline.name());
         }
     }
 }

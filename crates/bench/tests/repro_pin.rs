@@ -5,8 +5,9 @@
 //! line here and as a one-file diff in review.
 //!
 //! The output is deterministic: it is byte-identical under any
-//! `RAYON_NUM_THREADS` and between debug and release builds, HOGWILD! and
-//! NOMAD columns included, so the comparison has no tolerance.
+//! `RAYON_NUM_THREADS` and between debug and release builds, Figure 6's
+//! NOMAD and libMF curves (its only baseline curves) included, so the
+//! comparison has no tolerance.
 
 use std::process::Command;
 
