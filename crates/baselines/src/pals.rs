@@ -53,6 +53,7 @@ pub struct Pals {
 impl Pals {
     /// Builds the solver over `R`'s rows split across the workers.
     pub fn new(config: PalsConfig, r: &Csr) -> Self {
+        // Each worker owns one range of rows; only their number is kept.
         let workers = config.workers.min(r.n_rows().max(1) as usize);
         let workers = split_ranges(r.n_rows(), workers)
             .expect("row partition")

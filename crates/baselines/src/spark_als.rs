@@ -45,7 +45,7 @@ impl Default for SparkAlsConfig {
     }
 }
 
-/// Communication statistics of one side update.
+/// Communication statistics of one ALS iteration (both side updates).
 #[derive(Debug, Clone, Copy, Default, PartialEq)]
 pub struct ShuffleStats {
     /// Total factor vectors shipped to partitions (with duplicates across

@@ -113,11 +113,8 @@ impl SgdReference {
         }
 
         for (u, v, r_uv) in order {
-            let (x_u, theta_v) = (
-                self.x.vector_mut(u as usize),
-                self.theta.vector_mut(v as usize),
-            );
-            sgd_step(x_u, theta_v, r_uv, alpha, lambda);
+            let x_u = self.x.vector_mut(u as usize);
+            sgd_step(x_u, self.theta.vector_mut(v as usize), r_uv, alpha, lambda);
         }
         alpha
     }
