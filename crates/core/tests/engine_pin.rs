@@ -79,6 +79,12 @@ fn backends() -> Vec<(&'static str, Backend, MemoryOptConfig, usize)> {
             12,
         ),
         (
+            "4 gpus, one-phase, planner",
+            multi(4, FlatPcie, OnePhase, None),
+            opt,
+            12,
+        ),
+        (
             "1 gpu, (1, 3)",
             multi(1, FlatPcie, OnePhase, Some((1, 3))),
             opt,
@@ -131,7 +137,7 @@ fn pin(r: &Csr, backend: &Backend, memory_opt: MemoryOptConfig, f: usize) -> Pin
 }
 
 #[rustfmt::skip]
-const PINS: [Pin; 12] = [
+const PINS: [Pin; 13] = [
     // reference
     [[0x5522f5bc2a1e3e4e, 0x04985950d5a02fd0, 0x0000000000000000], [0x468ca8a124c2b93f, 0x7b23038cf739436c, 0x0000000000000000], [0x4def3e808b424410, 0x4672638da2e5aed6, 0x0000000000000000]],
     // single-gpu optimized
@@ -139,6 +145,8 @@ const PINS: [Pin; 12] = [
     // single-gpu naive
     [[0x5522f5bc2a1e3e4e, 0x04985950d5a02fd0, 0x3f130d86482d699e], [0x468ca8a124c2b93f, 0x7b23038cf739436c, 0x3f130d86482d699e], [0x4def3e808b424410, 0x4672638da2e5aed6, 0x3f130d86482d699e]],
     // 2 gpus, one-phase, planner
+    [[0x5522f5bc2a1e3e4e, 0x04985950d5a02fd0, 0x3f17e8709ffc3e7f], [0x468ca8a124c2b93f, 0x7b23038cf739436c, 0x3f17e8709ffc3e7f], [0x4def3e808b424410, 0x4672638da2e5aed6, 0x3f17e8709ffc3e7f]],
+    // 4 gpus, one-phase, planner
     [[0x5522f5bc2a1e3e4e, 0x04985950d5a02fd0, 0x3f17e8709ffc3e7f], [0x468ca8a124c2b93f, 0x7b23038cf739436c, 0x3f17e8709ffc3e7f], [0x4def3e808b424410, 0x4672638da2e5aed6, 0x3f17e8709ffc3e7f]],
     // 1 gpu, (1, 3)
     [[0x5522f5bc2a1e3e4e, 0x04985950d5a02fd0, 0x3f24d0ab6f033b8a], [0x468ca8a124c2b93f, 0x7b23038cf739436c, 0x3f24d0ab6f033b8a], [0x4def3e808b424410, 0x4672638da2e5aed6, 0x3f24d0ab6f033b8a]],
