@@ -27,35 +27,38 @@ use cumf_gpu_sim::DeviceSpec;
 
 fn main() {
     // --- 1. Partition plans for the paper-scale problems -------------------
-    println!("partition plans on a 12 GB GK210 (equation (8), 500 MB headroom):\n");
+    println!("partition plans on four 12 GB GK210s (equation (8), 500 MB headroom):\n");
     println!("data set        |    m        |    n        |     Nz       |  f  |  p |    q");
     println!("----------------+-------------+-------------+--------------+-----+----+------");
     for ds in PaperDataset::all() {
         let s = ds.spec();
         let dims = ProblemDims::new(s.m, s.n, s.nz, s.f as u64);
-        match plan(&dims, &DeviceSpec::gk210(), 32, 1 << 22) {
-            Ok(p) => println!(
-                "{:<15} | {:>11} | {:>11} | {:>12} | {:>3} | {:>2} | {:>4}",
-                s.name, s.m, s.n, s.nz, s.f, p.p, p.q
-            ),
-            Err(e) => println!("{:<15} | {e}", s.name),
-        }
+        let p = plan(&dims, &DeviceSpec::gk210(), 4);
+        println!(
+            "{:<15} | {:>11} | {:>11} | {:>12} | {:>3} | {:>2} | {:>4}",
+            s.name, s.m, s.n, s.nz, s.f, p.p, p.q
+        );
     }
 
     // --- 2. How much streaming the prefetcher hides ------------------------
     let spec = PaperDataset::Facebook.spec();
     let dims = ProblemDims::new(spec.m, spec.n, spec.nz, spec.f as u64);
     let cost = cumf_iteration_cost(&dims, &ClusterConfig::four_k80());
+    let kernels_s: f64 = cost
+        .sides
+        .iter()
+        .map(|s| s.get_hermitian_s + s.batch_solve_s)
+        .sum();
     println!(
         "\nFacebook-scale iteration on 4 x GK210: {:.0} s total ({:.0} s kernels, {:.0} s reduces, {:.0} s exposed transfers)",
         cost.total_s(),
-        cost.get_hermitian_s + cost.batch_solve_s,
-        cost.reduce_s,
-        cost.transfer_s
+        kernels_s,
+        cost.sides.iter().map(|s| s.reduce_s).sum::<f64>(),
+        cost.sides.iter().map(|s| s.transfer_s).sum::<f64>()
     );
 
-    let q = cost.plan_x.q.max(2);
-    let per_batch_compute = (cost.get_hermitian_s + cost.batch_solve_s) / (2.0 * q as f64);
+    let q = cost.plans[0].q.max(2);
+    let per_batch_compute = kernels_s / (2.0 * q as f64);
     let per_batch_transfer = per_batch_compute * 0.6; // R block streaming at 25 GB/s
     let batches = vec![
         BatchCost {

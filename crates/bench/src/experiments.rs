@@ -12,18 +12,19 @@ use cumf_baselines::nomad::NomadConfig;
 use cumf_baselines::{Engine, LibMfSgd, NomadSgd};
 use cumf_cluster::models::BaselineSystem;
 use cumf_cluster::pricing::CostComparison;
-use cumf_core::als::mo::side_update_time;
 use cumf_core::als::AlsEngine;
 use cumf_core::config::{AlsConfig, MemoryOptConfig};
-use cumf_core::costmodel::{cumf_iteration_cost, table3, ClusterConfig, Table3Row};
+use cumf_core::costmodel::{
+    cumf_iteration_cost, price_side, table3, ClusterConfig, SideShape, Table3Row,
+};
 use cumf_core::loss;
-use cumf_core::planner::ProblemDims;
+use cumf_core::planner::{PartitionPlan, ProblemDims};
 use cumf_core::reduce::{reduction_time, ReductionScheme};
 use cumf_data::datasets::{DatasetSpec, PaperDataset};
 use cumf_data::synth::SyntheticConfig;
 use cumf_data::train_test_split;
 use cumf_gpu_sim::occupancy::{mo_als_regs_per_thread, mo_als_shared_bytes};
-use cumf_gpu_sim::{DeviceSpec, MemoryTableRow, Occupancy, PcieTopology, TimingModel};
+use cumf_gpu_sim::{DeviceSpec, MemoryTableRow, Occupancy, PcieTopology};
 
 /// Knobs shared by the convergence experiments.
 #[derive(Debug, Clone, PartialEq)]
@@ -696,7 +697,7 @@ pub fn reduction_ablation() -> Vec<ReductionRow> {
     // One batch of X holds m/q rows; with the planner's q on a 12 GB card
     // this is roughly 250k rows; each row's partials are (f² + f) floats.
     let dims = ProblemDims::new(spec.m, spec.n, spec.nz, spec.f as u64);
-    let plan = cumf_iteration_cost(&dims, &ClusterConfig::four_k80()).plan_x;
+    let plan = cumf_iteration_cost(&dims, &ClusterConfig::four_k80()).plans[0];
     let rows_per_batch = (spec.m as f64 / plan.q.max(1) as f64).ceil();
     let f = spec.f as f64;
     let bytes_per_gpu = rows_per_batch * (f * f + f) * 4.0;
@@ -739,17 +740,21 @@ pub struct BinAblationRow {
 }
 
 /// §3.3 ablation: how the shared-memory `bin` size affects occupancy and the
-/// simulated iteration time at Netflix scale, f = 100.
+/// simulated iteration time at Netflix scale, f = 100: each half is one
+/// resident block on one Titan X, so only the kernels are priced.
 pub fn bin_ablation() -> Vec<BinAblationRow> {
     let spec = DeviceSpec::titan_x();
-    let timing = TimingModel::default();
     let netflix = PaperDataset::Netflix.spec();
+    let (m, n, nz) = (netflix.m as f64, netflix.n as f64, netflix.nz as f64);
     [5u32, 10, 20, 30, 40, 60, 80, 100]
         .iter()
         .map(|&bin| {
-            let opts = MemoryOptConfig {
-                bin,
-                ..MemoryOptConfig::optimized()
+            let hw = ClusterConfig {
+                opts: MemoryOptConfig {
+                    bin,
+                    ..MemoryOptConfig::optimized()
+                },
+                ..ClusterConfig::titan_x(1)
             };
             let occ = Occupancy::compute(
                 &spec,
@@ -757,28 +762,14 @@ pub fn bin_ablation() -> Vec<BinAblationRow> {
                 mo_als_regs_per_thread(100, true),
                 mo_als_shared_bytes(100, bin),
             );
-            let x = side_update_time(
-                &spec,
-                &timing,
-                netflix.m as f64,
-                netflix.nz as f64,
-                netflix.n as f64,
-                100,
-                &opts,
-            );
-            let t = side_update_time(
-                &spec,
-                &timing,
-                netflix.n as f64,
-                netflix.nz as f64,
-                netflix.m as f64,
-                100,
-                &opts,
-            );
+            let half = |rows: f64, cols: f64| {
+                let shape = SideShape::uniform(rows, cols, nz, PartitionPlan::default());
+                price_side(&hw, 100, &shape, false).0.total()
+            };
             BinAblationRow {
                 bin,
                 occupancy: occ.occupancy,
-                iteration_s: x.total() + t.total(),
+                iteration_s: half(m, n) + half(n, m),
             }
         })
         .collect()

@@ -8,21 +8,25 @@
 //!
 //! * no cluster — Algorithm 1, the host reference; a sweep costs 0 s;
 //! * [`Placement::Resident`] — Algorithm 2, MO-ALS: `R`, `X` and `Θᵀ` live
-//!   on one GPU, priced by [`crate::als::mo`];
+//!   on one GPU ([`crate::als::mo`]);
 //! * [`Placement::Grid`] — Algorithm 3, SU-ALS: `Θᵀ` is split over `p`
-//!   GPUs and `X` into `q` batches, priced by [`crate::als::su`].
+//!   GPUs and `X` into `q` batches ([`crate::als::su`]).
+//!
+//! Either way a sweep is priced by [`crate::costmodel::price_side`], the
+//! pricer behind `REPRO.txt`'s time axes: a resident side as one block
+//! with no streaming, a grid side as its counted blocks.
 //!
 //! The grid's `p` also splits each row's sum into `p` partial Hermitians
 //! (equation (5)), so with `p > 1` the factors can differ from the other
 //! placements' in the last bits; with `p = 1` they are bit-identical.
 
 use crate::als::kernels::solve_rows;
-use crate::als::mo::{self, SideTiming};
-use crate::als::su;
+use crate::als::{mo, su};
 use crate::config::AlsConfig;
+use crate::costmodel::{price_side, ClusterConfig, SideShape, SideTiming};
 use crate::instrument::TrainMetrics;
 use crate::loss;
-use crate::planner::PartitionPlan;
+use crate::planner::{self, PartitionPlan, ProblemDims};
 use crate::reduce::ReductionScheme;
 use cumf_gpu_sim::GpuCluster;
 use cumf_linalg::FactorMatrix;
@@ -50,9 +54,13 @@ pub enum Placement {
 #[derive(Debug, Clone)]
 struct Simulated {
     cluster: GpuCluster,
+    /// `cluster`'s hardware with the engine's memory options and reduction.
+    hardware: ClusterConfig,
     placement: Placement,
     /// `(p, q)` of the update-X and the update-Θ half.
     plans: [PartitionPlan; 2],
+    /// The blocks of `R` and of `Rᵀ` under those plans.
+    shapes: [SideShape; 2],
     upload_s: f64,
     total_s: f64,
 }
@@ -101,8 +109,9 @@ impl AlsEngine {
     }
 
     /// The engine priced on `cluster` with `placement`; the same seeded
-    /// start as [`AlsEngine::new`].  A grid without a plan is planned
-    /// against the device's memory capacity, once per half.
+    /// start as [`AlsEngine::new`].  A grid without a plan is planned by
+    /// [`planner::plan`], once per half; a configured plan is clamped to
+    /// the matrix.
     ///
     /// # Panics
     /// Panics if a resident placement is asked of more than one GPU, or if
@@ -115,17 +124,34 @@ impl AlsEngine {
     ) -> Self {
         let mut engine = Self::new(config, r);
         let f = engine.config.f;
-        let (plans, upload_s) = match placement {
-            Placement::Resident => ([WHOLE; 2], mo::place(&mut cluster, &engine.r, f)),
-            Placement::Grid { plan, .. } => {
-                let plans = [&engine.r, &engine.r_t].map(|r| su::plan(plan, &cluster, r, f));
-                (plans, 0.0)
+        let sides = [&engine.r, &engine.r_t];
+        let (plans, upload_s, reduction) = match placement {
+            // One GPU holds everything: nothing is ever reduced.
+            Placement::Resident => (
+                [WHOLE; 2],
+                mo::place(&mut cluster, &engine.r, f),
+                ReductionScheme::OnePhase,
+            ),
+            Placement::Grid { reduction, plan } => {
+                let plans = sides.map(|r| {
+                    let (m, n) = (r.n_rows() as u64, r.n_cols() as u64);
+                    let dims = ProblemDims::new(m, n, r.nnz() as u64, f as u64);
+                    plan.map_or_else(
+                        || planner::plan(&dims, cluster.spec(), cluster.n_gpus()),
+                        |plan| plan.clamped(&dims),
+                    )
+                });
+                (plans, 0.0, reduction)
             }
         };
+        let shapes = [0, 1].map(|k| su::shape(sides[k], plans[k]));
+        let hardware = ClusterConfig::of(&cluster, engine.config.memory_opt, reduction);
         engine.sim = Some(Simulated {
             cluster,
+            hardware,
             placement,
             plans,
+            shapes,
             upload_s,
             total_s: 0.0,
         });
@@ -236,21 +262,23 @@ impl AlsEngine {
             self.config.lambda,
             self.metrics.as_deref(),
         );
-        let opts = &self.config.memory_opt;
         let timing = match &mut self.sim {
             None => SideTiming::default(),
-            Some(sim) => match sim.placement {
-                Placement::Resident => mo::price_side(
-                    &mut sim.cluster,
-                    r,
-                    f,
-                    opts,
-                    if solve_x { "x" } else { "theta" },
-                ),
-                Placement::Grid { reduction, .. } => {
-                    su::price_side(&mut sim.cluster, r, f, opts, &cuts, plan.q, reduction)
+            Some(sim) => {
+                let streamed = matches!(sim.placement, Placement::Grid { .. });
+                let shape = &sim.shapes[usize::from(!solve_x)];
+                let (timing, busy) = price_side(&sim.hardware, f, shape, streamed);
+                let side = if solve_x { "x" } else { "theta" };
+                for (gpu, [gh, bs]) in busy.into_iter().enumerate() {
+                    if gh > 0.0 {
+                        sim.cluster
+                            .run_kernel(gpu, &format!("get_hermitian_{side}"), gh);
+                        sim.cluster
+                            .run_kernel(gpu, &format!("batch_solve_{side}"), bs);
+                    }
                 }
-            },
+                timing
+            }
         };
         if solve_x {
             self.x = solved;

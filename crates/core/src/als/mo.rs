@@ -1,10 +1,11 @@
-//! Algorithm 2, MO-ALS: the memory-optimized single-GPU pricing.
+//! Algorithm 2, MO-ALS: the memory-optimized kernels' traffic.
 //!
 //! [`crate::als::AlsEngine`] with [`crate::als::Placement::Resident`] keeps
-//! `R`, `X` and `Θᵀ` on one GPU and runs the reference numerics; this module
-//! prices each `get_hermitian` / `batch_solve` launch by the traffic it
-//! would generate on a real card, which depends on the memory-optimization
-//! toggles:
+//! `R`, `X` and `Θᵀ` on one GPU ([`place`]) and runs the reference
+//! numerics; [`crate::costmodel::price_side`] prices each side as one block
+//! that nothing streams to.  This module counts the traffic each
+//! `get_hermitian` / `batch_solve` launch would generate on a real card,
+//! for every placement, which depends on the memory-optimization toggles:
 //!
 //! * **texture** (Algorithm 2 line 3): `Θᵀ` gathers go through the read-only
 //!   texture cache instead of scattered global loads;
@@ -15,12 +16,9 @@
 //!   once per staged tile.
 //!
 //! Disabling each of these reproduces the ablations of Figures 7 and 8.
-//! The traffic models are shared with the grid placement
-//! ([`crate::als::su`]) and the analytic cost model.
 
 use crate::config::MemoryOptConfig;
-use cumf_gpu_sim::occupancy::{mo_als_regs_per_thread, mo_als_shared_bytes};
-use cumf_gpu_sim::{DeviceSpec, GpuCluster, KernelTraffic, Occupancy, TimingModel};
+use cumf_gpu_sim::{GpuCluster, KernelTraffic};
 use cumf_sparse::Csr;
 
 /// Approximate on-chip read-only cache available to texture fetches
@@ -116,59 +114,6 @@ pub fn batch_solve_traffic(rows: f64, f: f64) -> KernelTraffic {
     }
 }
 
-/// Simulated time of one side update (`get_hermitian` + `batch_solve`) for
-/// the given problem dimensions on one device.
-pub fn side_update_time(
-    spec: &DeviceSpec,
-    timing: &TimingModel,
-    rows: f64,
-    nnz: f64,
-    cols: f64,
-    f: usize,
-    opts: &MemoryOptConfig,
-) -> SideTiming {
-    let gh_traffic = get_hermitian_traffic(rows, nnz, cols, f as f64, opts);
-    let gh_occ = Occupancy::compute(
-        spec,
-        f as u32,
-        mo_als_regs_per_thread(f as u32, opts.use_registers),
-        mo_als_shared_bytes(f as u32, opts.bin),
-    );
-    let gh = timing.kernel_time(spec, &gh_traffic, &gh_occ, !opts.use_texture);
-
-    let bs_traffic = batch_solve_traffic(rows, f as f64);
-    let bs_occ = Occupancy::compute(spec, (f as u32).max(32), 56, 0);
-    let bs = timing.kernel_time(spec, &bs_traffic, &bs_occ, false);
-
-    SideTiming {
-        get_hermitian_s: gh.total_s,
-        batch_solve_s: bs.total_s,
-        ..SideTiming::default()
-    }
-}
-
-/// Simulated timing of one side update (a half-iteration), whatever the
-/// placement; the phases a placement does not have stay zero.
-#[derive(Debug, Clone, Copy, Default, PartialEq)]
-pub struct SideTiming {
-    /// Host→device streaming of `Θᵀ` and `R` blocks that could not be
-    /// hidden (grid only).
-    pub transfer_s: f64,
-    /// `get_hermitian` kernels (on a grid: the busiest GPU's sum).
-    pub get_hermitian_s: f64,
-    /// Cross-GPU reductions of the partial Hermitians (grid only).
-    pub reduce_s: f64,
-    /// Batch solves (on a grid: the busiest GPU's sum).
-    pub batch_solve_s: f64,
-}
-
-impl SideTiming {
-    /// Total simulated seconds of the side update.
-    pub fn total(&self) -> f64 {
-        self.transfer_s + self.get_hermitian_s + self.reduce_s + self.batch_solve_s
-    }
-}
-
 /// Places `R`, `X` and `Θᵀ` on GPU 0 of `cluster` and returns the simulated
 /// seconds of the one-time host→device upload.
 ///
@@ -192,34 +137,13 @@ pub(crate) fn place(cluster: &mut GpuCluster, r: &Csr, f: usize) -> f64 {
     upload_s
 }
 
-/// Prices one side update over all of `r` on GPU 0, recording its two
-/// kernels as `get_hermitian_{side}` and `batch_solve_{side}`.
-pub(crate) fn price_side(
-    cluster: &mut GpuCluster,
-    r: &Csr,
-    f: usize,
-    opts: &MemoryOptConfig,
-    side: &str,
-) -> SideTiming {
-    let t = side_update_time(
-        cluster.spec(),
-        cluster.timing(),
-        r.n_rows() as f64,
-        r.nnz() as f64,
-        r.n_cols() as f64,
-        f,
-        opts,
-    );
-    cluster.run_kernel(0, &format!("get_hermitian_{side}"), t.get_hermitian_s);
-    cluster.run_kernel(0, &format!("batch_solve_{side}"), t.batch_solve_s);
-    t
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::als::{AlsEngine, Placement};
     use crate::config::AlsConfig;
+    use crate::costmodel::{price_side, ClusterConfig, SideShape};
+    use crate::planner::PartitionPlan;
     use cumf_data::synth::SyntheticConfig;
     use cumf_linalg::FactorMatrix;
 
@@ -252,6 +176,16 @@ mod tests {
     fn sweep(engine: &mut AlsEngine) -> f64 {
         let [x, theta] = engine.iterate();
         x.total() + theta.total()
+    }
+
+    /// Netflix's update-X at f = 100 as one resident block on a Titan X.
+    fn netflix_update_x(opts: MemoryOptConfig) -> f64 {
+        let hw = ClusterConfig {
+            opts,
+            ..ClusterConfig::titan_x(1)
+        };
+        let shape = SideShape::uniform(480_189.0, 17_770.0, 99.0e6, PartitionPlan::default());
+        price_side(&hw, 100, &shape, false).0.total()
     }
 
     #[test]
@@ -295,13 +229,8 @@ mod tests {
             "no-register iteration should be slower: {t_with} vs {t_without}"
         );
 
-        let spec = DeviceSpec::titan_x();
-        let timing = TimingModel::default();
-        let netflix = |opts: &MemoryOptConfig| {
-            side_update_time(&spec, &timing, 480_189.0, 99.0e6, 17_770.0, 100, opts).total()
-        };
-        let full_with = netflix(&MemoryOptConfig::optimized());
-        let full_without = netflix(&MemoryOptConfig::without_registers());
+        let full_with = netflix_update_x(MemoryOptConfig::optimized());
+        let full_without = netflix_update_x(MemoryOptConfig::without_registers());
         assert!(
             full_without > full_with * 1.3,
             "at Netflix scale the register ablation should cost >1.3x: {full_with} vs {full_without}"
@@ -359,18 +288,8 @@ mod tests {
         // Sanity check of the cost model at full Netflix scale: the paper's
         // cuMF converges in tens of seconds over ~10 iterations, so one side
         // update should be O(1 s).
-        let spec = DeviceSpec::titan_x();
-        let timing = TimingModel::default();
-        let t = side_update_time(
-            &spec,
-            &timing,
-            480_189.0,
-            99.0e6,
-            17_770.0,
-            100,
-            &MemoryOptConfig::optimized(),
-        );
-        assert!(t.total() > 0.05, "unrealistically fast: {}", t.total());
-        assert!(t.total() < 20.0, "unrealistically slow: {}", t.total());
+        let t = netflix_update_x(MemoryOptConfig::optimized());
+        assert!(t > 0.05, "unrealistically fast: {t}");
+        assert!(t < 20.0, "unrealistically slow: {t}");
     }
 }

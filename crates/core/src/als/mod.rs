@@ -1,7 +1,9 @@
 //! The ALS engine: the row loop every placement shares ([`kernels`]), the
-//! one engine that drives it ([`base`], Algorithm 1), and the pricing of
-//! its two simulated-GPU placements — resident MO-ALS ([`mo`],
-//! Algorithm 2) and the SU-ALS grid ([`su`], Algorithm 3).
+//! one engine that drives it ([`base`], Algorithm 1), and what its two
+//! simulated-GPU placements hand the one sweep pricer,
+//! [`crate::costmodel::price_side`]: resident MO-ALS ([`mo`], Algorithm 2)
+//! its traffic model and one-time upload, the SU-ALS grid ([`su`],
+//! Algorithm 3) its blocks.
 
 pub mod base;
 pub mod kernels;

@@ -1,4 +1,4 @@
-//! Algorithm 3, SU-ALS: the scale-up multi-GPU pricing.
+//! Algorithm 3, SU-ALS: the scale-up multi-GPU grid.
 //!
 //! SU-ALS layers **data parallelism** on top of ALS's inherent **model
 //! parallelism**:
@@ -13,186 +13,57 @@
 //!
 //! [`crate::als::AlsEngine`] with [`crate::als::Placement::Grid`] computes
 //! exactly those numerics — [`crate::als::kernels::solve_rows`] sums each
-//! row's `p` partials — and this module prices them: the host→device
-//! streaming of `Θᵀ(i)` and of the `R` blocks, the per-block
-//! `get_hermitian` kernels, the cross-GPU reduction (per the selected
-//! [`ReductionScheme`]) and the per-GPU batch solves.
+//! row's `p` partials.  This module counts the grid's blocks from `R`
+//! ([`shape`]), once per engine, and [`crate::costmodel::price_side`]
+//! prices them each sweep: the streaming of `Θᵀ(i)` and of the `R` blocks,
+//! the `get_hermitian` kernels, the cross-GPU reduction and the batch
+//! solves.  The analytic model prices the same blocks filled evenly, so on
+//! a uniform `R` an engine's sweep costs what `REPRO.txt` says it does.
 
 use crate::als::kernels::split_row;
-use crate::als::mo::{batch_solve_traffic, get_hermitian_traffic, SideTiming};
-use crate::config::MemoryOptConfig;
-use crate::planner::{self, PartitionPlan, ProblemDims};
-use crate::reduce::{reduction_time, ReductionScheme};
-use cumf_gpu_sim::occupancy::{mo_als_regs_per_thread, mo_als_shared_bytes};
-use cumf_gpu_sim::{Endpoint, GpuCluster, Occupancy, Transfer};
+use crate::costmodel::SideShape;
+use crate::planner::PartitionPlan;
 use cumf_sparse::{split_ranges, Csr};
 
-/// The `(p, q)` of the half that solves the rows of `r`: the configured
-/// plan, or else the planner's against the device's memory capacity
-/// (`(n_gpus, n_gpus)` when nothing fits), clamped to `r`'s columns and
-/// rows.
-pub(crate) fn plan(
-    configured: Option<PartitionPlan>,
-    cluster: &GpuCluster,
-    r: &Csr,
-    f: usize,
-) -> PartitionPlan {
-    let n_gpus = cluster.n_gpus();
-    let plan = configured.unwrap_or_else(|| {
-        let dims = ProblemDims::new(
-            r.n_rows() as u64,
-            r.n_cols() as u64,
-            r.nnz() as u64,
-            f as u64,
-        );
-        planner::plan(&dims, cluster.spec(), n_gpus.max(1) * 8, 1 << 20).unwrap_or(PartitionPlan {
-            p: n_gpus,
-            q: n_gpus,
-        })
-    });
-    PartitionPlan {
-        p: plan.p.max(1).min(r.n_cols().max(1) as usize),
-        q: plan.q.max(1).min(r.n_rows().max(1) as usize),
-    }
-}
-
-/// Prices one data-parallel side update: the rows of `r` in `q` batches,
-/// its columns in the `cuts.len() + 1` partitions cut at `cuts` (one per
-/// GPU, round-robin when there are more partitions than GPUs).  Kernels are
-/// recorded on `cluster` as `su_get_hermitian` and `su_batch_solve`.
-pub(crate) fn price_side(
-    cluster: &mut GpuCluster,
-    r: &Csr,
-    f: usize,
-    opts: &MemoryOptConfig,
-    cuts: &[u32],
-    q: usize,
-    reduction: ReductionScheme,
-) -> SideTiming {
-    let p = cuts.len() + 1;
-    let n_gpus = cluster.n_gpus();
-    let spec = cluster.spec().clone();
-    let timing = cluster.timing().clone();
-    let topo = cluster.topology().clone();
-    let bounds: Vec<u32> = [0]
-        .into_iter()
-        .chain(cuts.iter().copied())
-        .chain([r.n_cols()])
-        .collect();
-    let widths: Vec<u32> = bounds.windows(2).map(|b| b[1] - b[0]).collect();
-
-    let mut timing_acc = SideTiming::default();
-
-    // Distribute Θᵀ(i) to the GPUs (concurrent host→device transfers;
-    // Algorithm 3 lines 5–7: Θᵀ(i) is copied to GPU i once per side update).
-    let theta_transfers: Vec<Transfer> = widths
-        .iter()
-        .enumerate()
-        .map(|(i, &w)| {
-            let bytes = (w as usize * f) as f64 * 4.0;
-            Transfer::new(Endpoint::Host, Endpoint::Gpu(i % n_gpus), bytes)
-        })
-        .collect();
-    timing_acc.transfer_s += topo.concurrent_transfer_time(&theta_transfers);
-
-    // Occupancy of the get_hermitian launches (same configuration as
-    // MO-ALS).
-    let gh_occ = Occupancy::compute(
-        &spec,
-        f as u32,
-        mo_als_regs_per_thread(f as u32, opts.use_registers),
-        mo_als_shared_bytes(f as u32, opts.bin),
-    );
-    let bs_occ = Occupancy::compute(&spec, (f as u32).max(32), 56, 0);
-
-    // Simulated busy time per GPU for the kernel phases.  Blocks of the
-    // same batch spread across GPUs (data parallelism, `p > 1`); with a
-    // single `Θᵀ` partition, different batches spread across GPUs
-    // instead (pure model parallelism — the Netflix/YahooMusic setting
-    // of §5.4, and the elasticity rule of §4.4 when `p` exceeds the
-    // number of physical GPUs).
-    let mut gh_busy = vec![0.0f64; n_gpus];
-    let mut bs_busy = vec![0.0f64; n_gpus];
-
-    let batches = split_ranges(r.n_rows(), q).expect("plans are clamped to the matrix");
-    for (j, &(rs, re)) in batches.iter().enumerate() {
-        let batch_rows = (re - rs) as usize;
-        // Ratings of each block R^(ij), counted from the batch's row slices.
-        let mut block_nnz = vec![0usize; p];
+/// The blocks of `r` under `plan`, with each block's ratings counted from
+/// its batch's row slices (from the row offsets alone when `p = 1`).
+pub(crate) fn shape(r: &Csr, plan: PartitionPlan) -> SideShape {
+    let batches = split_ranges(r.n_rows(), plan.q).expect("plans are clamped to the matrix");
+    let parts = split_ranges(r.n_cols(), plan.p).expect("plans are clamped to the matrix");
+    let cuts: Vec<u32> = parts[1..].iter().map(|&(start, _)| start).collect();
+    let offsets = r.row_ptr();
+    let mut nnz = Vec::with_capacity(plan.blocks());
+    for &(rs, re) in &batches {
+        if plan.p == 1 {
+            nnz.push((offsets[re as usize] - offsets[rs as usize]) as f64);
+            continue;
+        }
+        let mut block = vec![0usize; plan.p];
         for u in rs..re {
-            for (nnz, part) in block_nnz.iter_mut().zip(split_row(r.row(u).0, cuts)) {
-                *nnz += part.len();
+            for (n, part) in block.iter_mut().zip(split_row(r.row(u).0, &cuts)) {
+                *n += part.len();
             }
         }
-
-        let mut batch_gh_max = 0.0f64;
-        let mut batch_transfer: Vec<Transfer> = Vec::with_capacity(p);
-        for (i, (&nnz, &width)) in block_nnz.iter().zip(&widths).enumerate() {
-            let gpu = if p > 1 { i % n_gpus } else { j % n_gpus };
-            // Simulated kernel time for this block on its GPU.
-            let traffic =
-                get_hermitian_traffic(batch_rows as f64, nnz as f64, width as f64, f as f64, opts);
-            let kt = timing.kernel_time(&spec, &traffic, &gh_occ, !opts.use_texture);
-            gh_busy[gpu] += kt.total_s;
-            batch_gh_max = batch_gh_max.max(kt.total_s);
-            cluster.run_kernel(gpu, "su_get_hermitian", kt.total_s);
-
-            // Host→device streaming of R^(ij): its CSR words (Table 3).
-            let words = 2 * nnz + batch_rows + 1;
-            batch_transfer.push(Transfer::new(
-                Endpoint::Host,
-                Endpoint::Gpu(gpu),
-                words as f64 * 4.0,
-            ));
-        }
-
-        // R-block streaming: the first batch is exposed, later batches are
-        // prefetched and only cost whatever exceeds the compute time.
-        let transfer_s = topo.concurrent_transfer_time(&batch_transfer);
-        if j == 0 {
-            timing_acc.transfer_s += transfer_s;
-        } else {
-            timing_acc.transfer_s += (transfer_s - batch_gh_max).max(0.0);
-        }
-
-        // ---- reduction across GPUs (only needed with data parallelism) ----
-        let bytes_per_gpu = (batch_rows * (f * f + f) * 4) as f64;
-        if p > 1 {
-            timing_acc.reduce_s += reduction_time(reduction, &topo, bytes_per_gpu);
-        }
-
-        // ---- batch solve ----
-        if p > 1 {
-            // The batch's systems are split across the p GPUs that already
-            // hold the reduced partials (Algorithm 3 line 17).
-            let rows_per_gpu = (batch_rows as f64 / p as f64).ceil();
-            let bs_traffic = batch_solve_traffic(rows_per_gpu, f as f64);
-            let bs_t = timing.kernel_time(&spec, &bs_traffic, &bs_occ, false);
-            for i in 0..p {
-                let gpu = i % n_gpus;
-                bs_busy[gpu] += bs_t.total_s;
-                cluster.run_kernel(gpu, "su_batch_solve", bs_t.total_s);
-            }
-        } else {
-            let gpu = j % n_gpus;
-            let bs_traffic = batch_solve_traffic(batch_rows as f64, f as f64);
-            let bs_t = timing.kernel_time(&spec, &bs_traffic, &bs_occ, false);
-            bs_busy[gpu] += bs_t.total_s;
-            cluster.run_kernel(gpu, "su_batch_solve", bs_t.total_s);
-        }
+        nnz.extend(block.into_iter().map(|n| n as f64));
     }
-
-    timing_acc.get_hermitian_s = gh_busy.iter().copied().fold(0.0, f64::max);
-    timing_acc.batch_solve_s = bs_busy.iter().copied().fold(0.0, f64::max);
-    timing_acc
+    let span = |&(start, end): &(u32, u32)| (end - start) as f64;
+    SideShape {
+        widths: parts.iter().map(span).collect(),
+        rows: batches.iter().map(span).collect(),
+        nnz,
+    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::als::{AlsEngine, Placement};
-    use crate::config::AlsConfig;
+    use crate::config::{AlsConfig, MemoryOptConfig};
+    use crate::costmodel::{cumf_iteration_cost, ClusterConfig};
+    use crate::planner::ProblemDims;
+    use crate::reduce::ReductionScheme;
     use cumf_data::synth::SyntheticConfig;
+    use cumf_gpu_sim::GpuCluster;
     use cumf_linalg::FactorMatrix;
 
     fn ratings() -> Csr {
@@ -314,7 +185,70 @@ mod tests {
 
     #[test]
     fn auto_plan_on_small_problem_is_single_partition() {
+        // One Θᵀ partition, and one batch per GPU so both GPUs work (§4.4).
         let su = grid(2, None, ReductionScheme::OnePhase);
-        assert_eq!(su.plans(), [PartitionPlan { p: 1, q: 1 }; 2]);
+        assert_eq!(su.plans(), [PartitionPlan { p: 1, q: 2 }; 2]);
+    }
+
+    /// A uniform `R` (no Zipf skew) large enough that its batches hold
+    /// near-equal rating counts.
+    fn uniform_ratings() -> Csr {
+        SyntheticConfig {
+            m: 2_000,
+            n: 800,
+            nnz: 40_000,
+            rank: 4,
+            item_zipf: 0.0,
+            user_zipf: 0.0,
+            ..Default::default()
+        }
+        .generate()
+        .to_csr()
+    }
+
+    fn planned_sweep(r: &Csr, n_gpus: usize) -> (f64, [PartitionPlan; 2]) {
+        let placement = Placement::Grid {
+            reduction: ReductionScheme::OnePhase,
+            plan: None,
+        };
+        let cluster = GpuCluster::titan_x_flat(n_gpus);
+        let mut engine = AlsEngine::on_cluster(als_config(), r.clone(), cluster, placement);
+        (sweep(&mut engine), engine.plans())
+    }
+
+    #[test]
+    fn engine_sweep_is_the_analytic_price_on_a_uniform_matrix() {
+        // The engine prices its own blocks, counted from R; the analytic
+        // model prices nz/(p·q) ratings in every block.  The two differ only
+        // by how unevenly R's ratings fall into the batches, which on this
+        // uniform R moves no sweep by 1 % or more.
+        const BLOCK_SKEW: f64 = 0.01;
+        let r = uniform_ratings();
+        let dims = ProblemDims::new(
+            r.n_rows() as u64,
+            r.n_cols() as u64,
+            r.nnz() as u64,
+            als_config().f as u64,
+        );
+        for n_gpus in [1, 2, 4] {
+            let (engine_s, plans) = planned_sweep(&r, n_gpus);
+            let analytic = cumf_iteration_cost(&dims, &ClusterConfig::titan_x(n_gpus));
+            assert_eq!(plans, analytic.plans, "{n_gpus} GPUs: the same planner");
+            let gap = (engine_s / analytic.total_s() - 1.0).abs();
+            assert!(
+                gap < BLOCK_SKEW,
+                "{n_gpus} GPUs: engine {engine_s} s vs analytic {} s",
+                analytic.total_s()
+            );
+        }
+    }
+
+    #[test]
+    fn auto_planned_four_gpus_beat_one() {
+        let r = uniform_ratings();
+        let (one, _) = planned_sweep(&r, 1);
+        let (four, plans) = planned_sweep(&r, 4);
+        assert_eq!(plans, [PartitionPlan { p: 1, q: 4 }; 2]);
+        assert!(four < one, "4 GPUs {four} s vs 1 GPU {one} s");
     }
 }

@@ -1,19 +1,27 @@
-//! Analytic cost model (Table 3) and full-scale iteration pricing.
+//! The one sweep pricer, and the analytic cost model (Table 3) built on it.
+//!
+//! [`price_side`] prices every simulated side update in the tree: a side's
+//! `p × q` blocks ([`SideShape`]) on one [`ClusterConfig`], resident or
+//! streamed from the host.  The engine feeds it the blocks it counts from
+//! its ratings (one resident block for MO-ALS); [`cumf_iteration_cost`]
+//! feeds it evenly filled blocks at full scale.  Both plan with
+//! [`planner::plan`].
 //!
 //! Convergence experiments run on scaled-down data, but the paper's
 //! large-scale results (Figure 11, Table 1) are about *per-iteration time at
 //! full scale* — 3.5 to 112 billion ratings that cannot be materialized
 //! here.  Because the ALS work per iteration is a closed-form function of
-//! `(m, n, Nz, f)` (Table 3 of the paper), the simulated time can be
-//! computed analytically with the very same traffic and interconnect models
-//! the engines use.
+//! `(m, n, Nz, f)` (Table 3 of the paper), so are the blocks, and the
+//! full-scale time comes from the same pricer the engines use.
 
 use crate::als::mo::{batch_solve_traffic, get_hermitian_traffic};
 use crate::config::MemoryOptConfig;
 use crate::planner::{self, PartitionPlan, ProblemDims};
 use crate::reduce::{reduction_time, ReductionScheme};
 use cumf_gpu_sim::occupancy::{mo_als_regs_per_thread, mo_als_shared_bytes};
-use cumf_gpu_sim::{DeviceSpec, Occupancy, PcieTopology, TimingModel};
+use cumf_gpu_sim::{
+    DeviceSpec, Endpoint, GpuCluster, KernelTraffic, Occupancy, PcieTopology, TimingModel, Transfer,
+};
 
 /// One row of the paper's Table 3 (compute cost and memory footprint of the
 /// update-X step), in floating-point operations and 4-byte words.
@@ -63,15 +71,15 @@ pub fn table3(m: f64, n: f64, nz: f64, f: f64, mb: f64) -> [Table3Row; 3] {
     [one, batch, all]
 }
 
-/// Hardware configuration used when pricing a full-scale iteration.
+/// The hardware a side update is priced on.
 #[derive(Debug, Clone)]
 pub struct ClusterConfig {
     /// Device model (all GPUs identical).
     pub device: DeviceSpec,
-    /// Interconnect topology.
+    /// Interconnect topology; its GPU count is the cluster's.
     pub topology: PcieTopology,
-    /// Number of GPUs actually installed.
-    pub n_gpus: usize,
+    /// Roofline constants every kernel is priced with.
+    pub timing: TimingModel,
     /// Memory-optimization toggles.
     pub opts: MemoryOptConfig,
     /// Cross-GPU reduction scheme.
@@ -81,138 +89,196 @@ pub struct ClusterConfig {
 impl ClusterConfig {
     /// The paper's §5.5 machine: four GK210 dies on a dual-socket host.
     pub fn four_k80() -> Self {
-        Self {
-            device: DeviceSpec::gk210(),
-            topology: PcieTopology::dual_socket(4),
-            n_gpus: 4,
-            opts: MemoryOptConfig::optimized(),
-            reduction: ReductionScheme::TwoPhase,
-        }
+        Self::of(
+            &GpuCluster::k80_dual_socket(),
+            MemoryOptConfig::optimized(),
+            ReductionScheme::TwoPhase,
+        )
     }
 
     /// `n` Titan X cards on a flat PCIe root (§5.2–5.4).
     pub fn titan_x(n: usize) -> Self {
+        Self::of(
+            &GpuCluster::titan_x_flat(n),
+            MemoryOptConfig::optimized(),
+            ReductionScheme::OnePhase,
+        )
+    }
+
+    /// The device, topology and timing model of `cluster`, with the given
+    /// memory options and reduction.
+    pub fn of(cluster: &GpuCluster, opts: MemoryOptConfig, reduction: ReductionScheme) -> Self {
         Self {
-            device: DeviceSpec::titan_x(),
-            topology: PcieTopology::flat(n),
-            n_gpus: n,
-            opts: MemoryOptConfig::optimized(),
-            reduction: ReductionScheme::OnePhase,
+            device: cluster.spec().clone(),
+            topology: cluster.topology().clone(),
+            timing: cluster.timing().clone(),
+            opts,
+            reduction,
         }
     }
+}
+
+/// Simulated timing of one side update (a half-iteration); the phases a
+/// placement does not have stay zero.
+#[derive(Debug, Clone, Copy, Default, PartialEq)]
+pub struct SideTiming {
+    /// Host→device streaming of `Θᵀ` and `R` blocks that could not be
+    /// hidden behind compute (streamed sides only).
+    pub transfer_s: f64,
+    /// `get_hermitian` kernels: the busiest GPU's sum.
+    pub get_hermitian_s: f64,
+    /// Cross-GPU reductions of the partial Hermitians (`p > 1` only).
+    pub reduce_s: f64,
+    /// Batch solves: the busiest GPU's sum.
+    pub batch_solve_s: f64,
+}
+
+impl SideTiming {
+    /// Total simulated seconds of the side update.
+    pub fn total(&self) -> f64 {
+        self.transfer_s + self.get_hermitian_s + self.reduce_s + self.batch_solve_s
+    }
+}
+
+/// The `p × q` blocks one side update solves: the rows of `R` in `q`
+/// batches, its columns (the vectors of `Θᵀ`) in `p` partitions.
+#[derive(Debug, Clone, PartialEq)]
+pub struct SideShape {
+    /// Columns of each partition.
+    pub widths: Vec<f64>,
+    /// Rows of each batch.
+    pub rows: Vec<f64>,
+    /// Ratings of block `(j, i)` (batch `j`, partition `i`) at `j·p + i`.
+    pub nnz: Vec<f64>,
+}
+
+impl SideShape {
+    /// A `rows × cols` matrix with `nz` ratings spread evenly over `plan`'s
+    /// blocks.
+    pub fn uniform(rows: f64, cols: f64, nz: f64, plan: PartitionPlan) -> Self {
+        let (p, q) = (plan.p as f64, plan.q as f64);
+        Self {
+            widths: vec![cols / p; plan.p],
+            rows: vec![rows / q; plan.q],
+            nnz: vec![nz / (p * q); plan.blocks()],
+        }
+    }
+}
+
+/// Prices one side update of rank `f` over `shape`'s blocks on `hw`, and
+/// returns its timing with each GPU's `[get_hermitian, batch_solve]` busy
+/// seconds.
+///
+/// Block `(j, i)` runs on GPU `((j mod l)·p + i) mod n`, with `l =
+/// max(1, n / p)` lanes: a batch's `p` blocks spread over GPUs (data
+/// parallelism), and `l` consecutive batches — one wave — run side by side
+/// (model parallelism, §4.4).  Each block's GPU solves `1/p` of the batch's
+/// systems after the `p` partial Hermitians are reduced (Algorithm 3 line
+/// 17).  A `streamed` side copies each GPU's `Θᵀ` partitions and every
+/// `R` block from the host over the topology, one wave's copies at once:
+/// the first wave is exposed, later waves cost what exceeds their compute.
+/// A resident side (`R` and `Θᵀ` already on the GPU) copies nothing.
+pub fn price_side(
+    hw: &ClusterConfig,
+    f: usize,
+    shape: &SideShape,
+    streamed: bool,
+) -> (SideTiming, Vec<[f64; 2]>) {
+    let (p, q, n_gpus) = (shape.widths.len(), shape.rows.len(), hw.topology.n_gpus());
+    let lanes = (n_gpus / p).max(1);
+    let (fu, ff) = (f as u32, f as f64);
+    let gh_occ = Occupancy::compute(
+        &hw.device,
+        fu,
+        mo_als_regs_per_thread(fu, hw.opts.use_registers),
+        mo_als_shared_bytes(fu, hw.opts.bin),
+    );
+    let bs_occ = Occupancy::compute(&hw.device, fu.max(32), 56, 0);
+    let kernel = |traffic: &KernelTraffic, occ: &Occupancy, scattered: bool| {
+        hw.timing
+            .kernel_time(&hw.device, traffic, occ, scattered)
+            .total_s
+    };
+
+    let mut side = SideTiming::default();
+    let mut busy = vec![[0.0f64; 2]; n_gpus];
+    for wave in (0..q).step_by(lanes) {
+        let mut wave_gh = vec![0.0f64; n_gpus];
+        let mut copies = Vec::new();
+        for j in wave..(wave + lanes).min(q) {
+            let rows = shape.rows[j];
+            for (i, &width) in shape.widths.iter().enumerate() {
+                let gpu = ((j % lanes) * p + i) % n_gpus;
+                let nnz = shape.nnz[j * p + i];
+                let traffic = get_hermitian_traffic(rows, nnz, width, ff, &hw.opts);
+                let gh = kernel(&traffic, &gh_occ, !hw.opts.use_texture);
+                let bs = kernel(&batch_solve_traffic(rows / p as f64, ff), &bs_occ, false);
+                busy[gpu][0] += gh;
+                busy[gpu][1] += bs;
+                wave_gh[gpu] += gh;
+                if streamed {
+                    if wave == 0 {
+                        copies.push(Transfer::new(
+                            Endpoint::Host,
+                            Endpoint::Gpu(gpu),
+                            width * ff * 4.0,
+                        ));
+                    }
+                    // R^(ij) as CSR words (Table 3).
+                    let words = 2.0 * nnz + rows + 1.0;
+                    copies.push(Transfer::new(
+                        Endpoint::Host,
+                        Endpoint::Gpu(gpu),
+                        words * 4.0,
+                    ));
+                }
+            }
+            if p > 1 {
+                let partials = rows * (ff * ff + ff) * 4.0;
+                side.reduce_s += reduction_time(hw.reduction, &hw.topology, partials);
+            }
+        }
+        let copy_s = hw.topology.concurrent_transfer_time(&copies);
+        side.transfer_s += if wave == 0 {
+            copy_s
+        } else {
+            (copy_s - wave_gh.into_iter().fold(0.0, f64::max)).max(0.0)
+        };
+    }
+    side.get_hermitian_s = busy.iter().map(|b| b[0]).fold(0.0, f64::max);
+    side.batch_solve_s = busy.iter().map(|b| b[1]).fold(0.0, f64::max);
+    (side, busy)
 }
 
 /// Simulated cost of one full ALS iteration at full scale.
 #[derive(Debug, Clone, Copy, Default, PartialEq)]
 pub struct IterationCost {
-    /// Seconds in `get_hermitian` kernels (both halves).
-    pub get_hermitian_s: f64,
-    /// Seconds in batch solves (both halves).
-    pub batch_solve_s: f64,
-    /// Seconds of exposed (non-overlapped) host↔device streaming.
-    pub transfer_s: f64,
-    /// Seconds of cross-GPU reductions.
-    pub reduce_s: f64,
-    /// The partition plan chosen for the update-X half.
-    pub plan_x: PartitionPlan,
-    /// The partition plan chosen for the update-Θ half.
-    pub plan_theta: PartitionPlan,
+    /// The update-X and the update-Θ half.
+    pub sides: [SideTiming; 2],
+    /// The `(p, q)` each half was priced with.
+    pub plans: [PartitionPlan; 2],
 }
 
 impl IterationCost {
     /// Total simulated seconds per iteration.
     pub fn total_s(&self) -> f64 {
-        self.get_hermitian_s + self.batch_solve_s + self.transfer_s + self.reduce_s
+        self.sides.iter().map(SideTiming::total).sum()
     }
 }
 
-/// Prices one full ALS iteration (update X + update Θ) at full scale.
-///
-/// `dims` uses the *paper-scale* `(m, n, Nz, f)`; the partitioning is chosen
-/// by the planner exactly as SU-ALS would.
+/// Prices one full ALS iteration (update X + update Θ) at full scale:
+/// each half is planned by [`planner::plan`] and streamed through
+/// [`price_side`] as evenly filled blocks of `dims`' paper-scale
+/// `(m, n, Nz, f)`.
 pub fn cumf_iteration_cost(dims: &ProblemDims, cluster: &ClusterConfig) -> IterationCost {
-    let timing = TimingModel::default();
     let mut cost = IterationCost::default();
-
-    let plan_for = |rows: u64, cols: u64| {
-        let d = ProblemDims::new(rows, cols, dims.nz, dims.f);
-        let mut plan = planner::plan(&d, &cluster.device, cluster.n_gpus * 64, 1 << 24).unwrap_or(
-            PartitionPlan {
-                p: cluster.n_gpus,
-                q: cluster.n_gpus * 16,
-            },
-        );
-        // Elasticity (§4.4): with idle GPUs, split X into at least enough
-        // batches for every GPU to work, and round q to a multiple of the
-        // concurrent batch count so waves are balanced.
-        let concurrent_batches = (cluster.n_gpus / plan.p.max(1)).max(1);
-        plan.q = plan.q.max(concurrent_batches).div_ceil(concurrent_batches) * concurrent_batches;
-        plan
-    };
-    let plan_x = plan_for(dims.m, dims.n);
-    let plan_theta = plan_for(dims.n, dims.m);
-    cost.plan_x = plan_x;
-    cost.plan_theta = plan_theta;
-
-    let mut side = |rows: f64, cols: f64, plan: PartitionPlan| {
-        let f = dims.f as f64;
-        let nz = dims.nz as f64;
-        let p = plan.p as f64;
-        let q = plan.q as f64;
-        let n_gpus = cluster.n_gpus as f64;
-
-        let gh_occ = Occupancy::compute(
-            &cluster.device,
-            dims.f as u32,
-            mo_als_regs_per_thread(dims.f as u32, cluster.opts.use_registers),
-            mo_als_shared_bytes(dims.f as u32, cluster.opts.bin),
-        );
-        let bs_occ = Occupancy::compute(&cluster.device, (dims.f as u32).max(32), 56, 0);
-
-        // Per grid block: rows/q rows, nz/(p·q) ratings, cols/p columns.
-        // All p·q blocks are independent, so they spread over the installed
-        // GPUs (data parallelism when p > 1, model parallelism over batches
-        // when p = 1 — the §5.4 Netflix/YahooMusic setting).
-        let block_traffic =
-            get_hermitian_traffic(rows / q, nz / (p * q), cols / p, f, &cluster.opts);
-        let gh_block = timing
-            .kernel_time(
-                &cluster.device,
-                &block_traffic,
-                &gh_occ,
-                !cluster.opts.use_texture,
-            )
-            .total_s;
-        let gh_total = gh_block * ((p * q) / n_gpus).ceil();
-        cost.get_hermitian_s += gh_total;
-
-        // Batch solve: each batch's rows/q systems are split over the p GPUs
-        // holding its reduced partials; with p = 1 the q batches themselves
-        // spread over the GPUs.
-        let bs_traffic = batch_solve_traffic(rows / (q * p), f);
-        let bs_total = timing
-            .kernel_time(&cluster.device, &bs_traffic, &bs_occ, false)
-            .total_s
-            * ((p * q) / n_gpus).ceil();
-        cost.batch_solve_s += bs_total;
-
-        // Reduction: per batch, each GPU holds (rows/q)·(f²+f) partial words.
-        if plan.p > 1 {
-            let bytes_per_gpu = rows / q * (f * f + f) * 4.0;
-            cost.reduce_s +=
-                reduction_time(cluster.reduction, &cluster.topology, bytes_per_gpu) * q;
-        }
-
-        // Out-of-core streaming of R and Θ partitions: exposed time beyond
-        // what prefetch hides behind compute.
-        let r_bytes = 2.0 * nz * 4.0;
-        let theta_bytes = cols * f * 4.0;
-        let stream_s = timing.transfer_time(r_bytes + theta_bytes, cluster.topology.host_link_gbs);
-        cost.transfer_s += (stream_s - gh_total).max(0.0) + gh_block.min(stream_s);
-    };
-
-    side(dims.m as f64, dims.n as f64, plan_x);
-    side(dims.n as f64, dims.m as f64, plan_theta);
+    for (k, (rows, cols)) in [(dims.m, dims.n), (dims.n, dims.m)].into_iter().enumerate() {
+        let side_dims = ProblemDims::new(rows, cols, dims.nz, dims.f);
+        let plan = planner::plan(&side_dims, &cluster.device, cluster.topology.n_gpus());
+        let shape = SideShape::uniform(rows as f64, cols as f64, dims.nz as f64, plan);
+        cost.sides[k] = price_side(cluster, dims.f as usize, &shape, true).0;
+        cost.plans[k] = plan;
+    }
     cost
 }
 
@@ -303,7 +369,7 @@ mod tests {
             &dims(PaperDataset::Netflix, 100),
             &ClusterConfig::titan_x(1),
         );
-        assert!(cost.plan_x.q > 1);
+        assert!(cost.plans[0].q > 1);
         assert!(
             cost.total_s() > 0.5 && cost.total_s() < 60.0,
             "Netflix iteration {}",

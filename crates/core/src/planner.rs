@@ -49,6 +49,15 @@ impl PartitionPlan {
     pub fn blocks(&self) -> usize {
         self.p * self.q
     }
+
+    /// The plan with `p` and `q` in `1..=n` and `1..=m`: no partition
+    /// without a column, no batch without a row.
+    pub fn clamped(self, dims: &ProblemDims) -> Self {
+        Self {
+            p: self.p.clamp(1, dims.n.max(1) as usize),
+            q: self.q.clamp(1, dims.m.max(1) as usize),
+        }
+    }
 }
 
 impl Default for PartitionPlan {
@@ -110,25 +119,36 @@ pub fn feasible(
     footprint_words(dims, p, q) < budget
 }
 
-/// Chooses `(p, q)` following the paper's best practices:
+/// The `(p, q)` of one side update of a `dims.m × dims.n` matrix on
+/// `n_gpus` devices like `device`, the one planner behind every simulated
+/// sweep:
+///
+/// 1. the equation (8) search of [`plan_with_capacity`] against the
+///    device's capacity, with `p ≤ 64·n_gpus` and `q ≤ 2²⁴`, or `(n_gpus,
+///    n_gpus)` when nothing there fits;
+/// 2. elasticity (§4.4): `q` rounds up to a multiple of `n_gpus / p`, so
+///    every GPU has a batch to solve and the waves of batches are even;
+/// 3. the plan is clamped to the matrix ([`PartitionPlan::clamped`]).
+pub fn plan(dims: &ProblemDims, device: &DeviceSpec, n_gpus: usize) -> PartitionPlan {
+    let n_gpus = n_gpus.max(1);
+    let capacity = device.global_mem_f32_capacity();
+    let mut plan = plan_with_capacity(dims, capacity, DEFAULT_HEADROOM_WORDS, n_gpus * 64, 1 << 24)
+        .unwrap_or(PartitionPlan {
+            p: n_gpus,
+            q: n_gpus,
+        });
+    let lanes = (n_gpus / plan.p).max(1);
+    plan.q = plan.q.div_ceil(lanes) * lanes;
+    plan.clamped(dims)
+}
+
+/// The equation (8) search, following the paper's best practices:
 ///
 /// 1. if everything fits with `p = 1, q = 1`, use a single GPU;
 /// 2. otherwise start from the smallest `p` such that `Θᵀ`'s partition is
 ///    about half the device (`n·f/p ≈ C/2`) and pick the smallest `q`
 ///    satisfying equation (8);
 /// 3. grow `p` (up to `max_p`) if even very large `q` cannot satisfy it.
-pub fn plan(
-    dims: &ProblemDims,
-    device: &DeviceSpec,
-    max_p: usize,
-    max_q: usize,
-) -> Result<PartitionPlan, PlanError> {
-    let capacity_words = device.global_mem_f32_capacity();
-    plan_with_capacity(dims, capacity_words, DEFAULT_HEADROOM_WORDS, max_p, max_q)
-}
-
-/// [`plan`] with an explicit capacity/headroom (useful for tests and
-/// what-if analyses).
 pub fn plan_with_capacity(
     dims: &ProblemDims,
     capacity_words: u64,
@@ -178,7 +198,7 @@ mod tests {
         // §2.2: m·f² for Netflix at f=100 exceeds a 12 GB card, so q > 1;
         // Θᵀ is tiny (17 770 × 100 floats), so p = 1 suffices.
         let dims = dims_of(PaperDataset::Netflix, 100);
-        let plan = plan(&dims, &DeviceSpec::titan_x(), 4, 1024).unwrap();
+        let plan = plan(&dims, &DeviceSpec::titan_x(), 1);
         assert_eq!(plan.p, 1);
         assert!(
             plan.q > 1,
@@ -191,7 +211,7 @@ mod tests {
     fn hugewiki_fits_with_four_partitions() {
         // §5.4 runs Hugewiki on four GPUs with data parallelism.
         let dims = dims_of(PaperDataset::Hugewiki, 100);
-        let plan = plan(&dims, &DeviceSpec::titan_x(), 4, 4096).unwrap();
+        let plan = plan(&dims, &DeviceSpec::titan_x(), 4);
         assert!(plan.p <= 4);
         assert!(plan.q >= 1);
         assert!(feasible(
@@ -206,9 +226,12 @@ mod tests {
     #[test]
     fn small_problem_runs_on_a_single_gpu() {
         let dims = ProblemDims::new(10_000, 2_000, 500_000, 32);
-        let plan = plan(&dims, &DeviceSpec::titan_x(), 4, 1024).unwrap();
+        let plan = plan(&dims, &DeviceSpec::titan_x(), 1);
         assert_eq!(plan, PartitionPlan { p: 1, q: 1 });
         assert_eq!(plan.blocks(), 1);
+        // On four GPUs the same problem is four batches, one per GPU (§4.4).
+        let four = super::plan(&dims, &DeviceSpec::titan_x(), 4);
+        assert_eq!(four, PartitionPlan { p: 1, q: 4 });
     }
 
     #[test]
@@ -216,7 +239,7 @@ mod tests {
         // §5.5: the 112-billion-rating Facebook matrix is solved out of core
         // with many batches on 4 GPUs.
         let dims = dims_of(PaperDataset::Facebook, 16);
-        let plan = plan(&dims, &DeviceSpec::gk210(), 4, 1 << 20).unwrap();
+        let plan = plan(&dims, &DeviceSpec::gk210(), 4);
         assert!(plan.q > 10, "expected many batches, got q = {}", plan.q);
     }
 
@@ -224,8 +247,13 @@ mod tests {
     fn infeasible_when_theta_partition_alone_exceeds_memory() {
         // Θᵀ bigger than p_max cards can hold in total.
         let dims = ProblemDims::new(1_000, 10_000_000_000, 1_000_000, 100);
-        let err = plan(&dims, &DeviceSpec::titan_x(), 4, 1024).unwrap_err();
+        let capacity = DeviceSpec::titan_x().global_mem_f32_capacity();
+        let err = plan_with_capacity(&dims, capacity, DEFAULT_HEADROOM_WORDS, 4, 1024).unwrap_err();
         assert!(err.to_string().contains("no feasible"));
+        // The planner then falls back to one partition and one batch per
+        // GPU.
+        let fallback = plan(&dims, &DeviceSpec::titan_x(), 4);
+        assert_eq!(fallback, PartitionPlan { p: 4, q: 4 });
     }
 
     #[test]
