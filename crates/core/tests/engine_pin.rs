@@ -145,17 +145,17 @@ const PINS: [Pin; 13] = [
     // single-gpu naive
     [[0x5522f5bc2a1e3e4e, 0x04985950d5a02fd0, 0x3f130d86482d699e], [0x468ca8a124c2b93f, 0x7b23038cf739436c, 0x3f130d86482d699e], [0x4def3e808b424410, 0x4672638da2e5aed6, 0x3f130d86482d699e]],
     // 2 gpus, one-phase, planner
-    [[0x5522f5bc2a1e3e4e, 0x04985950d5a02fd0, 0x3f17e8709ffc3e7f], [0x468ca8a124c2b93f, 0x7b23038cf739436c, 0x3f17e8709ffc3e7f], [0x4def3e808b424410, 0x4672638da2e5aed6, 0x3f17e8709ffc3e7f]],
+    [[0x5522f5bc2a1e3e4e, 0x04985950d5a02fd0, 0x3f10f1f341fd6d07], [0x468ca8a124c2b93f, 0x7b23038cf739436c, 0x3f10f1f341fd6d07], [0x4def3e808b424410, 0x4672638da2e5aed6, 0x3f10f1f341fd6d07]],
     // 4 gpus, one-phase, planner
-    [[0x5522f5bc2a1e3e4e, 0x04985950d5a02fd0, 0x3f17e8709ffc3e7f], [0x468ca8a124c2b93f, 0x7b23038cf739436c, 0x3f17e8709ffc3e7f], [0x4def3e808b424410, 0x4672638da2e5aed6, 0x3f17e8709ffc3e7f]],
+    [[0x5522f5bc2a1e3e4e, 0x04985950d5a02fd0, 0x3f10dbbdcc0a7f34], [0x468ca8a124c2b93f, 0x7b23038cf739436c, 0x3f10dbbdcc0a7f34], [0x4def3e808b424410, 0x4672638da2e5aed6, 0x3f10dbbdcc0a7f34]],
     // 1 gpu, (1, 3)
-    [[0x5522f5bc2a1e3e4e, 0x04985950d5a02fd0, 0x3f24d0ab6f033b8a], [0x468ca8a124c2b93f, 0x7b23038cf739436c, 0x3f24d0ab6f033b8a], [0x4def3e808b424410, 0x4672638da2e5aed6, 0x3f24d0ab6f033b8a]],
+    [[0x5522f5bc2a1e3e4e, 0x04985950d5a02fd0, 0x3f223194bde6ce6c], [0x468ca8a124c2b93f, 0x7b23038cf739436c, 0x3f223194bde6ce6c], [0x4def3e808b424410, 0x4672638da2e5aed6, 0x3f223194bde6ce6c]],
     // 2 gpus, (7, 1)
-    [[0xada68de1c23652ef, 0x3b4d56d0c9d7c5c9, 0x3f2c8e927c591dd9], [0x291c32bc2199a586, 0xd7e5ff734521ad2b, 0x3f2c8e927c591dd9], [0xc45a63dce51ab225, 0xb6bcb01e2c6721c3, 0x3f2c8e927c591dd9]],
+    [[0xada68de1c23652ef, 0x3b4d56d0c9d7c5c9, 0x3f29ef2d41e1b009], [0x291c32bc2199a586, 0xd7e5ff734521ad2b, 0x3f29ef2d41e1b009], [0xc45a63dce51ab225, 0xb6bcb01e2c6721c3, 0x3f29ef2d41e1b009]],
     // 4 gpus, two-phase, (4, 2)
-    [[0x0a97c747dbcb9530, 0x215c3b4badc8ef60, 0x3f267242dfbc25ac], [0x71b69363130ed303, 0xb11c0be9cd327d02, 0x3f267242dfbc25ac], [0x94ecd6ef416208ab, 0x8b8b589decb6cf9b, 0x3f267242dfbc25ac]],
+    [[0x0a97c747dbcb9530, 0x215c3b4badc8ef60, 0x3f23d2f2ea78080e], [0x71b69363130ed303, 0xb11c0be9cd327d02, 0x3f23d2f2ea78080e], [0x94ecd6ef416208ab, 0x8b8b589decb6cf9b, 0x3f23d2f2ea78080e]],
     // 4 gpus, dual socket, two-phase, (3, 5)
-    [[0x389c9a6acbfb4aa7, 0x1953094ab9ff923c, 0x3f3d4da5a122f0e0], [0x388d99faa354a99e, 0x28455c16d5dce6ab, 0x3f3d4da5a122f0e0], [0x8b57240b0af24195, 0x5f431bde56ddd38c, 0x3f3d4da5a122f0e0]],
+    [[0x389c9a6acbfb4aa7, 0x1953094ab9ff923c, 0x3f3bfd45dbf52134], [0x388d99faa354a99e, 0x28455c16d5dce6ab, 0x3f3bfd45dbf52134], [0x8b57240b0af24195, 0x5f431bde56ddd38c, 0x3f3bfd45dbf52134]],
     // reference, f = 32
     [[0xf327245518848e85, 0x9ef87e1b79c95774, 0x0000000000000000], [0xa4e37a597d0dee34, 0xb9a800efa0f733f0, 0x0000000000000000], [0x5bff61cdeeddca58, 0xcd9fef98cf3a1e41, 0x0000000000000000]],
     // single-gpu optimized, f = 32
