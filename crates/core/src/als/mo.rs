@@ -1,7 +1,7 @@
 //! Algorithm 2, MO-ALS: the memory-optimized kernels' traffic.
 //!
 //! [`crate::als::AlsEngine`] with [`crate::als::Placement::Resident`] keeps
-//! `R`, `X` and `Θᵀ` on one GPU ([`place`]) and runs the reference
+//! `R`, `X` and `Θᵀ` on one GPU (`place`) and runs the reference
 //! numerics; [`crate::costmodel::price_side`] prices each side as one block
 //! that nothing streams to.  This module counts the traffic each
 //! `get_hermitian` / `batch_solve` launch would generate on a real card,

@@ -14,7 +14,7 @@
 //! [`crate::als::AlsEngine`] with [`crate::als::Placement::Grid`] computes
 //! exactly those numerics — [`crate::als::kernels::solve_rows`] sums each
 //! row's `p` partials.  This module counts the grid's blocks from `R`
-//! ([`shape`]), once per engine, and [`crate::costmodel::price_side`]
+//! (`shape`), once per engine, and [`crate::costmodel::price_side`]
 //! prices them each sweep: the streaming of `Θᵀ(i)` and of the `R` blocks,
 //! the `get_hermitian` kernels, the cross-GPU reduction and the batch
 //! solves.  The analytic model prices the same blocks filled evenly, so on

@@ -52,7 +52,7 @@ impl PartitionPlan {
 
     /// The plan with `p` and `q` in `1..=n` and `1..=m`: no partition
     /// without a column, no batch without a row.
-    pub fn clamped(self, dims: &ProblemDims) -> Self {
+    pub(crate) fn clamped(self, dims: &ProblemDims) -> Self {
         Self {
             p: self.p.clamp(1, dims.n.max(1) as usize),
             q: self.q.clamp(1, dims.m.max(1) as usize),
@@ -128,7 +128,7 @@ pub fn feasible(
 ///    n_gpus)` when nothing there fits;
 /// 2. elasticity (§4.4): `q` rounds up to a multiple of `n_gpus / p`, so
 ///    every GPU has a batch to solve and the waves of batches are even;
-/// 3. the plan is clamped to the matrix ([`PartitionPlan::clamped`]).
+/// 3. the plan is clamped to the matrix: `p ≤ n`, `q ≤ m`.
 pub fn plan(dims: &ProblemDims, device: &DeviceSpec, n_gpus: usize) -> PartitionPlan {
     let n_gpus = n_gpus.max(1);
     let capacity = device.global_mem_f32_capacity();
