@@ -743,7 +743,6 @@ pub struct BinAblationRow {
 /// simulated iteration time at Netflix scale, f = 100: each half is one
 /// resident block on one Titan X, so only the kernels are priced.
 pub fn bin_ablation() -> Vec<BinAblationRow> {
-    let spec = DeviceSpec::titan_x();
     let netflix = PaperDataset::Netflix.spec();
     let (m, n, nz) = (netflix.m as f64, netflix.n as f64, netflix.nz as f64);
     [5u32, 10, 20, 30, 40, 60, 80, 100]
@@ -757,7 +756,7 @@ pub fn bin_ablation() -> Vec<BinAblationRow> {
                 ..ClusterConfig::titan_x(1)
             };
             let occ = Occupancy::compute(
-                &spec,
+                &hw.device,
                 100,
                 mo_als_regs_per_thread(100, true),
                 mo_als_shared_bytes(100, bin),
