@@ -15,7 +15,7 @@ use cumf_sparse::Csr;
 
 /// Random factor initialization shared by the baselines (same scaling as the
 /// core engines so convergence curves are comparable).
-pub fn init_factors(n: usize, f: usize, seed: u64) -> FactorMatrix {
+fn init_factors(n: usize, f: usize, seed: u64) -> FactorMatrix {
     FactorMatrix::random(n, f, 1.0 / (f as f32).sqrt(), seed)
 }
 
@@ -42,7 +42,7 @@ pub(crate) fn als_engine(f: usize, lambda: f32, seed: u64, r: &Csr) -> AlsEngine
 }
 
 /// Mean of the stored ratings (1.0 for an empty matrix).
-pub fn mean_rating(r: &Csr) -> f32 {
+pub(crate) fn mean_rating(r: &Csr) -> f32 {
     if r.nnz() == 0 {
         return 1.0;
     }
@@ -55,7 +55,7 @@ pub fn mean_rating(r: &Csr) -> f32 {
 /// baselines (libMF, NOMAD, HOGWILD!, CCD++) start this way — as the real
 /// libMF does — because gradient steps close the gap to the rating mean
 /// slowly, unlike an ALS sweep which jumps there in one solve.
-pub fn init_factors_to_mean(n: usize, f: usize, seed: u64, mean: f32) -> FactorMatrix {
+pub(crate) fn init_factors_to_mean(n: usize, f: usize, seed: u64, mean: f32) -> FactorMatrix {
     let scale = 2.0 * (mean.max(0.0) / f as f32).sqrt();
     FactorMatrix::random(n, f, scale.max(1e-3), seed)
 }

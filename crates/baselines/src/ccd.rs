@@ -91,7 +91,7 @@ impl CcdPlusPlus {
     }
 
     /// One full CCD++ iteration: a sweep over all `f` latent dimensions.
-    pub fn sweep(&mut self) {
+    fn sweep(&mut self) {
         let f = self.config.f;
         let lambda = self.config.lambda;
 

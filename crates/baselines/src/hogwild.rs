@@ -79,7 +79,7 @@ impl HogwildSgd {
     }
 
     /// One lock-free epoch over all ratings.
-    pub fn epoch(&mut self) {
+    fn epoch(&mut self) {
         self.engine.train_sweep();
     }
 }

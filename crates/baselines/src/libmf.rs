@@ -121,7 +121,7 @@ impl LibMfSgd {
     }
 
     /// Number of grid partitions per dimension actually used.
-    pub fn grid_dim(&self) -> usize {
+    fn grid_dim(&self) -> usize {
         self.row_ranges.len()
     }
 
@@ -142,7 +142,7 @@ impl LibMfSgd {
     }
 
     /// One epoch: `T` conflict-free rotations over the block grid.
-    pub fn epoch(&mut self) {
+    fn epoch(&mut self) {
         let t = self.grid_dim();
         let f = self.config.f;
         let alpha = self.config.learning_rate * self.config.decay.powi(self.epoch as i32);

@@ -125,7 +125,7 @@ impl NomadSgd {
 
     /// One epoch: every column token makes one full circle around the ring,
     /// so every rating is visited exactly once.
-    pub fn epoch(&mut self) {
+    fn epoch(&mut self) {
         let workers = self.n_workers();
         let f = self.config.f;
         let alpha = self.config.learning_rate * self.config.decay.powi(self.epoch as i32);

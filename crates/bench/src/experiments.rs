@@ -152,7 +152,7 @@ fn center_split(
 
 /// Runs ALS on a scaled instance of `spec` and returns the per-iteration
 /// test-RMSE trajectory (numerics only; no time axis).
-pub fn als_rmse_trajectory(
+fn als_rmse_trajectory(
     spec: &DatasetSpec,
     scale: f64,
     f_run: usize,
@@ -187,7 +187,7 @@ pub fn als_rmse_trajectory(
 
 /// Runs an SGD-family baseline on the same scaled instance and returns its
 /// per-epoch test-RMSE trajectory.
-pub fn sgd_rmse_trajectory(
+fn sgd_rmse_trajectory(
     solver_kind: SgdBaselineKind,
     spec: &DatasetSpec,
     scale: f64,
@@ -264,11 +264,7 @@ fn series_from_trajectory(
 
 /// Full-scale per-iteration time of cuMF on `n_gpus` Titan X cards for the
 /// given data set at the paper's `f`.
-pub fn cumf_full_scale_iteration_s(
-    spec: &DatasetSpec,
-    n_gpus: usize,
-    opts: MemoryOptConfig,
-) -> f64 {
+fn cumf_full_scale_iteration_s(spec: &DatasetSpec, n_gpus: usize, opts: MemoryOptConfig) -> f64 {
     let dims = ProblemDims::new(spec.m, spec.n, spec.nz, spec.f as u64);
     let mut cluster = ClusterConfig::titan_x(n_gpus);
     cluster.opts = opts;
@@ -394,7 +390,7 @@ pub fn fig6(cfg: &ExperimentConfig) -> Vec<Figure> {
 /// Figure 7 (register ablation) or Figure 8 (texture ablation): the same
 /// RMSE trajectory replayed against the per-iteration time of the optimized
 /// and the ablated configuration.
-pub fn memory_opt_ablation(cfg: &ExperimentConfig, ablate_registers: bool) -> Vec<Figure> {
+fn memory_opt_ablation(cfg: &ExperimentConfig, ablate_registers: bool) -> Vec<Figure> {
     let (label_off, off_opts) = if ablate_registers {
         (
             "cuMF without registers",
@@ -565,18 +561,6 @@ pub struct LargeScaleRow {
     pub cumf_s: f64,
     /// The paper's reported cuMF seconds per iteration.
     pub cumf_published_s: f64,
-}
-
-impl LargeScaleRow {
-    /// Speedup of cuMF over the baseline, using the modelled numbers.
-    pub fn modelled_speedup(&self) -> f64 {
-        self.baseline_model_s / self.cumf_s
-    }
-
-    /// Speedup using the published numbers where available.
-    pub fn published_speedup(&self) -> Option<f64> {
-        self.baseline_published_s.map(|b| b / self.cumf_published_s)
-    }
 }
 
 /// Figure 11: per-iteration time of cuMF on the three very large data sets
@@ -837,18 +821,14 @@ mod tests {
     #[test]
     fn fig11_cumf_beats_sparkals_and_factorbird() {
         let rows = fig11();
-        let spark = rows.iter().find(|r| r.workload == "SparkALS").unwrap();
-        assert!(
-            spark.modelled_speedup() > 3.0,
-            "SparkALS speedup {}",
-            spark.modelled_speedup()
-        );
-        let fb = rows.iter().find(|r| r.workload == "Factorbird").unwrap();
-        assert!(
-            fb.modelled_speedup() > 2.0,
-            "Factorbird speedup {}",
-            fb.modelled_speedup()
-        );
+        let speedup = |workload: &str| {
+            let r = rows.iter().find(|r| r.workload == workload).unwrap();
+            r.baseline_model_s / r.cumf_s
+        };
+        let spark = speedup("SparkALS");
+        assert!(spark > 3.0, "SparkALS speedup {spark}");
+        let fb = speedup("Factorbird");
+        assert!(fb > 2.0, "Factorbird speedup {fb}");
         // The f=100 run is the most expensive single workload.
         let largest = rows
             .iter()

@@ -1,4 +1,5 @@
-//! Seeded-fixture obs crate: unjustified orderings and a facade bypass.
+//! Seeded-fixture obs crate: unjustified orderings, a facade bypass, and
+//! a public entry point missing from SURFACE.txt.
 use std::sync::Mutex;
 use std::sync::atomic::{AtomicU64, Ordering};
 
@@ -19,6 +20,10 @@ impl Counter {
     pub fn locked(&self) -> u64 {
         *self.guard.lock().unwrap_or_else(|p| p.into_inner())
     }
+}
+
+pub fn unrecorded_entry_point() -> u64 {
+    0
 }
 
 #[cfg(test)]

@@ -4,8 +4,8 @@
 //! the concurrency hygiene rules the model checker (`vendor/loom`) and the
 //! sanitizer lanes cannot: justification comments on atomic orderings, the
 //! `crate::sync` facade discipline, panic-free serving code, shard-lock
-//! ordering in the result cache, and drift detection for the vendored
-//! dependency shims.
+//! ordering in the result cache, and drift detection for the public
+//! surface of the vendored dependency shims and the workspace crates.
 //!
 //! # Rules
 //!
@@ -17,7 +17,7 @@
 //! | `serve-unwrap` | `crates/serve/src`, non-test | no `.unwrap()` / `.expect(` on the serving tier's request path |
 //! | `lock-order` | `crates/serve/src/cache.rs` | shard guards stay statement-temporaries; shards iterate in ascending order; never two shard locks in one statement |
 //! | `quant-cast` | `crates/*/src/*quant*.rs`, non-test | every `as f32` / `as i8` narrowing in a codec module carries `// quant-ok: <why>` |
-//! | `shim-drift` | `vendor/*` | the shim's `pub` surface matches its checked-in `SURFACE.txt` |
+//! | `shim-drift` | `vendor/*`, `crates/*` | the shim's or crate's `pub` surface matches its checked-in `SURFACE.txt` |
 //! | `baseline-stale` | `crates/check/baseline.txt` | every baseline entry still matches a real finding |
 //!
 //! # Suppressions
@@ -246,10 +246,10 @@ fn rel(root: &Path, p: &Path) -> String {
 
 /// Scans every workspace crate under `root/crates` plus the vendored shims
 /// and returns all findings (before baseline filtering), sorted.
-pub fn check_workspace(root: &Path) -> Vec<Finding> {
+fn check_workspace(root: &Path) -> Vec<Finding> {
     let mut findings = Vec::new();
     scan_crates(root, &mut findings);
-    scan_vendor(root, &mut findings);
+    scan_surfaces(root, &mut findings);
     findings.sort();
     findings
 }
@@ -421,10 +421,10 @@ fn scan_file(
     }
 }
 
-/// Extracts the normalized public surface of a shim's `src/` tree: one
-/// entry per `pub` item declaration, whitespace-collapsed, bodies
-/// truncated.  `pub(crate)`/`pub(super)` items are internal and excluded.
-pub fn pub_surface(src: &Path) -> BTreeSet<String> {
+/// Extracts the normalized public surface of a `src/` tree: one entry per
+/// `pub` item declaration, whitespace-collapsed, bodies truncated.
+/// `pub(crate)`/`pub(super)` items are internal and excluded.
+fn pub_surface(src: &Path) -> BTreeSet<String> {
     let mut out = BTreeSet::new();
     for file in rs_files(src) {
         let Ok(text) = fs::read_to_string(&file) else {
@@ -473,27 +473,36 @@ pub fn pub_surface(src: &Path) -> BTreeSet<String> {
     out
 }
 
-fn vendor_shims(root: &Path) -> Vec<PathBuf> {
-    let Ok(entries) = fs::read_dir(root.join("vendor")) else {
-        return Vec::new();
-    };
-    let mut dirs: Vec<_> = entries
-        .filter_map(|e| e.ok().map(|e| e.path()))
-        .filter(|p| p.join("src").is_dir())
-        .collect();
-    dirs.sort();
+/// Every directory whose `pub` surface is frozen: the vendored shims and
+/// the workspace crates, as `(root-relative name, directory)` pairs.
+fn surface_dirs(root: &Path) -> Vec<(String, PathBuf)> {
+    let mut dirs = Vec::new();
+    for parent in ["crates", "vendor"] {
+        let Ok(entries) = fs::read_dir(root.join(parent)) else {
+            continue;
+        };
+        let mut found: Vec<_> = entries
+            .filter_map(|e| e.ok().map(|e| e.path()))
+            .filter(|p| p.join("src").is_dir())
+            .collect();
+        found.sort();
+        dirs.extend(found.into_iter().map(|p| {
+            let name = p.file_name().unwrap_or_default().to_string_lossy();
+            (format!("{parent}/{name}"), p)
+        }));
+    }
     dirs
 }
 
-fn scan_vendor(root: &Path, findings: &mut Vec<Finding>) {
-    for shim in vendor_shims(root) {
-        let actual = pub_surface(&shim.join("src"));
-        let surface_path = shim.join("SURFACE.txt");
-        let shim_rel = rel(root, &surface_path);
+fn scan_surfaces(root: &Path, findings: &mut Vec<Finding>) {
+    for (_, dir) in surface_dirs(root) {
+        let actual = pub_surface(&dir.join("src"));
+        let surface_path = dir.join("SURFACE.txt");
+        let surface_rel = rel(root, &surface_path);
         let Ok(recorded_text) = fs::read_to_string(&surface_path) else {
             findings.push(Finding {
                 rule: RULE_SHIM_DRIFT,
-                path: shim_rel,
+                path: surface_rel,
                 line: 0,
                 source: String::new(),
                 message:
@@ -511,44 +520,39 @@ fn scan_vendor(root: &Path, findings: &mut Vec<Finding>) {
         for item in actual.difference(&recorded) {
             findings.push(Finding {
                 rule: RULE_SHIM_DRIFT,
-                path: shim_rel.clone(),
+                path: surface_rel.clone(),
                 line: 0,
                 source: item.clone(),
-                message: "shim grew a public item not recorded in SURFACE.txt".to_string(),
+                message: "public item not recorded in SURFACE.txt".to_string(),
             });
         }
         for item in recorded.difference(&actual) {
             findings.push(Finding {
                 rule: RULE_SHIM_DRIFT,
-                path: shim_rel.clone(),
+                path: surface_rel.clone(),
                 line: 0,
                 source: item.clone(),
-                message: "SURFACE.txt entry no longer exists in the shim".to_string(),
+                message: "SURFACE.txt entry no longer exists in the source".to_string(),
             });
         }
     }
 }
 
-/// Regenerates every shim's `SURFACE.txt`; returns the paths written.
+/// Regenerates every shim's and crate's `SURFACE.txt`; returns the paths
+/// written.
 pub fn update_surfaces(root: &Path) -> io::Result<Vec<PathBuf>> {
     let mut written = Vec::new();
-    for shim in vendor_shims(root) {
-        let surface = pub_surface(&shim.join("src"));
-        let name = shim
-            .file_name()
-            .unwrap_or_default()
-            .to_string_lossy()
-            .to_string();
+    for (name, dir) in surface_dirs(root) {
         let mut text = format!(
-            "# Public surface of vendor/{name}, one normalized declaration per line.\n\
+            "# Public surface of {name}, one normalized declaration per line.\n\
              # Checked by `cumf-check` (rule: shim-drift); regenerate with\n\
              # `cargo run -p cumf-check --bin lint -- --update-surface`.\n"
         );
-        for item in &surface {
+        for item in &pub_surface(&dir.join("src")) {
             text.push_str(item);
             text.push('\n');
         }
-        let path = shim.join("SURFACE.txt");
+        let path = dir.join("SURFACE.txt");
         fs::write(&path, text)?;
         written.push(path);
     }
@@ -563,7 +567,7 @@ pub struct BaselineEntry {
 }
 
 /// Loads `crates/check/baseline.txt` (missing file = empty baseline).
-pub fn load_baseline(root: &Path) -> Vec<BaselineEntry> {
+fn load_baseline(root: &Path) -> Vec<BaselineEntry> {
     let Ok(text) = fs::read_to_string(root.join("crates/check/baseline.txt")) else {
         return Vec::new();
     };
@@ -600,7 +604,7 @@ impl LintReport {
     }
 }
 
-pub fn apply_baseline(findings: Vec<Finding>, entries: &[BaselineEntry]) -> LintReport {
+fn apply_baseline(findings: Vec<Finding>, entries: &[BaselineEntry]) -> LintReport {
     let mut used = vec![false; entries.len()];
     let mut report = LintReport {
         total: findings.len(),
@@ -682,6 +686,13 @@ mod tests {
                 "seeded fixture missed rule {rule}: {findings:#?}"
             );
         }
+        // The drift rule covers the workspace crates as well as the shims.
+        assert!(
+            findings.iter().any(|f| f.rule == RULE_SHIM_DRIFT
+                && f.path == "crates/obs/SURFACE.txt"
+                && f.source == "pub fn unrecorded_entry_point() -> u64"),
+            "seeded crate's unrecorded entry point missed: {findings:#?}"
+        );
         let report = apply_baseline(findings, &[]);
         assert!(!report.is_clean(), "seeded fixture must fail the lint");
     }

@@ -26,4 +26,4 @@ pub mod pricing;
 pub use models::{BaselineSystem, IterationEstimate};
 pub use network::ClusterNetwork;
 pub use node::NodeSpec;
-pub use pricing::{cost_of_run, CostComparison};
+pub use pricing::CostComparison;

@@ -105,7 +105,7 @@ impl BaselineSystem {
 
     /// Is the modelled algorithm SGD (an "iteration" is one epoch) rather
     /// than ALS?
-    pub fn is_sgd(&self) -> bool {
+    fn is_sgd(&self) -> bool {
         matches!(
             self,
             BaselineSystem::Factorbird50

@@ -34,33 +34,13 @@ impl ClusterNetwork {
     }
 
     /// Per-node bandwidth in bytes/second.
-    pub fn node_bandwidth_bytes(&self) -> f64 {
+    fn node_bandwidth_bytes(&self) -> f64 {
         self.node.net_gbits * 1e9 / 8.0
-    }
-
-    /// Time to broadcast `bytes` from one node to all others
-    /// (tree broadcast: log₂(n) rounds at full node bandwidth).
-    pub fn broadcast_time(&self, bytes: f64) -> f64 {
-        if self.n_nodes <= 1 || bytes <= 0.0 {
-            return 0.0;
-        }
-        let rounds = (self.n_nodes as f64).log2().ceil();
-        rounds * (self.latency_s + bytes / self.node_bandwidth_bytes())
-    }
-
-    /// Time for an all-reduce of `bytes` per node (ring all-reduce:
-    /// 2·(n−1)/n of the data crosses each link).
-    pub fn allreduce_time(&self, bytes: f64) -> f64 {
-        if self.n_nodes <= 1 || bytes <= 0.0 {
-            return 0.0;
-        }
-        let n = self.n_nodes as f64;
-        2.0 * (n - 1.0) / n * bytes / self.node_bandwidth_bytes() + 2.0 * (n - 1.0) * self.latency_s
     }
 
     /// Time for an all-to-all shuffle where each node sends `bytes_per_node`
     /// in total, split across all peers (each node's NIC is the bottleneck).
-    pub fn shuffle_time(&self, bytes_per_node: f64) -> f64 {
+    pub(crate) fn shuffle_time(&self, bytes_per_node: f64) -> f64 {
         if self.n_nodes <= 1 || bytes_per_node <= 0.0 {
             return 0.0;
         }
@@ -69,7 +49,7 @@ impl ClusterNetwork {
 
     /// Aggregate compute throughput of the cluster in GFLOP/s at the given
     /// per-node efficiency.
-    pub fn total_gflops(&self, efficiency: f64) -> f64 {
+    pub(crate) fn total_gflops(&self, efficiency: f64) -> f64 {
         self.node.effective_gflops(efficiency) * self.n_nodes as f64
     }
 }
@@ -85,29 +65,7 @@ mod tests {
     #[test]
     fn single_node_communicates_for_free() {
         let c = ClusterNetwork::new(NodeSpec::m3_xlarge(), 1);
-        assert_eq!(c.broadcast_time(1e9), 0.0);
-        assert_eq!(c.allreduce_time(1e9), 0.0);
         assert_eq!(c.shuffle_time(1e9), 0.0);
-    }
-
-    #[test]
-    fn broadcast_scales_logarithmically() {
-        let t32 = aws32().broadcast_time(1e9);
-        let t4 = ClusterNetwork::new(NodeSpec::m3_xlarge(), 4).broadcast_time(1e9);
-        assert!(t32 > t4);
-        assert!(t32 < t4 * 4.0, "log scaling, not linear");
-    }
-
-    #[test]
-    fn allreduce_approaches_2x_bandwidth_cost() {
-        let c = aws32();
-        let bytes = 10e9;
-        let t = c.allreduce_time(bytes);
-        let floor = 2.0 * bytes / c.node_bandwidth_bytes();
-        assert!(
-            t >= floor * 0.9 && t < floor * 1.5,
-            "t = {t}, floor = {floor}"
-        );
     }
 
     #[test]
@@ -128,8 +86,6 @@ mod tests {
     #[test]
     fn zero_bytes_cost_nothing() {
         let c = aws32();
-        assert_eq!(c.broadcast_time(0.0), 0.0);
-        assert_eq!(c.allreduce_time(0.0), 0.0);
         assert_eq!(c.shuffle_time(0.0), 0.0);
     }
 }

@@ -27,7 +27,7 @@ impl NodeSpec {
     /// AWS m3.xlarge (4 vCPU, 15 GiB) — NOMAD's AWS node type (Table 1 notes
     /// that the m1.xlarge used by the NOMAD paper is superseded by
     /// m3.xlarge).
-    pub fn m3_xlarge() -> Self {
+    pub(crate) fn m3_xlarge() -> Self {
         Self {
             name: "m3.xlarge",
             vcpus: 4,
@@ -40,7 +40,7 @@ impl NodeSpec {
     }
 
     /// AWS m3.2xlarge (8 vCPU, 30 GiB) — SparkALS's node type.
-    pub fn m3_2xlarge() -> Self {
+    pub(crate) fn m3_2xlarge() -> Self {
         Self {
             name: "m3.2xlarge",
             vcpus: 8,
@@ -53,7 +53,7 @@ impl NodeSpec {
     }
 
     /// AWS c3.2xlarge (8 vCPU, 15 GiB) — comparable to Factorbird's nodes.
-    pub fn c3_2xlarge() -> Self {
+    pub(crate) fn c3_2xlarge() -> Self {
         Self {
             name: "c3.2xlarge",
             vcpus: 8,
@@ -67,7 +67,7 @@ impl NodeSpec {
 
     /// A 30-core bare-metal machine, the libMF/NOMAD single-machine setting
     /// of §5.2.
-    pub fn bare_metal_30core() -> Self {
+    pub(crate) fn bare_metal_30core() -> Self {
         Self {
             name: "bare-metal 30-core",
             vcpus: 30,
@@ -81,7 +81,7 @@ impl NodeSpec {
 
     /// One node of the 64-node HPC cluster NOMAD uses (§5.4): faster cores
     /// and a much faster interconnect than AWS.
-    pub fn hpc_node() -> Self {
+    pub(crate) fn hpc_node() -> Self {
         Self {
             name: "HPC node",
             vcpus: 16,
@@ -110,7 +110,7 @@ impl NodeSpec {
     /// Effective sustained GFLOP/s for sparse MF kernels: CPUs rarely
     /// sustain more than a modest fraction of peak on irregular sparse
     /// workloads.
-    pub fn effective_gflops(&self, efficiency: f64) -> f64 {
+    pub(crate) fn effective_gflops(&self, efficiency: f64) -> f64 {
         self.flops_gflops * efficiency
     }
 }

@@ -6,7 +6,7 @@
 //! directly from that formula once per-iteration times are known.
 
 /// Cost in dollars of running `n_nodes` nodes for `seconds`.
-pub fn cost_of_run(price_per_node_hour: f64, n_nodes: usize, seconds: f64) -> f64 {
+pub(crate) fn cost_of_run(price_per_node_hour: f64, n_nodes: usize, seconds: f64) -> f64 {
     price_per_node_hour * n_nodes as f64 * (seconds / 3600.0)
 }
 
@@ -55,11 +55,6 @@ impl CostComparison {
     pub fn cost_fraction(&self) -> f64 {
         self.cumf_cost() / self.baseline_cost()
     }
-
-    /// Cost-efficiency multiple (the paper's "33–100× as cost-efficient").
-    pub fn cost_efficiency(&self) -> f64 {
-        1.0 / self.cost_fraction()
-    }
 }
 
 #[cfg(test)]
@@ -90,7 +85,7 @@ mod tests {
         assert!((row.speedup() - 10.0).abs() < 1e-9);
         let frac = row.cost_fraction();
         assert!(frac > 0.005 && frac < 0.02, "cost fraction {frac}");
-        assert!(row.cost_efficiency() > 50.0);
+        assert!(1.0 / frac > 50.0, "cost efficiency {}", 1.0 / frac);
     }
 
     #[test]
@@ -125,6 +120,6 @@ mod tests {
             baseline_price_per_hour: 0.10,
             ..expensive.clone()
         };
-        assert!(cheap.cost_efficiency() < expensive.cost_efficiency());
+        assert!(cheap.cost_fraction() > expensive.cost_fraction());
     }
 }

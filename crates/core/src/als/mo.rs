@@ -30,7 +30,7 @@ const TEXTURE_CACHE_BYTES: f64 = 4.0 * 1024.0 * 1024.0;
 ///
 /// The byte accounting follows Table 3 of the paper; the split between the
 /// memory spaces follows §3.3.
-pub fn get_hermitian_traffic(
+pub(crate) fn get_hermitian_traffic(
     rows: f64,
     nnz: f64,
     cols: f64,
@@ -101,7 +101,7 @@ pub fn get_hermitian_traffic(
 }
 
 /// Traffic of the batched Cholesky solve of `rows` systems of size `f`.
-pub fn batch_solve_traffic(rows: f64, f: f64) -> KernelTraffic {
+pub(crate) fn batch_solve_traffic(rows: f64, f: f64) -> KernelTraffic {
     let fbytes = 4.0;
     KernelTraffic {
         // Table 3 accounts the solve as O(f³); the Cholesky factorization the

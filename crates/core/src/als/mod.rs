@@ -13,5 +13,7 @@ pub mod su;
 pub use base::{AlsEngine, Placement};
 
 /// MO-ALS on one simulated Titan X: [`AlsEngine::on_titan_x`], under the
-/// name the benchmark crate builds its training engine by.
+/// name the benchmark crate builds its training engine by.  `perf/src/api.rs`
+/// is its only user; once that calls `AlsEngine::on_titan_x`, this alias is
+/// the last thing to delete.
 pub type MoAlsEngine = AlsEngine;

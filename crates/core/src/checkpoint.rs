@@ -33,7 +33,6 @@ use cumf_linalg::FactorMatrix;
 use std::fs::{self, File};
 use std::io::{self, BufReader, BufWriter, Read, Write};
 use std::path::{Path, PathBuf};
-use std::thread::JoinHandle;
 
 const MAGIC: &[u8; 8] = b"CUMFCKP1";
 /// Version 2 adds the base factor shapes (replay-safety guard); v1 records
@@ -192,13 +191,6 @@ impl CheckpointManager {
         }
         fs::rename(&tmp_path, &final_path)?;
         Ok(final_path)
-    }
-
-    /// Saves a checkpoint on a background thread (the asynchronous mode the
-    /// paper describes); join the handle to observe errors.
-    pub fn save_async(&self, checkpoint: Checkpoint) -> JoinHandle<io::Result<PathBuf>> {
-        let manager = self.clone();
-        std::thread::spawn(move || manager.save(&checkpoint))
     }
 
     /// The highest-iteration checkpoint file, if any.
@@ -374,7 +366,7 @@ impl CheckpointManager {
 
     /// Record count and summed on-disk bytes of the delta chain hanging off
     /// `iteration`.
-    pub fn chain_stats(&self, iteration: u64) -> io::Result<(usize, u64)> {
+    fn chain_stats(&self, iteration: u64) -> io::Result<(usize, u64)> {
         let chain = self.chain_files(iteration)?;
         let mut bytes = 0u64;
         for (_, path) in &chain {
@@ -583,17 +575,6 @@ mod tests {
         let dir = temp_dir();
         let mgr = CheckpointManager::new(&dir).unwrap();
         assert!(mgr.load_latest().unwrap().is_none());
-        fs::remove_dir_all(dir).unwrap();
-    }
-
-    #[test]
-    fn async_save_is_observable_after_join() {
-        let dir = temp_dir();
-        let mgr = CheckpointManager::new(&dir).unwrap();
-        let handle = mgr.save_async(sample_checkpoint(2, 9));
-        let path = handle.join().unwrap().unwrap();
-        assert!(path.exists());
-        assert_eq!(mgr.load_latest().unwrap().unwrap().iteration, 2);
         fs::remove_dir_all(dir).unwrap();
     }
 

@@ -58,7 +58,7 @@ impl TrainMetrics {
     /// Records one solved row: its Hermitian-assembly phase and its solve
     /// phase — for a row solved in a group, its equal share of the group's
     /// ([`Self::record_group`]).
-    pub fn record_row(&self, assembly_ns: u64, solve_ns: u64) {
+    fn record_row(&self, assembly_ns: u64, solve_ns: u64) {
         self.assembly.record_ns(assembly_ns);
         self.solve.record_ns(solve_ns);
         self.rows_solved.fetch_add(1, Ordering::Relaxed); // relaxed-ok: monotonic progress counter
@@ -78,17 +78,17 @@ impl TrainMetrics {
     }
 
     /// Records one whole `solve_side` call.
-    pub fn record_solve_side(&self, elapsed: Duration) {
+    pub(crate) fn record_solve_side(&self, elapsed: Duration) {
         self.solve_side.record(elapsed);
     }
 
     /// Records one fold-in batch.
-    pub fn record_fold_in(&self, elapsed: Duration) {
+    pub(crate) fn record_fold_in(&self, elapsed: Duration) {
         self.fold_in.record(elapsed);
     }
 
     /// Non-empty rows solved so far.
-    pub fn rows_solved(&self) -> u64 {
+    fn rows_solved(&self) -> u64 {
         self.rows_solved.load(Ordering::Relaxed) // relaxed-ok: monotonic progress counter read
     }
 

@@ -73,7 +73,6 @@ pub mod engine;
 pub mod foldin;
 pub mod instrument;
 pub mod loss;
-pub mod metrics;
 pub mod oocore;
 pub mod planner;
 pub mod reduce;

@@ -30,7 +30,7 @@ pub enum ReductionScheme {
 
 /// The transfers each phase of the reduction performs.  Phases are executed
 /// one after another; transfers within a phase are concurrent.
-pub fn reduction_transfers(
+fn reduction_transfers(
     scheme: ReductionScheme,
     topo: &PcieTopology,
     bytes_per_gpu: f64,

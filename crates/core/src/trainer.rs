@@ -62,17 +62,6 @@ impl Backend {
             plan: None,
         }
     }
-
-    /// Four GPUs on a dual-socket machine with the topology-aware two-phase
-    /// reduction (the paper's large-scale setting).
-    pub fn multi_gpu_dual_socket(n_gpus: usize) -> Self {
-        Backend::MultiGpu {
-            n_gpus,
-            topology: TopologyKind::DualSocket,
-            reduction: ReductionScheme::TwoPhase,
-            plan: None,
-        }
-    }
 }
 
 /// Convergence record of one ALS iteration.
@@ -97,6 +86,10 @@ pub struct IterationRecord {
 pub struct TrainReport {
     /// Per-iteration convergence records.
     pub iterations: Vec<IterationRecord>,
+    /// The first checkpoint write that failed, if any.  Training carries on
+    /// past it, so a run whose checkpoint directory has gone still returns
+    /// its factors, but a restore would read an older checkpoint.
+    pub checkpoint_error: Option<String>,
 }
 
 impl TrainReport {
@@ -122,15 +115,6 @@ impl TrainReport {
             .last()
             .map(|r| r.cumulative_sim_time_s)
             .unwrap_or(0.0)
-    }
-
-    /// Simulated seconds needed to reach a test RMSE at or below `target`;
-    /// `None` if the run never got there.
-    pub fn sim_time_to_rmse(&self, target: f64) -> Option<f64> {
-        self.iterations
-            .iter()
-            .find(|r| r.test_rmse <= target)
-            .map(|r| r.cumulative_sim_time_s)
     }
 }
 
@@ -164,7 +148,7 @@ impl MatrixFactorizer {
     /// # Panics
     /// Panics (at `fit` time) if the factor shapes do not match the training
     /// matrix or the configured rank.
-    pub fn with_warm_start(mut self, x: FactorMatrix, theta: FactorMatrix) -> Self {
+    fn with_warm_start(mut self, x: FactorMatrix, theta: FactorMatrix) -> Self {
         self.warm_start = Some((x, theta));
         self
     }
@@ -177,7 +161,8 @@ impl MatrixFactorizer {
     }
 
     /// Enables checkpointing of the factors after every iteration into
-    /// `dir`.
+    /// `dir`.  A failed write does not stop `fit`; the first one is
+    /// reported in [`TrainReport::checkpoint_error`].
     pub fn with_checkpointing(
         mut self,
         dir: impl Into<std::path::PathBuf>,
@@ -271,11 +256,14 @@ impl MatrixFactorizer {
             };
 
             if let Some(mgr) = &self.checkpoints {
-                let _ = mgr.save(&Checkpoint {
+                let saved = mgr.save(&Checkpoint {
                     iteration: iter as u64,
                     x: engine.x().clone(),
                     theta: engine.theta().clone(),
                 });
+                if let (Err(e), None) = (saved, &report.checkpoint_error) {
+                    report.checkpoint_error = Some(format!("iteration {iter}: {e}"));
+                }
             }
 
             report.iterations.push(IterationRecord {
@@ -309,7 +297,7 @@ impl MatrixFactorizer {
     ///
     /// # Panics
     /// Panics if [`MatrixFactorizer::fit`] has not been called.
-    pub fn fitted_engine(&self) -> &dyn IncrementalEngine {
+    fn fitted_engine(&self) -> &dyn IncrementalEngine {
         self.engine
             .as_deref()
             .expect("call fit() before reading factors")
@@ -382,11 +370,6 @@ impl MatrixFactorizer {
     /// [`MatrixFactorizer::fold_in_users`] has run.
     pub fn train_metrics(&self) -> TrainMetricsReport {
         self.metrics.report()
-    }
-
-    /// The live, shared metrics sink (for periodic reporters).
-    pub fn train_metrics_handle(&self) -> Arc<TrainMetrics> {
-        Arc::clone(&self.metrics)
     }
 
     /// Top-`k` recommendations for `user`, excluding the items listed in
@@ -569,18 +552,6 @@ mod tests {
     }
 
     #[test]
-    fn sim_time_to_rmse_finds_the_crossing_iteration() {
-        let (train, test) = problem();
-        let mut model = MatrixFactorizer::new(config(6), Backend::single_gpu());
-        let report = model.fit(&train, &test);
-        let final_rmse = report.final_test_rmse();
-        let t = report.sim_time_to_rmse(final_rmse + 1e-9);
-        assert!(t.is_some());
-        assert!(t.unwrap() <= report.total_sim_time() + 1e-12);
-        assert!(report.sim_time_to_rmse(0.0).is_none());
-    }
-
-    #[test]
     fn checkpointing_writes_restorable_files() {
         let (train, test) = problem();
         let dir = std::env::temp_dir().join(format!("cumf_trainer_ckpt_{}", std::process::id()));
@@ -593,6 +564,26 @@ mod tests {
         assert_eq!(latest.iteration, 2);
         assert_eq!(latest.x.max_abs_diff(model.x()), 0.0);
         std::fs::remove_dir_all(dir).unwrap();
+    }
+
+    #[test]
+    fn a_failed_checkpoint_write_is_reported_and_training_continues() {
+        let (train, test) = problem();
+        let dir = std::env::temp_dir().join(format!("cumf_trainer_gone_{}", std::process::id()));
+        let mut model = MatrixFactorizer::new(config(3), Backend::Reference)
+            .with_checkpointing(&dir)
+            .unwrap();
+        // The directory disappears after set-up; a regular file takes its
+        // place, so every write fails.
+        std::fs::remove_dir_all(&dir).unwrap();
+        std::fs::write(&dir, b"not a directory").unwrap();
+        let report = model.fit(&train, &test);
+        std::fs::remove_file(&dir).unwrap();
+        assert_eq!(report.iterations.len(), 3, "training carries on");
+        let err = report
+            .checkpoint_error
+            .expect("the failed write is reported");
+        assert!(err.starts_with("iteration 1: "), "first failure: {err}");
     }
 
     #[test]

@@ -3,7 +3,7 @@
 //! trained through the production f32 Cholesky must follow, sweep by sweep,
 //! the RMSE of the same sweeps with every row solved in f64.
 
-use cumf_core::als::MoAlsEngine;
+use cumf_core::als::AlsEngine;
 use cumf_core::config::AlsConfig;
 use cumf_core::loss::rmse_csr;
 use cumf_data::synth::SyntheticConfig;
@@ -88,7 +88,7 @@ fn f32_solver_follows_the_f64_trajectory() {
             seed: 5,
             ..Default::default()
         };
-        let mut engine = MoAlsEngine::on_titan_x(config.clone(), r.clone());
+        let mut engine = AlsEngine::on_titan_x(config.clone(), r.clone());
         let mut theta = engine.theta().clone();
         for sweep in 1..=4 {
             engine.iterate();

@@ -119,21 +119,6 @@ pub struct DatasetSpec {
 }
 
 impl DatasetSpec {
-    /// Mean ratings per user, `Nz / m`.
-    pub fn mean_ratings_per_row(&self) -> f64 {
-        self.nz as f64 / self.m as f64
-    }
-
-    /// Mean ratings per item, `Nz / n`.
-    pub fn mean_ratings_per_col(&self) -> f64 {
-        self.nz as f64 / self.n as f64
-    }
-
-    /// Density `Nz / (m·n)`.
-    pub fn density(&self) -> f64 {
-        self.nz as f64 / (self.m as f64 * self.n as f64)
-    }
-
     /// Number of model parameters `(m + n)·f` — the x-axis of Figure 2.
     pub fn model_parameters(&self) -> u64 {
         (self.m + self.n) * self.f as u64
@@ -173,6 +158,16 @@ impl DatasetSpec {
 mod tests {
     use super::*;
 
+    /// Mean ratings per user, `Nz / m`.
+    fn mean_ratings_per_row(d: &DatasetSpec) -> f64 {
+        d.nz as f64 / d.m as f64
+    }
+
+    /// Density `Nz / (m·n)`.
+    fn density(d: &DatasetSpec) -> f64 {
+        d.nz as f64 / (d.m as f64 * d.n as f64)
+    }
+
     #[test]
     fn table5_rows_match_the_paper() {
         let netflix = PaperDataset::Netflix.spec();
@@ -198,7 +193,7 @@ mod tests {
     fn netflix_mean_ratings_per_user_is_about_200() {
         // §2.2: "one user rates around 200 items on average".
         let netflix = PaperDataset::Netflix.spec();
-        let mean = netflix.mean_ratings_per_row();
+        let mean = mean_ratings_per_row(&netflix);
         assert!(mean > 150.0 && mean < 250.0, "mean = {mean}");
     }
 
@@ -208,7 +203,7 @@ mod tests {
         // its sparser rating matrix.
         let netflix = PaperDataset::Netflix.spec();
         let yahoo = PaperDataset::YahooMusic.spec();
-        assert!(yahoo.density() < netflix.density());
+        assert!(density(&yahoo) < density(&netflix));
     }
 
     #[test]
@@ -224,7 +219,7 @@ mod tests {
     fn scaled_preserves_mean_degree_and_caps_nz() {
         let netflix = PaperDataset::Netflix.spec();
         let small = netflix.scaled(0.05);
-        let ratio = small.mean_ratings_per_row() / netflix.mean_ratings_per_row();
+        let ratio = mean_ratings_per_row(&small) / mean_ratings_per_row(&netflix);
         assert!(ratio > 0.9 && ratio < 1.1, "ratio = {ratio}");
         assert!(small.nz <= small.m * small.n);
         assert_eq!(small.f, netflix.f);

@@ -58,7 +58,7 @@ pub fn read_matrix_market(path: &Path) -> Result<Coo, IoError> {
 }
 
 /// Reads MatrixMarket coordinate data from any buffered reader.
-pub fn read_matrix_market_from<R: BufRead>(reader: R) -> Result<Coo, IoError> {
+fn read_matrix_market_from<R: BufRead>(reader: R) -> Result<Coo, IoError> {
     let mut lines = reader.lines().enumerate();
 
     // Header: skip comments, read the size line.
@@ -128,7 +128,7 @@ pub fn read_csv_triplets(path: &Path, delimiter: char, has_header: bool) -> Resu
 }
 
 /// Reads delimiter-separated triplets from any buffered reader.
-pub fn read_csv_triplets_from<R: BufRead>(
+fn read_csv_triplets_from<R: BufRead>(
     reader: R,
     delimiter: char,
     has_header: bool,

@@ -16,18 +16,6 @@ pub struct TrainTest {
     pub test: Vec<Entry>,
 }
 
-impl TrainTest {
-    /// Fraction of all ratings that ended up in the test set.
-    pub fn test_fraction(&self) -> f64 {
-        let total = self.train.nnz() + self.test.len();
-        if total == 0 {
-            0.0
-        } else {
-            self.test.len() as f64 / total as f64
-        }
-    }
-}
-
 /// Randomly splits `ratings` into a training matrix and a held-out test set.
 ///
 /// Each entry lands in the test set independently with probability
@@ -89,7 +77,7 @@ mod tests {
     fn test_fraction_is_close_to_requested() {
         let ratings = sample();
         let tt = train_test_split(&ratings, 0.2, 2);
-        let frac = tt.test_fraction();
+        let frac = tt.test.len() as f64 / ratings.nnz() as f64;
         assert!(frac > 0.12 && frac < 0.25, "fraction = {frac}");
     }
 

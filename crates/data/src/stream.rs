@@ -29,7 +29,6 @@ use cumf_linalg::blas::dot;
 use cumf_linalg::FactorMatrix;
 use cumf_sparse::Entry;
 use rand::prelude::*;
-use std::path::Path;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 use std::thread::JoinHandle;
@@ -177,18 +176,6 @@ impl ReplayStream {
             entries: entries.into_iter(),
             n_items,
         }
-    }
-
-    /// Replays a `user,item,rating` triplet file (see
-    /// [`crate::io::read_csv_triplets`]) in file order.
-    pub fn from_csv(
-        path: &Path,
-        delimiter: char,
-        has_header: bool,
-    ) -> Result<Self, crate::io::IoError> {
-        let coo = crate::io::read_csv_triplets(path, delimiter, has_header)?;
-        let n_items = coo.n_cols();
-        Ok(Self::from_entries(coo.entries().to_vec(), n_items))
     }
 }
 

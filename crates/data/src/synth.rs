@@ -182,7 +182,7 @@ impl SyntheticConfig {
 
     /// The rating implied by a ground-truth dot product, before noise and
     /// clamping: the midpoint of the rating range plus the (zero-mean) dot.
-    pub fn mean_rating(&self, dot: f32) -> f32 {
+    pub(crate) fn mean_rating(&self, dot: f32) -> f32 {
         (self.rating_min + self.rating_max) / 2.0 + dot
     }
 
@@ -459,8 +459,7 @@ mod tests {
             ..Default::default()
         };
         let csr = cfg.generate().to_csr();
-        let s = stats::row_stats(&csr);
-        assert_eq!(s.empty, 0);
+        assert!(stats::row_degrees(&csr).iter().all(|&d| d > 0));
     }
 
     #[test]

@@ -123,18 +123,8 @@ impl DeviceSpec {
 
     /// Peak single-precision throughput in GFLOP/s (2 FLOPs per FMA per core
     /// per cycle).
-    pub fn peak_gflops(&self) -> f64 {
+    pub(crate) fn peak_gflops(&self) -> f64 {
         2.0 * self.num_sms as f64 * self.cores_per_sm as f64 * self.clock_ghz
-    }
-
-    /// Total CUDA cores.
-    pub fn total_cores(&self) -> u32 {
-        self.num_sms * self.cores_per_sm
-    }
-
-    /// Total register file on the device in bytes.
-    pub fn total_register_file_bytes(&self) -> u64 {
-        self.num_sms as u64 * self.register_file_per_sm_kib as u64 * 1024
     }
 
     /// How many single-precision floats fit in global memory (the paper's
@@ -173,23 +163,20 @@ impl DeviceSpec {
             },
         ]
     }
-
-    /// Machine-balance in FLOPs per byte of global traffic — kernels below
-    /// this arithmetic intensity are memory bound (the paper's premise that
-    /// sparse MF is memory bound, §1).
-    pub fn machine_balance(&self) -> f64 {
-        self.peak_gflops() / self.global_bw_gbs
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
 
+    fn total_cores(d: &DeviceSpec) -> u32 {
+        d.num_sms * d.cores_per_sm
+    }
+
     #[test]
     fn titan_x_matches_paper_headline_numbers() {
         let d = DeviceSpec::titan_x();
-        assert_eq!(d.total_cores(), 3072);
+        assert_eq!(total_cores(&d), 3072);
         assert_eq!(d.global_mem_bytes, 12 * GIB);
         // ~6.1 TFLOP/s single precision.
         assert!((d.peak_gflops() - 6144.0).abs() < 1.0);
@@ -202,8 +189,8 @@ mod tests {
     fn gk210_has_fewer_cores_than_titan_x() {
         let k = DeviceSpec::gk210();
         let t = DeviceSpec::titan_x();
-        assert_eq!(k.total_cores(), 2496);
-        assert!(k.total_cores() < t.total_cores());
+        assert_eq!(total_cores(&k), 2496);
+        assert!(total_cores(&k) < total_cores(&t));
         assert!(k.peak_gflops() < t.peak_gflops());
     }
 
@@ -222,12 +209,5 @@ mod tests {
         assert_eq!(t[0].kind, MemoryKind::Global);
         assert_eq!(t[3].kind, MemoryKind::Register);
         assert_eq!(t[3].latency, "lowest");
-    }
-
-    #[test]
-    fn machine_balance_is_compute_rich() {
-        // A modern GPU has far more FLOPs than bytes: balance >> 1.
-        let d = DeviceSpec::titan_x();
-        assert!(d.machine_balance() > 10.0);
     }
 }

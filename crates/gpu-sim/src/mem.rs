@@ -79,11 +79,6 @@ impl DeviceAllocator {
         self.peak
     }
 
-    /// Number of live allocations.
-    pub fn live_allocations(&self) -> usize {
-        self.live.len()
-    }
-
     /// Allocates `bytes` bytes under a diagnostic `label`.
     pub fn alloc(&mut self, label: &str, bytes: u64) -> Result<AllocId, OutOfMemory> {
         if bytes > self.available() {
@@ -117,12 +112,6 @@ impl DeviceAllocator {
         }
     }
 
-    /// Frees every live allocation (e.g. between SU-ALS batches).
-    pub fn free_all(&mut self) {
-        self.live.clear();
-        self.used = 0;
-    }
-
     /// Returns the size and label of a live allocation.
     pub fn lookup(&self, id: AllocId) -> Option<(u64, &str)> {
         self.live.get(&id).map(|(b, l)| (*b, l.as_str()))
@@ -148,7 +137,7 @@ mod tests {
         let id2 = a.alloc("x", 500).unwrap();
         assert_eq!(a.used(), 900);
         assert_eq!(a.available(), 100);
-        assert_eq!(a.live_allocations(), 2);
+        assert_eq!(a.live.len(), 2);
         assert!(a.free(id1));
         assert_eq!(a.used(), 500);
         assert!(!a.free(id1), "double free is a no-op");
@@ -179,17 +168,6 @@ mod tests {
         let mut a = DeviceAllocator::new(64);
         a.alloc("fit", 64).unwrap();
         assert!(a.alloc("one more byte", 1).is_err());
-    }
-
-    #[test]
-    fn free_all_resets_but_keeps_peak() {
-        let mut a = DeviceAllocator::new(1 << 20);
-        a.alloc("x", 1000).unwrap();
-        a.alloc("y", 2000).unwrap();
-        a.free_all();
-        assert_eq!(a.used(), 0);
-        assert_eq!(a.live_allocations(), 0);
-        assert_eq!(a.peak(), 3000);
     }
 
     #[test]

@@ -79,29 +79,9 @@ impl GpuCluster {
         &self.timing
     }
 
-    /// Replaces the timing model (for sensitivity studies).
-    pub fn set_timing(&mut self, timing: TimingModel) {
-        self.timing = timing;
-    }
-
-    /// Allocator of device `g`.
-    pub fn allocator(&self, g: usize) -> &DeviceAllocator {
-        &self.allocators[g]
-    }
-
     /// Mutable allocator of device `g`.
     pub fn allocator_mut(&mut self, g: usize) -> &mut DeviceAllocator {
         &mut self.allocators[g]
-    }
-
-    /// Timeline of device `g`.
-    pub fn timeline(&self, g: usize) -> &DeviceTimeline {
-        &self.timelines[g]
-    }
-
-    /// Mutable timeline of device `g`.
-    pub fn timeline_mut(&mut self, g: usize) -> &mut DeviceTimeline {
-        &mut self.timelines[g]
     }
 
     /// The shared profiler.
@@ -115,16 +95,6 @@ impl GpuCluster {
             .iter()
             .map(|t| t.now())
             .fold(0.0f64, f64::max)
-    }
-
-    /// Advances every device to the same instant (a global barrier, used
-    /// between the get-hermitian and reduction phases of SU-ALS).
-    pub fn global_barrier(&mut self) -> f64 {
-        let t = self.simulated_time();
-        for tl in &mut self.timelines {
-            tl.barrier_at(t);
-        }
-        t
     }
 
     /// Records a kernel of `duration` seconds on device `g` starting when
@@ -146,15 +116,6 @@ impl GpuCluster {
             .record(g, name, EventKind::Transfer, start, duration);
         done
     }
-
-    /// Resets every timeline and the profiler (allocators keep their
-    /// contents); used between benchmark repetitions.
-    pub fn reset_time(&mut self) {
-        for t in &mut self.timelines {
-            *t = DeviceTimeline::new();
-        }
-        self.profiler.clear();
-    }
 }
 
 #[cfg(test)]
@@ -171,7 +132,7 @@ mod tests {
         let c = GpuCluster::k80_dual_socket();
         assert_eq!(c.n_gpus(), 4);
         assert_eq!(c.topology().n_sockets(), 2);
-        assert_eq!(c.spec().total_cores(), 2496);
+        assert_eq!(c.spec(), &DeviceSpec::gk210());
     }
 
     #[test]
@@ -189,34 +150,14 @@ mod tests {
         assert_eq!(c.simulated_time(), 2.0);
         assert_eq!(c.profiler().len(), 3);
         // Device 0 overlap: transfer hidden behind its 1 s kernel.
-        assert_eq!(c.timeline(0).now(), 1.0);
-    }
-
-    #[test]
-    fn global_barrier_aligns_devices() {
-        let mut c = GpuCluster::titan_x_flat(2);
-        c.run_kernel(0, "fast", 1.0);
-        c.run_kernel(1, "slow", 3.0);
-        let t = c.global_barrier();
-        assert_eq!(t, 3.0);
-        c.run_kernel(0, "next", 1.0);
-        assert_eq!(c.timeline(0).now(), 4.0);
-    }
-
-    #[test]
-    fn reset_time_clears_timelines_and_profiler() {
-        let mut c = GpuCluster::titan_x_flat(2);
-        c.run_kernel(0, "k", 1.0);
-        c.reset_time();
-        assert_eq!(c.simulated_time(), 0.0);
-        assert!(c.profiler().is_empty());
+        assert_eq!(c.timelines[0].now(), 1.0);
     }
 
     #[test]
     fn allocators_are_per_device() {
         let mut c = GpuCluster::titan_x_flat(2);
         c.allocator_mut(0).alloc("theta", 100).unwrap();
-        assert_eq!(c.allocator(0).used(), 100);
-        assert_eq!(c.allocator(1).used(), 0);
+        assert_eq!(c.allocators[0].used(), 100);
+        assert_eq!(c.allocators[1].used(), 0);
     }
 }

@@ -100,20 +100,6 @@ impl Occupancy {
             limiter,
         }
     }
-
-    /// Total resident blocks across the whole device.
-    pub fn device_blocks(&self, spec: &DeviceSpec) -> u32 {
-        self.blocks_per_sm * spec.num_sms
-    }
-
-    /// Number of waves needed to run `grid_blocks` blocks.
-    pub fn waves(&self, spec: &DeviceSpec, grid_blocks: u64) -> u64 {
-        let per_wave = self.device_blocks(spec) as u64;
-        if per_wave == 0 {
-            return u64::MAX;
-        }
-        grid_blocks.div_ceil(per_wave)
-    }
 }
 
 /// Shared-memory bytes used by MO-ALS's per-block staging buffer
@@ -201,22 +187,5 @@ mod tests {
         assert_eq!(occ.blocks_per_sm, 0);
         let occ = Occupancy::compute(&spec, 128, 16, 96 * 1024);
         assert_eq!(occ.limiter, Limiter::DoesNotFit);
-    }
-
-    #[test]
-    fn waves_round_up() {
-        let spec = DeviceSpec::titan_x();
-        let occ = Occupancy::compute(&spec, 128, 32, 0);
-        let per_wave = occ.device_blocks(&spec) as u64;
-        assert_eq!(occ.waves(&spec, per_wave), 1);
-        assert_eq!(occ.waves(&spec, per_wave + 1), 2);
-        assert_eq!(occ.waves(&spec, 0), 0);
-    }
-
-    #[test]
-    fn does_not_fit_waves_is_max() {
-        let spec = DeviceSpec::titan_x();
-        let occ = Occupancy::compute(&spec, 2048, 16, 0);
-        assert_eq!(occ.waves(&spec, 10), u64::MAX);
     }
 }

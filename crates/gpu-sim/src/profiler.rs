@@ -4,7 +4,6 @@
 //! so the benchmark harness can answer "where did the iteration's time go",
 //! mirroring what `nvprof` provides on real hardware.
 
-use std::collections::BTreeMap;
 use std::sync::Arc;
 use std::sync::Mutex;
 
@@ -68,44 +67,6 @@ impl Profiler {
     pub fn is_empty(&self) -> bool {
         self.len() == 0
     }
-
-    /// Snapshot of all events in recording order.
-    pub fn events(&self) -> Vec<ProfileEvent> {
-        self.events.lock().unwrap().clone()
-    }
-
-    /// Clears all recorded events.
-    pub fn clear(&self) {
-        self.events.lock().unwrap().clear();
-    }
-
-    /// Total simulated time per event kind.
-    pub fn time_by_kind(&self) -> BTreeMap<EventKind, f64> {
-        let mut map = BTreeMap::new();
-        for e in self.events.lock().unwrap().iter() {
-            *map.entry(e.kind).or_insert(0.0) += e.duration;
-        }
-        map
-    }
-
-    /// Total simulated time per event name.
-    pub fn time_by_name(&self) -> BTreeMap<String, f64> {
-        let mut map = BTreeMap::new();
-        for e in self.events.lock().unwrap().iter() {
-            *map.entry(e.name.clone()).or_insert(0.0) += e.duration;
-        }
-        map
-    }
-
-    /// Latest event end time (the makespan of the recorded timeline).
-    pub fn makespan(&self) -> f64 {
-        self.events
-            .lock()
-            .unwrap()
-            .iter()
-            .map(|e| e.start + e.duration)
-            .fold(0.0f64, f64::max)
-    }
 }
 
 #[cfg(test)]
@@ -113,19 +74,19 @@ mod tests {
     use super::*;
 
     #[test]
-    fn record_and_summarize() {
+    fn record_keeps_events_in_order() {
         let p = Profiler::new();
         assert!(p.is_empty());
         p.record(0, "get_hermitian_x", EventKind::Kernel, 0.0, 2.0);
         p.record(0, "batch_solve", EventKind::Kernel, 2.0, 1.0);
         p.record(1, "reduce", EventKind::Reduction, 3.0, 0.5);
         assert_eq!(p.len(), 3);
-        let by_kind = p.time_by_kind();
-        assert_eq!(by_kind[&EventKind::Kernel], 3.0);
-        assert_eq!(by_kind[&EventKind::Reduction], 0.5);
-        let by_name = p.time_by_name();
-        assert_eq!(by_name["get_hermitian_x"], 2.0);
-        assert_eq!(p.makespan(), 3.5);
+        let events = p.events.lock().unwrap();
+        let names: Vec<&str> = events.iter().map(|e| e.name.as_str()).collect();
+        assert_eq!(names, ["get_hermitian_x", "batch_solve", "reduce"]);
+        assert_eq!(events[2].kind, EventKind::Reduction);
+        assert_eq!(events[2].device, 1);
+        assert_eq!(events[2].start + events[2].duration, 3.5);
     }
 
     #[test]
@@ -134,15 +95,6 @@ mod tests {
         let p2 = p.clone();
         p2.record(0, "k", EventKind::Kernel, 0.0, 1.0);
         assert_eq!(p.len(), 1);
-    }
-
-    #[test]
-    fn clear_empties() {
-        let p = Profiler::new();
-        p.record(0, "k", EventKind::Kernel, 0.0, 1.0);
-        p.clear();
-        assert!(p.is_empty());
-        assert_eq!(p.makespan(), 0.0);
     }
 
     #[test]

@@ -13,8 +13,6 @@
 pub struct DeviceTimeline {
     compute_busy_until: f64,
     copy_busy_until: f64,
-    total_compute: f64,
-    total_copy: f64,
 }
 
 impl DeviceTimeline {
@@ -29,69 +27,35 @@ impl DeviceTimeline {
     }
 
     /// When the compute engine becomes idle.
-    pub fn compute_idle_at(&self) -> f64 {
+    pub(crate) fn compute_idle_at(&self) -> f64 {
         self.compute_busy_until
     }
 
     /// When the copy engine becomes idle.
-    pub fn copy_idle_at(&self) -> f64 {
+    pub(crate) fn copy_idle_at(&self) -> f64 {
         self.copy_busy_until
-    }
-
-    /// Total busy time accumulated on the compute engine.
-    pub fn total_compute(&self) -> f64 {
-        self.total_compute
-    }
-
-    /// Total busy time accumulated on the copy engine.
-    pub fn total_copy(&self) -> f64 {
-        self.total_copy
     }
 
     /// Enqueues a kernel of the given duration; it starts no earlier than
     /// `not_before` (a data dependency) and no earlier than the end of the
     /// previous kernel.  Returns the kernel's completion time.
-    pub fn enqueue_compute_after(&mut self, duration: f64, not_before: f64) -> f64 {
+    fn enqueue_compute_after(&mut self, duration: f64, not_before: f64) -> f64 {
         let start = self.compute_busy_until.max(not_before);
         self.compute_busy_until = start + duration;
-        self.total_compute += duration;
         self.compute_busy_until
     }
 
     /// Enqueues a kernel right after the previous one.
-    pub fn enqueue_compute(&mut self, duration: f64) -> f64 {
+    pub(crate) fn enqueue_compute(&mut self, duration: f64) -> f64 {
         self.enqueue_compute_after(duration, 0.0)
     }
 
     /// Enqueues a copy of the given duration on the copy engine; starts no
     /// earlier than `not_before`.  Returns the copy's completion time.
-    pub fn enqueue_copy_after(&mut self, duration: f64, not_before: f64) -> f64 {
+    pub(crate) fn enqueue_copy_after(&mut self, duration: f64, not_before: f64) -> f64 {
         let start = self.copy_busy_until.max(not_before);
         self.copy_busy_until = start + duration;
-        self.total_copy += duration;
         self.copy_busy_until
-    }
-
-    /// Enqueues a copy right after the previous one.
-    pub fn enqueue_copy(&mut self, duration: f64) -> f64 {
-        self.enqueue_copy_after(duration, 0.0)
-    }
-
-    /// Blocks both engines until `t` (a device-wide synchronization barrier,
-    /// like the `synchronize_threads()` in Algorithm 3 line 12).
-    pub fn barrier_at(&mut self, t: f64) {
-        self.compute_busy_until = self.compute_busy_until.max(t);
-        self.copy_busy_until = self.copy_busy_until.max(t);
-    }
-
-    /// Fraction of elapsed time the copy engine was hidden behind compute:
-    /// 1.0 means every byte moved while kernels were running.
-    pub fn copy_overlap_ratio(&self) -> f64 {
-        if self.total_copy == 0.0 {
-            return 1.0;
-        }
-        let exposed = self.now() - self.total_compute;
-        (1.0 - (exposed / self.total_copy).clamp(0.0, 1.0)).clamp(0.0, 1.0)
     }
 }
 
@@ -105,32 +69,29 @@ mod tests {
         assert_eq!(t.enqueue_compute(1.0), 1.0);
         assert_eq!(t.enqueue_compute(2.0), 3.0);
         assert_eq!(t.now(), 3.0);
-        assert_eq!(t.total_compute(), 3.0);
     }
 
     #[test]
     fn copy_overlaps_with_compute() {
         let mut t = DeviceTimeline::new();
         t.enqueue_compute(2.0);
-        t.enqueue_copy(1.5);
+        t.enqueue_copy_after(1.5, 0.0);
         // Copy runs concurrently with compute: total time is still 2.0.
         assert_eq!(t.now(), 2.0);
-        assert!(t.copy_overlap_ratio() > 0.99);
     }
 
     #[test]
     fn copy_longer_than_compute_is_exposed() {
         let mut t = DeviceTimeline::new();
         t.enqueue_compute(1.0);
-        t.enqueue_copy(3.0);
+        t.enqueue_copy_after(3.0, 0.0);
         assert_eq!(t.now(), 3.0);
-        assert!(t.copy_overlap_ratio() < 0.5);
     }
 
     #[test]
     fn dependencies_delay_start() {
         let mut t = DeviceTimeline::new();
-        let copy_done = t.enqueue_copy(1.0);
+        let copy_done = t.enqueue_copy_after(1.0, 0.0);
         // Kernel depends on the copied data.
         let k_done = t.enqueue_compute_after(0.5, copy_done);
         assert_eq!(k_done, 1.5);
@@ -140,23 +101,5 @@ mod tests {
         // … and the next kernel waits on it.
         let k2 = t.enqueue_compute_after(0.25, c2);
         assert_eq!(k2, 2.25);
-    }
-
-    #[test]
-    fn barrier_advances_both_engines() {
-        let mut t = DeviceTimeline::new();
-        t.enqueue_compute(1.0);
-        t.barrier_at(5.0);
-        assert_eq!(t.compute_idle_at(), 5.0);
-        assert_eq!(t.copy_idle_at(), 5.0);
-        t.enqueue_compute(1.0);
-        assert_eq!(t.now(), 6.0);
-    }
-
-    #[test]
-    fn overlap_ratio_with_no_copies_is_one() {
-        let mut t = DeviceTimeline::new();
-        t.enqueue_compute(1.0);
-        assert_eq!(t.copy_overlap_ratio(), 1.0);
     }
 }

@@ -60,7 +60,7 @@ impl Default for TimingModel {
 impl TimingModel {
     /// Derating factor from occupancy: 1.0 at or above the knee, linear
     /// below it (never below 0.05 so times stay finite).
-    pub fn occupancy_factor(&self, occupancy: f64) -> f64 {
+    fn occupancy_factor(&self, occupancy: f64) -> f64 {
         if occupancy >= self.occupancy_knee {
             1.0
         } else {

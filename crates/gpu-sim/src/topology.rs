@@ -158,13 +158,6 @@ impl PcieTopology {
             .collect()
     }
 
-    fn endpoint_socket(&self, e: Endpoint) -> usize {
-        match e {
-            Endpoint::Host => 0, // host memory is interleaved; attribute root usage per destination socket below
-            Endpoint::Gpu(g) => self.socket_of(g),
-        }
-    }
-
     /// The directed links a transfer occupies.
     fn links_of(&self, t: &Transfer) -> Vec<Link> {
         let mut links = Vec::with_capacity(3);
@@ -241,22 +234,6 @@ impl PcieTopology {
             .map(|(link, bytes)| bytes / (self.link_bandwidth(link) * 1e9))
             .fold(0.0f64, f64::max);
         self.latency_s + worst
-    }
-
-    /// Effective host→device bandwidth seen by each of `k` GPUs on the same
-    /// socket streaming from host memory simultaneously (the PCIe IO
-    /// contention of §5.4).
-    pub fn host_bandwidth_per_gpu(&self, k: usize) -> f64 {
-        if k == 0 {
-            return self.host_link_gbs;
-        }
-        (self.host_link_gbs / k as f64).min(self.pcie_gbs)
-    }
-
-    /// Suppresses the unused-variable warning path for `endpoint_socket` —
-    /// exposed for diagnostics.
-    pub fn socket_of_endpoint(&self, e: Endpoint) -> usize {
-        self.endpoint_socket(e)
     }
 }
 
@@ -372,12 +349,5 @@ mod tests {
             0.0
         );
         assert_eq!(flat.concurrent_transfer_time(&[]), 0.0);
-    }
-
-    #[test]
-    fn host_bandwidth_per_gpu_degrades_with_fanout() {
-        let flat = PcieTopology::flat(4);
-        assert_eq!(flat.host_bandwidth_per_gpu(1), 16.0); // capped by the GPU link
-        assert!(flat.host_bandwidth_per_gpu(4) < flat.host_bandwidth_per_gpu(2));
     }
 }

@@ -35,7 +35,7 @@ impl KernelTraffic {
 
     /// Total bytes that hit the global-memory subsystem, accounting texture
     /// misses at global cost.
-    pub fn effective_global_bytes(&self) -> f64 {
+    pub(crate) fn effective_global_bytes(&self) -> f64 {
         self.global_read_bytes
             + self.global_write_bytes
             + self.texture_read_bytes * (1.0 - self.texture_hit_rate)
@@ -47,19 +47,8 @@ impl KernelTraffic {
     }
 
     /// Total bytes moved through shared memory.
-    pub fn shared_bytes(&self) -> f64 {
+    pub(crate) fn shared_bytes(&self) -> f64 {
         self.shared_read_bytes + self.shared_write_bytes
-    }
-
-    /// Arithmetic intensity in FLOPs per byte of effective global traffic
-    /// (∞ when no global traffic).
-    pub fn arithmetic_intensity(&self) -> f64 {
-        let b = self.effective_global_bytes();
-        if b == 0.0 {
-            f64::INFINITY
-        } else {
-            self.flops / b
-        }
     }
 
     /// Element-wise sum of two ledgers; the texture hit rate becomes the
@@ -114,21 +103,6 @@ mod tests {
         };
         assert!((t.effective_global_bytes() - 200.0).abs() < 1e-9);
         assert!((t.texture_hit_bytes() - 150.0).abs() < 1e-9);
-    }
-
-    #[test]
-    fn arithmetic_intensity() {
-        let t = KernelTraffic {
-            flops: 400.0,
-            global_read_bytes: 100.0,
-            ..KernelTraffic::new()
-        };
-        assert!((t.arithmetic_intensity() - 4.0).abs() < 1e-12);
-        let zero = KernelTraffic {
-            flops: 10.0,
-            ..KernelTraffic::new()
-        };
-        assert!(zero.arithmetic_intensity().is_infinite());
     }
 
     #[test]

@@ -29,14 +29,6 @@ pub fn axpy(alpha: f32, x: &[f32], y: &mut [f32]) {
     }
 }
 
-/// Scales a vector in place: `x *= alpha`.
-#[inline]
-pub fn scal(alpha: f32, x: &mut [f32]) {
-    for xi in x.iter_mut() {
-        *xi *= alpha;
-    }
-}
-
 /// Symmetric rank-1 update of a full `f × f` row-major matrix:
 /// `a += x·xᵀ`, both triangles — the `f²` variant the paper keeps for a
 /// downstream solver that "does not appreciate symmetricity".
@@ -229,26 +221,6 @@ pub fn gemv(a: &[f32], rows: usize, cols: usize, x: &[f32], y: &mut [f32]) {
     }
 }
 
-/// Small general matrix-matrix product `C = A·B` with row-major operands.
-/// `A` is `m × k`, `B` is `k × n`, `C` is `m × n`.
-pub fn gemm_small(a: &[f32], b: &[f32], c: &mut [f32], m: usize, k: usize, n: usize) {
-    debug_assert_eq!(a.len(), m * k);
-    debug_assert_eq!(b.len(), k * n);
-    debug_assert_eq!(c.len(), m * n);
-    c.fill(0.0);
-    for i in 0..m {
-        for p in 0..k {
-            let aip = a[i * k + p];
-            if aip == 0.0 {
-                continue;
-            }
-            for j in 0..n {
-                c[i * n + j] += aip * b[p * n + j];
-            }
-        }
-    }
-}
-
 /// Squared Euclidean norm of a vector.
 #[inline]
 pub fn norm_sq(x: &[f32]) -> f32 {
@@ -267,12 +239,10 @@ mod tests {
     }
 
     #[test]
-    fn axpy_and_scal() {
+    fn axpy_accumulates_into_y() {
         let mut y = vec![1.0, 1.0];
         axpy(2.0, &[3.0, 4.0], &mut y);
         assert_eq!(y, vec![7.0, 9.0]);
-        scal(0.5, &mut y);
-        assert_eq!(y, vec![3.5, 4.5]);
     }
 
     #[test]
@@ -362,16 +332,5 @@ mod tests {
         let mut y = [0.0; 3];
         gemv(&a, 3, 2, &x, &mut y);
         assert_eq!(y, [-1.0, -1.0, -1.0]);
-    }
-
-    #[test]
-    fn gemm_small_matches_dense_matmul() {
-        use crate::dense::DenseMatrix;
-        let a = DenseMatrix::from_vec(2, 3, vec![1.0, 2.0, 3.0, 4.0, 5.0, 6.0]);
-        let b = DenseMatrix::from_vec(3, 2, vec![7.0, 8.0, 9.0, 10.0, 11.0, 12.0]);
-        let expected = a.matmul(&b);
-        let mut c = vec![0.0; 4];
-        gemm_small(a.data(), b.data(), &mut c, 2, 3, 2);
-        assert_eq!(c, expected.data());
     }
 }

@@ -128,7 +128,7 @@ fn rank4_update(
 ///
 /// On success the lower triangle (including diagonal) of `a` holds `L` such
 /// that `A = L·Lᵀ` and the strict upper triangle holds `Lᵀ`, which is what
-/// lets both substitutions of [`cholesky_solve_factored`] walk rows.  On
+/// lets both substitutions of `cholesky_solve_factored` walk rows.  On
 /// `Err` the contents of `a` are unspecified.
 pub fn cholesky_factor(a: &mut [f32], f: usize) -> Result<(), CholeskyError> {
     assert_eq!(a.len(), f * f, "matrix is not f × f");
@@ -168,7 +168,7 @@ pub fn cholesky_factor(a: &mut [f32], f: usize) -> Result<(), CholeskyError> {
 /// Solves `L·Lᵀ·x = b` in place given a factor produced by
 /// [`cholesky_factor`] (both triangles); `b` is overwritten with the
 /// solution.
-pub fn cholesky_solve_factored(l: &[f32], f: usize, b: &mut [f32]) {
+fn cholesky_solve_factored(l: &[f32], f: usize, b: &mut [f32]) {
     assert_eq!(l.len(), f * f, "factor is not f × f");
     assert_eq!(b.len(), f, "right-hand side is not f long");
     // Forward, L·y = b: once y_j is final, take it out of every later

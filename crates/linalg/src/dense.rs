@@ -29,15 +29,6 @@ impl DenseMatrix {
         Self { rows, cols, data }
     }
 
-    /// Identity matrix of size `n`.
-    pub fn identity(n: usize) -> Self {
-        let mut m = Self::zeros(n, n);
-        for i in 0..n {
-            m.data[i * n + i] = 1.0;
-        }
-        m
-    }
-
     /// Number of rows.
     pub fn rows(&self) -> usize {
         self.rows
@@ -76,12 +67,6 @@ impl DenseMatrix {
         &self.data[i * self.cols..(i + 1) * self.cols]
     }
 
-    /// Mutable row `i`.
-    #[inline]
-    pub fn row_mut(&mut self, i: usize) -> &mut [f32] {
-        &mut self.data[i * self.cols..(i + 1) * self.cols]
-    }
-
     /// Matrix transpose (allocates).
     pub fn transpose(&self) -> DenseMatrix {
         let mut t = DenseMatrix::zeros(self.cols, self.rows);
@@ -110,15 +95,6 @@ impl DenseMatrix {
             }
         }
         out
-    }
-
-    /// Frobenius norm.
-    pub fn frobenius_norm(&self) -> f64 {
-        self.data
-            .iter()
-            .map(|&x| (x as f64) * (x as f64))
-            .sum::<f64>()
-            .sqrt()
     }
 
     /// Maximum absolute element-wise difference to another matrix of the same
@@ -241,13 +217,6 @@ impl FactorMatrix {
         self.n * self.f
     }
 
-    /// Copies the contents of `other` into `self` (shapes must match).
-    pub fn copy_from(&mut self, other: &FactorMatrix) {
-        assert_eq!(self.n, other.n);
-        assert_eq!(self.f, other.f);
-        self.data.copy_from_slice(&other.data);
-    }
-
     /// Appends the rows of `other` in place (ranks must match) — the
     /// grow-the-matrix primitive of the incremental fold-in/delta paths.
     pub fn append_rows(&mut self, other: &FactorMatrix) {
@@ -272,13 +241,21 @@ impl FactorMatrix {
 mod tests {
     use super::*;
 
+    fn identity(n: usize) -> DenseMatrix {
+        let mut m = DenseMatrix::zeros(n, n);
+        for i in 0..n {
+            m.set(i, i, 1.0);
+        }
+        m
+    }
+
     #[test]
     fn zeros_and_identity() {
         let z = DenseMatrix::zeros(2, 3);
         assert_eq!(z.rows(), 2);
         assert_eq!(z.cols(), 3);
         assert!(z.data().iter().all(|&x| x == 0.0));
-        let i = DenseMatrix::identity(3);
+        let i = identity(3);
         assert_eq!(i.get(1, 1), 1.0);
         assert_eq!(i.get(0, 1), 0.0);
     }
@@ -290,8 +267,6 @@ mod tests {
         m.set(1, 0, 7.0);
         assert_eq!(m.get(0, 1), 5.0);
         assert_eq!(m.row(1), &[7.0, 0.0]);
-        m.row_mut(1)[1] = 9.0;
-        assert_eq!(m.get(1, 1), 9.0);
     }
 
     #[test]
@@ -310,15 +285,14 @@ mod tests {
     #[test]
     fn matmul_identity_is_noop() {
         let a = DenseMatrix::from_vec(2, 2, vec![1.0, 2.0, 3.0, 4.0]);
-        let i = DenseMatrix::identity(2);
+        let i = identity(2);
         assert_eq!(a.matmul(&i), a);
         assert_eq!(i.matmul(&a), a);
     }
 
     #[test]
-    fn frobenius_and_diff() {
+    fn max_abs_diff_is_elementwise() {
         let a = DenseMatrix::from_vec(1, 2, vec![3.0, 4.0]);
-        assert!((a.frobenius_norm() - 5.0).abs() < 1e-12);
         let b = DenseMatrix::from_vec(1, 2, vec![3.0, 6.0]);
         assert_eq!(a.max_abs_diff(&b), 2.0);
     }
@@ -358,14 +332,6 @@ mod tests {
         let mut x = FactorMatrix::zeros(5, 2);
         let sizes: Vec<usize> = x.chunks_mut(2).map(|c| c.len()).collect();
         assert_eq!(sizes, vec![4, 4, 2]);
-    }
-
-    #[test]
-    fn copy_from_and_diff() {
-        let a = FactorMatrix::random(4, 3, 1.0, 7);
-        let mut b = FactorMatrix::zeros(4, 3);
-        b.copy_from(&a);
-        assert_eq!(a.max_abs_diff(&b), 0.0);
     }
 
     #[test]

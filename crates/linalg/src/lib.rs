@@ -44,6 +44,6 @@ pub use quant::{
     F16_SUBNORMAL_ABS,
 };
 pub use topk::{
-    block_max_norms, item_norms, merge_top_k, scan_top_k, suffix_max_norms, ApproxPolicy,
-    PruneStats, ScoreKind, TopK, DEFAULT_APPROX_EPSILON,
+    block_max_norms, item_norms, merge_top_k, scan_top_k, ApproxPolicy, PruneStats, ScoreKind,
+    TopK, DEFAULT_APPROX_EPSILON,
 };

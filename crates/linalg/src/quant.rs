@@ -78,16 +78,6 @@ impl Precision {
             _ => None,
         }
     }
-
-    /// Bytes each coefficient occupies in the encoded slab (scales not
-    /// included; see [`EncodedSlab::scan_bytes`] for the full accounting).
-    pub fn bytes_per_coeff(self) -> usize {
-        match self {
-            Precision::F32 => 4,
-            Precision::F16 => 2,
-            Precision::I8 => 1,
-        }
-    }
 }
 
 impl std::fmt::Display for Precision {
@@ -404,14 +394,6 @@ mod tests {
         assert_eq!(Precision::default(), Precision::F32);
         assert!(Precision::F32.code() != Precision::F16.code());
         assert!(Precision::F16.code() != Precision::I8.code());
-        assert_eq!(
-            [4, 2, 1],
-            [
-                Precision::F32.bytes_per_coeff(),
-                Precision::F16.bytes_per_coeff(),
-                Precision::I8.bytes_per_coeff()
-            ]
-        );
     }
 
     #[test]

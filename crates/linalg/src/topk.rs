@@ -10,7 +10,7 @@
 //! per item block one prune decision, one kernel call
 //! ([`crate::batch::batch_score_block`], or
 //! [`crate::quant::batch_score_rows_quant`] over an encoded slab) and one heap
-//! feed per user ([`TopK::offer_block`]).  Callers differ only in the tile,
+//! feed per user (`TopK::offer_block`).  Callers differ only in the tile,
 //! the segments, the block range and the [`ApproxPolicy`].
 
 use crate::batch::{batch_score_block, SegmentView};
@@ -99,7 +99,7 @@ impl TopK {
     /// touched.  Exact: `s < t` implies `total_cmp == Less`, which
     /// [`TopK::push`] refuses; ties, `±0.0` and NaN are not `<` and reach
     /// `push`; `t` is re-read after every push (ARCHITECTURE.md, scan kernel).
-    pub fn offer_block(
+    fn offer_block(
         &mut self,
         scores: &[f32],
         id_of: impl Fn(usize) -> u32,
@@ -121,7 +121,7 @@ impl TopK {
 
     /// Lowest score currently kept, if the heap is full (useful for
     /// short-circuiting whole blocks of low-scoring candidates).
-    pub fn threshold(&self) -> Option<f32> {
+    fn threshold(&self) -> Option<f32> {
         if self.heap.len() < self.k {
             None
         } else {
@@ -149,7 +149,7 @@ impl TopK {
 }
 
 /// Relative slack applied to the Cauchy–Schwarz bound `‖x‖·max‖θ‖` before
-/// comparing it against a heap [`TopK::threshold`].  The exact bound already
+/// comparing it against a heap `TopK::threshold`.  The exact bound already
 /// dominates every exact dot product in the block; the slack additionally
 /// covers the `O(f·ε)` rounding of the four-lane f32 kernel (and of the
 /// norms themselves), so a block is only ever skipped when **no** computed
@@ -232,7 +232,7 @@ impl PruneStats {
 
     /// Every block the scan made a decision about (scored, pruned, or
     /// terminated).
-    pub fn blocks_visited(&self) -> u64 {
+    fn blocks_visited(&self) -> u64 {
         self.blocks_scored + self.blocks_pruned + self.blocks_terminated
     }
 
@@ -246,17 +246,6 @@ impl PruneStats {
             0.0
         } else {
             self.blocks_pruned as f64 / total as f64
-        }
-    }
-
-    /// Fraction of visited blocks skipped by **approximate** early
-    /// termination (`0.0` when none were visited).
-    pub fn terminated_fraction(&self) -> f64 {
-        let total = self.blocks_visited();
-        if total == 0 {
-            0.0
-        } else {
-            self.blocks_terminated as f64 / total as f64
         }
     }
 }
@@ -359,7 +348,7 @@ impl ApproxPolicy {
 
     /// The multiplier applied to the Cauchy–Schwarz bound before the
     /// termination comparison (slack for f32 rounding included).
-    pub fn termination_slack(&self) -> f32 {
+    fn termination_slack(&self) -> f32 {
         NORM_BOUND_SLACK * (1.0 - self.epsilon)
     }
 }
@@ -369,7 +358,7 @@ impl ApproxPolicy {
 /// compares against this (not `block_max[b]`) so stopping a segment scan is
 /// safe for any stored order; for a norm-descending layout the two tables
 /// coincide.
-pub fn suffix_max_norms(block_max: &[f32]) -> Vec<f32> {
+pub(crate) fn suffix_max_norms(block_max: &[f32]) -> Vec<f32> {
     let mut suffix = block_max.to_vec();
     for b in (0..suffix.len().saturating_sub(1)).rev() {
         suffix[b] = suffix[b].max(suffix[b + 1]);
@@ -471,7 +460,7 @@ fn all_full(heaps: &[Option<TopK>], below: impl Fn(usize, f32) -> bool) -> bool 
 /// [`batch_score_rows_quant`] over an encoded slab, [`batch_score_block`]
 /// over f32 rows — Cosine scores are finished with the stored norms
 /// ([`ScoreKind::finish`]), and each heap takes its row through
-/// [`TopK::offer_block`].  Every skip waits for full heaps, so a
+/// `TopK::offer_block`.  Every skip waits for full heaps, so a
 /// `k ≥ catalog` request or a zero-norm user always gets a full list.
 /// Under an exact policy each heap ends holding the exact top-k of the
 /// streamed scores for any segmentation, stored order, blocking and block
@@ -1072,13 +1061,11 @@ mod tests {
         assert_eq!(a.bytes_scanned, 100);
         assert_eq!(a.rerank_candidates, 5);
         assert_eq!(a.blocks_visited(), 14);
-        // Terminated blocks widen the denominator of both rates but feed
-        // only their own numerator — the exact-pruning rate must not claim
-        // credit for approximate skips.
+        // Terminated blocks widen the denominator of the pruning rate but
+        // not its numerator — the exact-pruning rate must not claim credit
+        // for approximate skips.
         assert!((a.pruned_fraction() - 4.0 / 14.0).abs() < 1e-12);
-        assert!((a.terminated_fraction() - 6.0 / 14.0).abs() < 1e-12);
         assert_eq!(PruneStats::default().pruned_fraction(), 0.0);
-        assert_eq!(PruneStats::default().terminated_fraction(), 0.0);
     }
 
     #[test]

@@ -13,8 +13,7 @@
 //!   ([`Histogram::record_ns`] from any thread, `quantile(p)` within
 //!   6.25 %, exact counts/sums/max, mergeable, windowed diffing via
 //!   [`HistogramSnapshot::since`]).
-//! * [`span`] — [`Span`] stage timers, per-request [`Trace`]s with
-//!   origin-relative [`TraceEvent`]s, 1-in-N [`Sampler`] admission so hot
+//! * [`span`] — per-request [`Trace`]s with origin-relative [`TraceEvent`]s, 1-in-N [`Sampler`] admission so hot
 //!   paths stay allocation-free, and a ring-buffer [`TraceLog`] rendering
 //!   JSONL.
 //! * [`exporter`] — renders metric sets as Prometheus text or a flat JSON
@@ -28,4 +27,4 @@ pub mod sync;
 
 pub use exporter::{Exporter, MetricValue, EXPORT_QUANTILES};
 pub use histogram::{Histogram, HistogramSnapshot, BUCKETS, SUB_BUCKET_BITS};
-pub use span::{ns_between, Sampler, Span, Trace, TraceEvent, TraceLog};
+pub use span::{ns_between, Sampler, Trace, TraceEvent, TraceLog};

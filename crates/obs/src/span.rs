@@ -1,8 +1,7 @@
-//! Stage-timing spans, per-request traces, and the sampled trace log.
+//! Per-request traces and the sampled trace log.
 //!
-//! A [`Span`] is the cheapest possible timer: one `Instant`.  A [`Trace`]
-//! is the per-request record a span's timings get stamped onto as the
-//! request moves through a pipeline (enqueue → dequeue → score → reply):
+//! A [`Trace`] is the per-request record stage timings get stamped onto as
+//! the request moves through a pipeline (enqueue → dequeue → score → reply):
 //! a list of [`TraceEvent`]s with offsets relative to the trace's origin.
 //!
 //! Traces allocate, so the hot path must not build one per request: a
@@ -16,31 +15,6 @@ use crate::sync::atomic::{AtomicU64, Ordering};
 use crate::sync::Mutex;
 use std::collections::VecDeque;
 use std::time::Instant;
-
-/// A started stage timer.
-#[derive(Debug, Clone, Copy)]
-pub struct Span {
-    started: Instant,
-}
-
-impl Span {
-    /// Starts timing now.
-    pub fn start() -> Self {
-        Self {
-            started: Instant::now(),
-        }
-    }
-
-    /// The span's start instant (for trace offsets).
-    pub fn started_at(&self) -> Instant {
-        self.started
-    }
-
-    /// Nanoseconds since the span started (saturating).
-    pub fn elapsed_ns(&self) -> u64 {
-        ns_between(self.started, Instant::now())
-    }
-}
 
 /// Saturating nanoseconds from `start` to `end` (`0` if `end < start`).
 pub fn ns_between(start: Instant, end: Instant) -> u64 {
@@ -106,7 +80,7 @@ impl Trace {
 
     /// One JSONL line: `{"trace":id,"total_ns":…,"stages":{name:{"start_ns":…,"dur_ns":…},…}}`.
     /// Stage names are static identifiers, so no escaping is needed.
-    pub fn to_json_line(&self) -> String {
+    fn to_json_line(&self) -> String {
         let mut out = String::with_capacity(64 + self.events.len() * 48);
         out.push_str(&format!(
             "{{\"trace\":{},\"total_ns\":{},\"stages\":{{",

@@ -195,7 +195,7 @@ impl Tracer {
     }
 
     /// The retained traces rendered as JSONL.
-    pub fn to_jsonl(&self) -> String {
+    fn to_jsonl(&self) -> String {
         self.log.to_jsonl()
     }
 }

@@ -85,7 +85,7 @@ impl CacheKey {
     /// Stamps the storage precision the request will be scored against
     /// ([`cumf_linalg::Precision::code`]); keys built by [`CacheKey::new`] /
     /// [`CacheKey::new_approx`] default to exact f32 (code 0).
-    pub fn with_precision(mut self, code: u8) -> Self {
+    pub(crate) fn with_precision(mut self, code: u8) -> Self {
         self.precision = code;
         self
     }
@@ -151,7 +151,7 @@ impl ResultCache {
     /// Creates a cache bounded by `capacity` entries **and** `budget_bytes`
     /// total entry cost (`k·8` result bytes + `4` per excluded item each).
     /// A `budget_bytes` of 0 disables caching, like a zero capacity.
-    pub fn with_budget(capacity: usize, budget_bytes: usize) -> Self {
+    fn with_budget(capacity: usize, budget_bytes: usize) -> Self {
         Self {
             capacity,
             budget_bytes,
@@ -177,11 +177,6 @@ impl ResultCache {
     /// Configured capacity in entries.
     pub fn capacity(&self) -> usize {
         self.capacity
-    }
-
-    /// Configured byte budget (`usize::MAX` = unbudgeted).
-    pub fn budget_bytes(&self) -> usize {
-        self.budget_bytes
     }
 
     /// Bytes currently charged against the budget.
@@ -452,11 +447,6 @@ impl ShardedResultCache {
     /// Bytes charged across all shards.
     pub fn bytes(&self) -> usize {
         self.shards.iter().map(|s| Self::lock(s).bytes()).sum()
-    }
-
-    /// Number of shards.
-    pub fn shard_count(&self) -> usize {
-        self.shards.len()
     }
 }
 
@@ -750,7 +740,7 @@ mod tests {
     #[test]
     fn sharded_cache_totals_and_isolation() {
         let c = ShardedResultCache::new(4, 64, 1 << 20);
-        assert_eq!(c.shard_count(), 4);
+        assert_eq!(c.shards.len(), 4);
         for u in 0..32 {
             c.insert(key(u), 1, val(u));
         }

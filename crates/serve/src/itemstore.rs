@@ -205,11 +205,6 @@ impl ItemSegment {
         self.theta.is_empty()
     }
 
-    /// True when the stored order differs from catalog order.
-    pub fn is_permuted(&self) -> bool {
-        self.ids.is_some()
-    }
-
     /// The stored-order factor slab.
     pub fn theta(&self) -> &FactorMatrix {
         &self.theta
@@ -234,7 +229,7 @@ impl ItemSegment {
 
     /// Global item id of stored row `row`.
     #[inline]
-    pub fn global_id(&self, row: usize) -> u32 {
+    pub(crate) fn global_id(&self, row: usize) -> u32 {
         match &self.ids {
             Some(ids) => ids[row],
             None => self.start + row as u32,
@@ -252,12 +247,12 @@ impl ItemSegment {
 
     /// Factor vector of the item at global offset `offset` into this
     /// segment.
-    pub fn vector_at(&self, offset: usize) -> &[f32] {
+    fn vector_at(&self, offset: usize) -> &[f32] {
         self.theta.vector(self.stored_row(offset))
     }
 
     /// Norm of the item at global offset `offset` into this segment.
-    pub fn norm_at(&self, offset: usize) -> f32 {
+    fn norm_at(&self, offset: usize) -> f32 {
         self.norms[self.stored_row(offset)]
     }
 
@@ -268,7 +263,11 @@ impl ItemSegment {
 
     /// A scoring view at a caller-chosen blocking, with a matching
     /// `block_max` table (`block_max_norms(self.norms(), item_block)`).
-    pub fn view_with<'a>(&'a self, item_block: usize, block_max: &'a [f32]) -> SegmentView<'a> {
+    pub(crate) fn view_with<'a>(
+        &'a self,
+        item_block: usize,
+        block_max: &'a [f32],
+    ) -> SegmentView<'a> {
         SegmentView {
             items: self.theta.data(),
             norms: &self.norms,
@@ -564,7 +563,7 @@ mod tests {
         let t = theta(100, 6, 2);
         let store = ItemStore::new(t.clone(), ItemLayout::NormDescending, Precision::F32);
         let seg = &store.segments()[0];
-        assert!(seg.is_permuted());
+        assert!(seg.ids.is_some());
         // Stored norms are non-increasing.
         assert!(seg.norms().windows(2).all(|w| w[0] >= w[1]));
         // Global lookups are id-remapped back to catalog order.

@@ -113,7 +113,7 @@ pub use cumf_obs::{Exporter, Histogram, HistogramSnapshot, Trace, TraceEvent};
 pub use itemstore::{ItemLayout, ItemSegment, ItemStore};
 pub use metrics::{MetricsReport, ServeMetrics, Stage, WindowedReport};
 pub use online::{DeltaPublisher, OnlineLoop, OnlineLoopConfig, OnlineReport, StepOutcome};
-pub use recall::{measure_recall, recall_at_k, report_from_lists, RecallReport};
+pub use recall::{measure_recall, report_from_lists, RecallReport};
 pub use snapshot::{
     DeltaError, DeltaStats, FactorSnapshot, SnapshotDelta, SnapshotStore, USER_COW_ROWS,
 };

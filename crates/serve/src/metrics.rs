@@ -133,28 +133,28 @@ impl ServeMetrics {
     }
 
     /// Records one request entering the batcher.
-    pub fn record_request(&self) {
+    pub(crate) fn record_request(&self) {
         self.requests.fetch_add(1, Ordering::Relaxed); // relaxed-ok: independent monotonic stat; no cross-counter ordering promised
     }
 
     /// Records one reply sent.
-    pub fn record_response(&self) {
+    pub(crate) fn record_response(&self) {
         self.responses.fetch_add(1, Ordering::Relaxed); // relaxed-ok: independent monotonic stat; no cross-counter ordering promised
     }
 
     /// Records a result served from the cache.
-    pub fn record_cache_hit(&self) {
+    pub(crate) fn record_cache_hit(&self) {
         self.cache_hits.fetch_add(1, Ordering::Relaxed); // relaxed-ok: independent monotonic stat; no cross-counter ordering promised
     }
 
     /// Records a result that had to be scored.
-    pub fn record_cache_miss(&self) {
+    pub(crate) fn record_cache_miss(&self) {
         self.cache_misses.fetch_add(1, Ordering::Relaxed); // relaxed-ok: independent monotonic stat; no cross-counter ordering promised
     }
 
     /// Records one coalesced micro-batch of `size` requests scored in
     /// `latency`.
-    pub fn record_batch(&self, size: usize, latency: Duration) {
+    pub(crate) fn record_batch(&self, size: usize, latency: Duration) {
         self.batches.fetch_add(1, Ordering::Relaxed); // relaxed-ok: independent monotonic stat; no cross-counter ordering promised
         self.batch_items.fetch_add(size as u64, Ordering::Relaxed); // relaxed-ok: independent monotonic stat; no cross-counter ordering promised
         let bucket = (usize::BITS - 1)
@@ -165,12 +165,12 @@ impl ServeMetrics {
     }
 
     /// Records one request's time in `stage`, in nanoseconds.
-    pub fn record_stage_ns(&self, stage: Stage, ns: u64) {
+    pub(crate) fn record_stage_ns(&self, stage: Stage, ns: u64) {
         self.stages[stage as usize].record_ns(ns);
     }
 
     /// Records one request's end-to-end latency (enqueue → reply sent).
-    pub fn record_request_e2e_ns(&self, ns: u64) {
+    pub(crate) fn record_request_e2e_ns(&self, ns: u64) {
         self.request_e2e.record_ns(ns);
     }
 
@@ -197,19 +197,19 @@ impl ServeMetrics {
     }
 
     /// Records a snapshot hot-swap.
-    pub fn record_swap(&self) {
+    pub(crate) fn record_swap(&self) {
         self.snapshot_swaps.fetch_add(1, Ordering::Relaxed); // relaxed-ok: independent monotonic stat; no cross-counter ordering promised
     }
 
     /// Records a swap that went through the incremental delta path (also
     /// counted in `snapshot_swaps`).
-    pub fn record_delta_publish(&self) {
+    pub(crate) fn record_delta_publish(&self) {
         self.delta_publishes.fetch_add(1, Ordering::Relaxed); // relaxed-ok: independent monotonic stat; no cross-counter ordering promised
     }
 
     /// Records how long a snapshot/delta publication took from the
     /// publisher's point of view (build + swap, not reader visibility lag).
-    pub fn record_publish_latency(&self, latency: Duration) {
+    pub(crate) fn record_publish_latency(&self, latency: Duration) {
         self.publish_latency.record(latency);
     }
 
@@ -218,25 +218,25 @@ impl ServeMetrics {
     /// snapshot generation reflecting it was published.  Serving traffic
     /// admitted after that publish sees the update, so this is the online
     /// loop's end-to-end staleness bound.
-    pub fn record_freshness_ns(&self, ns: u64) {
+    pub(crate) fn record_freshness_ns(&self, ns: u64) {
         self.freshness.record_ns(ns);
     }
 
     /// Records an item-segment compaction republish (also counted in
     /// `snapshot_swaps`).
-    pub fn record_item_compaction(&self) {
+    pub(crate) fn record_item_compaction(&self) {
         self.item_compactions.fetch_add(1, Ordering::Relaxed); // relaxed-ok: independent monotonic stat; no cross-counter ordering promised
     }
 
     /// Records a scorer worker panicking while scoring — the panicked batch
     /// was dropped; whether capacity was lost depends on the restart
     /// budget (`worker_restarts` counts the recoveries).
-    pub fn record_worker_panic(&self) {
+    pub(crate) fn record_worker_panic(&self) {
         self.worker_panics.fetch_add(1, Ordering::Relaxed); // relaxed-ok: independent monotonic stat; no cross-counter ordering promised
     }
 
     /// Records a panicked worker resuming within its panic budget.
-    pub fn record_worker_restart(&self) {
+    pub(crate) fn record_worker_restart(&self) {
         self.worker_restarts.fetch_add(1, Ordering::Relaxed); // relaxed-ok: independent monotonic stat; no cross-counter ordering promised
     }
 
@@ -245,7 +245,7 @@ impl ServeMetrics {
     /// approximate early termination.  Keeping the three counts separate is
     /// what keeps [`MetricsReport::pruned_block_rate`] truthful when exact
     /// and approximate traffic mix.
-    pub fn record_pruning(&self, stats: &PruneStats) {
+    pub(crate) fn record_pruning(&self, stats: &PruneStats) {
         self.blocks_scored
             .fetch_add(stats.blocks_scored, Ordering::Relaxed); // relaxed-ok: independent monotonic stat; no cross-counter ordering promised
         self.blocks_pruned
@@ -262,13 +262,13 @@ impl ServeMetrics {
     /// The rerank runs **inside** the [`Stage::Score`] span (so the
     /// five-stage telescoping identity is untouched); this histogram breaks
     /// its cost out the way `serve_freshness` breaks out staleness.
-    pub fn record_rerank_ns(&self, ns: u64) {
+    pub(crate) fn record_rerank_ns(&self, ns: u64) {
         self.rerank.record_ns(ns);
     }
 
     /// Records `n` requests scored under an approximate policy (cache hits
     /// of approximate entries included — the caller counts what it serves).
-    pub fn record_approx_requests(&self, n: u64) {
+    pub(crate) fn record_approx_requests(&self, n: u64) {
         self.approx_requests.fetch_add(n, Ordering::Relaxed); // relaxed-ok: independent monotonic stat; no cross-counter ordering promised
     }
 
@@ -442,7 +442,7 @@ impl MetricsReport {
     /// Fraction of visited item blocks skipped by **exact** threshold
     /// pruning (`0.0` when nothing was scored).  Terminated blocks widen
     /// the denominator but never the numerator.
-    pub fn pruned_block_rate(&self) -> f64 {
+    fn pruned_block_rate(&self) -> f64 {
         let total = self.blocks_scored + self.blocks_pruned + self.blocks_terminated;
         if total == 0 {
             0.0
@@ -453,7 +453,7 @@ impl MetricsReport {
 
     /// Fraction of visited item blocks skipped by **approximate** early
     /// termination (`0.0` when nothing was scored).
-    pub fn terminated_block_rate(&self) -> f64 {
+    fn terminated_block_rate(&self) -> f64 {
         let total = self.blocks_scored + self.blocks_pruned + self.blocks_terminated;
         if total == 0 {
             0.0
@@ -468,7 +468,7 @@ impl MetricsReport {
     /// window quantiles and means are exact while window maxima are
     /// bucket-bounded.  `queue_depth_high_water` stays cumulative (a
     /// high-water mark has no meaningful difference).
-    pub fn since(&self, baseline: &MetricsReport) -> MetricsReport {
+    fn since(&self, baseline: &MetricsReport) -> MetricsReport {
         let requests = self.requests.saturating_sub(baseline.requests);
         let hits = self.cache_hits.saturating_sub(baseline.cache_hits);
         let misses = self.cache_misses.saturating_sub(baseline.cache_misses);

@@ -67,7 +67,7 @@ impl std::fmt::Display for RecallReport {
 /// `|approx ∩ exact| / |exact|` over item ids.  An empty exact list means
 /// there was nothing to recall — that counts as 1.0, so out-of-range users
 /// and `k = 0` queries do not drag an aggregate down.
-pub fn recall_at_k(exact: &[(u32, f32)], approx: &[(u32, f32)]) -> f64 {
+pub(crate) fn recall_at_k(exact: &[(u32, f32)], approx: &[(u32, f32)]) -> f64 {
     if exact.is_empty() {
         return 1.0;
     }

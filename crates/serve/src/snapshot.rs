@@ -247,18 +247,18 @@ impl SnapshotDelta {
     }
 
     /// Number of appended (brand-new) users.
-    pub fn appended_user_count(&self) -> usize {
+    fn appended_user_count(&self) -> usize {
         self.appended_users.as_ref().map_or(0, FactorMatrix::len)
     }
 
     /// Number of appended catalog items.
-    pub fn appended_item_count(&self) -> usize {
+    fn appended_item_count(&self) -> usize {
         self.appended_items.as_ref().map_or(0, FactorMatrix::len)
     }
 
     /// True when the delta touches the item catalog (cached rankings of
     /// *all* users become stale).
-    pub fn touches_items(&self) -> bool {
+    pub(crate) fn touches_items(&self) -> bool {
         self.appended_items.is_some()
     }
 
@@ -469,7 +469,7 @@ impl FactorSnapshot {
     /// the hot-head-f32 / cold-tail-i8 split: `choose` sees each segment's
     /// index and contents and returns the precision it should scan at.
     /// Segments whose choice matches their current precision are shared.
-    pub fn reencoded_with(
+    pub(crate) fn reencoded_with(
         &self,
         choose: impl FnMut(usize, &crate::itemstore::ItemSegment) -> Precision,
     ) -> FactorSnapshot {

@@ -128,11 +128,6 @@ impl Coo {
             entries,
         }
     }
-
-    /// Consumes the matrix and returns its triplets.
-    pub fn into_entries(self) -> Vec<Entry> {
-        self.entries
-    }
 }
 
 #[cfg(test)]

@@ -115,24 +115,18 @@ impl Csc {
     }
 
     /// Column pointer array (`n + 1` entries).
-    pub fn col_ptr(&self) -> &[usize] {
+    pub(crate) fn col_ptr(&self) -> &[usize] {
         &self.col_ptr
     }
 
     /// Row index array (`Nz` entries).
-    pub fn row_idx(&self) -> &[u32] {
+    pub(crate) fn row_idx(&self) -> &[u32] {
         &self.row_idx
     }
 
     /// Value array (`Nz` entries).
     pub fn values(&self) -> &[f32] {
         &self.values
-    }
-
-    /// Number of non-zeros in column `v` (the paper's `n_{θ_v}`).
-    pub fn nnz_col(&self, v: u32) -> usize {
-        let v = v as usize;
-        self.col_ptr[v + 1] - self.col_ptr[v]
     }
 
     /// Returns column `v` as parallel slices of row indices and values.
@@ -184,8 +178,8 @@ mod tests {
         assert_eq!(csc.col_ptr(), &[0, 2, 3, 3, 4]);
         assert_eq!(csc.col(0).0, &[0, 1]);
         assert_eq!(csc.col(0).1, &[4.0, 3.0]);
-        assert_eq!(csc.nnz_col(2), 0);
-        assert_eq!(csc.nnz_col(3), 1);
+        assert_eq!(csc.col(2).0.len(), 0);
+        assert_eq!(csc.col(3).0.len(), 1);
     }
 
     #[test]

@@ -75,7 +75,7 @@ impl Csr {
 
     /// Builds a CSR matrix from a COO matrix (entries may be unsorted;
     /// duplicates are kept as distinct stored elements).
-    pub fn from_coo(coo: &Coo) -> Self {
+    pub(crate) fn from_coo(coo: &Coo) -> Self {
         let n_rows = coo.n_rows();
         let n_cols = coo.n_cols();
         let nnz = coo.nnz();
@@ -177,13 +177,6 @@ impl Csr {
         })
     }
 
-    /// Converts back to COO form.
-    pub fn to_coo(&self) -> Coo {
-        let entries: Vec<Entry> = self.iter().collect();
-        Coo::from_entries(self.n_rows, self.n_cols, entries)
-            .expect("CSR indices are validated at construction")
-    }
-
     /// Converts to CSC form (column-major compressed).
     pub fn to_csc(&self) -> Csc {
         Csc::from_csr(self)
@@ -214,15 +207,6 @@ impl Csr {
     /// `2·Nz + m + 1` accounting (values + column indices + row pointers).
     pub fn footprint_words(&self) -> usize {
         2 * self.nnz() + self.n_rows as usize + 1
-    }
-
-    /// Mean number of non-zeros per row (`Nz / m`).
-    pub fn mean_nnz_per_row(&self) -> f64 {
-        if self.n_rows == 0 {
-            0.0
-        } else {
-            self.nnz() as f64 / self.n_rows as f64
-        }
     }
 }
 
@@ -259,7 +243,8 @@ mod tests {
     fn roundtrip_coo_csr_coo() {
         let mut original = sample_coo();
         original.sort();
-        let mut back = original.to_csr().to_coo();
+        let csr = original.to_csr();
+        let mut back = Coo::from_entries(csr.n_rows(), csr.n_cols(), csr.iter().collect()).unwrap();
         back.sort();
         assert_eq!(original.entries(), back.entries());
     }
@@ -312,11 +297,5 @@ mod tests {
         let csr = sample_coo().to_csr();
         let keys: Vec<(u32, u32)> = csr.iter().map(|e| (e.row, e.col)).collect();
         assert_eq!(keys, vec![(0, 0), (0, 1), (1, 0), (2, 3)]);
-    }
-
-    #[test]
-    fn mean_nnz_per_row() {
-        let csr = sample_coo().to_csr();
-        assert!((csr.mean_nnz_per_row() - 4.0 / 3.0).abs() < 1e-12);
     }
 }

@@ -9,8 +9,8 @@
 //! * [`Csr`] — compressed sparse row, the format `get_hermitian_x` walks.
 //! * [`Csc`] — compressed sparse column, used when updating Θ (the transpose
 //!   direction) without materializing `Rᵀ`.
-//! * [`partition`] — horizontal / vertical / grid partitioning of `R`
-//!   matching lines 2–4 of Algorithm 3.
+//! * [`partition`] — the contiguous range split behind Algorithm 3's
+//!   partitions, and the horizontal (row-batch) partition of `R`.
 //! * [`stats`] — degree statistics used by the cost model and the data
 //!   generators.
 //!
@@ -30,10 +30,7 @@ pub use coo::Coo;
 pub use csc::Csc;
 pub use csr::Csr;
 pub use error::SparseError;
-pub use partition::{
-    grid_partition, horizontal_partition, split_ranges, vertical_partition, GridPartition,
-    SparseBlock,
-};
+pub use partition::{horizontal_partition, split_ranges, SparseBlock};
 
 /// A single rating entry: row `u`, column `v`, value `r_uv`.
 #[derive(Debug, Clone, Copy, PartialEq)]

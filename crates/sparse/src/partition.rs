@@ -1,27 +1,19 @@
-//! Partitioning of the rating matrix `R`, matching lines 2–4 of Algorithm 3
-//! (SU-ALS) in the paper:
-//!
-//! * `Θᵀ` is split **vertically** (by columns of `R`) into `p` partitions,
-//!   one per GPU;
-//! * `X` is split **horizontally** (by rows of `R`) into `q` partitions,
-//!   solved batch by batch;
-//! * `R` is split into a `p × q` **grid** following both schemes, so that
-//!   block `R^(ij)` holds exactly the ratings whose column falls in `Θᵀ(i)`
-//!   and whose row falls in `X(j)`.
+//! Row partitioning of the rating matrix `R`, matching line 3 of Algorithm 3
+//! (SU-ALS) in the paper: `X` is split **horizontally** (by rows of `R`)
+//! into `q` partitions, solved batch by batch.  The engine prices the
+//! vertical (`Θᵀ`) and grid splits from [`split_ranges`] alone.
 
 use crate::{Coo, Csr, SparseError};
 
-/// A rectangular block of a larger sparse matrix.
+/// A band of consecutive rows of a larger sparse matrix.
 ///
-/// Indices stored in `csr` are *local* to the block; `row_start` /
-/// `col_start` give the block's offset in the global matrix.
+/// Row indices stored in `csr` are *local* to the block; `row_start` gives
+/// the block's offset in the global matrix.  Columns are global.
 #[derive(Debug, Clone, PartialEq)]
 pub struct SparseBlock {
     /// First global row covered by this block.
     pub row_start: u32,
-    /// First global column covered by this block.
-    pub col_start: u32,
-    /// The block's contents with block-local indices.
+    /// The block's contents with block-local row indices.
     pub csr: Csr,
 }
 
@@ -31,24 +23,9 @@ impl SparseBlock {
         self.csr.n_rows()
     }
 
-    /// Number of columns in the block.
-    pub fn n_cols(&self) -> u32 {
-        self.csr.n_cols()
-    }
-
-    /// Number of non-zeros in the block.
-    pub fn nnz(&self) -> usize {
-        self.csr.nnz()
-    }
-
     /// Global row index for a block-local row.
     pub fn global_row(&self, local: u32) -> u32 {
         self.row_start + local
-    }
-
-    /// Global column index for a block-local column.
-    pub fn global_col(&self, local: u32) -> u32 {
-        self.col_start + local
     }
 }
 
@@ -78,118 +55,21 @@ pub fn horizontal_partition(r: &Csr, q: usize) -> Result<Vec<SparseBlock>, Spars
     let ranges = split_ranges(r.n_rows(), q)?;
     Ok(ranges
         .into_iter()
-        .map(|(rs, re)| extract_block(r, rs, re, 0, r.n_cols()))
+        .map(|(row_start, row_end)| {
+            let mut coo = Coo::new(row_end - row_start, r.n_cols());
+            for u in row_start..row_end {
+                let (cols, vals) = r.row(u);
+                for (&c, &v) in cols.iter().zip(vals) {
+                    coo.push(u - row_start, c, v)
+                        .expect("block-local indices are in range by construction");
+                }
+            }
+            SparseBlock {
+                row_start,
+                csr: coo.to_csr(),
+            }
+        })
         .collect())
-}
-
-/// Vertical partition of `R` into `p` column blocks (the `Θᵀ` partition scheme).
-pub fn vertical_partition(r: &Csr, p: usize) -> Result<Vec<SparseBlock>, SparseError> {
-    let ranges = split_ranges(r.n_cols(), p)?;
-    Ok(ranges
-        .into_iter()
-        .map(|(cs, ce)| extract_block(r, 0, r.n_rows(), cs, ce))
-        .collect())
-}
-
-/// Grid partition of `R` into `p` column partitions × `q` row partitions.
-///
-/// Block `(i, j)` (`0 ≤ i < p`, `0 ≤ j < q`) corresponds to `R^(ij)` in the
-/// paper: rows from `X(j)`, columns from `Θᵀ(i)`.
-#[derive(Debug, Clone)]
-pub struct GridPartition {
-    p: usize,
-    q: usize,
-    row_ranges: Vec<(u32, u32)>,
-    col_ranges: Vec<(u32, u32)>,
-    /// Blocks in `i`-major order: index `i * q + j`.
-    blocks: Vec<SparseBlock>,
-}
-
-impl GridPartition {
-    /// Number of column partitions `p`.
-    pub fn p(&self) -> usize {
-        self.p
-    }
-
-    /// Number of row partitions `q`.
-    pub fn q(&self) -> usize {
-        self.q
-    }
-
-    /// The row range `[start, end)` of `X(j)`.
-    pub fn row_range(&self, j: usize) -> (u32, u32) {
-        self.row_ranges[j]
-    }
-
-    /// The column range `[start, end)` of `Θᵀ(i)`.
-    pub fn col_range(&self, i: usize) -> (u32, u32) {
-        self.col_ranges[i]
-    }
-
-    /// Block `R^(ij)`.
-    pub fn block(&self, i: usize, j: usize) -> &SparseBlock {
-        &self.blocks[i * self.q + j]
-    }
-
-    /// Iterates over `(i, j, block)`.
-    pub fn iter(&self) -> impl Iterator<Item = (usize, usize, &SparseBlock)> + '_ {
-        self.blocks
-            .iter()
-            .enumerate()
-            .map(move |(k, b)| (k / self.q, k % self.q, b))
-    }
-
-    /// Total non-zeros across all blocks (must equal the source `Nz`).
-    pub fn total_nnz(&self) -> usize {
-        self.blocks.iter().map(|b| b.nnz()).sum()
-    }
-}
-
-/// Builds the `p × q` grid partition of `R` (Algorithm 3, line 4).
-pub fn grid_partition(r: &Csr, p: usize, q: usize) -> Result<GridPartition, SparseError> {
-    let col_ranges = split_ranges(r.n_cols(), p)?;
-    let row_ranges = split_ranges(r.n_rows(), q)?;
-    let mut blocks = Vec::with_capacity(p * q);
-    for &(cs, ce) in &col_ranges {
-        for &(rs, re) in &row_ranges {
-            blocks.push(extract_block(r, rs, re, cs, ce));
-        }
-    }
-    Ok(GridPartition {
-        p,
-        q,
-        row_ranges,
-        col_ranges,
-        blocks,
-    })
-}
-
-fn extract_block(
-    r: &Csr,
-    row_start: u32,
-    row_end: u32,
-    col_start: u32,
-    col_end: u32,
-) -> SparseBlock {
-    let n_rows = row_end - row_start;
-    let n_cols = col_end - col_start;
-    let mut coo = Coo::new(n_rows, n_cols);
-    for u in row_start..row_end {
-        let (cols, vals) = r.row(u);
-        // Columns within a CSR row are sorted, so the block's column range is
-        // a contiguous sub-slice found by binary search.
-        let lo = cols.partition_point(|&c| c < col_start);
-        let hi = cols.partition_point(|&c| c < col_end);
-        for k in lo..hi {
-            coo.push(u - row_start, cols[k] - col_start, vals[k])
-                .expect("block-local indices are in range by construction");
-        }
-    }
-    SparseBlock {
-        row_start,
-        col_start,
-        csr: coo.to_csr(),
-    }
 }
 
 #[cfg(test)]
@@ -223,7 +103,7 @@ mod tests {
         let r = sample();
         let blocks = horizontal_partition(&r, 3).unwrap();
         assert_eq!(blocks.len(), 3);
-        let total: usize = blocks.iter().map(|b| b.nnz()).sum();
+        let total: usize = blocks.iter().map(|b| b.csr.nnz()).sum();
         assert_eq!(total, r.nnz());
         assert_eq!(blocks[1].row_start, 2);
         // Entry (2,4,30.0) lands in block 1 at local row 0.
@@ -231,63 +111,10 @@ mod tests {
     }
 
     #[test]
-    fn vertical_partition_preserves_nnz() {
-        let r = sample();
-        let blocks = vertical_partition(&r, 2).unwrap();
-        assert_eq!(blocks.len(), 2);
-        let total: usize = blocks.iter().map(|b| b.nnz()).sum();
-        assert_eq!(total, r.nnz());
-        // (0,5,10.0) is in the second column block at local col 2.
-        assert_eq!(blocks[1].col_start, 3);
-        assert_eq!(blocks[1].csr.get(0, 2), Some(10.0));
-    }
-
-    #[test]
-    fn grid_partition_reconstructs_all_entries() {
-        let r = sample();
-        let grid = grid_partition(&r, 2, 3).unwrap();
-        assert_eq!(grid.p(), 2);
-        assert_eq!(grid.q(), 3);
-        assert_eq!(grid.total_nnz(), r.nnz());
-        // Every original entry must be found in exactly one block at the
-        // translated local position.
-        for e in r.iter() {
-            let mut found = 0;
-            for (_, _, b) in grid.iter() {
-                if e.row >= b.row_start
-                    && e.row < b.row_start + b.n_rows()
-                    && e.col >= b.col_start
-                    && e.col < b.col_start + b.n_cols()
-                {
-                    if let Some(v) = b.csr.get(e.row - b.row_start, e.col - b.col_start) {
-                        assert_eq!(v, e.val);
-                        found += 1;
-                    }
-                }
-            }
-            assert_eq!(found, 1, "entry {:?} found in {} blocks", e, found);
-        }
-    }
-
-    #[test]
-    fn grid_block_indexing_matches_ranges() {
-        let r = sample();
-        let grid = grid_partition(&r, 3, 2).unwrap();
-        for (i, j, b) in grid.iter() {
-            assert_eq!(b.col_start, grid.col_range(i).0);
-            assert_eq!(b.row_start, grid.row_range(j).0);
-            assert_eq!(b.n_cols(), grid.col_range(i).1 - grid.col_range(i).0);
-            assert_eq!(b.n_rows(), grid.row_range(j).1 - grid.row_range(j).0);
-        }
-    }
-
-    #[test]
     fn single_partition_is_identity() {
         let r = sample();
         let blocks = horizontal_partition(&r, 1).unwrap();
         assert_eq!(blocks.len(), 1);
-        assert_eq!(blocks[0].csr, r);
-        let blocks = vertical_partition(&r, 1).unwrap();
         assert_eq!(blocks[0].csr, r);
     }
 }

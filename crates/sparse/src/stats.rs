@@ -1,71 +1,10 @@
 //! Degree statistics of a rating matrix.
 //!
-//! The cuMF paper's cost model (Table 3) is driven by `Nz/m`, the mean number
-//! of ratings per user, and its analysis of the register/texture ablations
-//! (Figures 7–8) hinges on how skewed that distribution is.  These helpers
-//! compute the quantities the cost model and the data generators need.
+//! The cuMF paper's cost model (Table 3) is driven by `n_{x_u}` and
+//! `n_{θ_v}`, the number of ratings per user and per item.  These helpers
+//! compute them.
 
 use crate::Csr;
-use rayon::prelude::*;
-
-/// Summary statistics of a distribution of per-row (or per-column) non-zero
-/// counts.
-#[derive(Debug, Clone, PartialEq)]
-pub struct DegreeStats {
-    /// Number of rows (or columns) summarized.
-    pub count: usize,
-    /// Total non-zeros.
-    pub total: usize,
-    /// Minimum degree.
-    pub min: usize,
-    /// Maximum degree.
-    pub max: usize,
-    /// Mean degree (`Nz/m` for rows).
-    pub mean: f64,
-    /// Population standard deviation of the degree.
-    pub std_dev: f64,
-    /// Number of rows (or columns) with zero non-zeros.
-    pub empty: usize,
-}
-
-impl DegreeStats {
-    fn from_degrees(degrees: &[usize]) -> Self {
-        let count = degrees.len();
-        if count == 0 {
-            return Self {
-                count: 0,
-                total: 0,
-                min: 0,
-                max: 0,
-                mean: 0.0,
-                std_dev: 0.0,
-                empty: 0,
-            };
-        }
-        let total: usize = degrees.iter().sum();
-        let min = *degrees.iter().min().unwrap();
-        let max = *degrees.iter().max().unwrap();
-        let mean = total as f64 / count as f64;
-        let var = degrees
-            .iter()
-            .map(|&d| {
-                let diff = d as f64 - mean;
-                diff * diff
-            })
-            .sum::<f64>()
-            / count as f64;
-        let empty = degrees.iter().filter(|&&d| d == 0).count();
-        Self {
-            count,
-            total,
-            min,
-            max,
-            mean,
-            std_dev: var.sqrt(),
-            empty,
-        }
-    }
-}
 
 /// Per-row non-zero counts (`n_{x_u}` for every user `u`).
 pub fn row_degrees(r: &Csr) -> Vec<usize> {
@@ -79,65 +18,6 @@ pub fn col_degrees(r: &Csr) -> Vec<usize> {
         counts[c as usize] += 1;
     }
     counts
-}
-
-/// Summary of the per-row degree distribution.
-pub fn row_stats(r: &Csr) -> DegreeStats {
-    DegreeStats::from_degrees(&row_degrees(r))
-}
-
-/// Summary of the per-column degree distribution.
-pub fn col_stats(r: &Csr) -> DegreeStats {
-    DegreeStats::from_degrees(&col_degrees(r))
-}
-
-/// Density `Nz / (m·n)` of the matrix.
-pub fn density(r: &Csr) -> f64 {
-    let cells = r.n_rows() as f64 * r.n_cols() as f64;
-    if cells == 0.0 {
-        0.0
-    } else {
-        r.nnz() as f64 / cells
-    }
-}
-
-/// Histogram of row degrees with logarithmic (powers-of-two) buckets.
-///
-/// Bucket `k` counts rows whose degree `d` satisfies `2^k ≤ d < 2^(k+1)`,
-/// with bucket 0 also containing `d = 0` rows' count reported separately by
-/// [`DegreeStats::empty`]; useful for eyeballing power-law shape.
-pub fn log2_degree_histogram(degrees: &[usize]) -> Vec<usize> {
-    let max = degrees.iter().copied().max().unwrap_or(0);
-    let buckets = if max == 0 {
-        1
-    } else {
-        (usize::BITS - max.leading_zeros()) as usize
-    };
-    let mut hist = vec![0usize; buckets.max(1)];
-    for &d in degrees {
-        if d == 0 {
-            continue;
-        }
-        let b = (usize::BITS - 1 - d.leading_zeros()) as usize;
-        hist[b] += 1;
-    }
-    hist
-}
-
-/// Sum of squared per-row degrees, computed in parallel.
-///
-/// This is proportional to the total work of `get_hermitian_x` when the
-/// Hermitian accumulation is not register-blocked (each row costs
-/// `n_{x_u}·f²` regardless, but the *skew* of this quantity across thread
-/// blocks determines load imbalance on the simulated GPU).
-pub fn sum_sq_row_degrees(r: &Csr) -> u64 {
-    (0..r.n_rows() as usize)
-        .into_par_iter()
-        .map(|u| {
-            let d = r.nnz_row(u as u32) as u64;
-            d * d
-        })
-        .sum()
 }
 
 #[cfg(test)]
@@ -159,52 +39,18 @@ mod tests {
 
     #[test]
     fn row_degrees_and_stats() {
-        let r = sample();
-        assert_eq!(row_degrees(&r), vec![3, 1, 0, 2]);
-        let s = row_stats(&r);
-        assert_eq!(s.count, 4);
-        assert_eq!(s.total, 6);
-        assert_eq!(s.min, 0);
-        assert_eq!(s.max, 3);
-        assert!((s.mean - 1.5).abs() < 1e-12);
-        assert_eq!(s.empty, 1);
+        assert_eq!(row_degrees(&sample()), vec![3, 1, 0, 2]);
     }
 
     #[test]
     fn col_degrees_and_stats() {
-        let r = sample();
-        assert_eq!(col_degrees(&r), vec![2, 1, 1, 1, 1]);
-        let s = col_stats(&r);
-        assert_eq!(s.total, 6);
-        assert_eq!(s.max, 2);
-        assert_eq!(s.empty, 0);
-    }
-
-    #[test]
-    fn density_value() {
-        let r = sample();
-        assert!((density(&r) - 6.0 / 20.0).abs() < 1e-12);
-    }
-
-    #[test]
-    fn histogram_buckets() {
-        // degrees 3,1,0,2 -> bucket0 (1): one row, bucket1 (2..3): two rows
-        let hist = log2_degree_histogram(&[3, 1, 0, 2]);
-        assert_eq!(hist, vec![1, 2]);
-    }
-
-    #[test]
-    fn sum_sq_matches_manual() {
-        let r = sample();
-        assert_eq!(sum_sq_row_degrees(&r), (9 + 1) + 4);
+        assert_eq!(col_degrees(&sample()), vec![2, 1, 1, 1, 1]);
     }
 
     #[test]
     fn empty_matrix_stats() {
         let r = Coo::new(0, 0).to_csr();
-        let s = row_stats(&r);
-        assert_eq!(s.count, 0);
-        assert_eq!(s.mean, 0.0);
-        assert_eq!(density(&r), 0.0);
+        assert!(row_degrees(&r).is_empty());
+        assert!(col_degrees(&r).is_empty());
     }
 }
