@@ -15,8 +15,8 @@
 //! directly against the serving snapshot's item *segments*
 //! (`cumf_core::foldin::fold_in_users_segmented` — no contiguous
 //! catalog-order Θ is ever materialized) and publishes the changed rows
-//! through the `O(u·f)` copy-on-write path with targeted cache
-//! invalidation.
+//! through the `O(u·f)` copy-on-write path, which re-scores the changed
+//! users' cached replies.
 //!
 //! `--stream N` closes the online loop end to end: N synthetic rating
 //! events (a skewed re-rate mix plus a trickle of brand-new users past the

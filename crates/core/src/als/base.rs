@@ -268,13 +268,10 @@ impl AlsEngine {
                 let streamed = matches!(sim.placement, Placement::Grid { .. });
                 let shape = &sim.shapes[usize::from(!solve_x)];
                 let (timing, busy) = price_side(&sim.hardware, f, shape, streamed);
-                let side = if solve_x { "x" } else { "theta" };
                 for (gpu, [gh, bs]) in busy.into_iter().enumerate() {
                     if gh > 0.0 {
-                        sim.cluster
-                            .run_kernel(gpu, &format!("get_hermitian_{side}"), gh);
-                        sim.cluster
-                            .run_kernel(gpu, &format!("batch_solve_{side}"), bs);
+                        sim.cluster.run_kernel(gpu, gh);
+                        sim.cluster.run_kernel(gpu, bs);
                     }
                 }
                 timing

@@ -133,7 +133,7 @@ pub(crate) fn place(cluster: &mut GpuCluster, r: &Csr, f: usize) -> f64 {
     let upload_s = cluster
         .timing()
         .transfer_time(bytes as f64, cluster.spec().pcie_gbs);
-    cluster.run_transfer(0, "initial upload", upload_s, 0.0);
+    cluster.run_transfer(0, upload_s, 0.0);
     upload_s
 }
 

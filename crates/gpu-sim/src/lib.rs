@@ -45,7 +45,7 @@ pub use device::{DeviceSpec, MemoryKind, MemoryTableRow};
 pub use mem::{AllocId, DeviceAllocator, OutOfMemory};
 pub use multi::GpuCluster;
 pub use occupancy::Occupancy;
-pub use profiler::{EventKind, ProfileEvent, Profiler};
+pub use profiler::{EventKind, Profiler};
 pub use stream::DeviceTimeline;
 pub use timing::{KernelTiming, TimingModel};
 pub use topology::{Endpoint, PcieTopology, TopologyKind, Transfer};

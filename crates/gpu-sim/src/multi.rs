@@ -99,22 +99,16 @@ impl GpuCluster {
 
     /// Records a kernel of `duration` seconds on device `g` starting when
     /// that device's compute engine is free, and returns its completion time.
-    pub fn run_kernel(&mut self, g: usize, name: &str, duration: f64) -> f64 {
-        let start = self.timelines[g].compute_idle_at();
-        let done = self.timelines[g].enqueue_compute(duration);
-        self.profiler
-            .record(g, name, EventKind::Kernel, start, duration);
-        done
+    pub fn run_kernel(&mut self, g: usize, duration: f64) -> f64 {
+        self.profiler.record(EventKind::Kernel, duration);
+        self.timelines[g].enqueue_compute(duration)
     }
 
     /// Records a transfer of `duration` seconds on device `g`'s copy engine
     /// (started no earlier than `not_before`) and returns its completion time.
-    pub fn run_transfer(&mut self, g: usize, name: &str, duration: f64, not_before: f64) -> f64 {
-        let start = self.timelines[g].copy_idle_at().max(not_before);
-        let done = self.timelines[g].enqueue_copy_after(duration, not_before);
-        self.profiler
-            .record(g, name, EventKind::Transfer, start, duration);
-        done
+    pub fn run_transfer(&mut self, g: usize, duration: f64, not_before: f64) -> f64 {
+        self.profiler.record(EventKind::Transfer, duration);
+        self.timelines[g].enqueue_copy_after(duration, not_before)
     }
 }
 
@@ -144,11 +138,13 @@ mod tests {
     #[test]
     fn kernels_and_transfers_advance_time() {
         let mut c = GpuCluster::titan_x_flat(2);
-        c.run_kernel(0, "k0", 1.0);
-        c.run_kernel(1, "k1", 2.0);
-        c.run_transfer(0, "t0", 0.5, 0.0);
+        c.run_kernel(0, 1.0);
+        c.run_kernel(1, 2.0);
+        c.run_transfer(0, 0.5, 0.0);
         assert_eq!(c.simulated_time(), 2.0);
         assert_eq!(c.profiler().len(), 3);
+        assert_eq!(c.profiler().total(EventKind::Kernel), (2, 3.0));
+        assert_eq!(c.profiler().total(EventKind::Transfer), (1, 0.5));
         // Device 0 overlap: transfer hidden behind its 1 s kernel.
         assert_eq!(c.timelines[0].now(), 1.0);
     }

@@ -1,11 +1,12 @@
-//! A lightweight timeline profiler for simulated events.
+//! A lightweight profiler for simulated events.
 //!
-//! The ALS engines record every simulated kernel, transfer and reduction here
-//! so the benchmark harness can answer "where did the iteration's time go",
-//! mirroring what `nvprof` provides on real hardware.
+//! The ALS engines record every simulated kernel and transfer here, so the
+//! benchmark harness can answer "where did the iteration's time go",
+//! mirroring what `nvprof` provides on real hardware.  The profiler keeps
+//! one event count and one sum of simulated seconds per [`EventKind`], so
+//! its memory stays constant however long a run records.
 
-use std::sync::Arc;
-use std::sync::Mutex;
+use std::sync::{Arc, Mutex, PoisonError};
 
 /// Category of a simulated event.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
@@ -20,25 +21,14 @@ pub enum EventKind {
     Host,
 }
 
-/// One recorded event.
-#[derive(Debug, Clone, PartialEq)]
-pub struct ProfileEvent {
-    /// Device index the event ran on (`usize::MAX` for host-side events).
-    pub device: usize,
-    /// Human-readable name, e.g. `"get_hermitian_x"`.
-    pub name: String,
-    /// Category.
-    pub kind: EventKind,
-    /// Simulated start time in seconds.
-    pub start: f64,
-    /// Simulated duration in seconds.
-    pub duration: f64,
-}
+const KINDS: usize = 4;
 
-/// Thread-safe collector of simulated events.
+/// Thread-safe per-kind totals of simulated events.  Clones share the
+/// same totals.
 #[derive(Debug, Clone, Default)]
 pub struct Profiler {
-    events: Arc<Mutex<Vec<ProfileEvent>>>,
+    /// `(events, simulated seconds)` per [`EventKind`], by discriminant.
+    totals: Arc<Mutex<[(usize, f64); KINDS]>>,
 }
 
 impl Profiler {
@@ -47,20 +37,27 @@ impl Profiler {
         Self::default()
     }
 
-    /// Records an event.
-    pub fn record(&self, device: usize, name: &str, kind: EventKind, start: f64, duration: f64) {
-        self.events.lock().unwrap().push(ProfileEvent {
-            device,
-            name: name.to_string(),
-            kind,
-            start,
-            duration,
-        });
+    fn totals(&self) -> std::sync::MutexGuard<'_, [(usize, f64); KINDS]> {
+        // Every update is one add to one pair, so a panic elsewhere while
+        // the lock was held cannot have left the totals half-written.
+        self.totals.lock().unwrap_or_else(PoisonError::into_inner)
+    }
+
+    /// Records one event of `kind` lasting `duration` simulated seconds.
+    pub fn record(&self, kind: EventKind, duration: f64) {
+        let total = &mut self.totals()[kind as usize];
+        total.0 += 1;
+        total.1 += duration;
+    }
+
+    /// `(events, summed simulated seconds)` recorded of `kind`.
+    pub fn total(&self, kind: EventKind) -> (usize, f64) {
+        self.totals()[kind as usize]
     }
 
     /// Number of recorded events.
     pub fn len(&self) -> usize {
-        self.events.lock().unwrap().len()
+        self.totals().iter().map(|&(events, _)| events).sum()
     }
 
     /// True when nothing has been recorded.
@@ -74,42 +71,42 @@ mod tests {
     use super::*;
 
     #[test]
-    fn record_keeps_events_in_order() {
+    fn record_counts_and_sums_each_kind() {
         let p = Profiler::new();
         assert!(p.is_empty());
-        p.record(0, "get_hermitian_x", EventKind::Kernel, 0.0, 2.0);
-        p.record(0, "batch_solve", EventKind::Kernel, 2.0, 1.0);
-        p.record(1, "reduce", EventKind::Reduction, 3.0, 0.5);
+        p.record(EventKind::Kernel, 2.0);
+        p.record(EventKind::Kernel, 1.0);
+        p.record(EventKind::Reduction, 0.5);
         assert_eq!(p.len(), 3);
-        let events = p.events.lock().unwrap();
-        let names: Vec<&str> = events.iter().map(|e| e.name.as_str()).collect();
-        assert_eq!(names, ["get_hermitian_x", "batch_solve", "reduce"]);
-        assert_eq!(events[2].kind, EventKind::Reduction);
-        assert_eq!(events[2].device, 1);
-        assert_eq!(events[2].start + events[2].duration, 3.5);
+        assert_eq!(p.total(EventKind::Kernel), (2, 3.0));
+        assert_eq!(p.total(EventKind::Reduction), (1, 0.5));
+        assert_eq!(p.total(EventKind::Transfer), (0, 0.0));
+        assert_eq!(p.total(EventKind::Host), (0, 0.0));
     }
 
     #[test]
     fn clones_share_the_same_buffer() {
         let p = Profiler::new();
         let p2 = p.clone();
-        p2.record(0, "k", EventKind::Kernel, 0.0, 1.0);
+        p2.record(EventKind::Kernel, 1.0);
         assert_eq!(p.len(), 1);
+        assert_eq!(p.total(EventKind::Kernel), (1, 1.0));
     }
 
     #[test]
     fn concurrent_recording_is_safe() {
         let p = Profiler::new();
         std::thread::scope(|s| {
-            for t in 0..4 {
+            for _ in 0..4 {
                 let p = p.clone();
                 s.spawn(move || {
-                    for i in 0..100 {
-                        p.record(t, "k", EventKind::Kernel, i as f64, 0.1);
+                    for _ in 0..100 {
+                        p.record(EventKind::Kernel, 0.25);
                     }
                 });
             }
         });
         assert_eq!(p.len(), 400);
+        assert_eq!(p.total(EventKind::Kernel), (400, 100.0));
     }
 }

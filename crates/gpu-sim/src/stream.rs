@@ -26,16 +26,6 @@ impl DeviceTimeline {
         self.compute_busy_until.max(self.copy_busy_until)
     }
 
-    /// When the compute engine becomes idle.
-    pub(crate) fn compute_idle_at(&self) -> f64 {
-        self.compute_busy_until
-    }
-
-    /// When the copy engine becomes idle.
-    pub(crate) fn copy_idle_at(&self) -> f64 {
-        self.copy_busy_until
-    }
-
     /// Enqueues a kernel of the given duration; it starts no earlier than
     /// `not_before` (a data dependency) and no earlier than the end of the
     /// previous kernel.  Returns the kernel's completion time.

@@ -16,8 +16,9 @@
 //! response.  Identical `(user, k, exclusions)` requests that coalesce into
 //! the same micro-batch are **scored once** and fanned out to every waiter
 //! (the duplicates count as cache hits).  Results are cached with the
-//! generation stamped in; a publish invalidates lazily through the
-//! generation check.
+//! generation stamped in; a full publish invalidates lazily through the
+//! generation check, and a user-only delta publish re-scores the changed
+//! users' cached replies on the publishing thread, so the cache stays warm.
 //!
 //! A panicking worker never fails silently: the panic is caught and its
 //! message recorded, the batch it was scoring fails with
@@ -388,14 +389,10 @@ pub struct TopKService {
     state: Arc<PoolState>,
     tracer: Arc<Tracer>,
     workers: Vec<JoinHandle<()>>,
-    /// Segment bound for post-delta auto-compaction (see
-    /// [`ServeConfig::max_item_segments`]).
-    max_item_segments: usize,
-    /// Serving precision (and overrides) re-applied to every published
-    /// full snapshot, so a training loop handing over exact f32 factors
-    /// keeps serving quantized.
-    precision: Precision,
-    precision_overrides: Vec<(usize, Precision)>,
+    /// The service's configuration: the serving precision re-applied to
+    /// every published full snapshot, the auto-compaction bound, and the
+    /// index fields a delta publish re-scores cached replies with.
+    config: ServeConfig,
 }
 
 /// Re-encodes `snapshot`'s catalog to the configured serving precision:
@@ -421,6 +418,41 @@ fn encode_to_serving_precision(
         });
     }
     out
+}
+
+/// Scores each `(policy, query)` against `snapshot`, policy group by policy
+/// group: exact and approximate requests (or two different epsilons) score
+/// as separate micro-batches, each against a plan carrying its own policy.
+/// The group count is bounded by the distinct policies among the queries —
+/// almost always 1 or 2.  Returns the replies in input order and the summed
+/// pruning counts.
+fn score_by_policy<'q>(
+    snapshot: &FactorSnapshot,
+    config: &ServeConfig,
+    queries: impl Iterator<Item = (Option<ApproxPolicy>, &'q Query)>,
+) -> (Vec<Vec<(u32, f32)>>, PruneStats) {
+    let mut groups: Vec<(Option<ApproxPolicy>, Vec<usize>, Vec<Query>)> = Vec::new();
+    for (i, (policy, query)) in queries.enumerate() {
+        match groups.iter_mut().find(|(p, _, _)| *p == policy) {
+            Some((_, members, group)) => {
+                members.push(i);
+                group.push(query.clone());
+            }
+            None => groups.push((policy, vec![i], vec![query.clone()])),
+        }
+    }
+    let n = groups.iter().map(|(_, members, _)| members.len()).sum();
+    let mut results: Vec<Vec<(u32, f32)>> = vec![Vec::new(); n];
+    let mut prune = PruneStats::default();
+    for (policy, members, group) in groups {
+        let (group_results, group_prune) =
+            ScanPlan::new(snapshot, config, policy).query_batch_stats(snapshot, &group);
+        prune.merge(&group_prune);
+        for (i, result) in members.into_iter().zip(group_results) {
+            results[i] = result;
+        }
+    }
+    (results, prune)
 }
 
 impl TopKService {
@@ -456,10 +488,8 @@ impl TopKService {
             config.cache_capacity,
             budget,
         ));
+        cache.publish(store.generation());
         let (tx, rx) = bounded::<Msg>(config.queue_depth.max(1));
-        let max_item_segments = config.max_item_segments;
-        let precision = config.precision;
-        let precision_overrides = config.precision_overrides.clone();
         let tracer = Arc::new(Tracer::new(config.trace_sample, config.trace_capacity));
         let workers = (0..n_workers)
             .map(|_| {
@@ -487,9 +517,7 @@ impl TopKService {
             state,
             tracer,
             workers,
-            max_item_segments,
-            precision,
-            precision_overrides,
+            config,
         }
     }
 
@@ -689,34 +717,13 @@ impl TopKService {
         }
 
         if !slots.is_empty() {
-            // Slots are scored policy group by policy group: exact and
-            // approximate requests (or two different epsilons) coalesced
-            // into the same popped batch still score as separate
-            // micro-batches, each against an index carrying its own policy.
-            // The group count is bounded by the distinct policies in one
-            // batch — almost always 1 or 2.
-            let mut groups: Vec<(Option<ApproxPolicy>, Vec<usize>)> = Vec::new();
-            for (slot, &(first, _)) in slots.iter().enumerate() {
-                let policy = policies[first];
-                match groups.iter_mut().find(|(p, _)| *p == policy) {
-                    Some((_, members)) => members.push(slot),
-                    None => groups.push((policy, vec![slot])),
-                }
-            }
-            let mut results: Vec<Vec<(u32, f32)>> = vec![Vec::new(); slots.len()];
-            let mut prune = PruneStats::default();
-            for (policy, members) in groups {
-                let queries: Vec<Query> = members
+            let (results, prune) = score_by_policy(
+                &snapshot,
+                config,
+                slots
                     .iter()
-                    .map(|&slot| batch[slots[slot].0].request.query.clone())
-                    .collect();
-                let (group_results, group_prune) =
-                    ScanPlan::new(&snapshot, config, policy).query_batch_stats(&snapshot, &queries);
-                prune.merge(&group_prune);
-                for (slot, result) in members.into_iter().zip(group_results) {
-                    results[slot] = result;
-                }
-            }
+                    .map(|&(first, _)| (policies[first], &batch[first].request.query)),
+            );
             metrics.record_pruning(&prune);
             // The rerank ran inside the scoring pass (still in the Score
             // span); break its wall time out per batch when it actually ran.
@@ -785,9 +792,13 @@ impl TopKService {
     /// training loop can hand over exact f32 factors.
     pub fn publish(&self, snapshot: FactorSnapshot) -> u64 {
         let started = Instant::now();
-        let snapshot =
-            encode_to_serving_precision(snapshot, self.precision, &self.precision_overrides);
+        let snapshot = encode_to_serving_precision(
+            snapshot,
+            self.config.precision,
+            &self.config.precision_overrides,
+        );
         let generation = self.store.publish(snapshot);
+        self.cache.publish(generation);
         self.metrics.record_swap();
         self.metrics.record_publish_latency(started.elapsed());
         generation
@@ -796,10 +807,11 @@ impl TopKService {
     /// Publishes an incremental [`SnapshotDelta`] under load: the next
     /// snapshot shares every factor block the delta did not touch (a
     /// `u`-user fold-in copies `O(u·f)` bytes, not `O(m·f)`), and the
-    /// result cache is invalidated **targetedly** — entries of changed or
-    /// appended users are dropped, everyone else's cached top-k is
-    /// re-stamped to the new generation and keeps serving.  A delta that
-    /// appends catalog items skips the retention fast path (a new item can
+    /// result cache is updated **targetedly**, in `O(changed users)`: every
+    /// cached reply of a changed or appended user is re-scored on the new
+    /// snapshot before this returns (so the call's latency includes those
+    /// scans), and everyone else's cached top-k keeps serving.  A delta
+    /// that appends catalog items skips the targeted path (a new item can
     /// enter any user's top-k), falling back to lazy whole-cache
     /// invalidation through the generation check.
     pub fn publish_delta(&self, delta: &SnapshotDelta) -> Result<(u64, DeltaStats), DeltaError> {
@@ -808,47 +820,72 @@ impl TopKService {
         self.metrics.record_swap();
         self.metrics.record_delta_publish();
         self.metrics.record_publish_latency(started.elapsed());
-        if !delta.touches_items() {
-            let mut changed: std::collections::HashSet<u32> =
-                delta.changed_users().iter().copied().collect();
+        if delta.touches_items() {
+            self.cache.publish(generation);
+            if self.config.max_item_segments > 0
+                && self.store.load().items().segment_count() > self.config.max_item_segments
+            {
+                // Sustained item appends grew the segment list past the
+                // bound: fold the tails back into one base.  Best-effort —
+                // a racing publish simply wins and the next append retries.
+                let _ = self.compact_items();
+            }
+        } else {
             // Appended users were previously out of range; their (empty)
             // results may be cached and are now wrong too.
-            for i in 0..stats.appended_users {
-                changed.insert((stats.user_base + i) as u32);
-            }
-            self.cache
-                .invalidate_users(&changed, delta.base_generation(), generation);
-        } else if self.max_item_segments > 0
-            && self.store.load().items().segment_count() > self.max_item_segments
-        {
-            // Sustained item appends grew the segment list past the bound:
-            // fold the tails back into one base.  Best-effort — a racing
-            // publish simply wins and the next append retries.
-            let _ = self.compact_items();
+            let mut changed = delta.changed_users().to_vec();
+            changed.extend((0..stats.appended_users).map(|i| (stats.user_base + i) as u32));
+            let keys = self
+                .cache
+                .publish_users(delta.base_generation(), generation, &changed);
+            self.refresh(keys);
         }
         Ok((generation, stats))
     }
 
     /// Merges the published snapshot's item segments back into one base and
     /// republishes ([`SnapshotStore::compact_items`]).  Retrieval results
-    /// are bit-identical, so the entire result cache is **retained**: every
-    /// current-generation entry is re-stamped to the new generation instead
-    /// of going stale.  Returns the new generation, or `None` when the
-    /// catalog is already one segment or a concurrent publish won the race.
+    /// are bit-identical, so the entire result cache is **retained**: to
+    /// the cache the compaction is a delta that changed no user, which
+    /// moves its current generation and touches no entry.  Returns the new
+    /// generation, or `None` when the catalog is already one segment or a
+    /// concurrent publish won the race.
     pub fn compact_items(&self) -> Option<u64> {
         match self.store.compact_items() {
             Ok(Some((base_generation, generation))) => {
                 self.metrics.record_swap();
                 self.metrics.record_item_compaction();
-                // Nothing changed observably: retain everyone's entries.
-                self.cache.invalidate_users(
-                    &std::collections::HashSet::new(),
-                    base_generation,
-                    generation,
-                );
+                // Nothing changed observably: a delta that changed no user.
+                self.cache.publish_users(base_generation, generation, &[]);
                 Some(generation)
             }
             Ok(None) | Err(_) => None,
+        }
+    }
+
+    /// Re-scores the cached replies `keys` (taken out of the cache by a
+    /// user-only delta publish) on the published snapshot — the same scan
+    /// a worker's miss runs, under each key's own `k`, exclusions and
+    /// policy — and caches each reply at that snapshot's generation.  Keys
+    /// scored at another storage precision than the snapshot's are dropped,
+    /// not refreshed: their request is served at that precision, not this.
+    fn refresh(&self, mut keys: Vec<CacheKey>) {
+        let snapshot = self.store.load();
+        let precision = snapshot.items().precision().code();
+        keys.retain(|key| key.precision() == precision);
+        if keys.is_empty() {
+            return;
+        }
+        let queries: Vec<(Option<ApproxPolicy>, Query)> =
+            keys.iter().map(|key| (key.policy(), key.query())).collect();
+        let (results, _) = score_by_policy(
+            &snapshot,
+            &self.config,
+            queries.iter().map(|(policy, query)| (*policy, query)),
+        );
+        self.metrics.record_cache_refreshes(keys.len() as u64);
+        for (key, result) in keys.into_iter().zip(results) {
+            self.cache.insert(key, snapshot.generation(), result);
         }
     }
 
@@ -1622,6 +1659,32 @@ mod tests {
         );
         let client = service.client();
         assert_eq!(client.recommend(2, 8, &[]).unwrap().len(), 8);
+    }
+
+    #[test]
+    fn delta_publish_drops_keys_at_another_precision_without_refreshing_them() {
+        // The service stamps every key with the catalog's precision, so a
+        // key at another one is planted by hand: scored at i8 while the
+        // service serves f32.  The delta takes both of user 3's keys out
+        // and re-scores only the f32 one.
+        let service = TopKService::start(snapshot(30), config());
+        let client = service.client();
+        client.recommend(3, 5, &[]).unwrap();
+        // The worker caches after replying; the next reply fences it.
+        client.recommend(0, 1, &[]).unwrap();
+        let own = CacheKey::new(3, 5, &[]);
+        let foreign = own.clone().with_precision(Precision::I8.code());
+        assert!(service.cache.get(&own, 1).is_some());
+        service.cache.insert(foreign.clone(), 1, vec![(0, 1.0)]);
+        let mut delta = service.snapshot().delta();
+        delta.update_user(3, &[1.0; 8]);
+        let (generation, _) = service.publish_delta(&delta).unwrap();
+        assert_eq!(service.metrics().cache_refreshes, 1);
+        assert_eq!(service.cache.get(&foreign, generation), None);
+        assert_eq!(
+            service.cache.get(&own, generation),
+            Some(service.snapshot().recommend_one(3, 5, &[]))
+        );
     }
 
     /// The panic budget is pool-wide: restarts on different workers draw

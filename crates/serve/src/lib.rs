@@ -33,7 +33,8 @@
 //!   coalescing concurrent requests into size- and deadline-bounded
 //!   micro-batches (identical in-flight requests are scored once), fronted
 //!   by a sharded, byte-budgeted LRU result cache
-//!   ([`cache::ShardedResultCache`]) invalidated by snapshot generation.
+//!   ([`cache::ShardedResultCache`]) invalidated by snapshot generation
+//!   and refreshed, per changed user, by delta publishes.
 //!   A panicking worker fails its batch with
 //!   [`batcher::ServeError::WorkerPanicked`] and restarts within the
 //!   pool-wide [`batcher::ServeConfig::panic_budget`]; past the budget the

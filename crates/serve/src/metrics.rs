@@ -87,6 +87,7 @@ pub struct ServeMetrics {
     responses: AtomicU64,
     cache_hits: AtomicU64,
     cache_misses: AtomicU64,
+    cache_refreshes: AtomicU64,
     batches: AtomicU64,
     batch_items: AtomicU64,
     batch_size_hist: [AtomicU64; BATCH_SIZE_BUCKETS],
@@ -150,6 +151,11 @@ impl ServeMetrics {
     /// Records a result that had to be scored.
     pub(crate) fn record_cache_miss(&self) {
         self.cache_misses.fetch_add(1, Ordering::Relaxed); // relaxed-ok: independent monotonic stat; no cross-counter ordering promised
+    }
+
+    /// Records `n` cached replies re-scored by a delta publish.
+    pub(crate) fn record_cache_refreshes(&self, n: u64) {
+        self.cache_refreshes.fetch_add(n, Ordering::Relaxed); // relaxed-ok: independent monotonic stat; no cross-counter ordering promised
     }
 
     /// Records one coalesced micro-batch of `size` requests scored in
@@ -287,6 +293,7 @@ impl ServeMetrics {
             responses: self.responses.load(Ordering::Relaxed), // relaxed-ok: racy-but-atomic sample; cross-counter skew is documented
             cache_hits: hits,
             cache_misses: misses,
+            cache_refreshes: self.cache_refreshes.load(Ordering::Relaxed), // relaxed-ok: racy-but-atomic sample; cross-counter skew is documented
             batches,
             batch_size_hist: std::array::from_fn(|i| {
                 self.batch_size_hist[i].load(Ordering::Relaxed) // relaxed-ok: racy-but-atomic sample; cross-counter skew is documented
@@ -367,6 +374,10 @@ pub struct MetricsReport {
     pub cache_hits: u64,
     /// Results scored against a snapshot.
     pub cache_misses: u64,
+    /// Cached replies of changed users re-scored on the publishing thread
+    /// by a delta publish (not requests: counted in neither hits nor
+    /// misses, and their scans are not in the block or byte counters).
+    pub cache_refreshes: u64,
     /// Coalesced micro-batches scored.
     pub batches: u64,
     /// Total requests across all micro-batches.
@@ -480,6 +491,9 @@ impl MetricsReport {
             responses: self.responses.saturating_sub(baseline.responses),
             cache_hits: hits,
             cache_misses: misses,
+            cache_refreshes: self
+                .cache_refreshes
+                .saturating_sub(baseline.cache_refreshes),
             batches,
             batch_items,
             batch_size_hist: std::array::from_fn(|i| {
@@ -550,6 +564,11 @@ impl MetricsReport {
             self.cache_hits,
         )
         .counter("serve_cache_misses", "results scored", self.cache_misses)
+        .counter(
+            "serve_cache_refreshes",
+            "cached replies re-scored by delta publishes",
+            self.cache_refreshes,
+        )
         .counter("serve_batches", "micro-batches scored", self.batches)
         .gauge(
             "serve_cache_hit_rate",
@@ -681,6 +700,11 @@ impl std::fmt::Display for MetricsReport {
             self.item_compactions,
             self.worker_panics,
             self.worker_restarts
+        )?;
+        writeln!(
+            f,
+            "cache refreshes: {} (changed users' replies re-scored at delta publish)",
+            self.cache_refreshes
         )?;
         writeln!(
             f,
@@ -967,6 +991,21 @@ mod tests {
         assert!(text.contains("4196 bytes streamed"));
         assert!(text.contains("20 candidates rescored"));
         assert!(text.contains("rerank"));
+    }
+
+    #[test]
+    fn cache_refreshes_flow_to_reports_exporter_and_display() {
+        let m = ServeMetrics::new();
+        m.record_cache_refreshes(3);
+        let first = m.window_report();
+        m.record_cache_refreshes(2);
+        let second = m.window_report();
+        assert_eq!(first.cumulative.cache_refreshes, 3);
+        assert_eq!(second.window.cache_refreshes, 2);
+        assert_eq!(second.cumulative.cache_refreshes, 5);
+        let json = second.cumulative.exporter().to_json();
+        assert!(json.contains("\"serve_cache_refreshes\":5"), "{json}");
+        assert!(second.cumulative.to_string().contains("cache refreshes: 5"));
     }
 
     #[test]

@@ -18,6 +18,10 @@
 //! first snapshot generation reflecting it was published.  That histogram —
 //! exported as `serve_freshness_*` — is the loop's end-to-end staleness
 //! bound: serving traffic admitted after the publish sees the rating.
+//! Publishing through a [`TopKService`] also re-scores the changed users'
+//! cached replies before [`DeltaPublisher::publish_delta`] returns, so that
+//! call's latency includes those scans; freshness is still stamped after it
+//! returns, when the first read of a changed user is already a cache hit.
 //!
 //! ## Fold-in versus streaming SGD
 //!
@@ -61,8 +65,8 @@ use std::collections::BTreeSet;
 use std::time::{Duration, Instant};
 
 /// Anything the loop can publish deltas through: the raw [`SnapshotStore`]
-/// (tests, benches) or a live [`TopKService`] (which also invalidates its
-/// result cache targetedly and records publish metrics).
+/// (tests, benches) or a live [`TopKService`] (which also refreshes the
+/// changed users' cached replies and records publish metrics).
 pub trait DeltaPublisher {
     /// The currently-published snapshot (what the next delta chains from).
     fn current(&self) -> Arc<FactorSnapshot>;

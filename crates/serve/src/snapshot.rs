@@ -228,7 +228,7 @@ impl SnapshotDelta {
     /// Appends new catalog items (they get the next ids after the base
     /// snapshot's item count, in row order).  Note that appending items
     /// invalidates every cached ranking — a new item may enter anyone's
-    /// top-k — so the targeted cache-retention fast path does not apply.
+    /// top-k — so the service's targeted cache refresh does not apply.
     ///
     /// # Panics
     /// Panics if `rows.rank() != rank()`.

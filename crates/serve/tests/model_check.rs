@@ -1,6 +1,7 @@
 //! Schedule-exploring model checks for the serving tier's lock-free
 //! structures: the `SnapshotStore` CAS publish, the generation-stamped
-//! result cache (the PR 4 regression), and the queue-depth gauge.
+//! result cache (the PR 4 regression and the delta-publish refresh), and
+//! the queue-depth gauge.
 //!
 //! Compiled only under `--cfg cumf_model_check` (see
 //! `crates/serve/src/sync.rs`).  Run with:
@@ -124,6 +125,54 @@ fn stale_inflight_batch_never_clobbers_newer_cache_entry() {
         // slot) is acceptable — serving the *old* list is the bug.
     });
     assert!(stats.interleavings >= 100);
+}
+
+/// The delta-publish refresh, model-checked: user 7's reply is cached at
+/// generation 1; a worker batch that scored user 7 on the generation-1
+/// snapshot inserts its (old) reply while the publisher moves the cache to
+/// generation 2, takes user 7's keys out and re-inserts them re-scored,
+/// and a batch on the generation-2 snapshot reads concurrently.  In no
+/// interleaving may a generation-2 read get the old reply, and once the
+/// publish returns the refreshed reply must be what generation 2 serves.
+/// The guard that makes the straggler lose is `ResultCache::insert`
+/// dropping inserts computed before the current generation.
+#[test]
+fn delta_refresh_racing_a_stale_batch_never_serves_the_old_reply() {
+    let old_reply = vec![(1u32, 0.5f32)];
+    let new_reply = vec![(2u32, 0.9f32)];
+    let stats = loom::Builder::new().preemption_bound(3).check(|| {
+        let cache = Arc::new(ShardedResultCache::new(1, 64, usize::MAX));
+        let key = CacheKey::new(7, 1, &[]);
+        cache.publish(1);
+        cache.insert(key.clone(), 1, old_reply.clone());
+        let (cache2, key2, old2) = (Arc::clone(&cache), key.clone(), old_reply.clone());
+        let straggler = thread::spawn(move || cache2.insert(key2, 1, old2));
+        let (cache3, key3, old3) = (Arc::clone(&cache), key.clone(), old_reply.clone());
+        let reader = thread::spawn(move || {
+            assert_ne!(
+                cache3.get(&key3, 2),
+                Some(old3),
+                "mid-refresh generation-2 read served the generation-1 reply"
+            );
+        });
+        let taken = cache.publish_users(1, 2, &[7]);
+        assert_eq!(taken, vec![key.clone()], "the cached key is refreshed");
+        for k in taken {
+            cache.insert(k, 2, new_reply.clone());
+        }
+        straggler.join().expect("model thread");
+        reader.join().expect("model thread");
+        assert_eq!(
+            cache.get(&key, 2),
+            Some(new_reply.clone()),
+            "generation 2 must serve the refreshed reply"
+        );
+    });
+    assert!(
+        stats.interleavings >= 100,
+        "scenario explored only {} interleavings",
+        stats.interleavings
+    );
 }
 
 /// Mutation direction for the PR 4 regression: the same race run against a

@@ -4,11 +4,11 @@
 //! `publish_delta` must be **observationally identical** to tearing the
 //! snapshot down and rebuilding it from the post-delta factor matrices —
 //! for every shard count, every worker count, with the targeted cache
-//! invalidation in between — while physically copying only `O(u·f)` user
+//! refresh in between — while physically copying only `O(u·f)` user
 //! factor bytes (the byte-accounting test) and surviving interleaved full
 //! and delta publishes under concurrent load (the hot-swap test).
 
-use cumf_linalg::FactorMatrix;
+use cumf_linalg::{ApproxPolicy, FactorMatrix};
 use cumf_serve::{
     DeltaError, FactorSnapshot, Query, ScoreKind, ServeConfig, SnapshotDelta, TopKIndex,
     TopKService, USER_COW_ROWS,
@@ -142,7 +142,7 @@ proptest! {
 }
 
 /// Service-level bit-identity across worker × shard combinations, with the
-/// targeted cache invalidation on the path.
+/// targeted cache refresh on the path.
 #[test]
 fn service_replies_after_delta_match_full_rebuild_for_every_pool_shape() {
     let (m, n, f) = (90usize, 400usize, 8usize);
@@ -232,8 +232,9 @@ fn delta_publish_copies_o_of_u_f_bytes() {
 }
 
 /// Targeted invalidation: after a delta publish, unchanged users' cached
-/// results keep serving (cache hits), changed users are rescored against
-/// the new factors.
+/// results keep serving (cache hits), and changed users' cached results are
+/// re-scored against the new factors by the publish itself, so their next
+/// read is a hit too.
 #[test]
 fn delta_publish_keeps_unrelated_cache_entries_hot() {
     let (x, theta) = base_factors(11, 60, 300, 8);
@@ -247,7 +248,11 @@ fn delta_publish_keeps_unrelated_cache_entries_hot() {
     );
     let client = service.client();
     let a_before = client.recommend(5, 7, &[]).unwrap();
-    let _b_before = client.recommend(20, 7, &[]).unwrap();
+    let b_before = client.recommend(20, 7, &[]).unwrap();
+    // A worker caches a scored reply after sending it.  With one worker, a
+    // later batch's reply means the earlier batch's insert has landed, so
+    // this hit fences user 20's insert ahead of the publish.
+    assert_eq!(client.recommend(5, 7, &[]).unwrap(), a_before);
     let misses_before = service.metrics().cache_misses;
 
     // Change user 20 only.
@@ -264,11 +269,18 @@ fn delta_publish_keeps_unrelated_cache_entries_hot() {
         "unchanged user was rescored after a targeted delta publish"
     );
 
-    // User 20 is rescored against the new factors.
+    // User 20's cached reply was re-scored against the new factors by the
+    // publish: a hit, equal to the new snapshot's reply.
     let b_after = client.recommend(20, 7, &[]).unwrap();
     let expect = service.snapshot().recommend_one(20, 7, &[]);
     assert_eq!(b_after, expect);
-    assert!(service.metrics().cache_misses > misses_before);
+    assert_ne!(b_after, b_before, "the delta must move user 20's reply");
+    let m = service.metrics();
+    assert_eq!(
+        m.cache_misses, misses_before,
+        "changed user's re-read missed: the publish did not refresh it"
+    );
+    assert_eq!(m.cache_refreshes, 1);
 
     // A full publish still invalidates everything, delta retention or not.
     let (x2, theta2) = base_factors(77, 60, 300, 8);
@@ -276,6 +288,110 @@ fn delta_publish_keeps_unrelated_cache_entries_hot() {
     let a_fresh = client.recommend(5, 7, &[]).unwrap();
     assert_eq!(a_fresh, service.snapshot().recommend_one(5, 7, &[]));
     assert_ne!(a_fresh, a_before, "stale entry served after full publish");
+}
+
+/// Every kind of cached key a delta refreshes — one with an exclusion
+/// list, one scored under an approximate policy, and an appended user's
+/// cached empty reply — must come back from the cache equal to what a
+/// cache-off service scores on the same snapshot.
+#[test]
+fn refreshed_replies_equal_a_cache_off_service() {
+    let (m, n, f) = (70usize, 500usize, 8usize);
+    let (x, theta) = base_factors(41, m, n, f);
+    let coarse = ApproxPolicy {
+        epsilon: 0.5,
+        max_blocks: 1,
+        target_recall: 0.0,
+    };
+    let config = ServeConfig {
+        max_batch: 4,
+        max_delay: Duration::from_millis(1),
+        item_block: 16,
+        ..Default::default()
+    };
+    let cached = TopKService::start(
+        FactorSnapshot::from_factors(x.clone(), theta.clone()),
+        config.clone(),
+    );
+    let uncached = TopKService::start(
+        FactorSnapshot::from_factors(x, theta),
+        ServeConfig {
+            cache_capacity: 0,
+            ..config
+        },
+    );
+    let appended = m as u32;
+    let reads = |client: &cumf_serve::ServeClient| {
+        vec![
+            client.recommend(9, 6, &[3, 1, 4, 1, 5]).unwrap(),
+            client.recommend_approx(9, 6, &[2], coarse).unwrap(),
+            client.recommend(12, 4, &[]).unwrap(),
+            client.recommend(appended, 5, &[]).unwrap(),
+        ]
+    };
+    let client = cached.client();
+    let before = reads(&client);
+    assert!(before[3].is_empty(), "user {appended} does not exist yet");
+    // One worker caches a reply after sending it; a later batch's reply
+    // fences the last read's insert ahead of the publish.
+    client.recommend(0, 1, &[]).unwrap();
+
+    let spec = DeltaSpec {
+        changed: vec![9, 12],
+        appended_users: 1,
+        appended_items: 0,
+        seed: 5,
+    };
+    for service in [&cached, &uncached] {
+        let delta = spec.build(service.snapshot().generation(), f);
+        service.publish_delta(&delta).unwrap();
+    }
+    let misses = cached.metrics().cache_misses;
+    assert_eq!(cached.metrics().cache_refreshes, 4);
+    let after = reads(&client);
+    assert_eq!(after, reads(&uncached.client()));
+    assert_eq!(after[3].len(), 5, "the appended user's reply is refreshed");
+    assert_ne!(
+        after[1],
+        cached.snapshot().recommend_one(9, 6, &[2]),
+        "the approximate key must score differently from an exact one"
+    );
+    assert_ne!(after, before);
+    assert_eq!(
+        cached.metrics().cache_misses,
+        misses,
+        "a refreshed key missed"
+    );
+}
+
+/// An item-appending delta keeps the lazy whole-cache path: nothing is
+/// re-scored on the publishing thread, and the next read of a changed user
+/// misses and scores against the new catalog.
+#[test]
+fn item_appending_delta_refreshes_nothing() {
+    let (x, theta) = base_factors(43, 30, 200, 6);
+    let service = TopKService::start(
+        FactorSnapshot::from_factors(x, theta),
+        ServeConfig {
+            max_batch: 4,
+            max_delay: Duration::from_millis(1),
+            ..Default::default()
+        },
+    );
+    let client = service.client();
+    client.recommend(4, 5, &[]).unwrap();
+    client.recommend(7, 5, &[]).unwrap();
+    let misses = service.metrics().cache_misses;
+    let mut delta = service.snapshot().delta();
+    delta.update_user(4, &[1.0; 6]);
+    delta.append_items(&FactorMatrix::random(3, 6, 1.0, 9));
+    service.publish_delta(&delta).unwrap();
+    assert_eq!(service.metrics().cache_refreshes, 0);
+    for user in [4, 7] {
+        let got = client.recommend(user, 5, &[]).unwrap();
+        assert_eq!(got, service.snapshot().recommend_one(user, 5, &[]));
+    }
+    assert_eq!(service.metrics().cache_misses, misses + 2);
 }
 
 /// A delta appending catalog items must invalidate every cached ranking —
