@@ -1,12 +1,13 @@
-//! Out-of-core planning, prefetching and fault tolerance (§4.3–4.4 of the
-//! paper) on the very large Table 5 workloads.
+//! Out-of-core planning, the priced prefetch pipeline and fault tolerance
+//! (§4.3–4.4 of the paper) on the very large Table 5 workloads.
 //!
 //! This example does three things:
 //!
 //! 1. asks the partition planner (equation (8)) how each paper-scale data
 //!    set would be split across four 12 GB GPUs;
-//! 2. shows how much of the host→device streaming the prefetching pipeline
-//!    hides behind compute;
+//! 2. prices how much of the host→device streaming double buffering hides
+//!    behind compute (`oocore::pipeline_time`, a model: nothing is
+//!    streamed);
 //! 3. demonstrates checkpoint / restart by interrupting a training run and
 //!    resuming it from the latest checkpoint.
 //!
@@ -40,7 +41,7 @@ fn main() {
         );
     }
 
-    // --- 2. How much streaming the prefetcher hides ------------------------
+    // --- 2. How much streaming the priced pipeline hides -------------------
     let spec = PaperDataset::Facebook.spec();
     let dims = ProblemDims::new(spec.m, spec.n, spec.nz, spec.f as u64);
     let cost = cumf_iteration_cost(&dims, &ClusterConfig::four_k80());

@@ -747,7 +747,7 @@ pub fn bin_ablation() -> Vec<BinAblationRow> {
             );
             let half = |rows: f64, cols: f64| {
                 let shape = SideShape::uniform(rows, cols, nz, PartitionPlan::default());
-                price_side(&hw, 100, &shape, false).0.total()
+                price_side(&hw, 100, &shape, false).total()
             };
             BinAblationRow {
                 bin,

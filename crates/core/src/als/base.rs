@@ -53,8 +53,7 @@ pub enum Placement {
 /// The simulated cluster an engine's sweeps are priced on.
 #[derive(Debug, Clone)]
 struct Simulated {
-    cluster: GpuCluster,
-    /// `cluster`'s hardware with the engine's memory options and reduction.
+    /// The cluster's hardware, the engine's memory options and reduction.
     hardware: ClusterConfig,
     placement: Placement,
     /// `(p, q)` of the update-X and the update-Θ half.
@@ -119,7 +118,7 @@ impl AlsEngine {
     pub fn on_cluster(
         config: AlsConfig,
         r: Csr,
-        mut cluster: GpuCluster,
+        cluster: GpuCluster,
         placement: Placement,
     ) -> Self {
         let mut engine = Self::new(config, r);
@@ -129,7 +128,7 @@ impl AlsEngine {
             // One GPU holds everything: nothing is ever reduced.
             Placement::Resident => (
                 [WHOLE; 2],
-                mo::place(&mut cluster, &engine.r, f),
+                mo::place(&cluster, &engine.r, f),
                 ReductionScheme::OnePhase,
             ),
             Placement::Grid { reduction, plan } => {
@@ -147,7 +146,6 @@ impl AlsEngine {
         let shapes = [0, 1].map(|k| su::shape(sides[k], plans[k]));
         let hardware = ClusterConfig::of(&cluster, engine.config.memory_opt, reduction);
         engine.sim = Some(Simulated {
-            cluster,
             hardware,
             placement,
             plans,
@@ -190,12 +188,6 @@ impl AlsEngine {
     /// the engine runs on a grid.
     pub fn plans(&self) -> [PartitionPlan; 2] {
         self.sim.as_ref().map_or([WHOLE; 2], |s| s.plans)
-    }
-
-    /// The simulated cluster, if the engine is priced on one (for
-    /// profiling).
-    pub fn cluster(&self) -> Option<&GpuCluster> {
-        self.sim.as_ref().map(|s| &s.cluster)
     }
 
     /// Simulated seconds of the one-time initial upload (resident placement
@@ -262,21 +254,11 @@ impl AlsEngine {
             self.config.lambda,
             self.metrics.as_deref(),
         );
-        let timing = match &mut self.sim {
-            None => SideTiming::default(),
-            Some(sim) => {
-                let streamed = matches!(sim.placement, Placement::Grid { .. });
-                let shape = &sim.shapes[usize::from(!solve_x)];
-                let (timing, busy) = price_side(&sim.hardware, f, shape, streamed);
-                for (gpu, [gh, bs]) in busy.into_iter().enumerate() {
-                    if gh > 0.0 {
-                        sim.cluster.run_kernel(gpu, gh);
-                        sim.cluster.run_kernel(gpu, bs);
-                    }
-                }
-                timing
-            }
-        };
+        let timing = self.sim.as_ref().map_or_else(SideTiming::default, |sim| {
+            let streamed = matches!(sim.placement, Placement::Grid { .. });
+            let shape = &sim.shapes[usize::from(!solve_x)];
+            price_side(&sim.hardware, f, shape, streamed)
+        });
         if solve_x {
             self.x = solved;
         } else {

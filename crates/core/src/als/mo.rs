@@ -120,21 +120,18 @@ pub(crate) fn batch_solve_traffic(rows: f64, f: f64) -> KernelTraffic {
 /// # Panics
 /// Panics if the cluster has more than one GPU or the three do not fit in
 /// its global memory.
-pub(crate) fn place(cluster: &mut GpuCluster, r: &Csr, f: usize) -> f64 {
+pub(crate) fn place(cluster: &GpuCluster, r: &Csr, f: usize) -> f64 {
     assert_eq!(cluster.n_gpus(), 1, "MO-ALS runs on exactly one GPU");
     let (m, n, f) = (r.n_rows() as u64, r.n_cols() as u64, f as u64);
-    let alloc = cluster.allocator_mut(0);
-    alloc
-        .alloc_f32("R (CSR)", r.footprint_words() as u64)
-        .and_then(|_| alloc.alloc_f32("X", m * f))
-        .and_then(|_| alloc.alloc_f32("ThetaT", n * f))
-        .unwrap_or_else(|e| panic!("problem does not fit on one GPU: {e}; use SU-ALS"));
-    let bytes = (r.footprint_words() as u64 + m * f + n * f) * 4;
-    let upload_s = cluster
+    let words = r.footprint_words() as u64 + m * f + n * f;
+    let capacity = cluster.spec().global_mem_f32_capacity();
+    assert!(
+        words <= capacity,
+        "problem does not fit on one GPU: R, X and Θᵀ need {words} words but it holds {capacity}; use SU-ALS"
+    );
+    cluster
         .timing()
-        .transfer_time(bytes as f64, cluster.spec().pcie_gbs);
-    cluster.run_transfer(0, upload_s, 0.0);
-    upload_s
+        .transfer_time((words * 4) as f64, cluster.spec().pcie_gbs)
 }
 
 #[cfg(test)]
@@ -185,7 +182,7 @@ mod tests {
             ..ClusterConfig::titan_x(1)
         };
         let shape = SideShape::uniform(480_189.0, 17_770.0, 99.0e6, PartitionPlan::default());
-        price_side(&hw, 100, &shape, false).0.total()
+        price_side(&hw, 100, &shape, false).total()
     }
 
     #[test]
@@ -258,10 +255,24 @@ mod tests {
         let t2 = sweep(&mut mo);
         assert!((mo.simulated_time() - (t1 + t2)).abs() < 1e-12);
         assert!(mo.upload_time() > 0.0);
-        assert!(
-            mo.cluster().unwrap().profiler().len() >= 9,
-            "kernels and upload are profiled"
-        );
+    }
+
+    /// A one-GPU cluster whose global memory is `bytes`.
+    fn cluster_of(bytes: u64) -> GpuCluster {
+        let spec = cumf_gpu_sim::DeviceSpec {
+            global_mem_bytes: bytes,
+            ..cumf_gpu_sim::DeviceSpec::titan_x()
+        };
+        GpuCluster::new(spec, cumf_gpu_sim::PcieTopology::flat(1))
+    }
+
+    fn resident(r: Csr, cluster: GpuCluster) -> AlsEngine {
+        AlsEngine::on_cluster(
+            config(MemoryOptConfig::optimized()),
+            r,
+            cluster,
+            Placement::Resident,
+        )
     }
 
     #[test]
@@ -269,18 +280,29 @@ mod tests {
     fn oversized_problem_is_rejected() {
         // A fake 2-billion-rating matrix cannot be built in memory, so build
         // a small one and shrink the device instead.
+        resident(small_ratings(), cluster_of(1024)); // 1 KiB "GPU"
+    }
+
+    /// `R`, `X` and `Θᵀ` of `r` at the tests' rank, in bytes.
+    fn resident_bytes(r: &Csr) -> u64 {
+        let f = config(MemoryOptConfig::optimized()).f as u64;
+        4 * (r.footprint_words() as u64 + (r.n_rows() as u64 + r.n_cols() as u64) * f)
+    }
+
+    #[test]
+    fn a_problem_that_exactly_fills_the_device_fits() {
         let r = small_ratings();
-        let spec = cumf_gpu_sim::DeviceSpec {
-            global_mem_bytes: 1024, // 1 KiB "GPU"
-            ..cumf_gpu_sim::DeviceSpec::titan_x()
-        };
-        let cluster = GpuCluster::new(spec, cumf_gpu_sim::PcieTopology::flat(1), 1);
-        AlsEngine::on_cluster(
-            config(MemoryOptConfig::optimized()),
-            r,
-            cluster,
-            Placement::Resident,
-        );
+        let bytes = resident_bytes(&r);
+        let engine = resident(r, cluster_of(bytes));
+        assert!(engine.upload_time() > 0.0);
+    }
+
+    #[test]
+    #[should_panic(expected = "does not fit on one GPU")]
+    fn one_word_short_of_the_problem_is_rejected() {
+        let r = small_ratings();
+        let bytes = resident_bytes(&r);
+        resident(r, cluster_of(bytes - 4));
     }
 
     #[test]

@@ -172,7 +172,7 @@ mod tests {
     }
 
     #[test]
-    fn simulated_time_accumulates_and_profiler_fills() {
+    fn simulated_time_accumulates() {
         let mut su = engine(2, 2, 2, ReductionScheme::OnePhase);
         let [x, theta] = su.iterate();
         assert!(x.total() + theta.total() > 0.0);
@@ -180,7 +180,7 @@ mod tests {
         assert!(x.batch_solve_s > 0.0);
         assert!(x.transfer_s > 0.0 && x.reduce_s > 0.0);
         assert!(su.simulated_time() > 0.0);
-        assert!(!su.cluster().unwrap().profiler().is_empty());
+        assert_eq!(su.simulated_time(), x.total() + theta.total());
     }
 
     #[test]

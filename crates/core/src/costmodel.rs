@@ -165,9 +165,7 @@ impl SideShape {
     }
 }
 
-/// Prices one side update of rank `f` over `shape`'s blocks on `hw`, and
-/// returns its timing with each GPU's `[get_hermitian, batch_solve]` busy
-/// seconds.
+/// Prices one side update of rank `f` over `shape`'s blocks on `hw`.
 ///
 /// Block `(j, i)` runs on GPU `((j mod l)·p + i) mod n`, with `l =
 /// max(1, n / p)` lanes: a batch's `p` blocks spread over GPUs (data
@@ -178,12 +176,7 @@ impl SideShape {
 /// `R` block from the host over the topology, one wave's copies at once:
 /// the first wave is exposed, later waves cost what exceeds their compute.
 /// A resident side (`R` and `Θᵀ` already on the GPU) copies nothing.
-pub fn price_side(
-    hw: &ClusterConfig,
-    f: usize,
-    shape: &SideShape,
-    streamed: bool,
-) -> (SideTiming, Vec<[f64; 2]>) {
+pub fn price_side(hw: &ClusterConfig, f: usize, shape: &SideShape, streamed: bool) -> SideTiming {
     let (p, q, n_gpus) = (shape.widths.len(), shape.rows.len(), hw.topology.n_gpus());
     let lanes = (n_gpus / p).max(1);
     let (fu, ff) = (f as u32, f as f64);
@@ -247,7 +240,7 @@ pub fn price_side(
     }
     side.get_hermitian_s = busy.iter().map(|b| b[0]).fold(0.0, f64::max);
     side.batch_solve_s = busy.iter().map(|b| b[1]).fold(0.0, f64::max);
-    (side, busy)
+    side
 }
 
 /// Simulated cost of one full ALS iteration at full scale.
@@ -276,7 +269,7 @@ pub fn cumf_iteration_cost(dims: &ProblemDims, cluster: &ClusterConfig) -> Itera
         let side_dims = ProblemDims::new(rows, cols, dims.nz, dims.f);
         let plan = planner::plan(&side_dims, &cluster.device, cluster.topology.n_gpus());
         let shape = SideShape::uniform(rows as f64, cols as f64, dims.nz as f64, plan);
-        cost.sides[k] = price_side(cluster, dims.f as usize, &shape, true).0;
+        cost.sides[k] = price_side(cluster, dims.f as usize, &shape, true);
         cost.plans[k] = plan;
     }
     cost

@@ -23,8 +23,8 @@
 //! * [`reduce`] — the one-phase and two-phase (topology-aware) parallel
 //!   reduction schemes of §4.2.
 //! * [`planner`] — the memory-capacity partition planner of §4.3 (equation 8).
-//! * [`oocore`] — the out-of-core batch scheduler with asynchronous prefetch
-//!   of §4.4.
+//! * [`oocore`] — the priced out-of-core pipeline of §4.4: how much
+//!   host→device streaming double buffering hides behind compute.
 //! * [`checkpoint`] — fault-tolerance checkpointing of §4.4, including
 //!   delta records that journal incremental fold-ins between full
 //!   checkpoints.

@@ -7,16 +7,9 @@
 //! manage to handle out-of-core problems with close-to-zero data loading
 //! time except for the first load."
 //!
-//! This module provides both:
-//!
-//! * an analytic pipeline model ([`pipeline_time`]) used by the cost model,
-//!   and
-//! * a real double-buffered prefetcher ([`Prefetcher`]) that overlaps host
-//!   "loading" (materializing partition data) with consumption on worker
-//!   threads, demonstrating the overlap with actual threads.
-
-use crossbeam::channel::{bounded, Receiver};
-use std::thread::JoinHandle;
+//! This module prices that pipeline ([`pipeline_time`]): with double
+//! buffering, each batch's transfer hides behind the previous batch's
+//! compute, and only the first load is exposed.
 
 /// One batch of out-of-core work: how long its data takes to transfer and
 /// how long its compute takes.
@@ -61,66 +54,9 @@ pub fn hidden_transfer_fraction(batches: &[BatchCost]) -> f64 {
     ((serial - pipelined) / total_transfer).clamp(0.0, 1.0)
 }
 
-/// A real double-buffered prefetcher: a background thread produces batches
-/// in order while the caller consumes them, with a bounded channel providing
-/// the "double buffer" (capacity = number of batches in flight).
-pub struct Prefetcher<T: Send + 'static> {
-    receiver: Receiver<T>,
-    producer: Option<JoinHandle<()>>,
-}
-
-impl<T: Send + 'static> Prefetcher<T> {
-    /// Starts prefetching: `load(i)` is called for `i in 0..n_batches` on a
-    /// background thread, at most `in_flight` batches ahead of the consumer.
-    pub fn start<F>(n_batches: usize, in_flight: usize, load: F) -> Self
-    where
-        F: Fn(usize) -> T + Send + 'static,
-    {
-        let (tx, rx) = bounded(in_flight.max(1));
-        let producer = std::thread::spawn(move || {
-            for i in 0..n_batches {
-                let item = load(i);
-                if tx.send(item).is_err() {
-                    break; // consumer dropped early
-                }
-            }
-        });
-        Self {
-            receiver: rx,
-            producer: Some(producer),
-        }
-    }
-
-    /// Blocks until the next batch is available; `None` once all batches
-    /// have been consumed.
-    pub fn next_batch(&mut self) -> Option<T> {
-        self.receiver.recv().ok()
-    }
-}
-
-impl<T: Send + 'static> Drop for Prefetcher<T> {
-    fn drop(&mut self) {
-        // Disconnect first so the producer unblocks, then join it.
-        let (_tx, rx) = bounded::<T>(1);
-        self.receiver = rx;
-        if let Some(h) = self.producer.take() {
-            let _ = h.join();
-        }
-    }
-}
-
-impl<T: Send + 'static> Iterator for Prefetcher<T> {
-    type Item = T;
-
-    fn next(&mut self) -> Option<T> {
-        self.next_batch()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::time::{Duration, Instant};
 
     #[test]
     fn serial_time_is_the_sum() {
@@ -175,45 +111,5 @@ mod tests {
         assert_eq!(pipeline_time(&one, true), 3.0);
         assert_eq!(pipeline_time(&one, false), 3.0);
         assert_eq!(hidden_transfer_fraction(&[]), 1.0);
-    }
-
-    #[test]
-    fn prefetcher_delivers_all_batches_in_order() {
-        let mut p = Prefetcher::start(8, 2, |i| i * 10);
-        let got: Vec<usize> = (&mut p).collect();
-        assert_eq!(got, (0..8).map(|i| i * 10).collect::<Vec<_>>());
-    }
-
-    #[test]
-    fn prefetcher_overlaps_loading_with_consumption() {
-        // Each load takes ~15 ms and each "compute" takes ~15 ms; with
-        // overlap the total should be well below the 8 × 30 ms serial time.
-        let load_ms = 15u64;
-        let start = Instant::now();
-        let mut p = Prefetcher::start(8, 2, move |i| {
-            std::thread::sleep(Duration::from_millis(load_ms));
-            i
-        });
-        let mut consumed = 0;
-        while p.next_batch().is_some() {
-            std::thread::sleep(Duration::from_millis(load_ms));
-            consumed += 1;
-        }
-        let elapsed = start.elapsed();
-        assert_eq!(consumed, 8);
-        assert!(
-            elapsed < Duration::from_millis(8 * 2 * load_ms - 40),
-            "no overlap observed: {elapsed:?}"
-        );
-    }
-
-    #[test]
-    fn dropping_prefetcher_early_does_not_hang() {
-        let mut p = Prefetcher::start(100, 2, |i| {
-            std::thread::sleep(Duration::from_millis(1));
-            i
-        });
-        assert_eq!(p.next_batch(), Some(0));
-        drop(p); // must unblock the producer and join cleanly
     }
 }

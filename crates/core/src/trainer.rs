@@ -192,7 +192,6 @@ impl MatrixFactorizer {
                     TopologyKind::DualSocket => GpuCluster::new(
                         cumf_gpu_sim::DeviceSpec::titan_x(),
                         cumf_gpu_sim::PcieTopology::dual_socket(*n_gpus),
-                        *n_gpus,
                     ),
                 };
                 let placement = Placement::Grid {

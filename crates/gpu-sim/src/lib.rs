@@ -8,8 +8,6 @@
 //! * [`device`] — device specifications (SM count, cores, clock, register
 //!   file, shared memory, global memory size and bandwidth, texture cache),
 //!   with presets for the Titan X and GK210/K80 used in the paper.
-//! * [`mem`] — a device-memory allocator with capacity tracking, so that the
-//!   partition planner's out-of-memory conditions are real errors.
 //! * [`traffic`] — per-kernel FLOP and byte counters (global / texture /
 //!   shared / register traffic), the quantities Table 3 of the paper accounts.
 //! * [`occupancy`] — the CUDA occupancy calculation (blocks per SM limited by
@@ -19,11 +17,13 @@
 //!   simulated kernel time.
 //! * [`topology`] — the PCIe interconnect (flat root or dual-socket) with
 //!   full-duplex links and contention, used by the topology-aware reduction.
-//! * [`stream`] — CUDA-stream-like timelines with separate copy and compute
-//!   engines, so transfer/compute overlap (out-of-core prefetch) is modelled.
-//! * [`multi`] — a [`multi::GpuCluster`] bundling several devices, their
-//!   allocators, timelines and the interconnect.
-//! * [`profiler`] — a timeline of simulated events for reporting.
+//! * [`multi`] — a [`multi::GpuCluster`] naming the hardware: identical
+//!   devices, their interconnect and the timing model.
+//!
+//! Everything here is an immutable description or a pure function of one:
+//! the crate prices work, it keeps no clock.  Capacity is a comparison
+//! against [`DeviceSpec::global_mem_f32_capacity`], and transfer/compute
+//! overlap is priced by the caller (`cumf_core::costmodel::price_side`).
 //!
 //! The *numerics* of the algorithms built on top of this crate run on the
 //! host CPU; only *time* is simulated.  This preserves the paper's
@@ -32,21 +32,15 @@
 
 #![forbid(unsafe_code)]
 pub mod device;
-pub mod mem;
 pub mod multi;
 pub mod occupancy;
-pub mod profiler;
-pub mod stream;
 pub mod timing;
 pub mod topology;
 pub mod traffic;
 
 pub use device::{DeviceSpec, MemoryKind, MemoryTableRow};
-pub use mem::{AllocId, DeviceAllocator, OutOfMemory};
 pub use multi::GpuCluster;
 pub use occupancy::Occupancy;
-pub use profiler::{EventKind, Profiler};
-pub use stream::DeviceTimeline;
 pub use timing::{KernelTiming, TimingModel};
 pub use topology::{Endpoint, PcieTopology, TopologyKind, Transfer};
 pub use traffic::KernelTraffic;

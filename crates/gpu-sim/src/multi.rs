@@ -1,12 +1,11 @@
-//! Multi-GPU machine abstraction.
+//! Multi-GPU machine description.
 //!
-//! A [`GpuCluster`] bundles the pieces SU-ALS (Algorithm 3) needs: `p`
-//! devices with their allocators and timelines, the PCIe topology between
-//! them, the timing model, and a shared profiler.
+//! A [`GpuCluster`] is the immutable hardware SU-ALS (Algorithm 3) is
+//! priced on: `p` identical devices, the PCIe topology between them and the
+//! timing model.  It holds no state; every simulated second is computed from
+//! it, not replayed on it.
 
-use crate::{
-    DeviceAllocator, DeviceSpec, DeviceTimeline, EventKind, PcieTopology, Profiler, TimingModel,
-};
+use crate::{DeviceSpec, PcieTopology, TimingModel};
 
 /// A single machine with one or more simulated GPUs.
 #[derive(Debug, Clone)]
@@ -14,54 +13,37 @@ pub struct GpuCluster {
     spec: DeviceSpec,
     topology: PcieTopology,
     timing: TimingModel,
-    allocators: Vec<DeviceAllocator>,
-    timelines: Vec<DeviceTimeline>,
-    profiler: Profiler,
 }
 
 impl GpuCluster {
-    /// Builds a cluster of `n_gpus` identical devices over the given
-    /// topology.
-    pub fn new(spec: DeviceSpec, topology: PcieTopology, n_gpus: usize) -> Self {
-        assert!(n_gpus >= 1, "a cluster needs at least one GPU");
-        assert_eq!(
-            topology.n_gpus(),
-            n_gpus,
-            "topology and cluster GPU count differ"
-        );
-        let allocators = (0..n_gpus)
-            .map(|_| DeviceAllocator::new(spec.global_mem_bytes))
-            .collect();
-        let timelines = (0..n_gpus).map(|_| DeviceTimeline::new()).collect();
+    /// Builds a cluster of identical devices, one per GPU of `topology`.
+    pub fn new(spec: DeviceSpec, topology: PcieTopology) -> Self {
         Self {
             spec,
             topology,
             timing: TimingModel::default(),
-            allocators,
-            timelines,
-            profiler: Profiler::new(),
         }
     }
 
     /// One Titan X on a flat topology — the single-GPU setting of §5.2–5.3.
     pub fn single_titan_x() -> Self {
-        Self::new(DeviceSpec::titan_x(), PcieTopology::flat(1), 1)
+        Self::titan_x_flat(1)
     }
 
     /// `n` Titan X cards on a flat PCIe root — the scalability setting of §5.4.
     pub fn titan_x_flat(n: usize) -> Self {
-        Self::new(DeviceSpec::titan_x(), PcieTopology::flat(n), n)
+        Self::new(DeviceSpec::titan_x(), PcieTopology::flat(n))
     }
 
     /// Four GK210 dies (two K80 boards) on a dual-socket machine — the
     /// very-large-problem setting of §5.5.
     pub fn k80_dual_socket() -> Self {
-        Self::new(DeviceSpec::gk210(), PcieTopology::dual_socket(4), 4)
+        Self::new(DeviceSpec::gk210(), PcieTopology::dual_socket(4))
     }
 
     /// Number of GPUs.
     pub fn n_gpus(&self) -> usize {
-        self.allocators.len()
+        self.topology.n_gpus()
     }
 
     /// Device specification (all devices are identical).
@@ -77,38 +59,6 @@ impl GpuCluster {
     /// Timing model.
     pub fn timing(&self) -> &TimingModel {
         &self.timing
-    }
-
-    /// Mutable allocator of device `g`.
-    pub fn allocator_mut(&mut self, g: usize) -> &mut DeviceAllocator {
-        &mut self.allocators[g]
-    }
-
-    /// The shared profiler.
-    pub fn profiler(&self) -> &Profiler {
-        &self.profiler
-    }
-
-    /// Simulated wall-clock: the latest instant at which any device is busy.
-    pub fn simulated_time(&self) -> f64 {
-        self.timelines
-            .iter()
-            .map(|t| t.now())
-            .fold(0.0f64, f64::max)
-    }
-
-    /// Records a kernel of `duration` seconds on device `g` starting when
-    /// that device's compute engine is free, and returns its completion time.
-    pub fn run_kernel(&mut self, g: usize, duration: f64) -> f64 {
-        self.profiler.record(EventKind::Kernel, duration);
-        self.timelines[g].enqueue_compute(duration)
-    }
-
-    /// Records a transfer of `duration` seconds on device `g`'s copy engine
-    /// (started no earlier than `not_before`) and returns its completion time.
-    pub fn run_transfer(&mut self, g: usize, duration: f64, not_before: f64) -> f64 {
-        self.profiler.record(EventKind::Transfer, duration);
-        self.timelines[g].enqueue_copy_after(duration, not_before)
     }
 }
 
@@ -127,33 +77,5 @@ mod tests {
         assert_eq!(c.n_gpus(), 4);
         assert_eq!(c.topology().n_sockets(), 2);
         assert_eq!(c.spec(), &DeviceSpec::gk210());
-    }
-
-    #[test]
-    #[should_panic(expected = "topology and cluster GPU count differ")]
-    fn mismatched_topology_panics() {
-        GpuCluster::new(DeviceSpec::titan_x(), PcieTopology::flat(2), 4);
-    }
-
-    #[test]
-    fn kernels_and_transfers_advance_time() {
-        let mut c = GpuCluster::titan_x_flat(2);
-        c.run_kernel(0, 1.0);
-        c.run_kernel(1, 2.0);
-        c.run_transfer(0, 0.5, 0.0);
-        assert_eq!(c.simulated_time(), 2.0);
-        assert_eq!(c.profiler().len(), 3);
-        assert_eq!(c.profiler().total(EventKind::Kernel), (2, 3.0));
-        assert_eq!(c.profiler().total(EventKind::Transfer), (1, 0.5));
-        // Device 0 overlap: transfer hidden behind its 1 s kernel.
-        assert_eq!(c.timelines[0].now(), 1.0);
-    }
-
-    #[test]
-    fn allocators_are_per_device() {
-        let mut c = GpuCluster::titan_x_flat(2);
-        c.allocator_mut(0).alloc("theta", 100).unwrap();
-        assert_eq!(c.allocators[0].used(), 100);
-        assert_eq!(c.allocators[1].used(), 0);
     }
 }

@@ -1,9 +1,8 @@
 //! Property-based tests of the GPU performance model: occupancy monotonicity,
-//! timing monotonicity, transfer-time bounds and allocator accounting.
+//! timing monotonicity, transfer-time bounds and traffic merging.
 
 use cumf_gpu_sim::{
-    DeviceAllocator, DeviceSpec, Endpoint, KernelTraffic, Occupancy, PcieTopology, TimingModel,
-    Transfer,
+    DeviceSpec, Endpoint, KernelTraffic, Occupancy, PcieTopology, TimingModel, Transfer,
 };
 use proptest::prelude::*;
 
@@ -103,23 +102,5 @@ proptest! {
         prop_assert!((m.flops - (flops_a + flops_b)).abs() < 1e-6);
         prop_assert!((m.texture_hit_bytes() - (a.texture_hit_bytes() + b.texture_hit_bytes())).abs() < 1e-3);
         prop_assert!(m.texture_hit_rate >= 0.0 && m.texture_hit_rate <= 1.0);
-    }
-
-    #[test]
-    fn allocator_accounting_is_exact(sizes in proptest::collection::vec(1u64..1_000_000, 1..30)) {
-        let total: u64 = sizes.iter().sum();
-        let mut alloc = DeviceAllocator::new(total);
-        let ids: Vec<_> = sizes
-            .iter()
-            .map(|&s| alloc.alloc("block", s).expect("fits by construction"))
-            .collect();
-        prop_assert_eq!(alloc.used(), total);
-        prop_assert_eq!(alloc.available(), 0);
-        prop_assert!(alloc.alloc("extra", 1).is_err());
-        for id in ids {
-            prop_assert!(alloc.free(id));
-        }
-        prop_assert_eq!(alloc.used(), 0);
-        prop_assert_eq!(alloc.peak(), total);
     }
 }
