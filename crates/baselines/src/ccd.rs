@@ -155,16 +155,6 @@ impl CcdPlusPlus {
             }
         }
     }
-
-    /// Root-mean-square of the maintained residual (training RMSE computed
-    /// incrementally).
-    pub fn residual_rmse(&self) -> f64 {
-        if self.residual.is_empty() {
-            return 0.0;
-        }
-        let se: f64 = self.residual.iter().map(|&r| (r as f64) * (r as f64)).sum();
-        (se / self.residual.len() as f64).sqrt()
-    }
 }
 
 impl Engine for CcdPlusPlus {
@@ -214,6 +204,20 @@ mod tests {
     use super::*;
     use cumf_data::synth::SyntheticConfig;
 
+    /// Root-mean-square of the maintained residual (training RMSE computed
+    /// incrementally).
+    fn residual_rmse(solver: &CcdPlusPlus) -> f64 {
+        if solver.residual.is_empty() {
+            return 0.0;
+        }
+        let se: f64 = solver
+            .residual
+            .iter()
+            .map(|&r| (r as f64) * (r as f64))
+            .sum();
+        (se / solver.residual.len() as f64).sqrt()
+    }
+
     fn ratings() -> Csr {
         SyntheticConfig {
             m: 120,
@@ -259,7 +263,7 @@ mod tests {
             &r,
         );
         solver.train_sweep();
-        let maintained = solver.residual_rmse();
+        let maintained = residual_rmse(&solver);
         let recomputed = solver.train_rmse();
         assert!(
             (maintained - recomputed).abs() < 1e-3,
@@ -277,7 +281,7 @@ mod tests {
             },
             &r,
         );
-        assert!((solver.residual_rmse() - solver.train_rmse()).abs() < 1e-3);
+        assert!((residual_rmse(&solver) - solver.train_rmse()).abs() < 1e-3);
     }
 
     #[test]

@@ -1,13 +1,13 @@
-//! Out-of-core planning, the priced prefetch pipeline and fault tolerance
-//! (§4.3–4.4 of the paper) on the very large Table 5 workloads.
+//! Out-of-core planning, the priced streaming and fault tolerance (§4.3–4.4
+//! of the paper) on the very large Table 5 workloads.
 //!
 //! This example does three things:
 //!
 //! 1. asks the partition planner (equation (8)) how each paper-scale data
 //!    set would be split across four 12 GB GPUs;
-//! 2. prices how much of the host→device streaming double buffering hides
-//!    behind compute (`oocore::pipeline_time`, a model: nothing is
-//!    streamed);
+//! 2. prices one Facebook-scale iteration, whose exposed transfers are what
+//!    `price_side`'s double-buffered waves leave uncovered by compute (a
+//!    model: nothing is streamed);
 //! 3. demonstrates checkpoint / restart by interrupting a training run and
 //!    resuming it from the latest checkpoint.
 //!
@@ -20,7 +20,6 @@ use cumf_core::als::AlsEngine;
 use cumf_core::checkpoint::{Checkpoint, CheckpointManager};
 use cumf_core::config::AlsConfig;
 use cumf_core::costmodel::{cumf_iteration_cost, ClusterConfig};
-use cumf_core::oocore::{hidden_transfer_fraction, pipeline_time, BatchCost};
 use cumf_core::planner::{plan, ProblemDims};
 use cumf_data::datasets::PaperDataset;
 use cumf_data::synth::SyntheticConfig;
@@ -41,7 +40,7 @@ fn main() {
         );
     }
 
-    // --- 2. How much streaming the priced pipeline hides -------------------
+    // --- 2. One priced iteration at Facebook scale ---------------------------
     let spec = PaperDataset::Facebook.spec();
     let dims = ProblemDims::new(spec.m, spec.n, spec.nz, spec.f as u64);
     let cost = cumf_iteration_cost(&dims, &ClusterConfig::four_k80());
@@ -56,23 +55,6 @@ fn main() {
         kernels_s,
         cost.sides.iter().map(|s| s.reduce_s).sum::<f64>(),
         cost.sides.iter().map(|s| s.transfer_s).sum::<f64>()
-    );
-
-    let q = cost.plans[0].q.max(2);
-    let per_batch_compute = kernels_s / (2.0 * q as f64);
-    let per_batch_transfer = per_batch_compute * 0.6; // R block streaming at 25 GB/s
-    let batches = vec![
-        BatchCost {
-            transfer_s: per_batch_transfer,
-            compute_s: per_batch_compute
-        };
-        q
-    ];
-    println!(
-        "out-of-core pipeline over q = {q} batches: serial {:.0} s, prefetched {:.0} s ({:.0} % of transfers hidden)",
-        pipeline_time(&batches, false),
-        pipeline_time(&batches, true),
-        100.0 * hidden_transfer_fraction(&batches)
     );
 
     // --- 3. Checkpoint / restart -------------------------------------------

@@ -1,4 +1,4 @@
-//! Benchmark and reproduction harness for `cumf-rs`.
+//! Reproduction harness for `cumf-rs`.
 //!
 //! This crate is the top of the dependency DAG: it pulls every other
 //! `cumf-*` crate together and turns them into the paper's evaluation.
@@ -11,13 +11,13 @@
 //!   future tooling can assert on the numbers.
 //! * `src/bin/repro.rs` — the `repro` binary: prints any experiment (or
 //!   `all`) as text tables; `--quick` shrinks the convergence runs for CI.
-//! * `benches/` — criterion micro-benchmarks of the ALS kernels, the MO-ALS
-//!   and SU-ALS engines, the CPU baselines, and end-to-end figure
-//!   regeneration, on real (scaled-down) workloads.
 //! * `examples/` — runnable walkthroughs of the public API: `quickstart`,
 //!   `movie_recommender`, `multi_gpu_scaling`, `out_of_core_planning`.
 //! * `tests/` — the workspace's end-to-end integration tests (full
 //!   train/evaluate cycles and experiment smoke runs).
+//!
+//! Performance is measured elsewhere: the stand-alone `perf/` crate at the
+//! repository root times every workload end to end and layer by layer.
 //!
 //! Scaled-down convergence runs are *numerically real* (the solvers execute
 //! on the host); wall-clock numbers at paper scale come from the analytic

@@ -70,7 +70,7 @@ pub fn fold_in_users(
 /// user's Hermitian by resolving rating item ids through the segment views
 /// (`Arc`-shared slabs in whatever stored order the serving layout chose),
 /// so the incremental path never materializes a contiguous catalog-order
-/// `Θ` — killing the `O(n·f)` `item_factors_matrix()` copy per batch.
+/// `Θ` — killing the `O(n·f)` `ItemStore::to_matrix()` copy per batch.
 ///
 /// * `segments` — views tiling the catalog `[0, ratings.n_cols())` in
 ///   ascending `first_id` order, e.g. the serving tier's

@@ -23,8 +23,6 @@
 //! * [`reduce`] — the one-phase and two-phase (topology-aware) parallel
 //!   reduction schemes of §4.2.
 //! * [`planner`] — the memory-capacity partition planner of §4.3 (equation 8).
-//! * [`oocore`] — the priced out-of-core pipeline of §4.4: how much
-//!   host→device streaming double buffering hides behind compute.
 //! * [`checkpoint`] — fault-tolerance checkpointing of §4.4, including
 //!   delta records that journal incremental fold-ins between full
 //!   checkpoints.
@@ -73,7 +71,6 @@ pub mod engine;
 pub mod foldin;
 pub mod instrument;
 pub mod loss;
-pub mod oocore;
 pub mod planner;
 pub mod reduce;
 pub mod sgd;

@@ -192,8 +192,8 @@ pub fn item_norms(items: &[f32], f: usize) -> Vec<f32> {
 /// outcome: blocks skipped because an [`ApproxPolicy`] **terminated** the
 /// scan early.  Those skips may change results (that is the point of
 /// approximation), so they are counted in their own field — an exact-mode
-/// dashboard reading `pruned_fraction()` stays truthful when a deployment
-/// mixes in approximate traffic.
+/// pruning rate (`blocks_pruned` over every block visited) stays truthful
+/// when a deployment mixes in approximate traffic.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct PruneStats {
     /// Item blocks whose factors were streamed and scored.
@@ -228,25 +228,6 @@ impl PruneStats {
         self.bytes_scanned += other.bytes_scanned;
         self.rerank_candidates += other.rerank_candidates;
         self.rerank_ns += other.rerank_ns;
-    }
-
-    /// Every block the scan made a decision about (scored, pruned, or
-    /// terminated).
-    fn blocks_visited(&self) -> u64 {
-        self.blocks_scored + self.blocks_pruned + self.blocks_terminated
-    }
-
-    /// Fraction of visited blocks skipped by **exact** threshold pruning
-    /// (`0.0` when none were visited).  Early-terminated blocks count in
-    /// the denominator but not the numerator — approximate skips do not
-    /// inflate the exact-pruning rate.
-    pub fn pruned_fraction(&self) -> f64 {
-        let total = self.blocks_visited();
-        if total == 0 {
-            0.0
-        } else {
-            self.blocks_pruned as f64 / total as f64
-        }
     }
 }
 
@@ -312,19 +293,6 @@ impl ApproxPolicy {
             max_blocks: 0,
             target_recall: 1.0,
         }
-    }
-
-    /// A policy with the given epsilon and no block budget.
-    ///
-    /// # Panics
-    /// Panics unless `0 ≤ epsilon < 1`.
-    pub fn with_epsilon(epsilon: f32) -> Self {
-        let p = Self {
-            epsilon,
-            ..Self::default()
-        };
-        p.validate();
-        p
     }
 
     /// True when this policy cannot change results (`epsilon ≤ 0` and no
@@ -1060,12 +1028,6 @@ mod tests {
         assert_eq!(a.blocks_terminated, 6);
         assert_eq!(a.bytes_scanned, 100);
         assert_eq!(a.rerank_candidates, 5);
-        assert_eq!(a.blocks_visited(), 14);
-        // Terminated blocks widen the denominator of the pruning rate but
-        // not its numerator — the exact-pruning rate must not claim credit
-        // for approximate skips.
-        assert!((a.pruned_fraction() - 4.0 / 14.0).abs() < 1e-12);
-        assert_eq!(PruneStats::default().pruned_fraction(), 0.0);
     }
 
     #[test]
@@ -1083,8 +1045,16 @@ mod tests {
     #[test]
     fn approx_policy_shapes() {
         assert!(ApproxPolicy::exact().is_exact());
-        assert!(ApproxPolicy::with_epsilon(0.0).is_exact());
-        assert!(!ApproxPolicy::with_epsilon(0.05).is_exact());
+        assert!(ApproxPolicy {
+            epsilon: 0.0,
+            ..ApproxPolicy::default()
+        }
+        .is_exact());
+        assert!(!ApproxPolicy {
+            epsilon: 0.05,
+            ..ApproxPolicy::default()
+        }
+        .is_exact());
         assert!(!ApproxPolicy {
             epsilon: 0.0,
             max_blocks: 3,
@@ -1097,7 +1067,11 @@ mod tests {
     #[test]
     #[should_panic(expected = "approx epsilon must lie in [0, 1)")]
     fn approx_policy_rejects_epsilon_of_one() {
-        ApproxPolicy::with_epsilon(1.0);
+        ApproxPolicy {
+            epsilon: 1.0,
+            ..ApproxPolicy::default()
+        }
+        .validate();
     }
 
     /// Sorts `theta` rows by norm descending and returns the permuted data,
@@ -1192,7 +1166,10 @@ mod tests {
                 10,
                 std::slice::from_ref(&view),
                 |_| false,
-                &ApproxPolicy::with_epsilon(eps),
+                &ApproxPolicy {
+                    epsilon: eps,
+                    ..ApproxPolicy::default()
+                },
                 &mut stats,
             );
             assert_eq!(got.len(), 10, "eps {eps}");
@@ -1249,7 +1226,10 @@ mod tests {
         let mut tables = Vec::new();
         let views = views_at(&theta, &[0, n], 64, &norms, &mut tables);
         let user = vec![0.0f32; f];
-        let policy = ApproxPolicy::with_epsilon(0.5);
+        let policy = ApproxPolicy {
+            epsilon: 0.5,
+            ..ApproxPolicy::default()
+        };
         let mut stats = PruneStats::default();
         let got = scan_segments_approx(&user, f, 7, &views, |_| false, &policy, &mut stats);
         let mut exact_stats = PruneStats::default();

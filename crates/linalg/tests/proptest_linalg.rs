@@ -711,7 +711,7 @@ proptest! {
             let mut stats = PruneStats::default();
             let got = scan_segments_approx(
                 &user, f, k, &views, |_| false,
-                &ApproxPolicy::with_epsilon(eps), &mut stats,
+                &ApproxPolicy { epsilon: eps, ..ApproxPolicy::default() }, &mut stats,
             );
             prop_assert_eq!(got.len(), exact.len(), "approx list must stay full-length");
             let recall = if truth.is_empty() {

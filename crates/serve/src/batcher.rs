@@ -36,7 +36,7 @@
 //! dying on the first transient or looping forever.
 
 use crate::cache::{CacheKey, ShardedResultCache};
-use crate::metrics::{MetricsReport, ServeMetrics, Stage, WindowedReport};
+use crate::metrics::{MetricsReport, ServeMetrics, Stage};
 use crate::snapshot::{DeltaError, DeltaStats, FactorSnapshot, SnapshotDelta, SnapshotStore};
 use crate::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use crate::sync::{Arc, Mutex};
@@ -741,6 +741,16 @@ impl TopKService {
                     outgoing.push((i, result.clone()));
                 }
             }
+            // One cache insert per unique key, before any reply leaves: a
+            // caller that reads its reply and then publishes a user-only
+            // delta must find the entry there for the publish to refresh.
+            // Inserted after the send, it could land behind the publish,
+            // be dropped as stale, and leave the next read to scan again.
+            // `pending` still owns the keys, so no key is cloned on the
+            // way in.
+            for (key, slot) in pending {
+                cache.insert(key, generation, results[slot].clone());
+            }
             let merged = Instant::now();
             for (i, result) in outgoing {
                 // Stamped before the send, like record_response: the reply
@@ -757,12 +767,6 @@ impl TopKService {
                     replied,
                 );
                 let _ = batch[i].request.reply.send(result);
-            }
-            // One cache insert per unique key; `pending` still owns the
-            // keys, so no key is cloned on the way in.  Deliberately after
-            // the replies: insert time is not on any request's e2e clock.
-            for (key, slot) in pending {
-                cache.insert(key, generation, results[slot].clone());
             }
         }
         metrics.record_batch(batch.len(), sealed.elapsed());
@@ -838,7 +842,13 @@ impl TopKService {
             let keys = self
                 .cache
                 .publish_users(delta.base_generation(), generation, &changed);
-            self.refresh(keys);
+            Self::refresh(
+                &self.store.load(),
+                &self.cache,
+                &self.config,
+                &self.metrics,
+                keys,
+            );
         }
         Ok((generation, stats))
     }
@@ -869,8 +879,13 @@ impl TopKService {
     /// policy — and caches each reply at that snapshot's generation.  Keys
     /// scored at another storage precision than the snapshot's are dropped,
     /// not refreshed: their request is served at that precision, not this.
-    fn refresh(&self, mut keys: Vec<CacheKey>) {
-        let snapshot = self.store.load();
+    fn refresh(
+        snapshot: &FactorSnapshot,
+        cache: &ShardedResultCache,
+        config: &ServeConfig,
+        metrics: &ServeMetrics,
+        mut keys: Vec<CacheKey>,
+    ) {
         let precision = snapshot.items().precision().code();
         keys.retain(|key| key.precision() == precision);
         if keys.is_empty() {
@@ -879,13 +894,13 @@ impl TopKService {
         let queries: Vec<(Option<ApproxPolicy>, Query)> =
             keys.iter().map(|key| (key.policy(), key.query())).collect();
         let (results, _) = score_by_policy(
-            &snapshot,
-            &self.config,
+            snapshot,
+            config,
             queries.iter().map(|(policy, query)| (*policy, query)),
         );
-        self.metrics.record_cache_refreshes(keys.len() as u64);
+        metrics.record_cache_refreshes(keys.len() as u64);
         for (key, result) in keys.into_iter().zip(results) {
-            self.cache.insert(key, snapshot.generation(), result);
+            cache.insert(key, snapshot.generation(), result);
         }
     }
 
@@ -897,12 +912,6 @@ impl TopKService {
     /// Point-in-time serving metrics (cumulative since startup).
     pub fn metrics(&self) -> MetricsReport {
         self.metrics.report()
-    }
-
-    /// Cumulative metrics plus the window since the previous
-    /// `window_report` call — what a periodic poller should use.
-    pub fn window_report(&self) -> WindowedReport {
-        self.metrics.window_report()
     }
 
     /// The live metrics registry shared with workers and clients, for
@@ -1670,8 +1679,6 @@ mod tests {
         let service = TopKService::start(snapshot(30), config());
         let client = service.client();
         client.recommend(3, 5, &[]).unwrap();
-        // The worker caches after replying; the next reply fences it.
-        client.recommend(0, 1, &[]).unwrap();
         let own = CacheKey::new(3, 5, &[]);
         let foreign = own.clone().with_precision(Precision::I8.code());
         assert!(service.cache.get(&own, 1).is_some());
@@ -1731,12 +1738,23 @@ mod tests {
 /// loop would be stuck in, so the pinned invariant is:
 /// `reply_received || dead()` — no interleaving may leave a client with
 /// no reply *and* no liveness signal.
+///
+/// Beside it, the cache-then-reply order of [`TopKService::serve_batch`],
+/// run on the worker's own batch path (the reply channel needs no model:
+/// a bounded send with room never blocks, and the client polls it).
 #[cfg(all(test, cumf_model_check))]
 mod model_tests {
-    use super::PoolState;
+    use super::{PoolState, Popped, Request, RequestMode, ServeConfig, TopKService, Tracer};
+    use crate::cache::ShardedResultCache;
+    use crate::metrics::ServeMetrics;
+    use crate::snapshot::{FactorSnapshot, SnapshotStore};
     use crate::sync::atomic::{AtomicBool, Ordering};
     use crate::sync::{Arc, Mutex};
+    use crate::topk::Query;
+    use crossbeam::channel::{bounded, Receiver};
+    use cumf_linalg::FactorMatrix;
     use loom::thread;
+    use std::time::Instant;
 
     #[derive(Debug, Clone, Copy, PartialEq, Eq)]
     enum Item {
@@ -1822,5 +1840,112 @@ mod model_tests {
             message.contains("client stranded"),
             "unexpected failure: {message}"
         );
+    }
+
+    /// One read of user 3's top 2 as a worker pops it: the batch entry and
+    /// the receiver its reply arrives on.
+    fn read_user_3() -> (Popped, Receiver<Vec<(u32, f32)>>) {
+        let (reply, rx) = bounded(1);
+        let request = Request {
+            query: Query::new(3, 2),
+            mode: RequestMode::Inherit,
+            reply,
+            enqueued_at: Instant::now(),
+            trace: None,
+        };
+        let popped_at = Instant::now();
+        (Popped { request, popped_at }, rx)
+    }
+
+    /// A worker's pass over `batch` with the default configuration.
+    fn serve(
+        batch: &mut [Popped],
+        store: &SnapshotStore,
+        metrics: &ServeMetrics,
+        cache: &ShardedResultCache,
+    ) {
+        let config = ServeConfig::default();
+        TopKService::serve_batch(
+            batch,
+            store,
+            metrics,
+            cache,
+            &Tracer::new(0, 0),
+            &config,
+            &None,
+        );
+    }
+
+    /// The lost-refresh race, on the worker's own batch path: a caller
+    /// reads user 3 (a miss that [`TopKService::serve_batch`] scores),
+    /// publishes a user-only delta that changes user 3 as soon as the
+    /// reply arrives, and reads user 3 again.  The publish must find the
+    /// first read's entry to refresh, so the second read is a cache hit in
+    /// every interleaving.  A worker that cached its reply after sending
+    /// it fails here: the publish runs between the send and the insert,
+    /// the insert is dropped as older than the cache's generation, and the
+    /// second read scans again.
+    #[test]
+    fn a_read_after_a_read_and_a_delta_publish_is_a_cache_hit() {
+        let stats = loom::Builder::new().preemption_bound(2).check(|| {
+            let store = Arc::new(SnapshotStore::new(FactorSnapshot::from_factors(
+                FactorMatrix::random(4, 3, 1.0, 7),
+                FactorMatrix::random(6, 3, 1.0, 8),
+            )));
+            let cache = Arc::new(ShardedResultCache::new(1, 64, usize::MAX));
+            cache.publish(store.generation());
+            let metrics = Arc::new(ServeMetrics::new());
+            let (first, reply) = read_user_3();
+            let worker = {
+                let (store, metrics, cache) =
+                    (Arc::clone(&store), Arc::clone(&metrics), Arc::clone(&cache));
+                thread::spawn(move || serve(&mut [first], &store, &metrics, &cache))
+            };
+            // The delta publish of `TopKService::publish_delta`: swap the
+            // snapshot, take the changed user's entries, re-score them.
+            let publish = || {
+                let mut delta = store.load().delta();
+                delta.update_user(3, &[1.0, -1.0, 0.5]);
+                let (generation, _) = store.publish_delta(&delta).expect("sole publisher");
+                let keys = cache.publish_users(delta.base_generation(), generation, &[3]);
+                let config = ServeConfig::default();
+                TopKService::refresh(&store.load(), &cache, &config, &metrics, keys);
+            };
+            let mut replied = false;
+            for _ in 0..3 {
+                if reply.try_recv().is_ok() {
+                    replied = true;
+                    break;
+                }
+                thread::yield_now();
+            }
+            if replied {
+                publish();
+                worker.join().expect("model thread");
+            } else {
+                worker.join().expect("model thread");
+                reply.try_recv().expect("the worker replied");
+                publish();
+            }
+            let (second, reply) = read_user_3();
+            serve(&mut [second], &store, &metrics, &cache);
+            assert_eq!(
+                reply.try_recv().ok(),
+                Some(store.load().recommend_one(3, 2, &[])),
+                "the second read must see the published delta"
+            );
+            let report = metrics.report();
+            assert_eq!(
+                (report.cache_misses, report.cache_hits),
+                (1, 1),
+                "the second read missed: the delta publish refreshed nothing"
+            );
+        });
+        assert!(
+            stats.interleavings >= 100,
+            "scenario explored only {} interleavings",
+            stats.interleavings
+        );
+        assert!(!stats.nondeterminism);
     }
 }

@@ -49,7 +49,8 @@ pub enum Stage {
     Coalesce = 1,
     /// Batch sealed → all top-k scoring done (cache lookups included).
     Score = 2,
-    /// Scoring done → per-request results distributed to reply slots.
+    /// Scoring done → per-request results distributed to reply slots and
+    /// cached.
     Merge = 3,
     /// Results distributed → this request's reply handed to the channel.
     Reply = 4,

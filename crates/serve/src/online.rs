@@ -604,8 +604,7 @@ mod tests {
         let cols: Vec<u32> = merged.keys().copied().collect();
         let vals: Vec<f32> = merged.values().copied().collect();
         let one = Csr::from_raw(1, r.n_cols(), vec![0, cols.len()], cols, vals).unwrap();
-        let expect =
-            cumf_core::foldin::fold_in_users(&one, &after.item_factors_matrix(), 0.05, None);
+        let expect = cumf_core::foldin::fold_in_users(&one, &after.items().to_matrix(), 0.05, None);
         assert_eq!(after.user_vector(3).unwrap(), expect.vector(0));
     }
 
@@ -967,7 +966,7 @@ mod tests {
 
             let snap = store.load();
             prop_assert_eq!(snap.n_users() as u32, max_user + 1);
-            let theta = snap.item_factors_matrix();
+            let theta = snap.items().to_matrix();
             let touched: BTreeSet<u32> = entries.iter().map(|e| e.row).collect();
             for &u in &all {
                 let got = snap.user_vector(u).unwrap();

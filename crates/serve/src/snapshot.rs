@@ -444,13 +444,6 @@ impl FactorSnapshot {
         ((item as usize) < self.items.n_items()).then(|| self.items.norm(item as usize))
     }
 
-    /// Materializes the catalog as one contiguous row-major matrix in
-    /// catalog-id order — what a fold-in solve against frozen Θ wants.
-    /// `O(n·f)`; retrieval never needs this.
-    pub fn item_factors_matrix(&self) -> FactorMatrix {
-        self.items.to_matrix()
-    }
-
     /// A snapshot whose item segments are re-encoded at `precision`
     /// ([`ItemStore::reencode`]): every segment keeps its exact f32 rows
     /// (point lookups, fold-in, and the serving rerank still read full
@@ -888,7 +881,7 @@ mod tests {
                 }
                 d
             }),
-            next.item_factors_matrix(),
+            next.items().to_matrix(),
         );
         for v in 0..next.n_items() as u32 {
             assert_eq!(next.item_norm(v), full.item_norm(v), "item {v}");

@@ -402,8 +402,8 @@ impl ScanPlan {
 
 /// Batched blocked top-k scorer over one immutable snapshot.
 ///
-/// All queries of a [`TopKIndex::query_batch`] call are answered from the
-/// same snapshot generation — the index holds its own `Arc`, so a
+/// All queries of a [`TopKIndex::query_batch_stats`] call are answered from
+/// the same snapshot generation — the index holds its own `Arc`, so a
 /// concurrent hot-swap cannot tear a batch.
 #[derive(Debug, Clone)]
 pub struct TopKIndex {
@@ -465,18 +465,13 @@ impl TopKIndex {
     }
 
     /// Scores a micro-batch of queries, returning one ranked
-    /// `(item, score)` list per query, in query order.  `(tile, shard)`
-    /// pairs are scored in parallel; within each pair every item block is
-    /// scored for all tile users with one blocked kernel call, and each
-    /// query's per-shard partial top-k lists are merged into the final
-    /// ranking.
-    pub fn query_batch(&self, queries: &[Query]) -> Vec<Vec<(u32, f32)>> {
-        self.query_batch_stats(queries).0
-    }
-
-    /// [`TopKIndex::query_batch`] plus the batch's aggregated block-pruning
-    /// counters — the observable half of the norm-ordered layout's value
-    /// (more blocks skipped, same results).
+    /// `(item, score)` list per query, in query order, and the batch's
+    /// aggregated block-pruning counters — the observable half of the
+    /// norm-ordered layout's value (more blocks skipped, same results).
+    /// `(tile, shard)` pairs are scored in parallel; within each pair every
+    /// item block is scored for all tile users with one blocked kernel
+    /// call, and each query's per-shard partial top-k lists are merged into
+    /// the final ranking.
     pub fn query_batch_stats(&self, queries: &[Query]) -> (Vec<Vec<(u32, f32)>>, PruneStats) {
         self.plan.query_batch_stats(&self.snapshot, queries)
     }
@@ -516,7 +511,7 @@ mod tests {
                 exclude: vec![u % 11, u % 23],
             })
             .collect();
-        let batched = idx.query_batch(&queries);
+        let batched = idx.query_batch_stats(&queries).0;
         assert_eq!(batched.len(), queries.len());
         for (q, got) in queries.iter().zip(batched.iter()) {
             let single = idx.snapshot().recommend_one(q.user, q.k, &q.exclude);
@@ -540,7 +535,7 @@ mod tests {
                 exclude: vec![],
             },
         ];
-        let out = idx.query_batch(&queries);
+        let out = idx.query_batch_stats(&queries).0;
         assert_eq!(out[0].len(), 3);
         assert!(out[0].iter().all(|(v, _)| *v >= 97));
         assert!(out[1].is_empty());
@@ -557,9 +552,9 @@ mod tests {
         let dot = TopKIndex::new(Arc::clone(&snap), &config(64, ScoreKind::Dot, 1));
         let cos = TopKIndex::new(snap, &config(64, ScoreKind::Cosine, 1));
         let q = vec![Query::new(0, 2)];
-        assert_eq!(dot.query_batch(&q)[0], vec![(0, 10.0), (1, 1.0)]);
+        assert_eq!(dot.query_batch_stats(&q).0[0], vec![(0, 10.0), (1, 1.0)]);
         // Cosine: items 0 and 1 both score 1.0; ties prefer small ids.
-        assert_eq!(cos.query_batch(&q)[0], vec![(0, 1.0), (1, 1.0)]);
+        assert_eq!(cos.query_batch_stats(&q).0[0], vec![(0, 1.0), (1, 1.0)]);
     }
 
     #[test]
@@ -574,8 +569,12 @@ mod tests {
         // Items 0, 2, 4 stay zero vectors (never trained).
         let snap = Arc::new(FactorSnapshot::from_factors(x, theta));
         let q = vec![Query::new(0, 5)];
-        let dot = TopKIndex::new(Arc::clone(&snap), &config(64, ScoreKind::Dot, 1)).query_batch(&q);
-        let cos = TopKIndex::new(snap, &config(64, ScoreKind::Cosine, 1)).query_batch(&q);
+        let dot = TopKIndex::new(Arc::clone(&snap), &config(64, ScoreKind::Dot, 1))
+            .query_batch_stats(&q)
+            .0;
+        let cos = TopKIndex::new(snap, &config(64, ScoreKind::Cosine, 1))
+            .query_batch_stats(&q)
+            .0;
         assert_eq!(
             dot[0].len(),
             cos[0].len(),
@@ -628,7 +627,7 @@ mod tests {
                     Arc::clone(&snap),
                     &config(item_block, ScoreKind::Cosine, shards),
                 );
-                let got = idx.query_batch(&[Query::new(0, 8)]);
+                let got = idx.query_batch_stats(&[Query::new(0, 8)]).0;
                 assert_eq!(
                     got[0], expect,
                     "{layout:?} block {item_block} shards {shards}"
@@ -644,9 +643,12 @@ mod tests {
             FactorMatrix::random(777, 4, 1.0, 4),
         ));
         let q: Vec<Query> = (0..5u32).map(|u| Query::new(u, 9)).collect();
-        let small =
-            TopKIndex::new(Arc::clone(&snap), &config(3, ScoreKind::Dot, 1)).query_batch(&q);
-        let large = TopKIndex::new(snap, &config(10_000, ScoreKind::Dot, 1)).query_batch(&q);
+        let small = TopKIndex::new(Arc::clone(&snap), &config(3, ScoreKind::Dot, 1))
+            .query_batch_stats(&q)
+            .0;
+        let large = TopKIndex::new(snap, &config(10_000, ScoreKind::Dot, 1))
+            .query_batch_stats(&q)
+            .0;
         assert_eq!(small, large);
     }
 
@@ -664,13 +666,15 @@ mod tests {
                     exclude: vec![u % 13, u % 7],
                 })
                 .collect();
-            let baseline =
-                TopKIndex::new(Arc::clone(&snap), &config(64, score, 1)).query_batch(&queries);
+            let baseline = TopKIndex::new(Arc::clone(&snap), &config(64, score, 1))
+                .query_batch_stats(&queries)
+                .0;
             // 999 items in 64-blocks = 16 blocks; 7 shards split unevenly,
             // 100 shards clamp to one per block.
             for shards in [2usize, 3, 7, 16, 100] {
                 let sharded = TopKIndex::new(Arc::clone(&snap), &config(64, score, shards))
-                    .query_batch(&queries);
+                    .query_batch_stats(&queries)
+                    .0;
                 assert_eq!(sharded, baseline, "score {score:?} shards {shards}");
             }
         }
@@ -708,7 +712,8 @@ mod tests {
             .collect();
         for shards in [1usize, 3, 8] {
             let exact = TopKIndex::new(Arc::clone(&snap), &config(64, ScoreKind::Dot, shards))
-                .query_batch(&queries);
+                .query_batch_stats(&queries)
+                .0;
             let approx = TopKIndex::new(
                 Arc::clone(&snap),
                 &ServeConfig {
@@ -716,7 +721,8 @@ mod tests {
                     ..config(64, ScoreKind::Dot, shards)
                 },
             )
-            .query_batch(&queries);
+            .query_batch_stats(&queries)
+            .0;
             assert_eq!(approx, exact, "shards {shards}");
         }
     }
@@ -760,8 +766,9 @@ mod tests {
         // k ≥ catalog: the heap never fills, the budget never engages —
         // every item comes back, exactly.
         let q = vec![Query::new(0, 1000)];
-        let exact =
-            TopKIndex::new(Arc::clone(&snap), &config(64, ScoreKind::Dot, 1)).query_batch(&q);
+        let exact = TopKIndex::new(Arc::clone(&snap), &config(64, ScoreKind::Dot, 1))
+            .query_batch_stats(&q)
+            .0;
         let capped = TopKIndex::new(
             Arc::clone(&snap),
             &ServeConfig {
@@ -769,7 +776,8 @@ mod tests {
                 ..config(64, ScoreKind::Dot, 1)
             },
         )
-        .query_batch(&q);
+        .query_batch_stats(&q)
+        .0;
         assert_eq!(capped, exact);
         assert_eq!(capped[0].len(), 500);
         // Small k: the budget truncates the scan but the list stays full
@@ -811,12 +819,16 @@ mod tests {
             FactorMatrix::random(300, f, 1.0, 45),
         ));
         let q = vec![Query::new(2, 9)];
-        let exact =
-            TopKIndex::new(Arc::clone(&snap), &config(64, ScoreKind::Dot, 1)).query_batch(&q);
+        let exact = TopKIndex::new(Arc::clone(&snap), &config(64, ScoreKind::Dot, 1))
+            .query_batch_stats(&q)
+            .0;
         let (approx, stats) = TopKIndex::new(
             Arc::clone(&snap),
             &ServeConfig {
-                approx: Some(ApproxPolicy::with_epsilon(0.5)),
+                approx: Some(ApproxPolicy {
+                    epsilon: 0.5,
+                    ..ApproxPolicy::default()
+                }),
                 ..config(64, ScoreKind::Dot, 1)
             },
         )
@@ -858,8 +870,9 @@ mod tests {
                 exclude: vec![u % 5],
             })
             .collect();
-        let exact =
-            TopKIndex::new(Arc::clone(&snap), &config(64, ScoreKind::Dot, 1)).query_batch(&queries);
+        let exact = TopKIndex::new(Arc::clone(&snap), &config(64, ScoreKind::Dot, 1))
+            .query_batch_stats(&queries)
+            .0;
         let f16 = Arc::new(snap.reencoded(Precision::F16));
         for shards in [1usize, 3, 8] {
             let (got, stats) =
@@ -901,8 +914,9 @@ mod tests {
     fn i8_scan_cuts_bytes_and_keeps_recall() {
         let snap = skewed_snapshot(16, 4096, 73);
         let queries: Vec<Query> = (0..16u32).map(|u| Query::new(u, 10)).collect();
-        let exact =
-            TopKIndex::new(Arc::clone(&snap), &config(64, ScoreKind::Dot, 1)).query_batch(&queries);
+        let exact = TopKIndex::new(Arc::clone(&snap), &config(64, ScoreKind::Dot, 1))
+            .query_batch_stats(&queries)
+            .0;
         // Byte baseline at the quantized path's candidate count (see the
         // f16 test for why k_eff, not k, is the fair comparison).
         let wide: Vec<Query> = (0..16u32).map(|u| Query::new(u, 20)).collect();
@@ -935,9 +949,12 @@ mod tests {
         let snap = skewed_snapshot(8, 1000, 74);
         let queries: Vec<Query> = (0..8u32).map(|u| Query::new(u, 8)).collect();
         let exact = TopKIndex::new(Arc::clone(&snap), &config(64, ScoreKind::Cosine, 1))
-            .query_batch(&queries);
+            .query_batch_stats(&queries)
+            .0;
         let f16 = Arc::new(snap.reencoded(Precision::F16));
-        let got = TopKIndex::new(f16, &config(64, ScoreKind::Cosine, 1)).query_batch(&queries);
+        let got = TopKIndex::new(f16, &config(64, ScoreKind::Cosine, 1))
+            .query_batch_stats(&queries)
+            .0;
         assert_eq!(got.len(), exact.len());
         for (e, g) in exact.iter().zip(&got) {
             assert_eq!(g.len(), e.len());
@@ -976,10 +993,12 @@ mod tests {
             FactorMatrix::random(2, 4, 1.0, 9),
         ));
         let q = vec![Query::new(0, 5), Query::new(1, 1)];
-        let one =
-            TopKIndex::new(Arc::clone(&snap), &config(512, ScoreKind::Dot, 1)).query_batch(&q);
-        let many =
-            TopKIndex::new(Arc::clone(&snap), &config(512, ScoreKind::Dot, 8)).query_batch(&q);
+        let one = TopKIndex::new(Arc::clone(&snap), &config(512, ScoreKind::Dot, 1))
+            .query_batch_stats(&q)
+            .0;
+        let many = TopKIndex::new(Arc::clone(&snap), &config(512, ScoreKind::Dot, 8))
+            .query_batch_stats(&q)
+            .0;
         assert_eq!(one, many);
         assert_eq!(one[0].len(), 2, "catalog smaller than k returns all");
     }

@@ -3,11 +3,14 @@
 //! with an `epsilon = 0` policy is **bit-identical** to the pre-quantization
 //! exact path — across random segmentations (delta-appended tails), both
 //! item layouts, shard counts, and blockings.  F32 really is the identity
-//! codec, not merely a close approximation.
+//! codec, not merely a close approximation.  Beside it, the reduced
+//! precisions' floors: f16 reads at least 1.8× fewer bytes than the exact
+//! scan with recall 1.0, and i8 at least 3.5× fewer with recall ≥ 0.99.
 
 use cumf_linalg::{FactorMatrix, Precision};
 use cumf_serve::{
-    ApproxPolicy, FactorSnapshot, ItemLayout, Query, ScoreKind, ServeConfig, TopKIndex,
+    report_from_lists, ApproxPolicy, FactorSnapshot, ItemLayout, Query, ScoreKind, ServeConfig,
+    TopKIndex,
 };
 use proptest::prelude::*;
 use std::sync::Arc;
@@ -91,5 +94,60 @@ proptest! {
             prop_assert_eq!(got_stats.rerank_candidates, 0);
             prop_assert_eq!(got_stats.bytes_scanned, want_stats.bytes_scanned);
         }
+    }
+}
+
+/// The byte and recall floors of the reduced precisions, on a 50 000-item
+/// catalog whose norms are skewed (a few heavy items scattered across the
+/// ids, a long light tail) and stored norm-descending.  The bytes are the
+/// whole query's, the rerank's exact-row reads included, against the exact
+/// scan at the caller's `k`: the quantized scan keeps `k · rerank_factor`
+/// candidates, whose weaker heap threshold visits more blocks, so this is
+/// the end-to-end accounting and harder to meet than a matched-candidate
+/// comparison.  The floors hold with little room (1.85× and 3.52× here),
+/// and smaller catalogs fall below them, because the rerank's reads do not
+/// shrink with the catalog.
+#[test]
+fn f16_and_i8_read_fewer_bytes_at_their_recall_floors() {
+    let (n, f) = (50_000usize, 32usize);
+    let mut theta = FactorMatrix::random(n, f, 0.5, 62);
+    for v in 0..n {
+        let h = (v as u32).wrapping_mul(2654435761) % 64;
+        let scale = if h == 0 { 4.0 } else { 0.01 + 0.001 * h as f32 };
+        for x in theta.vector_mut(v) {
+            *x *= scale;
+        }
+    }
+    let snap = Arc::new(FactorSnapshot::from_factors_with_layout(
+        FactorMatrix::random(1000, f, 0.5, 61),
+        theta,
+        ItemLayout::NormDescending,
+    ));
+    let queries: Vec<Query> = (0..64u32).map(|i| Query::new(i * 37 % 1000, 10)).collect();
+    let config = ServeConfig {
+        item_block: 512,
+        score: ScoreKind::Dot,
+        shards: 4,
+        ..Default::default()
+    };
+    let (want, want_stats) = TopKIndex::new(Arc::clone(&snap), &config).query_batch_stats(&queries);
+    for (precision, min_ratio, recall_floor) in
+        [(Precision::F16, 1.8, 1.0), (Precision::I8, 3.5, 0.99)]
+    {
+        let re = Arc::new(snap.reencoded(precision));
+        let (got, stats) = TopKIndex::new(re, &config).query_batch_stats(&queries);
+        let report = report_from_lists(&want, &got, want_stats, stats);
+        assert!(
+            report.mean_recall >= recall_floor,
+            "{precision}: post-rerank recall {:.4} below the {recall_floor} floor",
+            report.mean_recall
+        );
+        let ratio = want_stats.bytes_scanned as f64 / stats.bytes_scanned as f64;
+        assert!(
+            ratio >= min_ratio,
+            "{precision}: {ratio:.3}x fewer bytes, below the {min_ratio}x floor ({} vs {})",
+            stats.bytes_scanned,
+            want_stats.bytes_scanned
+        );
     }
 }

@@ -158,7 +158,7 @@ fn live_service_exact_and_approx_traffic_do_not_cross_contaminate() {
     let client = service.client();
 
     for u in 0..48u32 {
-        let expect = truth.query_batch(&[Query::new(u, 10)]).remove(0);
+        let expect = truth.query_batch_stats(&[Query::new(u, 10)]).0.remove(0);
         let exact = client.recommend_exact(u, 10, &[]).unwrap();
         assert_eq!(exact, expect, "exact request contaminated for user {u}");
         let eps0 = client
@@ -216,7 +216,7 @@ fn zero_norm_user_and_oversized_k_return_full_exact_results() {
 
     // Zero-norm user: every score is 0, the threshold pins at 0, and the
     // strict `bound < threshold` comparison never fires — full exact scan.
-    let expect = truth.query_batch(&[Query::new(0, 10)]).remove(0);
+    let expect = truth.query_batch_stats(&[Query::new(0, 10)]).0.remove(0);
     let got = client.recommend(0, 10, &[]).unwrap();
     assert_eq!(got, expect, "zero-norm user must get exact results");
     assert_eq!(got.len(), 10);
@@ -224,7 +224,10 @@ fn zero_norm_user_and_oversized_k_return_full_exact_results() {
 
     // k ≥ catalog: the heap never fills, so the whole catalog comes back
     // in exact order despite epsilon 0.9 and a 1-block budget.
-    let expect = truth.query_batch(&[Query::new(1, n + 50)]).remove(0);
+    let expect = truth
+        .query_batch_stats(&[Query::new(1, n + 50)])
+        .0
+        .remove(0);
     let got = client.recommend(1, n + 50, &[]).unwrap();
     assert_eq!(got.len(), n);
     assert_eq!(

@@ -132,10 +132,10 @@ proptest! {
             .map(|u| Query { user: u, k: 8, exclude: vec![u % 17] })
             .collect();
         let config = ServeConfig { item_block: 64, score: ScoreKind::Dot, ..Default::default() };
-        let expected = TopKIndex::new(Arc::new(rebuilt), &config).query_batch(&queries);
+        let expected = TopKIndex::new(Arc::new(rebuilt), &config).query_batch_stats(&queries).0;
         for shards in [1usize, 2, 5] {
             let sharded = ServeConfig { shards, ..config.clone() };
-            let got = TopKIndex::new(Arc::new(next.clone()), &sharded).query_batch(&queries);
+            let got = TopKIndex::new(Arc::new(next.clone()), &sharded).query_batch_stats(&queries).0;
             prop_assert_eq!(&got, &expected, "shards {}", shards);
         }
     }
@@ -249,10 +249,6 @@ fn delta_publish_keeps_unrelated_cache_entries_hot() {
     let client = service.client();
     let a_before = client.recommend(5, 7, &[]).unwrap();
     let b_before = client.recommend(20, 7, &[]).unwrap();
-    // A worker caches a scored reply after sending it.  With one worker, a
-    // later batch's reply means the earlier batch's insert has landed, so
-    // this hit fences user 20's insert ahead of the publish.
-    assert_eq!(client.recommend(5, 7, &[]).unwrap(), a_before);
     let misses_before = service.metrics().cache_misses;
 
     // Change user 20 only.
@@ -332,9 +328,6 @@ fn refreshed_replies_equal_a_cache_off_service() {
     let client = cached.client();
     let before = reads(&client);
     assert!(before[3].is_empty(), "user {appended} does not exist yet");
-    // One worker caches a reply after sending it; a later batch's reply
-    // fences the last read's insert ahead of the publish.
-    client.recommend(0, 1, &[]).unwrap();
 
     let spec = DeltaSpec {
         changed: vec![9, 12],

@@ -144,7 +144,7 @@ fn shard_and_worker_counts_are_reply_invariant() {
         let index = TopKIndex::new(service.snapshot(), &config);
         let expect: Vec<Vec<(u32, f32)>> = queries
             .iter()
-            .map(|q| index.query_batch(std::slice::from_ref(q)).remove(0))
+            .map(|q| index.query_batch_stats(std::slice::from_ref(q)).0.remove(0))
             .collect();
         assert_eq!(bits(&got), bits(&expect), "{config:?}");
         assert_eq!(service.metrics().worker_panics, 0);
@@ -291,9 +291,9 @@ proptest! {
             .map(|u| Query { user: u, k, exclude: vec![u % 5, u % 3] })
             .collect();
         let config = ServeConfig { item_block, score, ..Default::default() };
-        let baseline = TopKIndex::new(Arc::clone(&snap), &config).query_batch(&queries);
+        let baseline = TopKIndex::new(Arc::clone(&snap), &config).query_batch_stats(&queries).0;
         let sharded = TopKIndex::new(Arc::clone(&snap), &ServeConfig { shards, ..config })
-            .query_batch(&queries);
+            .query_batch_stats(&queries).0;
         prop_assert_eq!(baseline, sharded);
     }
 }

@@ -11,7 +11,11 @@
 //! 4. **Systematic pruning** — on a skewed-norm catalog the
 //!    norm-descending layout skips strictly more blocks than catalog order
 //!    (the new pruning counters), with identical results.
+//! 5. **Fold-in in place** — solving users against the store's segment
+//!    views equals solving them against the materialized catalog, bit for
+//!    bit.
 
+use cumf_core::foldin::{fold_in_users, fold_in_users_segmented, ratings_rows};
 use cumf_linalg::FactorMatrix;
 use cumf_serve::{
     ApproxPolicy, FactorSnapshot, ItemLayout, Query, ScoreKind, ServeConfig, TopKIndex, TopKService,
@@ -114,14 +118,14 @@ proptest! {
         let baseline_snap =
             FactorSnapshot::from_factors_with_layout(x.clone(), theta.clone(), ItemLayout::CatalogOrder);
         let config = ServeConfig { item_block: 64, score, ..Default::default() };
-        let baseline = TopKIndex::new(Arc::new(baseline_snap), &config).query_batch(&queries);
+        let baseline = TopKIndex::new(Arc::new(baseline_snap), &config).query_batch_stats(&queries).0;
 
         for layout in [ItemLayout::CatalogOrder, ItemLayout::NormDescending] {
             for (name, snap) in variants(&x, &theta, &cuts, layout) {
                 let snap = Arc::new(snap);
                 for shards in [1usize, 3, 7] {
                     let sharded = ServeConfig { shards, ..config.clone() };
-                    let got = TopKIndex::new(Arc::clone(&snap), &sharded).query_batch(&queries);
+                    let got = TopKIndex::new(Arc::clone(&snap), &sharded).query_batch_stats(&queries).0;
                     prop_assert_eq!(
                         &got, &baseline,
                         "{} {:?} shards {} score {:?}", name, layout, shards, score
@@ -131,7 +135,7 @@ proptest! {
                     // score kind.
                     let exact_policy = ServeConfig { approx: Some(ApproxPolicy::exact()), ..sharded };
                     let approx = TopKIndex::new(Arc::clone(&snap), &exact_policy)
-                        .query_batch(&queries);
+                        .query_batch_stats(&queries).0;
                     prop_assert_eq!(
                         &approx, &baseline,
                         "approx eps=0 {} {:?} shards {} score {:?}", name, layout, shards, score
@@ -169,7 +173,7 @@ proptest! {
         let mut prev_scored = u64::MAX;
         for eps in [0.0f32, 0.05, 0.1, 0.2, 0.4, 0.8] {
             let report = cumf_serve::measure_recall(
-                &snap, &queries, &config, &ApproxPolicy::with_epsilon(eps),
+                &snap, &queries, &config, &ApproxPolicy { epsilon: eps, ..ApproxPolicy::default() },
             );
             prop_assert!(
                 report.mean_recall <= prev_recall + 1e-12,
@@ -203,7 +207,7 @@ fn id_remap_round_trips_through_permuted_segments() {
                 "{name} item {v}"
             );
         }
-        assert_eq!(snap.item_factors_matrix(), theta, "{name}");
+        assert_eq!(snap.items().to_matrix(), theta, "{name}");
         for u in [0u32, 7, 24] {
             for v in [0u32, 119, 120, 299] {
                 let expect = cumf_linalg::blas::dot(x.vector(u as usize), theta.vector(v as usize));
@@ -235,6 +239,32 @@ fn item_append_copies_o_of_a_f_bytes_not_theta() {
         assert_eq!(stats.norms_recomputed, a, "{layout:?}");
         assert_eq!(next.items().segment_count(), 2, "{layout:?}");
         assert_eq!(next.n_items(), n + a);
+    }
+}
+
+/// The online loop folds users in against the serving store's segment
+/// views, never a contiguous copy of Θ.  That must not change a bit: for
+/// every layout and every segmentation the store goes through (one
+/// segment, appended tails, compacted), the segmented solve equals the
+/// solve against the materialized catalog-order Θ.
+#[test]
+fn segmented_fold_in_equals_materialized_fold_in_bit_for_bit() {
+    let (f, n) = (8usize, 900usize);
+    let (x, theta) = factors(71, 10, n, f);
+    let rating_lists: Vec<Vec<(u32, f32)>> = (0..24u32)
+        .map(|u| {
+            (0..(u % 7) * 5)
+                .map(|j| ((u * 131 + j * 97) % n as u32, 1.0 + (u + j) as f32 % 4.0))
+                .collect()
+        })
+        .collect();
+    let ratings = ratings_rows(&rating_lists, n as u32);
+    for layout in [ItemLayout::CatalogOrder, ItemLayout::NormDescending] {
+        for (name, snap) in variants(&x, &theta, &[500, 700, n], layout) {
+            let materialized = fold_in_users(&ratings, &snap.items().to_matrix(), 0.05, None);
+            let segmented = fold_in_users_segmented(&ratings, &snap.items().views(), f, 0.05, None);
+            assert_eq!(segmented, materialized, "{name} {layout:?}");
+        }
     }
 }
 
@@ -296,9 +326,10 @@ fn norm_ordered_layout_prunes_strictly_more_blocks() {
     // And the permuted layout skips the overwhelming majority of the
     // catalog here — the "systematic" half of the claim.
     assert!(
-        permuted_stats.pruned_fraction() > 0.5,
+        permuted_stats.blocks_pruned > permuted_stats.blocks_scored,
         "expected most blocks pruned, got {:.1}%",
-        100.0 * permuted_stats.pruned_fraction()
+        100.0 * permuted_stats.blocks_pruned as f64
+            / (permuted_stats.blocks_pruned + permuted_stats.blocks_scored) as f64
     );
 }
 
@@ -354,7 +385,8 @@ fn excluding_the_entire_unfiltered_top_k_returns_the_next_k() {
                         ..Default::default()
                     },
                 )
-                .query_batch(&queries);
+                .query_batch_stats(&queries)
+                .0;
                 for (u, reply) in got.iter().enumerate() {
                     assert_eq!(
                         reply[..],
