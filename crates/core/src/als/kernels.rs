@@ -212,6 +212,7 @@ pub fn solve_side(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::instrument::Phase;
     use cumf_data::synth::SyntheticConfig;
     use cumf_sparse::Coo;
 
@@ -449,13 +450,14 @@ mod tests {
         let x = solve_side(&coo.to_csr(), &theta, 0.05, Some(&metrics));
         assert!(x.vector(2).iter().all(|&v| v == 0.0));
         let report = metrics.report();
-        assert_eq!(report.rows_solved, 5);
-        assert_eq!(report.assembly.count(), 5);
-        assert_eq!(report.solve.count(), 5);
-        assert_eq!(report.solve_side.count(), 1);
-        assert!(report.solve.sum_ns() > 0);
+        assert_eq!(report.rows_solved(), 5);
+        assert_eq!(report[Phase::Assembly].count(), 5);
+        assert_eq!(report[Phase::Solve].count(), 5);
+        assert_eq!(report[Phase::SolveSide].count(), 1);
+        assert!(report[Phase::Solve].sum_ns() > 0);
         assert!(
-            report.assembly.sum_ns() + report.solve.sum_ns() <= report.solve_side.sum_ns(),
+            report[Phase::Assembly].sum_ns() + report[Phase::Solve].sum_ns()
+                <= report[Phase::SolveSide].sum_ns(),
             "{report}"
         );
     }

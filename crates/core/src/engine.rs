@@ -109,6 +109,7 @@ mod tests {
     use crate::als::{AlsEngine, Placement};
     use crate::config::AlsConfig;
     use crate::foldin::ratings_rows;
+    use crate::instrument::Phase;
     use crate::reduce::ReductionScheme;
     use crate::sgd::{SgdConfig, SgdEngine};
     use cumf_data::synth::SyntheticConfig;
@@ -232,7 +233,7 @@ mod tests {
             engine.attach_metrics(Arc::clone(&metrics));
             engine.fold_in_users(&batch);
             assert_eq!(
-                metrics.report().fold_in.count(),
+                metrics.report()[Phase::FoldIn].count(),
                 1,
                 "{} must record fold-ins through the attached sink",
                 engine.name()

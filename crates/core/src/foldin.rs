@@ -147,6 +147,7 @@ mod tests {
     use super::*;
     use crate::als::AlsEngine;
     use crate::config::AlsConfig;
+    use crate::instrument::Phase;
     use cumf_data::synth::SyntheticConfig;
 
     fn trained() -> (Csr, AlsEngine) {
@@ -325,9 +326,9 @@ mod tests {
         let metrics = TrainMetrics::new();
         fold_in_users_segmented(&batch, &views, engine.theta().rank(), 0.05, Some(&metrics));
         let report = metrics.report();
-        assert_eq!(report.fold_in.count(), 1);
-        assert_eq!(report.solve_side.count(), 1);
-        assert_eq!(report.rows_solved, 1);
+        assert_eq!(report[Phase::FoldIn].count(), 1);
+        assert_eq!(report[Phase::SolveSide].count(), 1);
+        assert_eq!(report.rows_solved(), 1);
     }
 
     #[test]

@@ -1,5 +1,5 @@
 //! Trainer-side observability: wait-free latency histograms for the ALS
-//! hot path.
+//! hot path, each declared once in `PHASES`.
 //!
 //! The paper's performance story lives in two phases of the per-row update
 //! (equation (2)): assembling the Hermitian `A = Σ θ_v θ_vᵀ` (the
@@ -9,6 +9,10 @@
 //! [`crate::als::kernels::solve_side`] calls and incremental fold-in batches
 //! ([`crate::foldin::fold_in_users`], [`crate::foldin::fold_in_users_segmented`])
 //! — giving the host-side analogue of the kernel split the simulator prices.
+//! Each [`Phase`] is one row of `PHASES` (its exporter key and help text);
+//! the report, the exporter and `Display` are loops over it, and
+//! `train_rows_solved` is the assembly histogram's count, since a solved row
+//! records exactly one assembly sample.
 //!
 //! Assembly is timed row by row.  The solve is not: up to four rows are
 //! factored together, one per SIMD lane, so a row has no solve time of its
@@ -24,9 +28,41 @@
 //! the sink as an `Option<&TrainMetrics>`: an uninstrumented call passes
 //! `None` and pays no timing overhead at all.
 
-use cumf_obs::{Exporter, Histogram, HistogramSnapshot};
-use std::sync::atomic::{AtomicU64, Ordering};
+use cumf_obs::{Exporter, Histogram, HistogramSnapshot, MetricValue};
+use std::ops::Index;
 use std::time::Duration;
+
+/// Every training latency histogram; a [`TrainMetricsReport`] is indexed by
+/// it.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Phase {
+    /// Per-row Hermitian assembly (zeroing the row's system, gathering its
+    /// ratings' `θ_v` bin by bin and `syr_axpy_bin` over each bin —
+    /// `get_hermitian` in the paper).
+    Assembly,
+    /// Per-row ridge + Cholesky solve (`batch_solve` in the paper).
+    Solve,
+    /// Whole `solve_side` calls (one half-iteration each).
+    SolveSide,
+    /// Incremental fold-in batches (the serving-facing training path).
+    FoldIn,
+}
+
+const PHASE_COUNT: usize = Phase::FoldIn as usize + 1;
+
+/// The exporter key and help text of `train_rows_solved`, then of every
+/// phase, in exporter order.
+const ROWS_SOLVED: (&str, &str) = (
+    "train_rows_solved",
+    "non-empty rows solved across instrumented calls",
+);
+#[rustfmt::skip]
+const PHASES: [(Phase, &str, &str); PHASE_COUNT] = [
+    (Phase::Assembly, "train_assembly", "per-row Hermitian assembly latency"),
+    (Phase::Solve, "train_solve", "per-row ridge + Cholesky solve latency"),
+    (Phase::SolveSide, "train_solve_side", "whole solve_side call latency"),
+    (Phase::FoldIn, "train_fold_in", "incremental fold-in batch latency"),
+];
 
 /// Latency histograms of the training hot path; shared by every engine a
 /// [`crate::trainer::MatrixFactorizer`] builds.
@@ -35,18 +71,7 @@ use std::time::Duration;
 /// can be shared across the rayon workers of a `solve_side` call.
 #[derive(Debug, Default)]
 pub struct TrainMetrics {
-    /// Per-row Hermitian assembly (zeroing the row's system, gathering its
-    /// ratings' `θ_v` bin by bin and `syr_axpy_bin` over each bin —
-    /// `get_hermitian` in the paper).
-    assembly: Histogram,
-    /// Per-row ridge + Cholesky solve (`batch_solve` in the paper).
-    solve: Histogram,
-    /// Whole `solve_side` calls (one half-iteration each).
-    solve_side: Histogram,
-    /// Incremental fold-in batches (the serving-facing training path).
-    fold_in: Histogram,
-    /// Non-empty rows solved across all instrumented calls.
-    rows_solved: AtomicU64,
+    phases: [Histogram; PHASE_COUNT],
 }
 
 impl TrainMetrics {
@@ -59,9 +84,8 @@ impl TrainMetrics {
     /// phase — for a row solved in a group, its equal share of the group's
     /// ([`Self::record_group`]).
     fn record_row(&self, assembly_ns: u64, solve_ns: u64) {
-        self.assembly.record_ns(assembly_ns);
-        self.solve.record_ns(solve_ns);
-        self.rows_solved.fetch_add(1, Ordering::Relaxed); // relaxed-ok: monotonic progress counter
+        self.phases[Phase::Assembly as usize].record_ns(assembly_ns);
+        self.phases[Phase::Solve as usize].record_ns(solve_ns);
     }
 
     /// Records the rows of one group solved together: `assembly_ns[i]` is
@@ -79,110 +103,59 @@ impl TrainMetrics {
 
     /// Records one whole `solve_side` call.
     pub(crate) fn record_solve_side(&self, elapsed: Duration) {
-        self.solve_side.record(elapsed);
+        self.phases[Phase::SolveSide as usize].record(elapsed);
     }
 
     /// Records one fold-in batch.
     pub(crate) fn record_fold_in(&self, elapsed: Duration) {
-        self.fold_in.record(elapsed);
+        self.phases[Phase::FoldIn as usize].record(elapsed);
     }
 
-    /// Non-empty rows solved so far.
-    fn rows_solved(&self) -> u64 {
-        self.rows_solved.load(Ordering::Relaxed) // relaxed-ok: monotonic progress counter read
-    }
-
-    /// A point-in-time snapshot of every histogram and counter.
+    /// A point-in-time snapshot of every histogram.
     pub fn report(&self) -> TrainMetricsReport {
         TrainMetricsReport {
-            rows_solved: self.rows_solved(),
-            assembly: self.assembly.snapshot(),
-            solve: self.solve.snapshot(),
-            solve_side: self.solve_side.snapshot(),
-            fold_in: self.fold_in.snapshot(),
+            phases: std::array::from_fn(|i| self.phases[i].snapshot()),
         }
     }
 }
 
-/// Immutable snapshot of [`TrainMetrics`].
+/// Immutable snapshot of [`TrainMetrics`], indexed by [`Phase`].
 #[derive(Debug, Clone, PartialEq)]
 pub struct TrainMetricsReport {
-    /// Non-empty rows solved.
-    pub rows_solved: u64,
-    /// Per-row Hermitian assembly latency.
-    pub assembly: HistogramSnapshot,
-    /// Per-row solve latency.
-    pub solve: HistogramSnapshot,
-    /// Whole `solve_side` call latency.
-    pub solve_side: HistogramSnapshot,
-    /// Fold-in batch latency.
-    pub fold_in: HistogramSnapshot,
+    phases: [HistogramSnapshot; PHASE_COUNT],
+}
+
+impl Index<Phase> for TrainMetricsReport {
+    type Output = HistogramSnapshot;
+
+    fn index(&self, phase: Phase) -> &HistogramSnapshot {
+        &self.phases[phase as usize]
+    }
 }
 
 impl TrainMetricsReport {
+    /// Non-empty rows solved: each records exactly one assembly sample.
+    pub fn rows_solved(&self) -> u64 {
+        self[Phase::Assembly].count()
+    }
+
     /// The machine-readable view: `train_*` metrics for the
-    /// Prometheus/JSON exporter.
+    /// Prometheus/JSON exporter, pinned in `crates/core/METRICS.txt`.
     pub fn exporter(&self) -> Exporter {
         let mut e = Exporter::new();
-        e.counter(
-            "train_rows_solved",
-            "non-empty rows solved across instrumented calls",
-            self.rows_solved,
-        )
-        .histogram(
-            "train_assembly",
-            "per-row Hermitian assembly latency",
-            self.assembly.clone(),
-        )
-        .histogram(
-            "train_solve",
-            "per-row ridge + Cholesky solve latency",
-            self.solve.clone(),
-        )
-        .histogram(
-            "train_solve_side",
-            "whole solve_side call latency",
-            self.solve_side.clone(),
-        )
-        .histogram(
-            "train_fold_in",
-            "incremental fold-in batch latency",
-            self.fold_in.clone(),
-        );
+        let (key, help) = ROWS_SOLVED;
+        e.push(key, help, MetricValue::Counter(self.rows_solved()));
+        for (phase, key, help) in PHASES {
+            e.push(key, help, MetricValue::Histogram(self[phase].clone()));
+        }
         e
     }
 }
 
-fn fmt_ns(ns: u64) -> String {
-    format!("{:?}", Duration::from_nanos(ns))
-}
-
+/// `train_rows_solved`, then the percentile table of the phases.
 impl std::fmt::Display for TrainMetricsReport {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        writeln!(f, "rows solved: {}", self.rows_solved)?;
-        writeln!(
-            f,
-            "  {:<12} {:>10} {:>10} {:>10} {:>10} {:>9}",
-            "phase", "p50", "p90", "p99", "max", "count"
-        )?;
-        for (name, h) in [
-            ("assembly", &self.assembly),
-            ("solve", &self.solve),
-            ("solve_side", &self.solve_side),
-            ("fold_in", &self.fold_in),
-        ] {
-            writeln!(
-                f,
-                "  {:<12} {:>10} {:>10} {:>10} {:>10} {:>9}",
-                name,
-                fmt_ns(h.quantile(0.5)),
-                fmt_ns(h.quantile(0.9)),
-                fmt_ns(h.quantile(0.99)),
-                fmt_ns(h.max_ns()),
-                h.count()
-            )?;
-        }
-        Ok(())
+        write!(f, "{}", self.exporter())
     }
 }
 
@@ -200,16 +173,16 @@ mod tests {
         m.record_fold_in(Duration::from_micros(40));
 
         let r = m.report();
-        assert_eq!(r.rows_solved, 100);
-        assert_eq!(r.assembly.count(), 100);
-        assert_eq!(r.solve.count(), 100);
-        assert_eq!(r.solve_side.count(), 1);
-        assert_eq!(r.fold_in.count(), 1);
-        assert_eq!(r.assembly.max_ns(), 1000);
-        assert_eq!(r.solve.max_ns(), 500);
+        assert_eq!(r.rows_solved(), 100);
+        assert_eq!(r[Phase::Assembly].count(), 100);
+        assert_eq!(r[Phase::Solve].count(), 100);
+        assert_eq!(r[Phase::SolveSide].count(), 1);
+        assert_eq!(r[Phase::FoldIn].count(), 1);
+        assert_eq!(r[Phase::Assembly].max_ns(), 1000);
+        assert_eq!(r[Phase::Solve].max_ns(), 500);
         // Assembly was recorded at exactly twice the solve duration per
         // row, so the exact sums keep that ratio.
-        assert_eq!(r.assembly.sum_ns(), 2 * r.solve.sum_ns());
+        assert_eq!(r[Phase::Assembly].sum_ns(), 2 * r[Phase::Solve].sum_ns());
     }
 
     #[test]
@@ -221,15 +194,15 @@ mod tests {
         // A short group of one keeps its whole solve time.
         m.record_group(&[40], 90);
         let r = m.report();
-        assert_eq!(r.rows_solved, 5);
-        assert_eq!(r.assembly.count(), 5);
-        assert_eq!(r.solve.count(), 5);
-        assert_eq!(r.assembly.sum_ns(), 650 + 40);
-        assert_eq!(r.solve.sum_ns(), 4 * 88 + 50);
-        assert_eq!(r.solve.max_ns(), 88);
+        assert_eq!(r.rows_solved(), 5);
+        assert_eq!(r[Phase::Assembly].count(), 5);
+        assert_eq!(r[Phase::Solve].count(), 5);
+        assert_eq!(r[Phase::Assembly].sum_ns(), 650 + 40);
+        assert_eq!(r[Phase::Solve].sum_ns(), 4 * 88 + 50);
+        assert_eq!(r[Phase::Solve].max_ns(), 88);
         // A clock that steps backwards cannot make a share negative.
         m.record_group(&[10, 10], 5);
-        assert_eq!(m.report().solve.sum_ns(), 4 * 88 + 50);
+        assert_eq!(m.report()[Phase::Solve].sum_ns(), 4 * 88 + 50);
     }
 
     #[test]
@@ -255,7 +228,9 @@ mod tests {
         let m = TrainMetrics::new();
         m.record_row(500, 700);
         let text = m.report().to_string();
-        assert!(text.contains("rows solved: 1"));
+        assert!(text
+            .lines()
+            .any(|l| l.split_whitespace().eq(["train_rows_solved", "1"])));
         for row in ["assembly", "solve", "solve_side", "fold_in"] {
             assert!(text.contains(row), "missing {row} row in:\n{text}");
         }
@@ -274,7 +249,7 @@ mod tests {
                 });
             }
         });
-        assert_eq!(m.rows_solved(), 4_000);
-        assert_eq!(m.report().assembly.count(), 4_000);
+        assert_eq!(m.report().rows_solved(), 4_000);
+        assert_eq!(m.report()[Phase::Assembly].count(), 4_000);
     }
 }

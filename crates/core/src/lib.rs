@@ -78,5 +78,5 @@ pub mod trainer;
 
 pub use config::{AlsConfig, MemoryOptConfig};
 pub use engine::{Engine, IncrementalEngine};
-pub use instrument::{TrainMetrics, TrainMetricsReport};
+pub use instrument::{Phase, TrainMetrics, TrainMetricsReport};
 pub use trainer::{Backend, MatrixFactorizer, TrainReport};

@@ -440,6 +440,7 @@ impl MatrixFactorizer {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::instrument::Phase;
     use cumf_data::synth::SyntheticConfig;
     use cumf_data::train_test_split;
 
@@ -642,28 +643,32 @@ mod tests {
     fn fit_populates_train_metrics() {
         let (train, _) = problem();
         let mut model = MatrixFactorizer::new(config(3), Backend::Reference);
-        assert_eq!(model.train_metrics().rows_solved, 0, "empty before fit");
+        assert_eq!(model.train_metrics().rows_solved(), 0, "empty before fit");
         model.fit(&train, &[]);
 
         let r = model.train_metrics();
         // Two solve_side calls per iteration (update X, update Θ).
-        assert_eq!(r.solve_side.count(), 6);
+        assert_eq!(r[Phase::SolveSide].count(), 6);
         // Every non-empty row of R and Rᵀ records both phases, every
         // iteration — at most (m + n) rows each.
-        assert_eq!(r.assembly.count(), r.solve.count());
-        assert_eq!(r.rows_solved, r.assembly.count());
-        assert!(r.rows_solved >= 6, "rows must have been timed");
-        assert!(r.rows_solved <= 3 * (250 + 120));
+        assert_eq!(r[Phase::Assembly].count(), r[Phase::Solve].count());
+        assert_eq!(r.rows_solved(), r[Phase::Assembly].count());
+        assert!(r.rows_solved() >= 6, "rows must have been timed");
+        assert!(r.rows_solved() <= 3 * (250 + 120));
         // Whole-call time dominates any single row's phases.
-        assert!(r.solve_side.max_ns() >= r.assembly.max_ns());
-        assert_eq!(r.fold_in.count(), 0, "no fold-in ran");
+        assert!(r[Phase::SolveSide].max_ns() >= r[Phase::Assembly].max_ns());
+        assert_eq!(r[Phase::FoldIn].count(), 0, "no fold-in ran");
 
         // Fold-in records its batch latency through the same sink.
         let batch = crate::foldin::ratings_rows(&[vec![(0, 4.0), (5, 3.0)]], train.n_cols());
         model.fold_in_users(&batch);
         let r = model.train_metrics();
-        assert_eq!(r.fold_in.count(), 1);
-        assert_eq!(r.solve_side.count(), 7, "fold-in is one more solve_side");
+        assert_eq!(r[Phase::FoldIn].count(), 1);
+        assert_eq!(
+            r[Phase::SolveSide].count(),
+            7,
+            "fold-in is one more solve_side"
+        );
     }
 
     #[test]
@@ -678,9 +683,13 @@ mod tests {
         let mut model = MatrixFactorizer::new(config(2), backend);
         model.fit(&train, &[]);
         let r = model.train_metrics();
-        assert!(r.rows_solved > 0);
-        assert_eq!(r.assembly.count(), r.rows_solved);
-        assert_eq!(r.solve_side.count(), 4, "two solve_side samples per sweep");
+        assert!(r.rows_solved() > 0);
+        assert_eq!(r[Phase::Assembly].count(), r.rows_solved());
+        assert_eq!(
+            r[Phase::SolveSide].count(),
+            4,
+            "two solve_side samples per sweep"
+        );
     }
 
     #[test]
@@ -689,8 +698,8 @@ mod tests {
         let mut model = MatrixFactorizer::new(config(2), Backend::single_gpu());
         model.fit(&train, &[]);
         let r = model.train_metrics();
-        assert_eq!(r.solve_side.count(), 4);
-        assert!(r.rows_solved > 0);
+        assert_eq!(r[Phase::SolveSide].count(), 4);
+        assert!(r.rows_solved() > 0);
         let json = r.exporter().to_json();
         assert!(json.contains("\"train_solve_side_count\":4"));
         assert!(json.contains("\"train_assembly_p50_ns\":"));

@@ -6,12 +6,16 @@
 //! quantiles) or as a **flat JSON object** whose keys are stable enough to
 //! assert in CI — a histogram `foo` expands to `foo_count`, `foo_sum_ns`,
 //! `foo_mean_ns`, `foo_p50_ns`, `foo_p90_ns`, `foo_p99_ns`, `foo_max_ns`.
+//! Its `Display` is the human-readable view: one line per counter and
+//! gauge, then one p50/p90/p99/max/count table of the histograms.
 //!
-//! Both renderers are allocation-light and dependency-free (no serde in
+//! The renderers are allocation-light and dependency-free (no serde in
 //! this workspace); JSON numbers are emitted from finite values only, so
 //! the output always parses.
 
 use crate::histogram::HistogramSnapshot;
+use std::fmt;
+use std::time::Duration;
 
 /// Quantiles every exported histogram reports.
 pub const EXPORT_QUANTILES: [(f64, &str); 3] = [(0.5, "p50"), (0.9, "p90"), (0.99, "p99")];
@@ -46,7 +50,9 @@ impl Exporter {
         Self::default()
     }
 
-    fn push(&mut self, name: &str, help: &str, value: MetricValue) -> &mut Self {
+    /// Adds one metric; histograms render as the quantiles of
+    /// [`EXPORT_QUANTILES`] plus count, sum and max.
+    pub fn push(&mut self, name: &str, help: &str, value: MetricValue) -> &mut Self {
         debug_assert!(
             name.chars().all(|c| c.is_ascii_alphanumeric() || c == '_'),
             "metric names must be [A-Za-z0-9_]: {name}"
@@ -57,21 +63,6 @@ impl Exporter {
             value,
         });
         self
-    }
-
-    /// Adds a counter.
-    pub fn counter(&mut self, name: &str, help: &str, v: u64) -> &mut Self {
-        self.push(name, help, MetricValue::Counter(v))
-    }
-
-    /// Adds a gauge.
-    pub fn gauge(&mut self, name: &str, help: &str, v: f64) -> &mut Self {
-        self.push(name, help, MetricValue::Gauge(v))
-    }
-
-    /// Adds a histogram.
-    pub fn histogram(&mut self, name: &str, help: &str, snap: HistogramSnapshot) -> &mut Self {
-        self.push(name, help, MetricValue::Histogram(snap))
     }
 
     /// Renders Prometheus text exposition format.
@@ -142,6 +133,37 @@ fn finite(v: f64) -> f64 {
     }
 }
 
+impl fmt::Display for Exporter {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        let width = self.metrics.iter().map(|m| m.name.len()).max().unwrap_or(0);
+        let mut histograms = Vec::new();
+        for m in &self.metrics {
+            match &m.value {
+                MetricValue::Counter(v) => writeln!(f, "{:<width$} {v}", m.name)?,
+                MetricValue::Gauge(v) => writeln!(f, "{:<width$} {:.4}", m.name, finite(*v))?,
+                MetricValue::Histogram(s) => histograms.push((&m.name, s)),
+            }
+        }
+        if histograms.is_empty() {
+            return Ok(());
+        }
+        let ns = |v: u64| format!("{:?}", Duration::from_nanos(v));
+        write!(f, "{:<width$}", "")?;
+        for (_, label) in EXPORT_QUANTILES {
+            write!(f, " {label:>10}")?;
+        }
+        writeln!(f, " {:>10} {:>9}", "max", "count")?;
+        for (name, s) in histograms {
+            write!(f, "{name:<width$}")?;
+            for (q, _) in EXPORT_QUANTILES {
+                write!(f, " {:>10}", ns(s.quantile(q)))?;
+            }
+            writeln!(f, " {:>10} {:>9}", ns(s.max_ns()), s.count())?;
+        }
+        Ok(())
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -158,9 +180,21 @@ mod tests {
     #[test]
     fn prometheus_renders_all_kinds() {
         let mut e = Exporter::new();
-        e.counter("serve_requests", "requests accepted", 42)
-            .gauge("serve_cache_hit_rate", "hit fraction", 0.75)
-            .histogram("serve_stage_score", "score stage latency", sample_hist());
+        e.push(
+            "serve_requests",
+            "requests accepted",
+            MetricValue::Counter(42),
+        )
+        .push(
+            "serve_cache_hit_rate",
+            "hit fraction",
+            MetricValue::Gauge(0.75),
+        )
+        .push(
+            "serve_stage_score",
+            "score stage latency",
+            MetricValue::Histogram(sample_hist()),
+        );
         let text = e.to_prometheus();
         assert!(text.contains("# TYPE serve_requests counter"));
         assert!(text.contains("serve_requests 42"));
@@ -173,9 +207,9 @@ mod tests {
     #[test]
     fn json_is_flat_and_parseable_shaped() {
         let mut e = Exporter::new();
-        e.counter("requests", "r", 7)
-            .gauge("rate", "g", f64::NAN)
-            .histogram("lat", "h", sample_hist());
+        e.push("requests", "r", MetricValue::Counter(7))
+            .push("rate", "g", MetricValue::Gauge(f64::NAN))
+            .push("lat", "h", MetricValue::Histogram(sample_hist()));
         let json = e.to_json();
         assert!(json.starts_with('{') && json.ends_with('}'));
         assert!(json.contains("\"requests\":7"));
@@ -198,9 +232,32 @@ mod tests {
     }
 
     #[test]
+    fn display_lists_scalars_then_one_percentile_table() {
+        let mut e = Exporter::new();
+        e.push("requests", "r", MetricValue::Counter(7))
+            .push("lat", "h", MetricValue::Histogram(sample_hist()))
+            .push("rate", "g", MetricValue::Gauge(0.25));
+        let text = e.to_string();
+        let lines: Vec<&str> = text.lines().collect();
+        assert_eq!(lines.len(), 4, "{text}");
+        assert_eq!(lines[0], "requests 7");
+        assert_eq!(lines[1], "rate     0.2500");
+        for column in ["p50", "p90", "p99", "max", "count"] {
+            assert!(lines[2].contains(column), "{text}");
+        }
+        assert!(lines[3].starts_with("lat "), "{text}");
+        assert!(lines[3].ends_with(" 4"), "the count closes the row: {text}");
+        assert!(
+            lines[3].contains("4µs"),
+            "the max renders as a duration: {text}"
+        );
+    }
+
+    #[test]
     fn empty_exporter_renders_empty_documents() {
         let e = Exporter::new();
         assert_eq!(e.to_json(), "{}");
         assert_eq!(e.to_prometheus(), "");
+        assert_eq!(e.to_string(), "");
     }
 }

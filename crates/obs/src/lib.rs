@@ -16,8 +16,9 @@
 //! * [`span`] — per-request [`Trace`]s with origin-relative [`TraceEvent`]s, 1-in-N [`Sampler`] admission so hot
 //!   paths stay allocation-free, and a ring-buffer [`TraceLog`] rendering
 //!   JSONL.
-//! * [`exporter`] — renders metric sets as Prometheus text or a flat JSON
-//!   object with CI-assertable keys (`foo_p50_ns`, `foo_p99_ns`, …).
+//! * [`exporter`] — renders metric sets as Prometheus text, a flat JSON
+//!   object with CI-assertable keys (`foo_p50_ns`, `foo_p99_ns`, …), or a
+//!   human-readable `Display` (scalars, then one percentile table).
 
 #![forbid(unsafe_code)]
 pub mod exporter;

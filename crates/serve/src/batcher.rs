@@ -36,7 +36,7 @@
 //! dying on the first transient or looping forever.
 
 use crate::cache::{CacheKey, ShardedResultCache};
-use crate::metrics::{MetricsReport, ServeMetrics, Stage};
+use crate::metrics::{Counter, Latency, MetricsReport, ServeMetrics, Stage};
 use crate::snapshot::{DeltaError, DeltaStats, FactorSnapshot, SnapshotDelta, SnapshotStore};
 use crate::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use crate::sync::{Arc, Mutex};
@@ -587,10 +587,10 @@ impl TopKService {
             }));
             if let Err(payload) = scored {
                 state.record_panic(panic_message(payload.as_ref()));
-                metrics.record_worker_panic();
+                metrics.add(Counter::WorkerPanics, 1);
                 let restart = state.try_restart(config.panic_budget);
                 if restart {
-                    metrics.record_worker_restart();
+                    metrics.add(Counter::WorkerRestarts, 1);
                 } else {
                     state.poison();
                 }
@@ -620,12 +620,12 @@ impl TopKService {
     ) {
         let enqueued = popped.request.enqueued_at;
         let popped_at = popped.popped_at;
-        metrics.record_stage_ns(Stage::QueueWait, ns_between(enqueued, popped_at));
-        metrics.record_stage_ns(Stage::Coalesce, ns_between(popped_at, sealed));
-        metrics.record_stage_ns(Stage::Score, ns_between(sealed, scored));
-        metrics.record_stage_ns(Stage::Merge, ns_between(scored, merged));
-        metrics.record_stage_ns(Stage::Reply, ns_between(merged, replied));
-        metrics.record_request_e2e_ns(ns_between(enqueued, replied));
+        metrics.record_ns(Latency::QueueWait, ns_between(enqueued, popped_at));
+        metrics.record_ns(Latency::Coalesce, ns_between(popped_at, sealed));
+        metrics.record_ns(Latency::Score, ns_between(sealed, scored));
+        metrics.record_ns(Latency::Merge, ns_between(scored, merged));
+        metrics.record_ns(Latency::Reply, ns_between(merged, replied));
+        metrics.record_ns(Latency::RequestE2e, ns_between(enqueued, replied));
         if let Some(mut trace) = popped.request.trace.take() {
             trace.event_between(Stage::QueueWait.name(), enqueued, popped_at);
             trace.event_between(Stage::Coalesce.name(), popped_at, sealed);
@@ -676,11 +676,11 @@ impl TopKService {
         let mut slots: Vec<(usize, Vec<usize>)> = Vec::new();
         for (i, popped) in batch.iter_mut().enumerate() {
             let req = &popped.request;
-            metrics.record_request();
+            metrics.add(Counter::Requests, 1);
             let key = match &policies[i] {
                 None => CacheKey::new(req.query.user, req.query.k, &req.query.exclude),
                 Some(p) => {
-                    metrics.record_approx_requests(1);
+                    metrics.add(Counter::ApproxRequests, 1);
                     CacheKey::new_approx(
                         req.query.user,
                         req.query.k,
@@ -692,12 +692,12 @@ impl TopKService {
             }
             .with_precision(precision);
             if let Some(hit) = cache.get(&key, generation) {
-                metrics.record_cache_hit();
+                metrics.add(Counter::CacheHits, 1);
                 // Counted (and stage-stamped) before the send: the client
                 // may observe its reply — and a test may read the metrics —
                 // immediately after.  The reply stage therefore measures up
                 // to the hand-off, not the channel send itself.
-                metrics.record_response();
+                metrics.add(Counter::Responses, 1);
                 let replied = Instant::now();
                 Self::finish_request(popped, metrics, tracer, sealed, sealed, sealed, replied);
                 let _ = popped.request.reply.send(hit);
@@ -705,11 +705,11 @@ impl TopKService {
             }
             match pending.entry(key) {
                 Entry::Occupied(entry) => {
-                    metrics.record_cache_hit();
+                    metrics.add(Counter::CacheHits, 1);
                     slots[*entry.get()].1.push(i);
                 }
                 Entry::Vacant(entry) => {
-                    metrics.record_cache_miss();
+                    metrics.add(Counter::CacheMisses, 1);
                     entry.insert(slots.len());
                     slots.push((i, Vec::new()));
                 }
@@ -728,7 +728,7 @@ impl TopKService {
             // The rerank ran inside the scoring pass (still in the Score
             // span); break its wall time out per batch when it actually ran.
             if prune.rerank_candidates > 0 {
-                metrics.record_rerank_ns(prune.rerank_ns);
+                metrics.record_ns(Latency::Rerank, prune.rerank_ns);
             }
             // Scoring ends, merging begins: fan each scored slot's result
             // out to its recipients (the scored request plus its in-flight
@@ -755,7 +755,7 @@ impl TopKService {
             for (i, result) in outgoing {
                 // Stamped before the send, like record_response: the reply
                 // stage measures up to the hand-off.
-                metrics.record_response();
+                metrics.add(Counter::Responses, 1);
                 let replied = Instant::now();
                 Self::finish_request(
                     &mut batch[i],
@@ -803,8 +803,8 @@ impl TopKService {
         );
         let generation = self.store.publish(snapshot);
         self.cache.publish(generation);
-        self.metrics.record_swap();
-        self.metrics.record_publish_latency(started.elapsed());
+        self.metrics.add(Counter::SnapshotSwaps, 1);
+        self.metrics.record(Latency::Publish, started.elapsed());
         generation
     }
 
@@ -821,9 +821,9 @@ impl TopKService {
     pub fn publish_delta(&self, delta: &SnapshotDelta) -> Result<(u64, DeltaStats), DeltaError> {
         let started = Instant::now();
         let (generation, stats) = self.store.publish_delta(delta)?;
-        self.metrics.record_swap();
-        self.metrics.record_delta_publish();
-        self.metrics.record_publish_latency(started.elapsed());
+        self.metrics.add(Counter::SnapshotSwaps, 1);
+        self.metrics.add(Counter::DeltaPublishes, 1);
+        self.metrics.record(Latency::Publish, started.elapsed());
         if delta.touches_items() {
             self.cache.publish(generation);
             if self.config.max_item_segments > 0
@@ -863,8 +863,8 @@ impl TopKService {
     pub fn compact_items(&self) -> Option<u64> {
         match self.store.compact_items() {
             Ok(Some((base_generation, generation))) => {
-                self.metrics.record_swap();
-                self.metrics.record_item_compaction();
+                self.metrics.add(Counter::SnapshotSwaps, 1);
+                self.metrics.add(Counter::ItemCompactions, 1);
                 // Nothing changed observably: a delta that changed no user.
                 self.cache.publish_users(base_generation, generation, &[]);
                 Some(generation)
@@ -898,7 +898,7 @@ impl TopKService {
             config,
             queries.iter().map(|(policy, query)| (*policy, query)),
         );
-        metrics.record_cache_refreshes(keys.len() as u64);
+        metrics.add(Counter::CacheRefreshes, keys.len() as u64);
         for (key, result) in keys.into_iter().zip(results) {
             cache.insert(key, snapshot.generation(), result);
         }
@@ -960,7 +960,7 @@ impl Drop for TopKService {
             if let Err(payload) = worker.join() {
                 self.state.record_panic(panic_message(payload.as_ref()));
                 self.state.poison();
-                self.metrics.record_worker_panic();
+                self.metrics.add(Counter::WorkerPanics, 1);
             }
         }
         // From here on no request can ever be popped; clients stranded
@@ -1144,15 +1144,15 @@ mod tests {
             }
         });
         let m = service.metrics();
-        assert_eq!(m.requests, 200);
-        assert_eq!(m.responses, 200);
+        assert_eq!(m[Counter::Requests], 200);
+        assert_eq!(m[Counter::Responses], 200);
         assert!(
-            m.batches < m.requests,
+            m.batches() < m[Counter::Requests],
             "expected coalescing: {} batches for {} requests",
-            m.batches,
-            m.requests
+            m.batches(),
+            m[Counter::Requests]
         );
-        assert!(m.mean_batch_size > 1.0);
+        assert!(m.mean_batch_size() > 1.0);
     }
 
     #[test]
@@ -1180,9 +1180,9 @@ mod tests {
             }
         });
         let m = service.metrics();
-        assert_eq!(m.requests, 200);
-        assert_eq!(m.responses, 200);
-        assert_eq!(m.worker_panics, 0);
+        assert_eq!(m[Counter::Requests], 200);
+        assert_eq!(m[Counter::Responses], 200);
+        assert_eq!(m[Counter::WorkerPanics], 0);
         assert_eq!(service.poisoned(), None);
     }
 
@@ -1194,8 +1194,8 @@ mod tests {
         let b = client.recommend(7, 5, &[1, 2]).unwrap();
         assert_eq!(a, b);
         let m = service.metrics();
-        assert_eq!(m.cache_hits, 1);
-        assert_eq!(m.cache_misses, 1);
+        assert_eq!(m[Counter::CacheHits], 1);
+        assert_eq!(m[Counter::CacheMisses], 1);
     }
 
     #[test]
@@ -1223,10 +1223,10 @@ mod tests {
         assert_eq!(a, reference);
         assert_eq!(b, reference);
         let m = service.metrics();
-        assert_eq!(m.requests, 2);
-        assert_eq!(m.responses, 2);
+        assert_eq!(m[Counter::Requests], 2);
+        assert_eq!(m[Counter::Responses], 2);
         assert_eq!(
-            (m.cache_misses, m.cache_hits),
+            (m[Counter::CacheMisses], m[Counter::CacheHits]),
             (1, 1),
             "one scored, one deduped"
         );
@@ -1254,8 +1254,8 @@ mod tests {
         assert!(a.iter().all(|(v, _)| *v != 0));
         assert!(b.iter().all(|(v, _)| *v != 1));
         let m = service.metrics();
-        assert_eq!(m.cache_misses, 2);
-        assert_eq!(m.cache_hits, 0);
+        assert_eq!(m[Counter::CacheMisses], 2);
+        assert_eq!(m[Counter::CacheHits], 0);
     }
 
     #[test]
@@ -1268,7 +1268,7 @@ mod tests {
         let expect = service.snapshot().recommend_one(3, 5, &[]);
         assert_eq!(new, expect);
         assert_ne!(old, new, "stale cached result served after publish");
-        assert_eq!(service.metrics().snapshot_swaps, 1);
+        assert_eq!(service.metrics()[Counter::SnapshotSwaps], 1);
     }
 
     #[test]
@@ -1312,7 +1312,7 @@ mod tests {
             client.recommend(0, 3, &[]).unwrap(),
             reference.recommend_one(0, 3, &[])
         );
-        assert_eq!(service.metrics().worker_panics, 0);
+        assert_eq!(service.metrics()[Counter::WorkerPanics], 0);
 
         let service = TopKService::start(
             snapshot(5),
@@ -1332,7 +1332,7 @@ mod tests {
         assert_eq!(a, reference.recommend_one(1, 3, &[]));
         assert_eq!(b, reference.recommend_one(2, 3, &[]));
         let m = service.metrics();
-        assert_eq!((m.batches, m.requests), (1, 2));
+        assert_eq!((m.batches(), m[Counter::Requests]), (1, 2));
     }
 
     #[test]
@@ -1391,8 +1391,8 @@ mod tests {
         assert_eq!(client.recommend(1, 3, &[]), Err(err.clone()));
         assert!(service.poisoned().is_some());
         let m = service.metrics();
-        assert_eq!(m.worker_panics, 1);
-        assert_eq!(m.worker_restarts, 0);
+        assert_eq!(m[Counter::WorkerPanics], 1);
+        assert_eq!(m[Counter::WorkerRestarts], 0);
         // The error formats with its cause attached.
         assert!(err.to_string().contains("injected fault"));
     }
@@ -1445,7 +1445,10 @@ mod tests {
         );
         assert_eq!(service.poisoned(), None, "restart must not poison");
         let m = service.metrics();
-        assert_eq!((m.worker_panics, m.worker_restarts), (1, 1));
+        assert_eq!(
+            (m[Counter::WorkerPanics], m[Counter::WorkerRestarts]),
+            (1, 1)
+        );
 
         // Second panic: budget still covers it.
         assert!(client.recommend(13, 3, &[]).is_err());
@@ -1463,7 +1466,10 @@ mod tests {
             Err(ServeError::WorkerPanicked(_))
         ));
         let m = service.metrics();
-        assert_eq!((m.worker_panics, m.worker_restarts), (3, 2));
+        assert_eq!(
+            (m[Counter::WorkerPanics], m[Counter::WorkerRestarts]),
+            (3, 2)
+        );
     }
 
     #[test]
@@ -1483,13 +1489,13 @@ mod tests {
         assert_eq!(exact.len(), 6);
         assert_eq!(approx.len(), 6, "approximate list must not shrink");
         let m = service.metrics();
-        assert_eq!((m.cache_misses, m.cache_hits), (2, 0));
-        assert_eq!(m.approx_requests, 1);
+        assert_eq!((m[Counter::CacheMisses], m[Counter::CacheHits]), (2, 0));
+        assert_eq!(m[Counter::ApproxRequests], 1);
         // Repeats of each mode now hit their own entries.
         assert_eq!(client.recommend_exact(5, 6, &[1]).unwrap(), exact);
         assert_eq!(client.recommend_approx(5, 6, &[1], coarse).unwrap(), approx);
         let m = service.metrics();
-        assert_eq!((m.cache_misses, m.cache_hits), (2, 2));
+        assert_eq!((m[Counter::CacheMisses], m[Counter::CacheHits]), (2, 2));
     }
 
     #[test]
@@ -1524,13 +1530,13 @@ mod tests {
         assert_eq!(exact, reference, "exact result contaminated by approx");
         assert_eq!(approx.len(), 5);
         let m = service.metrics();
-        assert_eq!(m.requests, 2);
+        assert_eq!(m[Counter::Requests], 2);
         assert_eq!(
-            (m.cache_misses, m.cache_hits),
+            (m[Counter::CacheMisses], m[Counter::CacheHits]),
             (2, 0),
             "different policies must not dedupe onto one slot"
         );
-        assert_eq!(m.approx_requests, 1);
+        assert_eq!(m[Counter::ApproxRequests], 1);
     }
 
     #[test]
@@ -1557,7 +1563,11 @@ mod tests {
         let inherited = client.recommend(3, 5, &[]).unwrap();
         assert_eq!(inherited.len(), 5);
         let m = service.metrics();
-        assert_eq!(m.approx_requests, 1, "only the inherit request is approx");
+        assert_eq!(
+            m[Counter::ApproxRequests],
+            1,
+            "only the inherit request is approx"
+        );
     }
 
     #[test]
@@ -1573,8 +1583,12 @@ mod tests {
             .unwrap();
         assert_eq!(a, b);
         let m = service.metrics();
-        assert_eq!((m.cache_misses, m.cache_hits), (1, 1));
-        assert_eq!(m.approx_requests, 0, "exact-equivalent policy is exact");
+        assert_eq!((m[Counter::CacheMisses], m[Counter::CacheHits]), (1, 1));
+        assert_eq!(
+            m[Counter::ApproxRequests],
+            0,
+            "exact-equivalent policy is exact"
+        );
     }
 
     #[test]
@@ -1600,9 +1614,12 @@ mod tests {
             assert_eq!(got, reference.recommend_one(user, 6, &[user % 7]));
         }
         let m = service.metrics();
-        assert!(m.rerank.count() > 0, "rerank histogram must be recorded");
-        assert!(m.rerank_candidates > 0);
-        assert!(m.bytes_scanned > 0);
+        assert!(
+            m[Latency::Rerank].count() > 0,
+            "rerank histogram must be recorded"
+        );
+        assert!(m[Counter::RerankCandidates] > 0);
+        assert!(m[Counter::BytesScanned] > 0);
     }
 
     #[test]
@@ -1611,9 +1628,12 @@ mod tests {
         let client = service.client();
         let _ = client.recommend(1, 5, &[]).unwrap();
         let m = service.metrics();
-        assert_eq!(m.rerank.count(), 0);
-        assert_eq!(m.rerank_candidates, 0);
-        assert!(m.bytes_scanned > 0, "exact scans still count bytes");
+        assert_eq!(m[Latency::Rerank].count(), 0);
+        assert_eq!(m[Counter::RerankCandidates], 0);
+        assert!(
+            m[Counter::BytesScanned] > 0,
+            "exact scans still count bytes"
+        );
     }
 
     #[test]
@@ -1686,7 +1706,7 @@ mod tests {
         let mut delta = service.snapshot().delta();
         delta.update_user(3, &[1.0; 8]);
         let (generation, _) = service.publish_delta(&delta).unwrap();
-        assert_eq!(service.metrics().cache_refreshes, 1);
+        assert_eq!(service.metrics()[Counter::CacheRefreshes], 1);
         assert_eq!(service.cache.get(&foreign, generation), None);
         assert_eq!(
             service.cache.get(&own, generation),
@@ -1716,7 +1736,7 @@ mod tests {
             assert_eq!(client.recommend(round % 40, 3, &[]).unwrap().len(), 3);
         }
         assert_eq!(service.poisoned(), None);
-        assert_eq!(service.metrics().worker_restarts, 4);
+        assert_eq!(service.metrics()[Counter::WorkerRestarts], 4);
     }
 }
 
@@ -1746,7 +1766,7 @@ mod tests {
 mod model_tests {
     use super::{PoolState, Popped, Request, RequestMode, ServeConfig, TopKService, Tracer};
     use crate::cache::ShardedResultCache;
-    use crate::metrics::ServeMetrics;
+    use crate::metrics::{Counter, ServeMetrics};
     use crate::snapshot::{FactorSnapshot, SnapshotStore};
     use crate::sync::atomic::{AtomicBool, Ordering};
     use crate::sync::{Arc, Mutex};
@@ -1936,7 +1956,7 @@ mod model_tests {
             );
             let report = metrics.report();
             assert_eq!(
-                (report.cache_misses, report.cache_hits),
+                (report[Counter::CacheMisses], report[Counter::CacheHits]),
                 (1, 1),
                 "the second read missed: the delta publish refreshed nothing"
             );

@@ -40,17 +40,19 @@
 //!   pool-wide [`batcher::ServeConfig::panic_budget`]; past the budget the
 //!   pool poisons.  Item-appending deltas auto-compact past
 //!   [`batcher::ServeConfig::max_item_segments`].
-//! * [`metrics::ServeMetrics`] — request counts, batch-size histogram,
-//!   cache hit rate, swap/delta/compaction counts, worker panics and
-//!   restarts, block-pruning and early-termination counters — plus, via
-//!   [`cumf_obs`], wait-free latency **histograms** for every pipeline
+//! * [`metrics::ServeMetrics`] — one relaxed atomic per
+//!   [`metrics::Counter`] (requests, cache hits and misses, swaps, worker
+//!   panics, block-pruning and early-termination counts, the batch-size
+//!   histogram, the queue-depth high-water mark, …) and one wait-free
+//!   [`cumf_obs`] histogram per [`metrics::Latency`]: every pipeline
 //!   [`metrics::Stage`] (queue-wait → coalesce → score → merge → reply,
-//!   summing exactly to the end-to-end request latency), windowed
-//!   since-last-poll reports ([`metrics::ServeMetrics::window_report`]),
-//!   batcher queue-depth high-water tracking, 1-in-N sampled per-request
-//!   traces ([`batcher::Tracer`],
-//!   [`batcher::TopKService::traces_jsonl`]), and a Prometheus/JSON
-//!   [`metrics::MetricsReport::exporter`].
+//!   summing exactly to the end-to-end request latency), end to end,
+//!   batch, publish, freshness and rerank.  Each metric is one row of a
+//!   table that drives the report, the windowed since-last-poll report
+//!   ([`metrics::ServeMetrics::window_report`]), the Prometheus/JSON
+//!   [`metrics::MetricsReport::exporter`] (keys pinned in `METRICS.txt`)
+//!   and `Display`.  1-in-N sampled per-request traces come from
+//!   [`batcher::Tracer`] and [`batcher::TopKService::traces_jsonl`].
 //! * **Approximate retrieval** — an opt-in
 //!   [`cumf_linalg::ApproxPolicy`] (service-wide via
 //!   [`batcher::ServeConfig::approx`], per request via
@@ -112,7 +114,7 @@ pub use cache::{CacheKey, ResultCache, ShardedResultCache};
 pub use cumf_linalg::{ApproxPolicy, PruneStats, DEFAULT_APPROX_EPSILON};
 pub use cumf_obs::{Exporter, Histogram, HistogramSnapshot, Trace, TraceEvent};
 pub use itemstore::{ItemLayout, ItemSegment, ItemStore};
-pub use metrics::{MetricsReport, ServeMetrics, Stage, WindowedReport};
+pub use metrics::{Counter, Latency, MetricsReport, ServeMetrics, Stage, WindowedReport};
 pub use online::{DeltaPublisher, OnlineLoop, OnlineLoopConfig, OnlineReport, StepOutcome};
 pub use recall::{measure_recall, report_from_lists, RecallReport};
 pub use snapshot::{

@@ -1,13 +1,15 @@
-//! Lock-free serving metrics with per-stage latency histograms.
+//! Lock-free serving metrics, each declared once in a table.
 //!
-//! Counters a production retrieval tier exports: request/response counts,
-//! cache hit rate, a power-of-two micro-batch-size histogram (how well the
-//! batcher coalesces), snapshot swaps — plus, since the observability
-//! layer, full [`cumf_obs::Histogram`] latency distributions for every
-//! pipeline [`Stage`] a request passes through and for the end-to-end
-//! request latency itself.  All writers are relaxed atomics — the worker
-//! records on the hot path without locks — and [`ServeMetrics::report`]
-//! takes a coherent-enough snapshot for dashboards/tests.
+//! A serve metric is one table row: `ROWS` holds the exporter key, help
+//! text and window rule of every [`Counter`] and of every value derived
+//! from the counts, and `LATENCIES` holds the key and help text of every
+//! [`Latency`] histogram — the five pipeline [`Stage`]s, end to end, batch,
+//! publish, freshness and rerank.  [`ServeMetrics`] keeps one relaxed
+//! atomic per counter and one [`cumf_obs::Histogram`] per latency, so the
+//! workers record on the hot path without locks; [`ServeMetrics::report`],
+//! the window diff, [`MetricsReport::exporter`] and `Display` are each a
+//! loop over the tables.  A new metric is its variant, its row and its
+//! record site.
 //!
 //! ## Stage partition
 //!
@@ -23,37 +25,110 @@
 //!
 //! ## Windowed reports
 //!
-//! `batch_latency_ns_max` used to be cumulative-only, so a dashboard
-//! polling [`report`](ServeMetrics::report) could never see a spike clear.
 //! [`ServeMetrics::window_report`] returns both the **cumulative** report
-//! and the **window** since the previous `window_report` call, diffed
-//! bucket-by-bucket via [`HistogramSnapshot::since`].
+//! and the **window** since the previous `window_report` call: counters
+//! subtract and histograms diff bucket by bucket
+//! ([`HistogramSnapshot::since`]), so a dashboard polling it sees a latency
+//! spike clear.  A high-water mark (`serve_queue_depth_high_water`) stays
+//! cumulative inside windows: a maximum has no meaningful difference.
 
 use crate::sync::atomic::{AtomicU64, Ordering};
 use crate::sync::Mutex;
 use cumf_linalg::PruneStats;
-use cumf_obs::{Exporter, Histogram, HistogramSnapshot};
+use cumf_obs::{Exporter, Histogram, HistogramSnapshot, MetricValue};
+use std::ops::Index;
 use std::time::Duration;
 
-/// Number of histogram buckets: batch sizes `1, 2–3, 4–7, …, ≥128`.
-pub const BATCH_SIZE_BUCKETS: usize = 8;
+/// Every stored serve count; a [`MetricsReport`] is indexed by it.  A
+/// variant's exporter key and help text are its row of the `ROWS` table.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Counter {
+    Requests,
+    Responses,
+    CacheHits,
+    CacheMisses,
+    /// Cached replies of changed users re-scored on the publishing thread
+    /// by a delta publish: not requests, so counted in neither hits nor
+    /// misses, and their scans are not in the block or byte counters.
+    CacheRefreshes,
+    QueueDepthHighWater,
+    SnapshotSwaps,
+    /// A subset of `SnapshotSwaps`.
+    DeltaPublishes,
+    /// A subset of `SnapshotSwaps`.
+    ItemCompactions,
+    WorkerPanics,
+    /// `WorkerPanics - WorkerRestarts` workers died for good.
+    WorkerRestarts,
+    BlocksScored,
+    /// Skipped whole on the Cauchy–Schwarz norm bound: an exact skip that
+    /// never changes results.
+    BlocksPruned,
+    /// Skipped by approximate early termination (epsilon slack or block
+    /// budget), counted apart from `BlocksPruned` so the exact-pruning
+    /// rate stays honest.
+    BlocksTerminated,
+    /// Requests scored or served from cache under an approximate policy.
+    ApproxRequests,
+    /// Encoded slab bytes (+ scale tables) of quantized segments, f32 rows
+    /// of exact ones, plus the exact rows the rerank re-reads.
+    BytesScanned,
+    RerankCandidates,
+    BatchItems,
+    /// Batches of 1 request.  This and the next seven variants are the
+    /// power-of-two batch-size histogram (1, 2–3, 4–7, …, ≥ 128), in order.
+    BatchSize1,
+    BatchSize2,
+    BatchSize4,
+    BatchSize8,
+    BatchSize16,
+    BatchSize32,
+    BatchSize64,
+    BatchSize128,
+}
+
+const COUNTERS: usize = Counter::BatchSize128 as usize + 1;
+
+/// Every serve latency histogram; a [`MetricsReport`] is indexed by it.  A
+/// variant's exporter key and help text are its row of the `LATENCIES`
+/// table.  The first five are the [`Stage`]s, in pipeline order.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Latency {
+    QueueWait,
+    Coalesce,
+    Score,
+    Merge,
+    Reply,
+    RequestE2e,
+    Batch,
+    Publish,
+    /// Stream-ingest instant → first snapshot publish reflecting the
+    /// rating, recorded by [`crate::online::OnlineLoop`].
+    Freshness,
+    /// The exact-f32 rerank of quantized-scan candidates, inside the
+    /// [`Stage::Score`] span; recorded only for batches that reranked.
+    Rerank,
+}
+
+const LATENCY_COUNT: usize = Latency::Rerank as usize + 1;
 
 /// The pipeline stages every served request passes through, in order.
 /// Adjacent stages share boundary timestamps, so per request the stage
-/// durations sum exactly to the end-to-end latency.
+/// durations sum exactly to the end-to-end latency.  A stage's
+/// discriminant is its [`Latency`]'s.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum Stage {
     /// Enqueue into the batcher channel → popped by a worker.
-    QueueWait = 0,
+    QueueWait = Latency::QueueWait as isize,
     /// Popped → the micro-batch is sealed (coalescing window).
-    Coalesce = 1,
+    Coalesce = Latency::Coalesce as isize,
     /// Batch sealed → all top-k scoring done (cache lookups included).
-    Score = 2,
+    Score = Latency::Score as isize,
     /// Scoring done → per-request results distributed to reply slots and
     /// cached.
-    Merge = 3,
+    Merge = Latency::Merge as isize,
     /// Results distributed → this request's reply handed to the channel.
-    Reply = 4,
+    Reply = Latency::Reply as isize,
 }
 
 /// Number of pipeline stages.
@@ -69,7 +144,7 @@ impl Stage {
         Stage::Reply,
     ];
 
-    /// Stable snake_case name (used in exporter keys and trace stages).
+    /// Stable snake_case name (the trace stage name).
     pub fn name(self) -> &'static str {
         match self {
             Stage::QueueWait => "queue_wait",
@@ -81,49 +156,105 @@ impl Stage {
     }
 }
 
+/// Where a row's value comes from, and what a window makes of it.
+#[derive(Clone, Copy)]
+enum Value {
+    /// A stored count; a window reports its increase.
+    Count(Counter),
+    /// A stored high-water mark; a window reports it whole.
+    HighWater(Counter),
+    /// Computed from the rest of the report.
+    Derived(fn(&MetricsReport) -> MetricValue),
+}
+
+use Value::{Count, Derived, HighWater};
+
+/// One scalar metric: its key, help text and value, and whether
+/// [`MetricsReport::exporter`] emits it (`Display` shows every row).
+struct Row {
+    key: &'static str,
+    help: &'static str,
+    value: Value,
+    export: bool,
+}
+
+const fn exported(key: &'static str, help: &'static str, value: Value) -> Row {
+    Row {
+        key,
+        help,
+        value,
+        export: true,
+    }
+}
+
+const fn shown(key: &'static str, help: &'static str, value: Value) -> Row {
+    Row {
+        key,
+        help,
+        value,
+        export: false,
+    }
+}
+
+/// Every scalar serve metric, in exporter order.
+#[rustfmt::skip]
+const ROWS: [Row; 31] = [
+    exported("serve_requests", "requests accepted by the batcher", Count(Counter::Requests)),
+    exported("serve_responses", "replies delivered", Count(Counter::Responses)),
+    exported("serve_cache_hits", "results served from cache", Count(Counter::CacheHits)),
+    exported("serve_cache_misses", "results scored", Count(Counter::CacheMisses)),
+    exported("serve_cache_refreshes", "cached replies re-scored by delta publishes", Count(Counter::CacheRefreshes)),
+    exported("serve_batches", "micro-batches scored", Derived(|r| MetricValue::Counter(r.batches()))),
+    exported("serve_cache_hit_rate", "hits / (hits + misses)", Derived(|r| MetricValue::Gauge(r.cache_hit_rate()))),
+    exported("serve_mean_batch_size", "mean requests per micro-batch", Derived(|r| MetricValue::Gauge(r.mean_batch_size()))),
+    exported("serve_queue_depth_high_water", "most requests ever simultaneously queued", HighWater(Counter::QueueDepthHighWater)),
+    exported("serve_snapshot_swaps", "snapshot generations published", Count(Counter::SnapshotSwaps)),
+    exported("serve_delta_publishes", "publications through the delta path", Count(Counter::DeltaPublishes)),
+    exported("serve_item_compactions", "item-segment compaction republishes", Count(Counter::ItemCompactions)),
+    exported("serve_worker_panics", "scoring panics caught", Count(Counter::WorkerPanics)),
+    exported("serve_worker_restarts", "panicked workers restarted", Count(Counter::WorkerRestarts)),
+    exported("serve_blocks_scored", "item blocks streamed and scored", Count(Counter::BlocksScored)),
+    exported("serve_blocks_pruned", "item blocks skipped exactly", Count(Counter::BlocksPruned)),
+    exported("serve_blocks_terminated", "item blocks skipped approximately", Count(Counter::BlocksTerminated)),
+    exported("serve_approx_requests", "requests served under an approximate policy", Count(Counter::ApproxRequests)),
+    exported("serve_bytes_scanned", "bytes streamed by the blocked scorer (encoded + rerank rows)", Count(Counter::BytesScanned)),
+    exported("serve_rerank_candidates", "candidates rescored against exact f32 rows", Count(Counter::RerankCandidates)),
+    shown("serve_pruned_block_rate", "share of visited blocks skipped exactly", Derived(|r| MetricValue::Gauge(r.block_share(Counter::BlocksPruned)))),
+    shown("serve_terminated_block_rate", "share of visited blocks skipped approximately", Derived(|r| MetricValue::Gauge(r.block_share(Counter::BlocksTerminated)))),
+    shown("serve_batch_items", "requests across all micro-batches", Count(Counter::BatchItems)),
+    shown("serve_batch_size_1", "micro-batches of 1 request", Count(Counter::BatchSize1)),
+    shown("serve_batch_size_2", "micro-batches of 2-3 requests", Count(Counter::BatchSize2)),
+    shown("serve_batch_size_4", "micro-batches of 4-7 requests", Count(Counter::BatchSize4)),
+    shown("serve_batch_size_8", "micro-batches of 8-15 requests", Count(Counter::BatchSize8)),
+    shown("serve_batch_size_16", "micro-batches of 16-31 requests", Count(Counter::BatchSize16)),
+    shown("serve_batch_size_32", "micro-batches of 32-63 requests", Count(Counter::BatchSize32)),
+    shown("serve_batch_size_64", "micro-batches of 64-127 requests", Count(Counter::BatchSize64)),
+    shown("serve_batch_size_128", "micro-batches of 128+ requests", Count(Counter::BatchSize128)),
+];
+
+/// Every serve latency histogram, in exporter order.
+#[rustfmt::skip]
+const LATENCIES: [(Latency, &str, &str); LATENCY_COUNT] = [
+    (Latency::QueueWait, "serve_stage_queue_wait", "per-request queue_wait stage latency"),
+    (Latency::Coalesce, "serve_stage_coalesce", "per-request coalesce stage latency"),
+    (Latency::Score, "serve_stage_score", "per-request score stage latency"),
+    (Latency::Merge, "serve_stage_merge", "per-request merge stage latency"),
+    (Latency::Reply, "serve_stage_reply", "per-request reply stage latency"),
+    (Latency::RequestE2e, "serve_request_e2e", "per-request end-to-end latency (enqueue to reply)"),
+    (Latency::Batch, "serve_batch_latency", "per-micro-batch scoring wall time"),
+    (Latency::Publish, "serve_delta_publish", "publisher-side snapshot/delta publish latency"),
+    (Latency::Freshness, "serve_freshness", "rating ingest to first reflecting snapshot publish"),
+    (Latency::Rerank, "serve_rerank", "per-batch exact-f32 rerank pass latency (inside Score)"),
+];
+
 /// Shared, lock-free serving counters and latency histograms.
 #[derive(Debug, Default)]
 pub struct ServeMetrics {
-    requests: AtomicU64,
-    responses: AtomicU64,
-    cache_hits: AtomicU64,
-    cache_misses: AtomicU64,
-    cache_refreshes: AtomicU64,
-    batches: AtomicU64,
-    batch_items: AtomicU64,
-    batch_size_hist: [AtomicU64; BATCH_SIZE_BUCKETS],
-    /// Per-batch serve_batch wall time (exact sum/max live inside).
-    batch_latency: Histogram,
-    /// Per-request latency of each pipeline stage.
-    stages: [Histogram; STAGES],
-    /// Per-request end-to-end latency (enqueue → reply sent).
-    request_e2e: Histogram,
-    /// Publisher-observed snapshot/delta publish latency.
-    publish_latency: Histogram,
-    /// Rating-ingest instant → first snapshot whose results reflect it.
-    freshness: Histogram,
-    /// Per-batch exact-f32 rerank pass over quantized-scan candidates
-    /// (recorded only when a rerank actually ran — all-f32 batches skip it).
-    rerank: Histogram,
-    /// Bytes streamed by the blocked scorer: encoded slab bytes (+ scale
-    /// tables) for quantized segments, raw f32 bytes for exact ones, plus
-    /// the exact rows the rerank re-reads.  The bytes/query numerator.
-    bytes_scanned: AtomicU64,
-    /// Candidates rescored against retained exact f32 rows by the rerank.
-    rerank_candidates: AtomicU64,
-    /// Requests currently sitting in the batcher channel.
+    counters: [AtomicU64; COUNTERS],
+    latencies: [Histogram; LATENCY_COUNT],
+    /// Requests currently sitting in the batcher channel (a live gauge,
+    /// not reported; its high-water mark is).
     queue_depth: AtomicU64,
-    /// High-water mark of `queue_depth` since startup.
-    queue_depth_hwm: AtomicU64,
-    snapshot_swaps: AtomicU64,
-    delta_publishes: AtomicU64,
-    item_compactions: AtomicU64,
-    worker_panics: AtomicU64,
-    worker_restarts: AtomicU64,
-    blocks_scored: AtomicU64,
-    blocks_pruned: AtomicU64,
-    blocks_terminated: AtomicU64,
-    approx_requests: AtomicU64,
     /// Baseline of the previous `window_report` call.
     window_baseline: Mutex<Option<MetricsReport>>,
 }
@@ -134,51 +265,29 @@ impl ServeMetrics {
         Self::default()
     }
 
-    /// Records one request entering the batcher.
-    pub(crate) fn record_request(&self) {
-        self.requests.fetch_add(1, Ordering::Relaxed); // relaxed-ok: independent monotonic stat; no cross-counter ordering promised
+    /// Adds `n` to `counter`.
+    pub(crate) fn add(&self, counter: Counter, n: u64) {
+        self.counters[counter as usize].fetch_add(n, Ordering::Relaxed); // relaxed-ok: independent monotonic stat; no cross-counter ordering promised
     }
 
-    /// Records one reply sent.
-    pub(crate) fn record_response(&self) {
-        self.responses.fetch_add(1, Ordering::Relaxed); // relaxed-ok: independent monotonic stat; no cross-counter ordering promised
+    /// Records one `latency` sample, in nanoseconds.
+    pub(crate) fn record_ns(&self, latency: Latency, ns: u64) {
+        self.latencies[latency as usize].record_ns(ns);
     }
 
-    /// Records a result served from the cache.
-    pub(crate) fn record_cache_hit(&self) {
-        self.cache_hits.fetch_add(1, Ordering::Relaxed); // relaxed-ok: independent monotonic stat; no cross-counter ordering promised
-    }
-
-    /// Records a result that had to be scored.
-    pub(crate) fn record_cache_miss(&self) {
-        self.cache_misses.fetch_add(1, Ordering::Relaxed); // relaxed-ok: independent monotonic stat; no cross-counter ordering promised
-    }
-
-    /// Records `n` cached replies re-scored by a delta publish.
-    pub(crate) fn record_cache_refreshes(&self, n: u64) {
-        self.cache_refreshes.fetch_add(n, Ordering::Relaxed); // relaxed-ok: independent monotonic stat; no cross-counter ordering promised
+    /// Records one `latency` sample.
+    pub(crate) fn record(&self, latency: Latency, d: Duration) {
+        self.latencies[latency as usize].record(d);
     }
 
     /// Records one coalesced micro-batch of `size` requests scored in
     /// `latency`.
     pub(crate) fn record_batch(&self, size: usize, latency: Duration) {
-        self.batches.fetch_add(1, Ordering::Relaxed); // relaxed-ok: independent monotonic stat; no cross-counter ordering promised
-        self.batch_items.fetch_add(size as u64, Ordering::Relaxed); // relaxed-ok: independent monotonic stat; no cross-counter ordering promised
-        let bucket = (usize::BITS - 1)
-            .saturating_sub(size.max(1).leading_zeros())
-            .min(BATCH_SIZE_BUCKETS as u32 - 1) as usize;
-        self.batch_size_hist[bucket].fetch_add(1, Ordering::Relaxed); // relaxed-ok: independent monotonic stat; no cross-counter ordering promised
-        self.batch_latency.record(latency);
-    }
-
-    /// Records one request's time in `stage`, in nanoseconds.
-    pub(crate) fn record_stage_ns(&self, stage: Stage, ns: u64) {
-        self.stages[stage as usize].record_ns(ns);
-    }
-
-    /// Records one request's end-to-end latency (enqueue → reply sent).
-    pub(crate) fn record_request_e2e_ns(&self, ns: u64) {
-        self.request_e2e.record_ns(ns);
+        self.add(Counter::BatchItems, size as u64);
+        let bucket = (usize::BITS - 1 - size.max(1).leading_zeros()) as usize;
+        let slot = (Counter::BatchSize1 as usize + bucket).min(Counter::BatchSize128 as usize);
+        self.counters[slot].fetch_add(1, Ordering::Relaxed); // relaxed-ok: independent monotonic stat; no cross-counter ordering promised
+        self.record(Latency::Batch, latency);
     }
 
     /// Records a request entering the batcher queue.  Call **before** the
@@ -189,7 +298,8 @@ impl ServeMetrics {
     /// [`record_queue_exit`]: ServeMetrics::record_queue_exit
     pub fn record_queue_enter(&self) {
         let depth = self.queue_depth.fetch_add(1, Ordering::Relaxed) + 1; // relaxed-ok: atomic +1 keeps the gauge balanced; no payload is published through it
-        self.queue_depth_hwm.fetch_max(depth, Ordering::Relaxed); // relaxed-ok: monotonic max of this thread's own post-increment depth
+        let high_water = &self.counters[Counter::QueueDepthHighWater as usize];
+        high_water.fetch_max(depth, Ordering::Relaxed); // relaxed-ok: monotonic max of this thread's own post-increment depth
     }
 
     /// Records a request leaving the batcher queue (popped by a worker, or
@@ -203,135 +313,27 @@ impl ServeMetrics {
         self.queue_depth.load(Ordering::Relaxed) // relaxed-ok: instantaneous gauge read, report-only
     }
 
-    /// Records a snapshot hot-swap.
-    pub(crate) fn record_swap(&self) {
-        self.snapshot_swaps.fetch_add(1, Ordering::Relaxed); // relaxed-ok: independent monotonic stat; no cross-counter ordering promised
-    }
-
-    /// Records a swap that went through the incremental delta path (also
-    /// counted in `snapshot_swaps`).
-    pub(crate) fn record_delta_publish(&self) {
-        self.delta_publishes.fetch_add(1, Ordering::Relaxed); // relaxed-ok: independent monotonic stat; no cross-counter ordering promised
-    }
-
-    /// Records how long a snapshot/delta publication took from the
-    /// publisher's point of view (build + swap, not reader visibility lag).
-    pub(crate) fn record_publish_latency(&self, latency: Duration) {
-        self.publish_latency.record(latency);
-    }
-
-    /// Records one rating's **freshness**: the wall time from the instant
-    /// the rating was ingested from the stream to the instant the first
-    /// snapshot generation reflecting it was published.  Serving traffic
-    /// admitted after that publish sees the update, so this is the online
-    /// loop's end-to-end staleness bound.
-    pub(crate) fn record_freshness_ns(&self, ns: u64) {
-        self.freshness.record_ns(ns);
-    }
-
-    /// Records an item-segment compaction republish (also counted in
-    /// `snapshot_swaps`).
-    pub(crate) fn record_item_compaction(&self) {
-        self.item_compactions.fetch_add(1, Ordering::Relaxed); // relaxed-ok: independent monotonic stat; no cross-counter ordering promised
-    }
-
-    /// Records a scorer worker panicking while scoring — the panicked batch
-    /// was dropped; whether capacity was lost depends on the restart
-    /// budget (`worker_restarts` counts the recoveries).
-    pub(crate) fn record_worker_panic(&self) {
-        self.worker_panics.fetch_add(1, Ordering::Relaxed); // relaxed-ok: independent monotonic stat; no cross-counter ordering promised
-    }
-
-    /// Records a panicked worker resuming within its panic budget.
-    pub(crate) fn record_worker_restart(&self) {
-        self.worker_restarts.fetch_add(1, Ordering::Relaxed); // relaxed-ok: independent monotonic stat; no cross-counter ordering promised
-    }
-
     /// Records one batch's block-scan outcome: how many item blocks the
     /// scorer streamed, skipped exactly on the norm bound, and skipped by
-    /// approximate early termination.  Keeping the three counts separate is
-    /// what keeps [`MetricsReport::pruned_block_rate`] truthful when exact
-    /// and approximate traffic mix.
+    /// approximate early termination, plus the bytes it streamed and the
+    /// candidates its rerank rescored.
     pub(crate) fn record_pruning(&self, stats: &PruneStats) {
-        self.blocks_scored
-            .fetch_add(stats.blocks_scored, Ordering::Relaxed); // relaxed-ok: independent monotonic stat; no cross-counter ordering promised
-        self.blocks_pruned
-            .fetch_add(stats.blocks_pruned, Ordering::Relaxed); // relaxed-ok: independent monotonic stat; no cross-counter ordering promised
-        self.blocks_terminated
-            .fetch_add(stats.blocks_terminated, Ordering::Relaxed); // relaxed-ok: independent monotonic stat; no cross-counter ordering promised
-        self.bytes_scanned
-            .fetch_add(stats.bytes_scanned, Ordering::Relaxed); // relaxed-ok: independent monotonic stat; no cross-counter ordering promised
-        self.rerank_candidates
-            .fetch_add(stats.rerank_candidates, Ordering::Relaxed); // relaxed-ok: independent monotonic stat; no cross-counter ordering promised
+        self.add(Counter::BlocksScored, stats.blocks_scored);
+        self.add(Counter::BlocksPruned, stats.blocks_pruned);
+        self.add(Counter::BlocksTerminated, stats.blocks_terminated);
+        self.add(Counter::BytesScanned, stats.bytes_scanned);
+        self.add(Counter::RerankCandidates, stats.rerank_candidates);
     }
 
-    /// Records one batch's exact-f32 rerank pass wall time, in nanoseconds.
-    /// The rerank runs **inside** the [`Stage::Score`] span (so the
-    /// five-stage telescoping identity is untouched); this histogram breaks
-    /// its cost out the way `serve_freshness` breaks out staleness.
-    pub(crate) fn record_rerank_ns(&self, ns: u64) {
-        self.rerank.record_ns(ns);
-    }
-
-    /// Records `n` requests scored under an approximate policy (cache hits
-    /// of approximate entries included — the caller counts what it serves).
-    pub(crate) fn record_approx_requests(&self, n: u64) {
-        self.approx_requests.fetch_add(n, Ordering::Relaxed); // relaxed-ok: independent monotonic stat; no cross-counter ordering promised
-    }
-
-    /// A point-in-time copy of all counters plus derived rates.  Cumulative
+    /// A point-in-time copy of every counter and histogram.  Cumulative
     /// since startup; see [`window_report`](ServeMetrics::window_report)
     /// for since-last-poll semantics.
     pub fn report(&self) -> MetricsReport {
-        let requests = self.requests.load(Ordering::Relaxed); // relaxed-ok: racy-but-atomic sample; cross-counter skew is documented
-        let hits = self.cache_hits.load(Ordering::Relaxed); // relaxed-ok: racy-but-atomic sample; cross-counter skew is documented
-        let misses = self.cache_misses.load(Ordering::Relaxed); // relaxed-ok: racy-but-atomic sample; cross-counter skew is documented
-        let batches = self.batches.load(Ordering::Relaxed); // relaxed-ok: racy-but-atomic sample; cross-counter skew is documented
-        let batch_items = self.batch_items.load(Ordering::Relaxed); // relaxed-ok: racy-but-atomic sample; cross-counter skew is documented
-        let batch_latency = self.batch_latency.snapshot();
         MetricsReport {
-            requests,
-            responses: self.responses.load(Ordering::Relaxed), // relaxed-ok: racy-but-atomic sample; cross-counter skew is documented
-            cache_hits: hits,
-            cache_misses: misses,
-            cache_refreshes: self.cache_refreshes.load(Ordering::Relaxed), // relaxed-ok: racy-but-atomic sample; cross-counter skew is documented
-            batches,
-            batch_size_hist: std::array::from_fn(|i| {
-                self.batch_size_hist[i].load(Ordering::Relaxed) // relaxed-ok: racy-but-atomic sample; cross-counter skew is documented
+            counters: std::array::from_fn(|i| {
+                self.counters[i].load(Ordering::Relaxed) // relaxed-ok: racy-but-atomic sample; cross-counter skew is documented
             }),
-            mean_batch_size: if batches > 0 {
-                batch_items as f64 / batches as f64
-            } else {
-                0.0
-            },
-            batch_items,
-            cache_hit_rate: if hits + misses > 0 {
-                hits as f64 / (hits + misses) as f64
-            } else {
-                0.0
-            },
-            mean_batch_latency: Duration::from_nanos(
-                batch_latency.sum_ns().checked_div(batches).unwrap_or(0),
-            ),
-            max_batch_latency: Duration::from_nanos(batch_latency.max_ns()),
-            batch_latency,
-            stages: std::array::from_fn(|i| self.stages[i].snapshot()),
-            request_e2e: self.request_e2e.snapshot(),
-            publish_latency: self.publish_latency.snapshot(),
-            freshness: self.freshness.snapshot(),
-            rerank: self.rerank.snapshot(),
-            bytes_scanned: self.bytes_scanned.load(Ordering::Relaxed), // relaxed-ok: racy-but-atomic sample; cross-counter skew is documented
-            rerank_candidates: self.rerank_candidates.load(Ordering::Relaxed), // relaxed-ok: racy-but-atomic sample; cross-counter skew is documented
-            queue_depth_high_water: self.queue_depth_hwm.load(Ordering::Relaxed), // relaxed-ok: racy-but-atomic sample; cross-counter skew is documented
-            snapshot_swaps: self.snapshot_swaps.load(Ordering::Relaxed), // relaxed-ok: racy-but-atomic sample; cross-counter skew is documented
-            delta_publishes: self.delta_publishes.load(Ordering::Relaxed), // relaxed-ok: racy-but-atomic sample; cross-counter skew is documented
-            item_compactions: self.item_compactions.load(Ordering::Relaxed), // relaxed-ok: racy-but-atomic sample; cross-counter skew is documented
-            worker_panics: self.worker_panics.load(Ordering::Relaxed), // relaxed-ok: racy-but-atomic sample; cross-counter skew is documented
-            worker_restarts: self.worker_restarts.load(Ordering::Relaxed), // relaxed-ok: racy-but-atomic sample; cross-counter skew is documented
-            blocks_scored: self.blocks_scored.load(Ordering::Relaxed), // relaxed-ok: racy-but-atomic sample; cross-counter skew is documented
-            blocks_pruned: self.blocks_pruned.load(Ordering::Relaxed), // relaxed-ok: racy-but-atomic sample; cross-counter skew is documented
-            blocks_terminated: self.blocks_terminated.load(Ordering::Relaxed), // relaxed-ok: racy-but-atomic sample; cross-counter skew is documented
-            approx_requests: self.approx_requests.load(Ordering::Relaxed), // relaxed-ok: racy-but-atomic sample; cross-counter skew is documented
+            latencies: std::array::from_fn(|i| self.latencies[i].snapshot()),
         }
     }
 
@@ -364,409 +366,158 @@ pub struct WindowedReport {
     pub cumulative: MetricsReport,
 }
 
-/// Read-side copy of [`ServeMetrics`].
+/// Read-side copy of [`ServeMetrics`], indexed by [`Counter`] and
+/// [`Latency`].
 #[derive(Debug, Clone, PartialEq)]
 pub struct MetricsReport {
-    /// Requests accepted by the batcher.
-    pub requests: u64,
-    /// Replies delivered.
-    pub responses: u64,
-    /// Results served from the cache.
-    pub cache_hits: u64,
-    /// Results scored against a snapshot.
-    pub cache_misses: u64,
-    /// Cached replies of changed users re-scored on the publishing thread
-    /// by a delta publish (not requests: counted in neither hits nor
-    /// misses, and their scans are not in the block or byte counters).
-    pub cache_refreshes: u64,
-    /// Coalesced micro-batches scored.
-    pub batches: u64,
-    /// Total requests across all micro-batches.
-    pub batch_items: u64,
-    /// Batch-size histogram (buckets `1, 2–3, 4–7, …, ≥128`).
-    pub batch_size_hist: [u64; BATCH_SIZE_BUCKETS],
-    /// Mean requests per micro-batch.
-    pub mean_batch_size: f64,
-    /// `hits / (hits + misses)`.
-    pub cache_hit_rate: f64,
-    /// Mean scoring latency per micro-batch (exact — from the histogram's
-    /// exact sum).
-    pub mean_batch_latency: Duration,
-    /// Worst scoring latency of any micro-batch (exact in a cumulative
-    /// report; bucket-bounded in a window).
-    pub max_batch_latency: Duration,
-    /// Full per-batch scoring latency distribution.
-    pub batch_latency: HistogramSnapshot,
-    /// Per-request latency distribution of each pipeline stage, indexed by
-    /// `Stage as usize` (see [`MetricsReport::stage`]).
-    pub stages: [HistogramSnapshot; STAGES],
-    /// Per-request end-to-end latency distribution (enqueue → reply sent).
-    pub request_e2e: HistogramSnapshot,
-    /// Publisher-side snapshot/delta publish latency distribution.
-    pub publish_latency: HistogramSnapshot,
-    /// Rating freshness distribution: stream-ingest instant → first
-    /// snapshot publish reflecting the rating (recorded by the online
-    /// loop's [`crate::online::OnlineLoop`]).
-    pub freshness: HistogramSnapshot,
-    /// Per-batch exact-f32 rerank pass latency (inside the Score stage;
-    /// recorded only for batches that actually reranked).
-    pub rerank: HistogramSnapshot,
-    /// Bytes streamed by the blocked scorer (encoded slab + scale tables
-    /// for quantized segments, f32 rows for exact ones, plus the exact rows
-    /// the rerank re-reads).
-    pub bytes_scanned: u64,
-    /// Candidates rescored against retained exact f32 rows by the rerank.
-    pub rerank_candidates: u64,
-    /// Most requests ever simultaneously queued in the batcher channel.
-    pub queue_depth_high_water: u64,
-    /// Snapshot generations published.
-    pub snapshot_swaps: u64,
-    /// Publications that went through the incremental delta path (a subset
-    /// of `snapshot_swaps`).
-    pub delta_publishes: u64,
-    /// Item-segment compaction republishes (a subset of `snapshot_swaps`).
-    pub item_compactions: u64,
-    /// Scoring panics caught in workers (0 in a healthy service).
-    pub worker_panics: u64,
-    /// Panicked workers restarted within the panic budget (`worker_panics -
-    /// worker_restarts` workers died for good).
-    pub worker_restarts: u64,
-    /// Item blocks streamed and scored by the blocked scorer.
-    pub blocks_scored: u64,
-    /// Item blocks skipped whole on the Cauchy–Schwarz norm bound — the
-    /// pruning-effectiveness counter a norm-descending layout drives up.
-    /// An **exact** decision; never changes results.
-    pub blocks_pruned: u64,
-    /// Item blocks skipped by approximate early termination (epsilon slack
-    /// or block budget) — a result-affecting skip, counted apart from
-    /// `blocks_pruned` so the exact-pruning rate stays honest.
-    pub blocks_terminated: u64,
-    /// Requests scored (or served from cache) under an approximate policy.
-    pub approx_requests: u64,
+    counters: [u64; COUNTERS],
+    latencies: [HistogramSnapshot; LATENCY_COUNT],
+}
+
+impl Index<Counter> for MetricsReport {
+    type Output = u64;
+
+    fn index(&self, counter: Counter) -> &u64 {
+        &self.counters[counter as usize]
+    }
+}
+
+impl Index<Latency> for MetricsReport {
+    type Output = HistogramSnapshot;
+
+    fn index(&self, latency: Latency) -> &HistogramSnapshot {
+        &self.latencies[latency as usize]
+    }
 }
 
 impl MetricsReport {
     /// The latency distribution of one pipeline stage.
     pub fn stage(&self, stage: Stage) -> &HistogramSnapshot {
-        &self.stages[stage as usize]
+        &self.latencies[stage as usize]
     }
 
-    /// Fraction of visited item blocks skipped by **exact** threshold
-    /// pruning (`0.0` when nothing was scored).  Terminated blocks widen
-    /// the denominator but never the numerator.
-    fn pruned_block_rate(&self) -> f64 {
-        let total = self.blocks_scored + self.blocks_pruned + self.blocks_terminated;
-        if total == 0 {
-            0.0
-        } else {
-            self.blocks_pruned as f64 / total as f64
-        }
+    /// Coalesced micro-batches scored (each records one batch latency).
+    pub fn batches(&self) -> u64 {
+        self[Latency::Batch].count()
     }
 
-    /// Fraction of visited item blocks skipped by **approximate** early
-    /// termination (`0.0` when nothing was scored).
-    fn terminated_block_rate(&self) -> f64 {
-        let total = self.blocks_scored + self.blocks_pruned + self.blocks_terminated;
-        if total == 0 {
-            0.0
-        } else {
-            self.blocks_terminated as f64 / total as f64
-        }
+    /// Mean requests per micro-batch (`0.0` before the first).
+    pub fn mean_batch_size(&self) -> f64 {
+        ratio(self[Counter::BatchItems], self.batches())
+    }
+
+    /// `hits / (hits + misses)` (`0.0` before the first lookup).
+    pub fn cache_hit_rate(&self) -> f64 {
+        let hits = self[Counter::CacheHits];
+        ratio(hits, hits + self[Counter::CacheMisses])
+    }
+
+    /// Mean scoring latency per micro-batch (exact: from the histogram's
+    /// exact sum).
+    pub fn mean_batch_latency(&self) -> Duration {
+        Duration::from_nanos(
+            self[Latency::Batch]
+                .sum_ns()
+                .checked_div(self.batches())
+                .unwrap_or(0),
+        )
+    }
+
+    /// Worst scoring latency of any micro-batch (exact in a cumulative
+    /// report; bucket-bounded in a window).
+    pub fn max_batch_latency(&self) -> Duration {
+        Duration::from_nanos(self[Latency::Batch].max_ns())
+    }
+
+    /// The share of visited item blocks counted in `blocks` (`0.0` when
+    /// nothing was visited).  Terminated blocks widen the exact-pruning
+    /// denominator but never its numerator.
+    fn block_share(&self, blocks: Counter) -> f64 {
+        let visited = self[Counter::BlocksScored]
+            + self[Counter::BlocksPruned]
+            + self[Counter::BlocksTerminated];
+        ratio(self[blocks], visited)
     }
 
     /// The activity between `baseline` and `self`, where `baseline` is an
     /// earlier report from the same [`ServeMetrics`].  Counters subtract;
     /// histograms diff bucket-by-bucket ([`HistogramSnapshot::since`]), so
     /// window quantiles and means are exact while window maxima are
-    /// bucket-bounded.  `queue_depth_high_water` stays cumulative (a
-    /// high-water mark has no meaningful difference).
+    /// bucket-bounded.  High-water marks stay cumulative.
     fn since(&self, baseline: &MetricsReport) -> MetricsReport {
-        let requests = self.requests.saturating_sub(baseline.requests);
-        let hits = self.cache_hits.saturating_sub(baseline.cache_hits);
-        let misses = self.cache_misses.saturating_sub(baseline.cache_misses);
-        let batches = self.batches.saturating_sub(baseline.batches);
-        let batch_items = self.batch_items.saturating_sub(baseline.batch_items);
-        let batch_latency = self.batch_latency.since(&baseline.batch_latency);
-        MetricsReport {
-            requests,
-            responses: self.responses.saturating_sub(baseline.responses),
-            cache_hits: hits,
-            cache_misses: misses,
-            cache_refreshes: self
-                .cache_refreshes
-                .saturating_sub(baseline.cache_refreshes),
-            batches,
-            batch_items,
-            batch_size_hist: std::array::from_fn(|i| {
-                self.batch_size_hist[i].saturating_sub(baseline.batch_size_hist[i])
+        let mut window = MetricsReport {
+            counters: std::array::from_fn(|i| {
+                self.counters[i].saturating_sub(baseline.counters[i])
             }),
-            mean_batch_size: if batches > 0 {
-                batch_items as f64 / batches as f64
-            } else {
-                0.0
-            },
-            cache_hit_rate: if hits + misses > 0 {
-                hits as f64 / (hits + misses) as f64
-            } else {
-                0.0
-            },
-            mean_batch_latency: Duration::from_nanos(
-                batch_latency.sum_ns().checked_div(batches).unwrap_or(0),
-            ),
-            max_batch_latency: Duration::from_nanos(batch_latency.max_ns()),
-            batch_latency,
-            stages: std::array::from_fn(|i| self.stages[i].since(&baseline.stages[i])),
-            request_e2e: self.request_e2e.since(&baseline.request_e2e),
-            publish_latency: self.publish_latency.since(&baseline.publish_latency),
-            freshness: self.freshness.since(&baseline.freshness),
-            rerank: self.rerank.since(&baseline.rerank),
-            bytes_scanned: self.bytes_scanned.saturating_sub(baseline.bytes_scanned),
-            rerank_candidates: self
-                .rerank_candidates
-                .saturating_sub(baseline.rerank_candidates),
-            queue_depth_high_water: self.queue_depth_high_water,
-            snapshot_swaps: self.snapshot_swaps.saturating_sub(baseline.snapshot_swaps),
-            delta_publishes: self
-                .delta_publishes
-                .saturating_sub(baseline.delta_publishes),
-            item_compactions: self
-                .item_compactions
-                .saturating_sub(baseline.item_compactions),
-            worker_panics: self.worker_panics.saturating_sub(baseline.worker_panics),
-            worker_restarts: self
-                .worker_restarts
-                .saturating_sub(baseline.worker_restarts),
-            blocks_scored: self.blocks_scored.saturating_sub(baseline.blocks_scored),
-            blocks_pruned: self.blocks_pruned.saturating_sub(baseline.blocks_pruned),
-            blocks_terminated: self
-                .blocks_terminated
-                .saturating_sub(baseline.blocks_terminated),
-            approx_requests: self
-                .approx_requests
-                .saturating_sub(baseline.approx_requests),
+            latencies: std::array::from_fn(|i| self.latencies[i].since(&baseline.latencies[i])),
+        };
+        for row in &ROWS {
+            if let HighWater(counter) = row.value {
+                window.counters[counter as usize] = self[counter];
+            }
         }
+        window
+    }
+
+    /// The table's rows as a metric set: the exported ones, or all of them.
+    fn rows(&self, all: bool) -> Exporter {
+        let mut e = Exporter::new();
+        for row in ROWS.iter().filter(|row| all || row.export) {
+            let value = match row.value {
+                Count(counter) | HighWater(counter) => MetricValue::Counter(self[counter]),
+                Derived(derive) => derive(self),
+            };
+            e.push(row.key, row.help, value);
+        }
+        for (latency, key, help) in LATENCIES {
+            e.push(key, help, MetricValue::Histogram(self[latency].clone()));
+        }
+        e
     }
 
     /// Renders this report as a [`cumf_obs::Exporter`] metric set with
     /// stable `serve_*` names (`serve_stage_<name>` histograms expand to
-    /// `serve_stage_<name>_p50_ns` etc. in the JSON rendering — the keys CI
-    /// asserts on).
+    /// `serve_stage_<name>_p50_ns` etc. in the JSON rendering).  The keys
+    /// are pinned in `crates/serve/METRICS.txt`.
     pub fn exporter(&self) -> Exporter {
-        let mut e = Exporter::new();
-        e.counter(
-            "serve_requests",
-            "requests accepted by the batcher",
-            self.requests,
-        )
-        .counter("serve_responses", "replies delivered", self.responses)
-        .counter(
-            "serve_cache_hits",
-            "results served from cache",
-            self.cache_hits,
-        )
-        .counter("serve_cache_misses", "results scored", self.cache_misses)
-        .counter(
-            "serve_cache_refreshes",
-            "cached replies re-scored by delta publishes",
-            self.cache_refreshes,
-        )
-        .counter("serve_batches", "micro-batches scored", self.batches)
-        .gauge(
-            "serve_cache_hit_rate",
-            "hits / (hits + misses)",
-            self.cache_hit_rate,
-        )
-        .gauge(
-            "serve_mean_batch_size",
-            "mean requests per micro-batch",
-            self.mean_batch_size,
-        )
-        .counter(
-            "serve_queue_depth_high_water",
-            "most requests ever simultaneously queued",
-            self.queue_depth_high_water,
-        )
-        .counter(
-            "serve_snapshot_swaps",
-            "snapshot generations published",
-            self.snapshot_swaps,
-        )
-        .counter(
-            "serve_delta_publishes",
-            "publications through the delta path",
-            self.delta_publishes,
-        )
-        .counter(
-            "serve_item_compactions",
-            "item-segment compaction republishes",
-            self.item_compactions,
-        )
-        .counter(
-            "serve_worker_panics",
-            "scoring panics caught",
-            self.worker_panics,
-        )
-        .counter(
-            "serve_worker_restarts",
-            "panicked workers restarted",
-            self.worker_restarts,
-        )
-        .counter(
-            "serve_blocks_scored",
-            "item blocks streamed and scored",
-            self.blocks_scored,
-        )
-        .counter(
-            "serve_blocks_pruned",
-            "item blocks skipped exactly",
-            self.blocks_pruned,
-        )
-        .counter(
-            "serve_blocks_terminated",
-            "item blocks skipped approximately",
-            self.blocks_terminated,
-        )
-        .counter(
-            "serve_approx_requests",
-            "requests served under an approximate policy",
-            self.approx_requests,
-        )
-        .counter(
-            "serve_bytes_scanned",
-            "bytes streamed by the blocked scorer (encoded + rerank rows)",
-            self.bytes_scanned,
-        )
-        .counter(
-            "serve_rerank_candidates",
-            "candidates rescored against exact f32 rows",
-            self.rerank_candidates,
-        );
-        for stage in Stage::ALL {
-            e.histogram(
-                &format!("serve_stage_{}", stage.name()),
-                &format!("per-request {} stage latency", stage.name()),
-                self.stage(stage).clone(),
-            );
-        }
-        e.histogram(
-            "serve_request_e2e",
-            "per-request end-to-end latency (enqueue to reply)",
-            self.request_e2e.clone(),
-        )
-        .histogram(
-            "serve_batch_latency",
-            "per-micro-batch scoring wall time",
-            self.batch_latency.clone(),
-        )
-        .histogram(
-            "serve_delta_publish",
-            "publisher-side snapshot/delta publish latency",
-            self.publish_latency.clone(),
-        )
-        .histogram(
-            "serve_freshness",
-            "rating ingest to first reflecting snapshot publish",
-            self.freshness.clone(),
-        )
-        .histogram(
-            "serve_rerank",
-            "per-batch exact-f32 rerank pass latency (inside Score)",
-            self.rerank.clone(),
-        );
-        e
+        self.rows(false)
     }
 }
 
-/// Formats nanoseconds as a humane `Duration` debug string.
-fn fmt_ns(ns: u64) -> String {
-    format!("{:?}", Duration::from_nanos(ns))
+/// `num / den`, or `0.0` when `den` is zero.
+fn ratio(num: u64, den: u64) -> f64 {
+    if den == 0 {
+        0.0
+    } else {
+        num as f64 / den as f64
+    }
 }
 
+/// Every row, exported or not, then the percentile table.
 impl std::fmt::Display for MetricsReport {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        writeln!(
-            f,
-            "requests: {}  responses: {}  batches: {}  mean batch {:.2}",
-            self.requests, self.responses, self.batches, self.mean_batch_size
-        )?;
-        writeln!(
-            f,
-            "cache: {:.1}% hit ({} hit / {} miss)  swaps: {} ({} delta, {} compaction)  \
-             worker panics: {} ({} restarted)",
-            100.0 * self.cache_hit_rate,
-            self.cache_hits,
-            self.cache_misses,
-            self.snapshot_swaps,
-            self.delta_publishes,
-            self.item_compactions,
-            self.worker_panics,
-            self.worker_restarts
-        )?;
-        writeln!(
-            f,
-            "cache refreshes: {} (changed users' replies re-scored at delta publish)",
-            self.cache_refreshes
-        )?;
-        writeln!(
-            f,
-            "pruning: {} blocks scored, {} pruned ({:.1}% exact skip), \
-             {} terminated ({:.1}% approx skip)  approx requests: {}",
-            self.blocks_scored,
-            self.blocks_pruned,
-            100.0 * self.pruned_block_rate(),
-            self.blocks_terminated,
-            100.0 * self.terminated_block_rate(),
-            self.approx_requests
-        )?;
-        writeln!(
-            f,
-            "scan: {} bytes streamed  rerank: {} candidates rescored",
-            self.bytes_scanned, self.rerank_candidates
-        )?;
-        writeln!(
-            f,
-            "batch latency: mean {:?}  max {:?}",
-            self.mean_batch_latency, self.max_batch_latency
-        )?;
-        writeln!(
-            f,
-            "batch sizes [1,2,4,8,16,32,64,128+]: {:?}",
-            self.batch_size_hist
-        )?;
-        writeln!(f, "queue depth high-water: {}", self.queue_depth_high_water)?;
-        writeln!(
-            f,
-            "{:<12} {:>10} {:>10} {:>10} {:>10} {:>8}",
-            "stage", "p50", "p90", "p99", "max", "count"
-        )?;
-        let mut rows: Vec<(&str, &HistogramSnapshot)> = Stage::ALL
-            .iter()
-            .map(|&s| (s.name(), self.stage(s)))
-            .collect();
-        rows.push(("e2e", &self.request_e2e));
-        rows.push(("batch", &self.batch_latency));
-        rows.push(("publish", &self.publish_latency));
-        rows.push(("freshness", &self.freshness));
-        rows.push(("rerank", &self.rerank));
-        for (name, h) in rows {
-            writeln!(
-                f,
-                "{:<12} {:>10} {:>10} {:>10} {:>10} {:>8}",
-                name,
-                fmt_ns(h.quantile(0.5)),
-                fmt_ns(h.quantile(0.9)),
-                fmt_ns(h.quantile(0.99)),
-                fmt_ns(h.max_ns()),
-                h.count()
-            )?;
-        }
-        Ok(())
+        write!(f, "{}", self.rows(true))
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// The value `Display` shows on `key`'s line.
+    fn shown_value<'a>(text: &'a str, key: &str) -> &'a str {
+        text.lines()
+            .find_map(|line| {
+                let mut words = line.split_whitespace();
+                (words.next() == Some(key)).then(|| words.next().unwrap_or(""))
+            })
+            .unwrap_or_else(|| panic!("no {key} line in:\n{text}"))
+    }
+
+    /// How `Display` renders a latency.
+    fn fmt_duration(ns: u64) -> String {
+        format!("{:?}", Duration::from_nanos(ns))
+    }
 
     #[test]
     fn batch_sizes_land_in_power_of_two_buckets() {
@@ -775,60 +526,60 @@ mod tests {
             m.record_batch(size, Duration::from_micros(10));
         }
         let r = m.report();
-        assert_eq!(r.batches, 9);
-        assert_eq!(r.batch_size_hist[0], 1); // 1
-        assert_eq!(r.batch_size_hist[1], 2); // 2, 3
-        assert_eq!(r.batch_size_hist[2], 2); // 4, 7
-        assert_eq!(r.batch_size_hist[3], 1); // 8
-        assert_eq!(r.batch_size_hist[6], 1); // 127 → bucket 64..127
-        assert_eq!(r.batch_size_hist[7], 2); // 128 and 4096 clamp to last
+        assert_eq!(r.batches(), 9);
+        assert_eq!(r[Counter::BatchSize1], 1); // 1
+        assert_eq!(r[Counter::BatchSize2], 2); // 2, 3
+        assert_eq!(r[Counter::BatchSize4], 2); // 4, 7
+        assert_eq!(r[Counter::BatchSize8], 1); // 8
+        assert_eq!(r[Counter::BatchSize64], 1); // 127 → bucket 64..127
+        assert_eq!(r[Counter::BatchSize128], 2); // 128 and 4096 clamp to last
     }
 
     #[test]
     fn rates_and_latencies_are_derived() {
         let m = ServeMetrics::new();
         for _ in 0..3 {
-            m.record_request();
-            m.record_response();
+            m.add(Counter::Requests, 1);
+            m.add(Counter::Responses, 1);
         }
-        m.record_cache_hit();
-        m.record_cache_miss();
-        m.record_cache_miss();
+        m.add(Counter::CacheHits, 1);
+        m.add(Counter::CacheMisses, 1);
+        m.add(Counter::CacheMisses, 1);
         m.record_batch(3, Duration::from_millis(2));
         m.record_batch(1, Duration::from_millis(4));
-        m.record_swap();
+        m.add(Counter::SnapshotSwaps, 1);
         let r = m.report();
-        assert_eq!(r.requests, 3);
-        assert!((r.cache_hit_rate - 1.0 / 3.0).abs() < 1e-12);
-        assert_eq!(r.mean_batch_size, 2.0);
-        assert_eq!(r.mean_batch_latency, Duration::from_millis(3));
-        assert_eq!(r.max_batch_latency, Duration::from_millis(4));
-        assert_eq!(r.snapshot_swaps, 1);
+        assert_eq!(r[Counter::Requests], 3);
+        assert!((r.cache_hit_rate() - 1.0 / 3.0).abs() < 1e-12);
+        assert_eq!(r.mean_batch_size(), 2.0);
+        assert_eq!(r.mean_batch_latency(), Duration::from_millis(3));
+        assert_eq!(r.max_batch_latency(), Duration::from_millis(4));
+        assert_eq!(r[Counter::SnapshotSwaps], 1);
     }
 
     #[test]
     fn empty_metrics_report_is_zeroed() {
         let r = ServeMetrics::new().report();
-        assert_eq!(r.requests, 0);
-        assert_eq!(r.cache_hit_rate, 0.0);
-        assert_eq!(r.mean_batch_latency, Duration::ZERO);
-        assert_eq!(r.request_e2e.count(), 0);
-        assert_eq!(r.queue_depth_high_water, 0);
+        assert_eq!(r[Counter::Requests], 0);
+        assert_eq!(r.cache_hit_rate(), 0.0);
+        assert_eq!(r.mean_batch_latency(), Duration::ZERO);
+        assert_eq!(r[Latency::RequestE2e].count(), 0);
+        assert_eq!(r[Counter::QueueDepthHighWater], 0);
     }
 
     #[test]
     fn stage_histograms_accumulate_and_export() {
         let m = ServeMetrics::new();
         for ns in [1_000u64, 2_000, 10_000] {
-            m.record_stage_ns(Stage::QueueWait, ns);
-            m.record_stage_ns(Stage::Score, ns * 2);
-            m.record_request_e2e_ns(ns * 3);
+            m.record_ns(Latency::QueueWait, ns);
+            m.record_ns(Latency::Score, ns * 2);
+            m.record_ns(Latency::RequestE2e, ns * 3);
         }
         let r = m.report();
         assert_eq!(r.stage(Stage::QueueWait).count(), 3);
         assert_eq!(r.stage(Stage::Score).sum_ns(), 26_000);
         assert_eq!(r.stage(Stage::Coalesce).count(), 0);
-        assert_eq!(r.request_e2e.max_ns(), 30_000);
+        assert_eq!(r[Latency::RequestE2e].max_ns(), 30_000);
         let json = r.exporter().to_json();
         for key in [
             "\"serve_requests\":",
@@ -853,12 +604,12 @@ mod tests {
     fn windowed_report_resets_the_latency_view() {
         let m = ServeMetrics::new();
         m.record_batch(1, Duration::from_millis(50)); // the spike
-        m.record_request();
+        m.add(Counter::Requests, 1);
         let first = m.window_report();
-        assert_eq!(first.window.batches, 1);
-        assert_eq!(first.window.requests, 1);
+        assert_eq!(first.window.batches(), 1);
+        assert_eq!(first.window[Counter::Requests], 1);
         assert_eq!(
-            first.cumulative.max_batch_latency,
+            first.cumulative.max_batch_latency(),
             Duration::from_millis(50)
         );
 
@@ -866,20 +617,97 @@ mod tests {
         // spike (bucket-bounded around 1 ms), the cumulative max does not.
         m.record_batch(1, Duration::from_millis(1));
         let second = m.window_report();
-        assert_eq!(second.window.batches, 1);
-        assert_eq!(second.window.requests, 0);
-        assert!(second.window.max_batch_latency <= Duration::from_micros(1100));
+        assert_eq!(second.window.batches(), 1);
+        assert_eq!(second.window[Counter::Requests], 0);
+        assert!(second.window.max_batch_latency() <= Duration::from_micros(1100));
         assert_eq!(
-            second.cumulative.max_batch_latency,
+            second.cumulative.max_batch_latency(),
             Duration::from_millis(50)
         );
-        assert_eq!(second.cumulative.batches, 2);
+        assert_eq!(second.cumulative.batches(), 2);
 
         // Idle window: everything zero.
         let third = m.window_report();
-        assert_eq!(third.window.batches, 0);
-        assert_eq!(third.window.batch_latency.count(), 0);
-        assert_eq!(third.window.mean_batch_latency, Duration::ZERO);
+        assert_eq!(third.window.batches(), 0);
+        assert_eq!(third.window[Latency::Batch].count(), 0);
+        assert_eq!(third.window.mean_batch_latency(), Duration::ZERO);
+    }
+
+    #[test]
+    fn every_metric_windows_exports_and_displays() {
+        // Every storage slot gets its own value, recorded twice around a
+        // window poll: the cumulative report carries twice it, the window
+        // once (a high-water mark: twice, it stays cumulative).
+        let counter_value = |i: usize| 1_000 + 7 * i as u64;
+        let latency_ns = |i: usize| 10_000 * (i as u64 + 1);
+        let m = ServeMetrics::new();
+        let record = || {
+            for (i, counter) in m.counters.iter().enumerate() {
+                counter.fetch_add(counter_value(i), Ordering::Relaxed);
+            }
+            for (i, histogram) in m.latencies.iter().enumerate() {
+                histogram.record_ns(latency_ns(i));
+            }
+        };
+        record();
+        let first = m.window_report();
+        record();
+        let WindowedReport { window, cumulative } = m.window_report();
+
+        // Every counter and histogram has exactly one table row.
+        let mut rows = [0; COUNTERS];
+        for row in &ROWS {
+            let (counter, high_water) = match row.value {
+                Count(counter) => (counter, false),
+                HighWater(counter) => (counter, true),
+                Derived(_) => continue,
+            };
+            rows[counter as usize] += 1;
+            let (key, v) = (row.key, counter_value(counter as usize));
+            assert_eq!(cumulative[counter], 2 * v, "{key}");
+            let diff = cumulative[counter] - first.cumulative[counter];
+            let expect = if high_water { 2 * v } else { diff };
+            assert_eq!((window[counter], diff), (expect, v), "{key} in the window");
+        }
+        assert_eq!(rows, [1; COUNTERS], "a counter lacks a row or has two");
+        let latencies: Vec<usize> = LATENCIES.iter().map(|&(l, _, _)| l as usize).collect();
+        assert_eq!(latencies, (0..LATENCY_COUNT).collect::<Vec<_>>());
+
+        for i in 0..LATENCY_COUNT {
+            let ns = latency_ns(i);
+            let (c, w) = (&cumulative.latencies[i], &window.latencies[i]);
+            assert_eq!((c.count(), c.sum_ns()), (2, 2 * ns), "latency {i}");
+            assert_eq!(
+                (w.count(), w.sum_ns()),
+                (1, ns),
+                "latency {i} in the window"
+            );
+            assert_eq!(*w, c.since(&first.cumulative.latencies[i]));
+        }
+
+        let json = cumulative.exporter().to_json();
+        let text = cumulative.to_string();
+        for row in &ROWS {
+            let value = match row.value {
+                Count(counter) | HighWater(counter) => cumulative[counter].to_string(),
+                Derived(derive) => match derive(&cumulative) {
+                    MetricValue::Counter(v) => v.to_string(),
+                    MetricValue::Gauge(v) => format!("{v:.4}"),
+                    MetricValue::Histogram(_) => unreachable!("rows are scalars"),
+                },
+            };
+            assert_eq!(shown_value(&text, row.key), value, "{}", row.key);
+            let exported = json.contains(&format!("\"{}\":", row.key));
+            assert_eq!(exported, row.export, "{} in {json}", row.key);
+        }
+        for (latency, key, _) in LATENCIES {
+            let count = format!("\"{key}_count\":{}", cumulative[latency].count());
+            assert!(json.contains(&count), "missing {count} in {json}");
+            assert_eq!(
+                shown_value(&text, key),
+                fmt_duration(cumulative[latency].quantile(0.5))
+            );
+        }
     }
 
     #[test]
@@ -891,13 +719,13 @@ mod tests {
         m.record_queue_exit();
         m.record_queue_enter();
         assert_eq!(m.queue_depth(), 3);
-        assert_eq!(m.report().queue_depth_high_water, 3);
+        assert_eq!(m.report()[Counter::QueueDepthHighWater], 3);
         m.record_queue_exit();
         m.record_queue_exit();
         m.record_queue_exit();
         assert_eq!(m.queue_depth(), 0);
         // The mark survives the drain.
-        assert_eq!(m.report().queue_depth_high_water, 3);
+        assert_eq!(m.report()[Counter::QueueDepthHighWater], 3);
     }
 
     #[test]
@@ -915,15 +743,22 @@ mod tests {
             blocks_terminated: 0,
             ..Default::default()
         });
-        m.record_worker_panic();
-        m.record_worker_restart();
-        m.record_item_compaction();
+        m.add(Counter::WorkerPanics, 1);
+        m.add(Counter::WorkerRestarts, 1);
+        m.add(Counter::ItemCompactions, 1);
         let r = m.report();
-        assert_eq!((r.blocks_scored, r.blocks_pruned), (6, 10));
-        assert!((r.pruned_block_rate() - 10.0 / 16.0).abs() < 1e-12);
-        assert_eq!((r.worker_panics, r.worker_restarts), (1, 1));
-        assert_eq!(r.item_compactions, 1);
-        assert_eq!(ServeMetrics::new().report().pruned_block_rate(), 0.0);
+        assert_eq!(
+            (r[Counter::BlocksScored], r[Counter::BlocksPruned]),
+            (6, 10)
+        );
+        assert!((r.block_share(Counter::BlocksPruned) - 10.0 / 16.0).abs() < 1e-12);
+        assert_eq!(
+            (r[Counter::WorkerPanics], r[Counter::WorkerRestarts]),
+            (1, 1)
+        );
+        assert_eq!(r[Counter::ItemCompactions], 1);
+        let empty = ServeMetrics::new().report();
+        assert_eq!(empty.block_share(Counter::BlocksPruned), 0.0);
     }
 
     #[test]
@@ -938,16 +773,18 @@ mod tests {
             blocks_terminated: 8,
             ..Default::default()
         });
-        m.record_approx_requests(3);
+        m.add(Counter::ApproxRequests, 3);
         let r = m.report();
-        assert_eq!(r.blocks_terminated, 8);
-        assert_eq!(r.approx_requests, 3);
-        assert!((r.pruned_block_rate() - 4.0 / 16.0).abs() < 1e-12);
-        assert!((r.terminated_block_rate() - 8.0 / 16.0).abs() < 1e-12);
-        assert_eq!(ServeMetrics::new().report().terminated_block_rate(), 0.0);
+        assert_eq!(r[Counter::BlocksTerminated], 8);
+        assert_eq!(r[Counter::ApproxRequests], 3);
+        assert!((r.block_share(Counter::BlocksPruned) - 4.0 / 16.0).abs() < 1e-12);
+        assert!((r.block_share(Counter::BlocksTerminated) - 8.0 / 16.0).abs() < 1e-12);
+        let empty = ServeMetrics::new().report();
+        assert_eq!(empty.block_share(Counter::BlocksTerminated), 0.0);
         let text = r.to_string();
-        assert!(text.contains("8 terminated"));
-        assert!(text.contains("approx requests: 3"));
+        assert_eq!(shown_value(&text, "serve_blocks_terminated"), "8");
+        assert_eq!(shown_value(&text, "serve_pruned_block_rate"), "0.2500");
+        assert_eq!(shown_value(&text, "serve_approx_requests"), "3");
     }
 
     #[test]
@@ -959,24 +796,24 @@ mod tests {
             rerank_candidates: 20,
             ..Default::default()
         });
-        m.record_rerank_ns(5_000);
-        m.record_rerank_ns(9_000);
+        m.record_ns(Latency::Rerank, 5_000);
+        m.record_ns(Latency::Rerank, 9_000);
         let first = m.window_report();
-        assert_eq!(first.cumulative.bytes_scanned, 4096);
-        assert_eq!(first.cumulative.rerank_candidates, 20);
-        assert_eq!(first.cumulative.rerank.count(), 2);
-        assert_eq!(first.cumulative.rerank.sum_ns(), 14_000);
+        assert_eq!(first.cumulative[Counter::BytesScanned], 4096);
+        assert_eq!(first.cumulative[Counter::RerankCandidates], 20);
+        assert_eq!(first.cumulative[Latency::Rerank].count(), 2);
+        assert_eq!(first.cumulative[Latency::Rerank].sum_ns(), 14_000);
 
         // The window diff subtracts counters and diffs the histogram.
         m.record_pruning(&PruneStats {
             bytes_scanned: 100,
             ..Default::default()
         });
-        m.record_rerank_ns(1_000);
+        m.record_ns(Latency::Rerank, 1_000);
         let second = m.window_report();
-        assert_eq!(second.window.bytes_scanned, 100);
-        assert_eq!(second.window.rerank_candidates, 0);
-        assert_eq!(second.window.rerank.count(), 1);
+        assert_eq!(second.window[Counter::BytesScanned], 100);
+        assert_eq!(second.window[Counter::RerankCandidates], 0);
+        assert_eq!(second.window[Latency::Rerank].count(), 1);
 
         let json = second.cumulative.exporter().to_json();
         for key in [
@@ -989,39 +826,40 @@ mod tests {
             assert!(json.contains(key), "missing {key} in {json}");
         }
         let text = second.cumulative.to_string();
-        assert!(text.contains("4196 bytes streamed"));
-        assert!(text.contains("20 candidates rescored"));
+        assert_eq!(shown_value(&text, "serve_bytes_scanned"), "4196");
+        assert_eq!(shown_value(&text, "serve_rerank_candidates"), "20");
         assert!(text.contains("rerank"));
     }
 
     #[test]
     fn cache_refreshes_flow_to_reports_exporter_and_display() {
         let m = ServeMetrics::new();
-        m.record_cache_refreshes(3);
+        m.add(Counter::CacheRefreshes, 3);
         let first = m.window_report();
-        m.record_cache_refreshes(2);
+        m.add(Counter::CacheRefreshes, 2);
         let second = m.window_report();
-        assert_eq!(first.cumulative.cache_refreshes, 3);
-        assert_eq!(second.window.cache_refreshes, 2);
-        assert_eq!(second.cumulative.cache_refreshes, 5);
+        assert_eq!(first.cumulative[Counter::CacheRefreshes], 3);
+        assert_eq!(second.window[Counter::CacheRefreshes], 2);
+        assert_eq!(second.cumulative[Counter::CacheRefreshes], 5);
         let json = second.cumulative.exporter().to_json();
         assert!(json.contains("\"serve_cache_refreshes\":5"), "{json}");
-        assert!(second.cumulative.to_string().contains("cache refreshes: 5"));
+        let text = second.cumulative.to_string();
+        assert_eq!(shown_value(&text, "serve_cache_refreshes"), "5");
     }
 
     #[test]
     fn display_is_humane() {
         let m = ServeMetrics::new();
         m.record_batch(2, Duration::from_micros(500));
-        m.record_stage_ns(Stage::Score, 250_000);
-        m.record_request_e2e_ns(400_000);
+        m.record_ns(Latency::Score, 250_000);
+        m.record_ns(Latency::RequestE2e, 400_000);
         let text = m.report().to_string();
-        assert!(text.contains("batches: 1"));
+        assert_eq!(shown_value(&text, "serve_batches"), "1");
         assert!(text.contains("cache"));
         // The percentile table lists every stage plus e2e.
         for row in ["queue_wait", "coalesce", "score", "merge", "reply", "e2e"] {
             assert!(text.contains(row), "missing {row} row in:\n{text}");
         }
-        assert!(text.contains("queue depth high-water"));
+        assert!(text.contains("queue_depth_high_water"));
     }
 }

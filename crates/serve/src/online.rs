@@ -52,7 +52,7 @@
 //! engine's initialization rows, so ids stay dense and stable.
 
 use crate::batcher::TopKService;
-use crate::metrics::ServeMetrics;
+use crate::metrics::{Latency, ServeMetrics};
 use crate::snapshot::{DeltaError, DeltaStats, FactorSnapshot, SnapshotDelta, SnapshotStore};
 use crate::sync::Arc;
 use cumf_core::foldin::fold_in_users_segmented;
@@ -411,7 +411,7 @@ impl<'a> OnlineLoop<'a> {
         let published_at = Instant::now();
         for event in &batch.events {
             let age = published_at.saturating_duration_since(event.ingested_at);
-            self.metrics.record_freshness_ns(age.as_nanos() as u64);
+            self.metrics.record(Latency::Freshness, age);
         }
 
         self.report.events += entries.len() as u64;
@@ -506,6 +506,7 @@ mod tests {
     use cumf_core::als::AlsEngine;
     use cumf_core::config::AlsConfig;
     use cumf_core::sgd::SgdConfig;
+    use cumf_core::Phase;
     use cumf_data::stream::{MutationStreamConfig, ReplayStream, SyntheticMutationStream};
     use cumf_data::synth::SyntheticConfig;
     use cumf_sparse::Entry;
@@ -591,7 +592,7 @@ mod tests {
         assert_ne!(after.user_vector(11), before.user_vector(11));
         assert_eq!(after.user_vector(40), before.user_vector(40));
         // Every rating's freshness was recorded once.
-        assert_eq!(metrics.report().freshness.count(), 3);
+        assert_eq!(metrics.report()[Latency::Freshness].count(), 3);
 
         // The published row equals a direct fold-in over the merged history
         // (training ratings + streamed updates, last write wins).
@@ -702,7 +703,7 @@ mod tests {
         // The published row is exactly the engine's current snapshot row.
         let engine = driver.sgd_engine().unwrap();
         assert_eq!(after.user_vector(5).unwrap(), engine.x().vector(5));
-        assert_eq!(metrics.report().freshness.count(), 2);
+        assert_eq!(metrics.report()[Latency::Freshness].count(), 2);
     }
 
     #[test]
@@ -730,7 +731,7 @@ mod tests {
         assert_eq!(report.publishes, 0);
         assert_eq!(report.events, 0);
         assert_eq!(store.load().generation(), 1);
-        assert_eq!(metrics.report().freshness.count(), 0);
+        assert_eq!(metrics.report()[Latency::Freshness].count(), 0);
     }
 
     /// An `AlsEngine` that raises `dropped` when it is dropped.
@@ -819,8 +820,8 @@ mod tests {
         let report = driver.run().unwrap();
         assert!(report.publishes >= 1);
         let recorded = fold_ins.report();
-        assert_eq!(recorded.fold_in.count(), report.publishes);
-        assert_eq!(recorded.rows_solved, report.users_updated);
+        assert_eq!(recorded[Phase::FoldIn].count(), report.publishes);
+        assert_eq!(recorded.rows_solved(), report.users_updated);
     }
 
     #[test]
@@ -1032,7 +1033,8 @@ mod tests {
         let report = driver.run().unwrap();
         assert_eq!(report.events, 120);
         assert!(report.publishes >= 120 / 32);
-        let freshness = metrics.report().freshness;
+        let recorded = metrics.report();
+        let freshness = &recorded[Latency::Freshness];
         assert_eq!(freshness.count(), 120);
         assert!(freshness.quantile(0.99) >= freshness.quantile(0.5));
         // New-pool users were appended and are servable.

@@ -13,7 +13,7 @@
 #![cfg(cumf_model_check)]
 
 use cumf_linalg::FactorMatrix;
-use cumf_serve::metrics::ServeMetrics;
+use cumf_serve::metrics::{Counter, ServeMetrics};
 use cumf_serve::snapshot::{DeltaError, FactorSnapshot, SnapshotStore};
 use cumf_serve::{CacheKey, ShardedResultCache};
 use loom::sync::Arc;
@@ -240,7 +240,7 @@ fn queue_gauge_balances_and_high_water_brackets_occupancy() {
         metrics.record_queue_exit();
         t.join().expect("model thread");
         assert_eq!(metrics.queue_depth(), 0, "gauge leaked");
-        let hwm = metrics.report().queue_depth_high_water;
+        let hwm = metrics.report()[Counter::QueueDepthHighWater];
         assert!(
             (1..=2).contains(&hwm),
             "high-water {hwm} outside the 1..=2 occupancy envelope"

@@ -17,7 +17,7 @@ use cumf_data::stream::{
 };
 use cumf_data::synth::{SyntheticConfig, SyntheticDataset};
 use cumf_serve::{
-    FactorSnapshot, OnlineLoop, OnlineLoopConfig, ServeConfig, SnapshotStore, TopKService,
+    FactorSnapshot, Latency, OnlineLoop, OnlineLoopConfig, ServeConfig, SnapshotStore, TopKService,
 };
 use cumf_sparse::{Coo, Csr, Entry};
 use std::collections::BTreeMap;
@@ -172,7 +172,8 @@ fn closed_loop_stays_fresh_under_serving_traffic() {
     // Freshness: every rating recorded once, distribution well-formed and
     // bounded (ingest → publish is in-process; seconds would mean the loop
     // stalled).
-    let freshness = metrics.report().freshness;
+    let recorded = metrics.report();
+    let freshness = &recorded[Latency::Freshness];
     assert_eq!(freshness.count(), 200);
     assert!(freshness.quantile(0.99) >= freshness.quantile(0.5));
     assert!(
@@ -295,6 +296,12 @@ fn incremental_updates_track_a_full_batch_retrain() {
         "fold-in {rmse_fold:.4} too far from batch retrain {rmse_batch:.4}"
     );
     // Both loops reflected every event exactly once.
-    assert_eq!(fold_metrics.report().freshness.count(), events.len() as u64);
-    assert_eq!(sgd_metrics.report().freshness.count(), events.len() as u64);
+    assert_eq!(
+        fold_metrics.report()[Latency::Freshness].count(),
+        events.len() as u64
+    );
+    assert_eq!(
+        sgd_metrics.report()[Latency::Freshness].count(),
+        events.len() as u64
+    );
 }

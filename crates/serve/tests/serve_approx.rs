@@ -11,8 +11,8 @@
 
 use cumf_linalg::FactorMatrix;
 use cumf_serve::{
-    measure_recall, ApproxPolicy, FactorSnapshot, ItemLayout, Query, ScoreKind, ServeConfig,
-    TopKIndex, TopKService,
+    measure_recall, ApproxPolicy, Counter, FactorSnapshot, ItemLayout, Query, ScoreKind,
+    ServeConfig, TopKIndex, TopKService,
 };
 use std::sync::Arc;
 use std::time::Duration;
@@ -25,6 +25,22 @@ fn skewed_theta(n: usize, f: usize, seed: u64) -> FactorMatrix {
     for v in 0..n {
         let h = (v as u32).wrapping_mul(2654435761) % 64;
         let scale = if h == 0 { 4.0 } else { 0.01 + 0.001 * h as f32 };
+        for x in theta.vector_mut(v) {
+            *x *= scale;
+        }
+    }
+    theta
+}
+
+/// Item factors with mildly skewed norms, spread evenly over `[1, 2)`: no
+/// heavy hitters, so the exact top 10 spans several norm-sorted blocks
+/// and a policy looser than the default loses recall.
+fn mildly_skewed_theta(n: usize, f: usize, seed: u64) -> FactorMatrix {
+    let mut theta = FactorMatrix::random(n, f, 1.0, seed);
+    for v in 0..n {
+        let h = (v as u32).wrapping_mul(2654435761) % 64;
+        let norm = theta.vector(v).iter().map(|x| x * x).sum::<f32>().sqrt();
+        let scale = (1.0 + h as f32 / 64.0) / norm;
         for x in theta.vector_mut(v) {
             *x *= scale;
         }
@@ -52,8 +68,11 @@ fn service_config(approx: Option<ApproxPolicy>) -> ServeConfig {
 }
 
 /// The headline statistical guarantee: at the default policy, mean
-/// recall@k ≥ `target_recall` on a skewed catalog *while scanning
-/// measurably fewer blocks*, and ≥ the same floor on a uniform catalog.
+/// recall@k ≥ `target_recall` on a skewed and a mildly skewed catalog
+/// *while scanning measurably fewer blocks*, and ≥ the same floor on a
+/// uniform catalog.  On the first and the last the exact top 10 sits in
+/// the first norm-sorted block, so only the mildly skewed one fails a
+/// default ε of 0.9 or a one-block budget (recall 0.89 under either).
 #[test]
 fn default_policy_meets_target_recall_on_skewed_and_uniform_catalogs() {
     let policy = ApproxPolicy::default();
@@ -82,6 +101,22 @@ fn default_policy_meets_target_recall_on_skewed_and_uniform_catalogs() {
     assert!(
         report.approx_stats.blocks_terminated > 0,
         "no early termination on the skewed catalog: {report}"
+    );
+
+    // Mildly skewed, f = 32: the top 10 spreads over several blocks, and
+    // termination still saves about half of them.
+    let mild = snapshot(
+        FactorMatrix::random(64, 32, 1.0, 904),
+        mildly_skewed_theta(8192, 32, 905),
+    );
+    let report = measure_recall(&mild, &queries, &config, &policy);
+    assert!(
+        report.mean_recall >= policy.target_recall,
+        "mildly skewed catalog recall below target: {report}"
+    );
+    assert!(
+        report.approx_stats.blocks_scored < report.exact_stats.blocks_scored,
+        "approximation saved nothing on the mildly skewed catalog: {report}"
     );
 
     // Uniform: little to terminate, so recall must stay at least as high.
@@ -170,13 +205,14 @@ fn live_service_exact_and_approx_traffic_do_not_cross_contaminate() {
     }
     let m = service.metrics();
     assert_eq!(
-        m.approx_requests, 48,
+        m[Counter::ApproxRequests],
+        48,
         "only the inherit-mode requests are approximate"
     );
     // The approximate path really ran: scans terminated early, yet every
     // exact-mode answer above still matched ground truth bit-for-bit.
     assert!(
-        m.blocks_terminated > 0,
+        m[Counter::BlocksTerminated] > 0,
         "epsilon 0.5 never terminated a scan — approximate path idle: {m:?}"
     );
 }

@@ -4,7 +4,7 @@
 //! cache stops serving a generation the moment the next one is published.
 
 use cumf_linalg::FactorMatrix;
-use cumf_serve::{FactorSnapshot, ServeConfig, TopKService};
+use cumf_serve::{Counter, FactorSnapshot, ServeConfig, TopKService};
 use std::time::Duration;
 
 const N_ITEMS: usize = 500;
@@ -85,8 +85,12 @@ fn hot_swap_under_concurrent_queries_never_mixes_generations() {
     }
 
     let m = service.metrics();
-    assert_eq!(m.requests, m.responses, "every request was answered");
-    assert_eq!(m.snapshot_swaps as usize, GENERATIONS - 1);
+    assert_eq!(
+        m[Counter::Requests],
+        m[Counter::Responses],
+        "every request was answered"
+    );
+    assert_eq!(m[Counter::SnapshotSwaps] as usize, GENERATIONS - 1);
 }
 
 #[test]

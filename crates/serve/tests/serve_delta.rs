@@ -10,7 +10,7 @@
 
 use cumf_linalg::{ApproxPolicy, FactorMatrix};
 use cumf_serve::{
-    DeltaError, FactorSnapshot, Query, ScoreKind, ServeConfig, SnapshotDelta, TopKIndex,
+    Counter, DeltaError, FactorSnapshot, Query, ScoreKind, ServeConfig, SnapshotDelta, TopKIndex,
     TopKService, USER_COW_ROWS,
 };
 use proptest::prelude::*;
@@ -183,7 +183,7 @@ fn service_replies_after_delta_match_full_rebuild_for_every_pool_shape() {
             let expect = rebuilt.recommend_one(u, 6, &[]);
             assert_eq!(got, expect, "workers {workers} shards {shards} user {u}");
         }
-        assert_eq!(service.metrics().delta_publishes, 1);
+        assert_eq!(service.metrics()[Counter::DeltaPublishes], 1);
         assert_eq!(service.poisoned(), None);
     }
 }
@@ -249,7 +249,7 @@ fn delta_publish_keeps_unrelated_cache_entries_hot() {
     let client = service.client();
     let a_before = client.recommend(5, 7, &[]).unwrap();
     let b_before = client.recommend(20, 7, &[]).unwrap();
-    let misses_before = service.metrics().cache_misses;
+    let misses_before = service.metrics()[Counter::CacheMisses];
 
     // Change user 20 only.
     let mut delta = service.snapshot().delta();
@@ -260,7 +260,7 @@ fn delta_publish_keeps_unrelated_cache_entries_hot() {
     let a_after = client.recommend(5, 7, &[]).unwrap();
     assert_eq!(a_after, a_before);
     assert_eq!(
-        service.metrics().cache_misses,
+        service.metrics()[Counter::CacheMisses],
         misses_before,
         "unchanged user was rescored after a targeted delta publish"
     );
@@ -273,10 +273,11 @@ fn delta_publish_keeps_unrelated_cache_entries_hot() {
     assert_ne!(b_after, b_before, "the delta must move user 20's reply");
     let m = service.metrics();
     assert_eq!(
-        m.cache_misses, misses_before,
+        m[Counter::CacheMisses],
+        misses_before,
         "changed user's re-read missed: the publish did not refresh it"
     );
-    assert_eq!(m.cache_refreshes, 1);
+    assert_eq!(m[Counter::CacheRefreshes], 1);
 
     // A full publish still invalidates everything, delta retention or not.
     let (x2, theta2) = base_factors(77, 60, 300, 8);
@@ -339,8 +340,8 @@ fn refreshed_replies_equal_a_cache_off_service() {
         let delta = spec.build(service.snapshot().generation(), f);
         service.publish_delta(&delta).unwrap();
     }
-    let misses = cached.metrics().cache_misses;
-    assert_eq!(cached.metrics().cache_refreshes, 4);
+    let misses = cached.metrics()[Counter::CacheMisses];
+    assert_eq!(cached.metrics()[Counter::CacheRefreshes], 4);
     let after = reads(&client);
     assert_eq!(after, reads(&uncached.client()));
     assert_eq!(after[3].len(), 5, "the appended user's reply is refreshed");
@@ -351,7 +352,7 @@ fn refreshed_replies_equal_a_cache_off_service() {
     );
     assert_ne!(after, before);
     assert_eq!(
-        cached.metrics().cache_misses,
+        cached.metrics()[Counter::CacheMisses],
         misses,
         "a refreshed key missed"
     );
@@ -374,17 +375,17 @@ fn item_appending_delta_refreshes_nothing() {
     let client = service.client();
     client.recommend(4, 5, &[]).unwrap();
     client.recommend(7, 5, &[]).unwrap();
-    let misses = service.metrics().cache_misses;
+    let misses = service.metrics()[Counter::CacheMisses];
     let mut delta = service.snapshot().delta();
     delta.update_user(4, &[1.0; 6]);
     delta.append_items(&FactorMatrix::random(3, 6, 1.0, 9));
     service.publish_delta(&delta).unwrap();
-    assert_eq!(service.metrics().cache_refreshes, 0);
+    assert_eq!(service.metrics()[Counter::CacheRefreshes], 0);
     for user in [4, 7] {
         let got = client.recommend(user, 5, &[]).unwrap();
         assert_eq!(got, service.snapshot().recommend_one(user, 5, &[]));
     }
-    assert_eq!(service.metrics().cache_misses, misses + 2);
+    assert_eq!(service.metrics()[Counter::CacheMisses], misses + 2);
 }
 
 /// A delta appending catalog items must invalidate every cached ranking —
@@ -535,8 +536,8 @@ fn interleaved_full_and_delta_publishes_never_mix_states() {
         assert_eq!(got, expected[5], "stale state served after final publish");
     }
     let m = service.metrics();
-    assert_eq!(m.requests, m.responses);
-    assert_eq!(m.snapshot_swaps, 5);
-    assert_eq!(m.delta_publishes, 3, "deltas at steps 1, 3, 5");
-    assert_eq!(m.worker_panics, 0);
+    assert_eq!(m[Counter::Requests], m[Counter::Responses]);
+    assert_eq!(m[Counter::SnapshotSwaps], 5);
+    assert_eq!(m[Counter::DeltaPublishes], 3, "deltas at steps 1, 3, 5");
+    assert_eq!(m[Counter::WorkerPanics], 0);
 }

@@ -17,7 +17,8 @@ use cumf_core::foldin::{fold_in_users_segmented, ratings_rows};
 use cumf_data::stream::{ReplayStream, StreamBatcher};
 use cumf_linalg::{FactorMatrix, Precision};
 use cumf_serve::{
-    FactorSnapshot, OnlineLoop, OnlineLoopConfig, OnlineReport, ServeConfig, Stage, TopKService,
+    Counter, FactorSnapshot, Latency, OnlineLoop, OnlineLoopConfig, OnlineReport, ServeConfig,
+    Stage, TopKService,
 };
 use cumf_sparse::{Csr, Entry};
 use std::collections::HashSet;
@@ -116,8 +117,12 @@ fn stage_means_sum_to_the_e2e_mean() {
         }
     });
     let r = service.metrics();
-    assert_eq!(r.requests, 200);
-    assert_eq!(r.request_e2e.count(), 200, "every request records an e2e");
+    assert_eq!(r[Counter::Requests], 200);
+    assert_eq!(
+        r[Latency::RequestE2e].count(),
+        200,
+        "every request records an e2e"
+    );
     for stage in Stage::ALL {
         assert_eq!(
             r.stage(stage).count(),
@@ -127,7 +132,7 @@ fn stage_means_sum_to_the_e2e_mean() {
         );
     }
     let stage_mean_sum: f64 = Stage::ALL.iter().map(|&s| r.stage(s).mean_ns()).sum();
-    let e2e_mean = r.request_e2e.mean_ns();
+    let e2e_mean = r[Latency::RequestE2e].mean_ns();
     assert!(e2e_mean > 0.0);
     let rel = (stage_mean_sum - e2e_mean).abs() / e2e_mean;
     assert!(
@@ -137,7 +142,11 @@ fn stage_means_sum_to_the_e2e_mean() {
     // The construction is exact, not just within 10%: stage sums (exact
     // integers) telescope to the e2e sum per request.
     let stage_sum: u64 = Stage::ALL.iter().map(|&s| r.stage(s).sum_ns()).sum();
-    assert_eq!(stage_sum, r.request_e2e.sum_ns(), "partition must be exact");
+    assert_eq!(
+        stage_sum,
+        r[Latency::RequestE2e].sum_ns(),
+        "partition must be exact"
+    );
 }
 
 #[test]
@@ -159,9 +168,9 @@ fn cache_hits_keep_the_partition_exact() {
         }
     }
     let r = service.metrics();
-    assert!(r.cache_hits > 0, "repeats must hit the cache");
+    assert!(r[Counter::CacheHits] > 0, "repeats must hit the cache");
     let stage_sum: u64 = Stage::ALL.iter().map(|&s| r.stage(s).sum_ns()).sum();
-    assert_eq!(stage_sum, r.request_e2e.sum_ns());
+    assert_eq!(stage_sum, r[Latency::RequestE2e].sum_ns());
 }
 
 #[test]
@@ -178,7 +187,7 @@ fn queue_depth_high_water_reflects_concurrency() {
         }
     });
     let r = service.metrics();
-    let hwm = r.queue_depth_high_water;
+    let hwm = r[Counter::QueueDepthHighWater];
     assert!(hwm >= 1, "something must have queued");
     assert!(hwm <= 160, "high-water {hwm} exceeds total requests");
 }
@@ -192,20 +201,24 @@ fn window_report_through_the_service_handle() {
         client.recommend(user, 5, &[]).unwrap();
     }
     let first = metrics.window_report();
-    assert_eq!(first.window.requests, 10);
-    assert_eq!(first.cumulative.requests, 10);
+    assert_eq!(first.window[Counter::Requests], 10);
+    assert_eq!(first.cumulative[Counter::Requests], 10);
 
     for user in 0..4u32 {
         client.recommend(user + 30, 5, &[]).unwrap();
     }
     let second = metrics.window_report();
-    assert_eq!(second.window.requests, 4, "window counts only the delta");
-    assert_eq!(second.cumulative.requests, 14);
-    assert_eq!(second.window.request_e2e.count(), 4);
+    assert_eq!(
+        second.window[Counter::Requests],
+        4,
+        "window counts only the delta"
+    );
+    assert_eq!(second.cumulative[Counter::Requests], 14);
+    assert_eq!(second.window[Latency::RequestE2e].count(), 4);
 
     let idle = metrics.window_report();
-    assert_eq!(idle.window.requests, 0);
-    assert_eq!(idle.window.request_e2e.count(), 0);
+    assert_eq!(idle.window[Counter::Requests], 0);
+    assert_eq!(idle.window[Latency::RequestE2e].count(), 0);
 }
 
 #[test]
@@ -407,12 +420,16 @@ fn a_loaded_service_stays_whole_through_publishes_fold_ins_and_a_stream() {
     );
     assert_eq!(short.load(Ordering::Relaxed), 0, "replies shorter than k");
     let m = service.metrics();
-    assert_eq!((m.requests, m.responses), (200, 200));
-    assert_eq!(m.worker_panics, 0);
-    assert_eq!(m.delta_publishes, 2 + report.publishes);
+    assert_eq!((m[Counter::Requests], m[Counter::Responses]), (200, 200));
+    assert_eq!(m[Counter::WorkerPanics], 0);
+    assert_eq!(m[Counter::DeltaPublishes], 2 + report.publishes);
     assert_eq!(report.events, 96);
-    assert_eq!(m.freshness.count(), 96, "a streamed rating left no sample");
-    assert!(m.freshness.quantile(0.99) >= m.freshness.quantile(0.5));
+    assert_eq!(
+        m[Latency::Freshness].count(),
+        96,
+        "a streamed rating left no sample"
+    );
+    assert!(m[Latency::Freshness].quantile(0.99) >= m[Latency::Freshness].quantile(0.5));
 }
 
 /// The same requests served from an f32, an f16 and an i8 catalog: the

@@ -6,7 +6,8 @@
 
 use cumf_linalg::{FactorMatrix, Precision};
 use cumf_serve::{
-    ApproxPolicy, FactorSnapshot, Query, ScoreKind, ServeConfig, ServeError, TopKIndex, TopKService,
+    ApproxPolicy, Counter, FactorSnapshot, Query, ScoreKind, ServeConfig, ServeError, TopKIndex,
+    TopKService,
 };
 use proptest::prelude::*;
 use std::sync::Arc;
@@ -85,7 +86,7 @@ fn shard_and_worker_counts_are_reply_invariant() {
                 got, baseline,
                 "replies drifted at shards={shards} workers={workers}"
             );
-            assert_eq!(service.metrics().worker_panics, 0);
+            assert_eq!(service.metrics()[Counter::WorkerPanics], 0);
         }
     }
 
@@ -147,7 +148,7 @@ fn shard_and_worker_counts_are_reply_invariant() {
             .map(|q| index.query_batch_stats(std::slice::from_ref(q)).0.remove(0))
             .collect();
         assert_eq!(bits(&got), bits(&expect), "{config:?}");
-        assert_eq!(service.metrics().worker_panics, 0);
+        assert_eq!(service.metrics()[Counter::WorkerPanics], 0);
     }
 }
 
@@ -181,9 +182,9 @@ fn concurrent_pool_traffic_stays_bit_identical() {
         }
     });
     let m = service.metrics();
-    assert_eq!(m.requests, 240);
-    assert_eq!(m.responses, 240);
-    assert_eq!(m.worker_panics, 0);
+    assert_eq!(m[Counter::Requests], 240);
+    assert_eq!(m[Counter::Responses], 240);
+    assert_eq!(m[Counter::WorkerPanics], 0);
 }
 
 #[test]
@@ -259,14 +260,14 @@ fn byte_budget_bounds_cache_without_changing_replies() {
         }
     }
     let m = service.metrics();
-    assert_eq!(m.responses, 90);
+    assert_eq!(m[Counter::Responses], 90);
     // The budget fits ~4 heavy entries per cache shard (2 shards): far
     // fewer than the 30 the entry capacity alone would keep, so most
     // repeat requests miss and rescore.
     assert!(
-        m.cache_misses > 30,
+        m[Counter::CacheMisses] > 30,
         "expected budget-driven rescoring, got {} misses",
-        m.cache_misses
+        m[Counter::CacheMisses]
     );
 }
 

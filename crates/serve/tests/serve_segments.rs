@@ -18,7 +18,8 @@
 use cumf_core::foldin::{fold_in_users, fold_in_users_segmented, ratings_rows};
 use cumf_linalg::FactorMatrix;
 use cumf_serve::{
-    ApproxPolicy, FactorSnapshot, ItemLayout, Query, ScoreKind, ServeConfig, TopKIndex, TopKService,
+    ApproxPolicy, Counter, FactorSnapshot, ItemLayout, Query, ScoreKind, ServeConfig, TopKIndex,
+    TopKService,
 };
 use proptest::prelude::*;
 use std::sync::Arc;
@@ -455,32 +456,35 @@ fn service_auto_compacts_under_sustained_appends() {
         );
     }
     let m = service.metrics();
-    assert!(m.item_compactions >= 1, "auto-compaction must have fired");
+    assert!(
+        m[Counter::ItemCompactions] >= 1,
+        "auto-compaction must have fired"
+    );
     assert_eq!(service.poisoned(), None);
 
     // An explicit compaction retains cached entries: same user, same reply,
     // no extra cache miss.
     let before = client.recommend(5, 6, &[]).unwrap();
-    let misses = service.metrics().cache_misses;
+    let misses = service.metrics()[Counter::CacheMisses];
     let mut delta = service.snapshot().delta();
     delta.append_items(&FactorMatrix::random(1, f, 1.0, 999));
     service.publish_delta(&delta).unwrap(); // appends invalidate lazily...
     let _ = client.recommend(5, 6, &[]).unwrap(); // ...rescore once
-    assert!(service.metrics().cache_misses > misses);
+    assert!(service.metrics()[Counter::CacheMisses] > misses);
     // The worker inserts the rescored entry *after* replying; wait for the
     // entry to actually land (a later identical request hits) so the
     // compaction below restamps it rather than racing the insert.
-    let hits_goal = service.metrics().cache_hits + 1;
+    let hits_goal = service.metrics()[Counter::CacheHits] + 1;
     let deadline = std::time::Instant::now() + Duration::from_secs(5);
-    while service.metrics().cache_hits < hits_goal {
+    while service.metrics()[Counter::CacheHits] < hits_goal {
         assert!(std::time::Instant::now() < deadline, "entry never cached");
         let _ = client.recommend(5, 6, &[]).unwrap();
     }
-    let misses_before_compaction = service.metrics().cache_misses;
+    let misses_before_compaction = service.metrics()[Counter::CacheMisses];
     service.compact_items();
     let after = client.recommend(5, 6, &[]).unwrap();
     assert_eq!(
-        service.metrics().cache_misses,
+        service.metrics()[Counter::CacheMisses],
         misses_before_compaction,
         "compaction must retain the cache (no rescoring)"
     );
